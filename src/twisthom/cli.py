@@ -18,7 +18,7 @@ from .groups import GroupPresentation
 from .homology import (BoundaryError, GroupMismatchError, twisted_homology)
 from .jsonio import (InputError, certificate_to_json, complex_from_json,
                      complex_to_json, rep_from_json, report_to_json)
-from .numbers import Cyclo
+from .numbers import Cyclo, cyclotomic_reduction_rows
 from .reps import BlockMonomial, UnitaryRep, torsion_characters, trivial_rep, verify_rep
 from .suites import SUITES, run_suites
 
@@ -167,20 +167,8 @@ def cmd_search(args) -> int:
 
 def _char_exponents(ch: UnitaryRep) -> list[int]:
     """Exponent of zeta_conductor at each generator (characters only)."""
-    out = []
-    for m in ch.generator_images:
-        x = m[0, 0]
-        # find k with zeta^k == x; conductor is small for search sweeps
-        z = Cyclo.one()
-        zeta = Cyclo.root_of_unity(ch.conductor) if ch.conductor > 1 else Cyclo.one()
-        for k in range(max(ch.conductor, 1)):
-            if z == x:
-                out.append(k)
-                break
-            z = z * zeta
-        else:
-            raise AssertionError("character value is not a stored root of unity")
-    return out
+    powers = cyclotomic_reduction_rows(ch.conductor)  # zeta^k in the power basis
+    return [powers.index(m[0, 0].embed(ch.conductor).coeffs) for m in ch.generator_images]
 
 
 def cmd_verify(args) -> int:

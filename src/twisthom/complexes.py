@@ -15,7 +15,7 @@ import math
 from .groups import (EMPTY_WORD, GroupPresentation, GroupRingElt, PermAction,
                      Word, free_reduce, reidemeister_schreier, word_inverse,
                      word_mul, word_power)
-from .matrices import Matrix, int_matrix_rank
+from .matrices import Matrix, fast_rank
 
 GR_ONE = GroupRingElt.one()
 
@@ -349,8 +349,8 @@ def _trivial_dims_by_augmentation(c: EquivariantComplex) -> tuple[int, ...]:
     """Homology dims over Q under the trivial 1-dim rep, via integer ranks."""
     ranks = []
     for b in c.boundaries:
-        rows = [[b[i, j].augmentation() for j in range(b.cols)] for i in range(b.rows)]
-        ranks.append(int_matrix_rank(rows) if b.rows and b.cols else 0)
+        aug = [[b[i, j].augmentation() for j in range(b.cols)] for i in range(b.rows)]
+        ranks.append(fast_rank(Matrix(b.rows, b.cols, aug)))
     ranks = [0] + ranks + [0]
     return tuple(c.ranks[i] - ranks[i] - ranks[i + 1] for i in range(len(c.ranks)))
 

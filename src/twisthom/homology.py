@@ -1,26 +1,42 @@
 """Specialization of equivariant complexes and exact twisted homology.
 
-A specialized complex either carries numpy int64 blocks (integral
-representations: trivial, permutation, integer-entried explicit reps) or dense
-cyclotomic matrices.  Both paths are exact: integer ranks go through the
-certified multi-prime modular routine, cyclotomic ranks through the rational
-expansion of Q(zeta_n).  The d.d = 0 invariant is enforced here, at
-specialization time, as a hard error.
+There is one exact backend.  A representation's generator images and their
+inverses are compiled once into integers over Z[x]/(x^n - 1), which maps onto
+Z[zeta_n] by x -> zeta_n:
+
+* block-monomial images whose blocks are 1x1 roots of unity (characters,
+  permutation reps, induced reps of characters) become a permutation plus one
+  exponent of x per column, composed in plain Python ints;
+* every other image becomes a permutation plus k x k blocks, an integer array
+  [d, k, k, n] over a common denominator (a dense rep is a single block).
+  Unitary images invert by conjugate transpose; restricted reps bring their
+  exact inverses.
+
+Word images are products of these, cached by prefix.  Each boundary is
+accumulated as an integer array [R, C, n] and reduced modulo Phi_n once;
+consecutive reduced boundaries must multiply to exactly zero in Z[zeta_n],
+and a failure is a hard BoundaryError.  Ranks come from the certified split-prime routine
+``matrices.certified_rank``.  Arrays hold Python ints wherever a magnitude
+bound would leave int64, so no value wraps.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
+import functools
 import math
+from fractions import Fraction
+
+import numpy as np
 
 from .complexes import CatalogEntry, EquivariantComplex, presentation_complex
 from .groups import GroupPresentation, PermAction, free_product
-from .matrices import Matrix, fast_rank, in_column_span, ndarray_rank
-from .numbers import Cyclo
-from .reps import (SplitData, UnitaryRep, evaluate_word, extend_by_identity,
-                   induce_rep, restrict_to_span, stacked_alpha_minus_one,
-                   trivial_rep, verify_rep)
+from .matrices import (Matrix, certified_rank, fast_rank, in_column_span,
+                       int_dtype, lift_cyclo, max_abs, reduce_cyclotomic,
+                       ring_matmul, solve_column_combination)
+from .numbers import Cyclo, cyclotomic_reduction_rows
+from .reps import (SplitData, UnitaryRep, extend_by_identity, induce_rep,
+                   restrict_to_span, stacked_alpha_minus_one, trivial_rep,
+                   verify_rep)
 
 
 class GroupMismatchError(ValueError):
@@ -67,170 +83,203 @@ class HomologyReport:
 class BlockComplex:
     """The complex C_* tensor V: dims per degree plus specialized boundaries.
 
-    ``boundaries[k]`` maps degree k+1 to degree k; stored as int64 arrays on
-    the integral path, dense Cyclo matrices otherwise.
+    ``boundaries[k]`` maps degree k+1 to degree k.  It is an integer array
+    [rows, cols, phi(n)] of coefficients in the power basis of zeta_n, where n
+    is ``conductor``, and the boundary is that array over ``denominators[k]``.
     """
 
-    __slots__ = ("dims", "boundaries", "integral")
+    __slots__ = ("dims", "boundaries", "conductor", "denominators")
 
-    def __init__(self, dims, boundaries, integral: bool):
+    def __init__(self, dims, boundaries, conductor: int, denominators):
         object.__setattr__(self, "dims", tuple(int(d) for d in dims))
         object.__setattr__(self, "boundaries", tuple(boundaries))
-        object.__setattr__(self, "integral", integral)
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "denominators", tuple(denominators))
 
     def __setattr__(self, *a):
         raise AttributeError("BlockComplex is immutable")
 
     def boundary_matrix(self, k: int) -> Matrix:
         """Boundary from degree k+1 to degree k as an exact cyclotomic Matrix."""
-        b = self.boundaries[k]
-        if not self.integral:
-            return b
-        return Matrix(b.shape[0], b.shape[1],
-                      [[Cyclo.from_rational(int(x)) for x in row] for row in b.tolist()])
+        a, den, n = self.boundaries[k], self.denominators[k], self.conductor
+        return Matrix(a.shape[0], a.shape[1],
+                      [[Cyclo(n, [Fraction(int(c), den) for c in e]) for e in row]
+                       for row in a.tolist()])
 
 
-_INT64_GUARD = 2 ** 40
+# ---------------------------------------------------------------------------
+# generator images compiled over Z[x]/(x^n - 1)
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _roots_of_unity(n: int) -> dict:
+    """Power-basis coefficients of each root of unity x in Q(zeta_n) -> (m, e)
+    with x = zeta_m^e and m its order; for odd n, -zeta_n^e = zeta_2n^(2e + n)."""
+    def primitive(m, e):
+        g = math.gcd(m, e)
+        return m // g, e // g
+
+    rows = cyclotomic_reduction_rows(n)
+    table = {} if n % 2 == 0 else {tuple(-c for c in row): primitive(2 * n, (2 * e + n) % (2 * n))
+                                   for e, row in enumerate(rows)}
+    table.update({row: primitive(n, e) for e, row in enumerate(rows)})
+    return table
 
 
-def _monomial_to_int_array(mono, dim: int) -> np.ndarray:
-    out = np.zeros((dim, dim), dtype=np.int64)
-    d = len(mono.perm)
-    k = dim // d if d else dim
-    for i in range(d):
-        r = mono.perm[i]
-        for a in range(k):
-            for b in range(k):
-                x = mono.blocks[i][a][b]
-                if x:
-                    out[r * k + a, i * k + b] = int(x.coeffs[0])
-    return out
+class _Monomial:
+    """Images (perm, exps): column i holds x^exps[i] in row perm[i]."""
+
+    def __init__(self, n: int, dim: int, gens):
+        self.n, self.dim = n, dim
+        self.identity = (tuple(range(dim)), (0,) * dim)
+        self.images = {}
+        for g, (perm, exps) in enumerate(gens):
+            inv_perm, inv_exps = [0] * dim, [0] * dim
+            for i, (row, e) in enumerate(zip(perm, exps)):
+                inv_perm[row], inv_exps[row] = i, -e % n
+            self.images[g, 1] = (tuple(perm), tuple(exps))
+            self.images[g, -1] = (tuple(inv_perm), tuple(inv_exps))
+
+    def mul(self, a, b):
+        (pa, ea), (pb, eb), n = a, b, self.n
+        return tuple([pa[j] for j in pb]), tuple([(ea[j] + e) % n for j, e in zip(pb, eb)])
+
+    def assemble(self, terms, bound: int, shape, images):
+        d = self.dim
+        out = np.zeros((shape[0] * d, shape[1] * d, self.n), dtype=int_dtype(bound))
+        if terms:
+            rows, cols, coeffs, words = zip(*terms)
+            perms = np.array([images[w][0] for w in words], dtype=np.int64).reshape(-1, d)
+            exps = np.array([images[w][1] for w in words], dtype=np.int64).reshape(-1, d)
+            np.add.at(out, (np.array(rows)[:, None] * d + perms,
+                            np.array(cols)[:, None] * d + np.arange(d), exps),
+                      np.array(coeffs, dtype=out.dtype)[:, None])
+        return out, 1
 
 
-def _dense_to_int_array(m: Matrix) -> np.ndarray:
-    return np.array([[int(x.coeffs[0]) if isinstance(x, Cyclo) else int(x)
-                      for x in row] for row in m.entries], dtype=np.int64)
+class _Blocks:
+    """Images (perm, blocks, den): column block i holds blocks[i] / den in row
+    block perm[i]; blocks is an integer array [d, k, k, n]."""
 
+    def __init__(self, n: int, d: int, k: int, images: dict):
+        self.n, self.k, self.dim, self.images = n, k, d * k, images
+        eye = np.zeros((d, k, k, n), dtype=np.int64)
+        eye[:, np.arange(k), np.arange(k), 0] = 1
+        self.identity = (tuple(range(d)), eye, 1)
 
-class _IntMono:
-    """Integer block-monomial matrix: perm[i] is the block-row of column i.
+    def mul(self, a, b):
+        (pa, ba, da), (pb, bb, db) = a, b
+        return tuple([pa[j] for j in pb]), ring_matmul(ba[list(pb)], bb, self.n), da * db
 
-    Blocks are integer orthogonal (rep entries are rational integers and
-    unitary), so inverses are plain transposes.
-    """
-
-    __slots__ = ("perm", "blocks")
-
-    def __init__(self, perm, blocks):
-        self.perm = perm
-        self.blocks = blocks
-
-    def __matmul__(self, other):
-        perm = tuple(self.perm[p] for p in other.perm)
-        k = len(self.blocks[0])
-        if k == 1:
-            blocks = tuple(((self.blocks[other.perm[i]][0][0] * other.blocks[i][0][0],),)
-                           for i in range(len(perm)))
-        else:
-            blocks = tuple(_int_block_mul(self.blocks[other.perm[i]], other.blocks[i])
-                           for i in range(len(perm)))
-        return _IntMono(perm, blocks)
-
-    def inverse(self):
-        q = [0] * len(self.perm)
-        for i, v in enumerate(self.perm):
-            q[v] = i
-        k = len(self.blocks[0])
-        blocks = tuple(tuple(tuple(self.blocks[q[i]][b][a] for b in range(k))
-                             for a in range(k))
-                       for i in range(len(q)))
-        return _IntMono(tuple(q), blocks)
-
-    def to_array(self, dim: int) -> np.ndarray:
-        out = np.zeros((dim, dim), dtype=np.int64)
-        d = len(self.perm)
-        k = dim // d if d else dim
-        for i in range(d):
-            r = self.perm[i]
-            block = self.blocks[i]
-            for a in range(k):
-                row = block[a]
-                for b in range(k):
-                    if row[b]:
-                        out[r * k + a, i * k + b] = row[b]
+    def dense(self, img) -> np.ndarray:
+        perm, blocks, _ = img
+        k = self.k
+        out = np.zeros((self.dim, self.dim, self.n), dtype=blocks.dtype)
+        for i, row in enumerate(perm):
+            out[row * k:(row + 1) * k, i * k:(i + 1) * k] = blocks[i]
         return out
 
-
-def _int_block_mul(a, b):
-    k = len(a)
-    return tuple(tuple(sum(a[i][m] * b[m][j] for m in range(k)) for j in range(k))
-                 for i in range(k))
-
-
-def _int_monomials(r: UnitaryRep) -> list[_IntMono] | None:
-    if r.monomials is None:
-        return None
-    out = []
-    for mono in r.monomials:
-        blocks = tuple(tuple(tuple(int(x.coeffs[0]) for x in row) for row in blk)
-                       for blk in mono.blocks)
-        out.append(_IntMono(mono.perm, blocks))
-    return out
-
-
-def _word_image_int(r: UnitaryRep, cache: dict, w) -> np.ndarray:
-    got = cache.get(w)
-    if got is None:
-        monos = cache.get("__monos__")
-        if monos is None and r.monomials is not None:
-            monos = _int_monomials(r)
-            cache["__monos__"] = monos
-        if monos is not None:
-            d = len(monos[0].perm) if monos else 1
-            k = r.dim // d if d else r.dim
-            acc = _IntMono(tuple(range(d)),
-                           tuple([tuple(tuple(int(i == j) for j in range(k))
-                                        for i in range(k))] * d))
-            inv_cache = cache.setdefault("__invs__", {})
-            for g, e in w:
-                if e == 1:
-                    m = monos[g]
-                else:
-                    m = inv_cache.get(g)
-                    if m is None:
-                        m = monos[g].inverse()
-                        inv_cache[g] = m
-                acc = acc @ m
-            got = acc.to_array(r.dim)
-        else:
-            got = _dense_to_int_array(evaluate_word(r, w))
-        cache[w] = got
-    return got
+    def assemble(self, terms, bound: int, shape, images):
+        den = math.lcm(1, *(images[w][2] for *_, w in terms))
+        dense, sums = {}, {}
+        for i, j, c, w in terms:
+            if w not in dense:
+                dense[w] = self.dense(images[w])
+            sums[i, j] = sums.get((i, j), 0) + \
+                abs(c) * (den // images[w][2]) * max_abs(dense[w])
+        dim = self.dim
+        out = np.zeros((shape[0] * dim, shape[1] * dim, self.n),
+                       dtype=int_dtype(max(sums.values(), default=0)))
+        for i, j, c, w in terms:
+            out[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] += \
+                dense[w].astype(out.dtype) * (c * (den // images[w][2]))
+        return out, den
 
 
-def _word_image_cyclo(r: UnitaryRep, cache: dict, w) -> Matrix:
-    got = cache.get(w)
-    if got is None:
-        got = evaluate_word(r, w)
-        cache[w] = got
-    return got
+def _dagger(img, n: int):
+    """Conjugate transpose: x^u -> x^-u on every entry, blocks transposed."""
+    perm, blocks, den = img
+    q = [0] * len(perm)
+    for i, row in enumerate(perm):
+        q[row] = i
+    conj = blocks[..., -np.arange(n) % n]
+    return tuple(q), np.swapaxes(conj[q], -3, -2), den
 
 
-def _int_product_nonzero(a: np.ndarray, b: np.ndarray) -> bool:
-    if a.size == 0 or b.size == 0:
-        return False
-    bound = int(np.abs(a).max()) * int(np.abs(b).max()) * a.shape[1]
-    if bound >= 2 ** 62:
-        ao = a.astype(object)
-        return bool((ao @ b.astype(object)).any())
-    return bool((a @ b).any())
+def _block_images(gens, inverses=None) -> _Blocks:
+    """Compile (perm, blocks of Cyclo entries) per generator; inverses default
+    to conjugate transposes (unitary images)."""
+    every = gens + (inverses or [])
+    n = math.lcm(1, *(getattr(x, "conductor", 1) for _, blocks in every
+                      for block in blocks for row in block for x in row))
+    d, k = len(gens[0][0]), len(gens[0][1][0])
+
+    def lift(perm, blocks):
+        a, den = lift_cyclo([row for block in blocks for row in block], n)
+        return tuple(perm), a.reshape(d, k, k, n), den
+
+    images = {}
+    for g, image in enumerate(gens):
+        images[g, 1] = lift(*image)
+        images[g, -1] = lift(*inverses[g]) if inverses else _dagger(images[g, 1], n)
+    return _Blocks(n, d, k, images)
 
 
-def _cyclo_product_is_zero(a: Matrix, b: Matrix) -> bool:
-    if a.cols == 0 or a.rows == 0 or b.cols == 0:
-        return True
-    prod = a @ b
-    return prod.is_zero()
+def _compile(r: UnitaryRep):
+    monos = r.monomials
+    if monos is None:
+        return _block_images([((0,), (m.entries,)) for m in r.generator_images])
+    if not monos:
+        return _Monomial(1, r.dim, [])
+    if len(monos[0].blocks[0]) == 1:
+        roots = [[_roots_of_unity(b[0][0].conductor).get(b[0][0].coeffs) for b in m.blocks]
+                 for m in monos]
+        if all(x is not None for row in roots for x in row):
+            n = math.lcm(*(m for row in roots for m, _ in row))
+            return _Monomial(n, r.dim, [(m.perm, [e * (n // o) for o, e in row])
+                                        for m, row in zip(monos, roots)])
+    return _block_images([(m.perm, m.blocks) for m in monos])
+
+
+def _word_images(imgs, words) -> dict:
+    """Images of the words and of all their prefixes, one product per letter."""
+    cache = {(): imgs.identity}
+    for w in words:
+        i = len(w)
+        while w[:i] not in cache:
+            i -= 1
+        img = cache[w[:i]]
+        for t in range(i, len(w)):
+            img = imgs.mul(img, imgs.images[w[t]])
+            cache[w[:t + 1]] = img
+    return cache
+
+
+def _terms(b: Matrix):
+    """(row, col, coeff, word) per term, and the largest sum of |coeff| in an entry."""
+    terms, bound = [], 0
+    for i, row in enumerate(b.entries):
+        for j, entry in enumerate(row):
+            total = 0
+            for w, coeff in entry.terms.items():
+                terms.append((i, j, coeff, w))
+                total += abs(coeff)
+            bound = max(bound, total)
+    return terms, bound
+
+
+def _specialize(c: EquivariantComplex, imgs, under: str) -> BlockComplex:
+    terms = [_terms(b) for b in c.boundaries]
+    images = _word_images(imgs, {t[3] for ts, _ in terms for t in ts})
+    n = imgs.n
+    assembled = [imgs.assemble(ts, bound, (b.rows, b.cols), images)
+                 for b, (ts, bound) in zip(c.boundaries, terms)]
+    reduced = [reduce_cyclotomic(a, n) for a, _ in assembled]
+    for t in range(len(reduced) - 1):
+        if reduce_cyclotomic(ring_matmul(reduced[t], reduced[t + 1], n), n).any():
+            raise BoundaryError(f"d{t + 1}.d{t + 2} != 0 under {under}")
+    return BlockComplex([rank * imgs.dim for rank in c.ranks], reduced, n,
+                        [den for _, den in assembled])
 
 
 def specialize(c: EquivariantComplex, r: UnitaryRep) -> BlockComplex:
@@ -244,58 +293,27 @@ def specialize(c: EquivariantComplex, r: UnitaryRep) -> BlockComplex:
         raise GroupMismatchError("representation group differs from complex group")
     if not verify_rep(r):
         raise ValueError("representation fails verification")
-    integral = r.is_integral()
-    k = r.dim
-    cache: dict = {}
-    boundaries = []
-    if integral:
-        for b in c.boundaries:
-            out = np.zeros((b.rows * k, b.cols * k), dtype=np.int64)
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    entry = b[i, j]
-                    for w, coeff in entry.terms.items():
-                        out[i * k:(i + 1) * k, j * k:(j + 1) * k] += \
-                            coeff * _word_image_int(r, cache, w)
-            boundaries.append(out)
-        for t in range(len(boundaries) - 1):
-            if _int_product_nonzero(boundaries[t], boundaries[t + 1]):
-                raise BoundaryError(f"d{t + 1}.d{t + 2} != 0 under this representation")
-    else:
-        zero = Cyclo.zero()
-        for b in c.boundaries:
-            entries = [[zero] * (b.cols * k) for _ in range(b.rows * k)]
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    entry = b[i, j]
-                    acc = None
-                    for w, coeff in entry.terms.items():
-                        img = _word_image_cyclo(r, cache, w)
-                        if acc is None:
-                            acc = [[coeff * img[a, bb] for bb in range(k)] for a in range(k)]
-                        else:
-                            for a in range(k):
-                                for bb in range(k):
-                                    acc[a][bb] = acc[a][bb] + coeff * img[a, bb]
-                    if acc is not None:
-                        for a in range(k):
-                            for bb in range(k):
-                                entries[i * k + a][j * k + bb] = acc[a][bb]
-            boundaries.append(Matrix(b.rows * k, b.cols * k, entries))
-        for t in range(len(boundaries) - 1):
-            if not _cyclo_product_is_zero(boundaries[t], boundaries[t + 1]):
-                raise BoundaryError(f"d{t + 1}.d{t + 2} != 0 under this representation")
-    dims = [rank * k for rank in c.ranks]
-    return BlockComplex(dims, boundaries, integral)
+    return _specialize(c, _compile(r), "this representation")
+
+
+def specialize_restricted(c: EquivariantComplex, r: UnitaryRep,
+                          basis: Matrix) -> BlockComplex:
+    """Specialize under r restricted to the invariant column span of ``basis``.
+
+    The basis need not be orthonormal, so the restricted images are not
+    unitary: their inverses are solved exactly instead.
+    """
+    mats = restrict_to_span(r, basis)
+    ident = Matrix.identity(basis.cols, Cyclo.one(), Cyclo.zero())
+    inverses = [solve_column_combination(m, ident) for m in mats]
+    imgs = _block_images([((0,), (m.entries,)) for m in mats],
+                         [((0,), (m.entries,)) for m in inverses])
+    return _specialize(c, imgs, "the restricted action")
 
 
 def homology_dims(b: BlockComplex) -> HomologyReport:
     """dims[i] = dim C_i - rank d_i - rank d_{i+1} (field coefficients)."""
-    if b.integral:
-        ranks = [ndarray_rank(m) for m in b.boundaries]
-    else:
-        ranks = [fast_rank(m) for m in b.boundaries]
-    ranks = [0] + ranks + [0]
+    ranks = [0] + [certified_rank(a, b.conductor) for a in b.boundaries] + [0]
     return HomologyReport([b.dims[i] - ranks[i] - ranks[i + 1]
                            for i in range(len(b.dims))])
 
@@ -346,11 +364,8 @@ def shapiro_compare(c: EquivariantComplex, action: PermAction, sub_matrices,
         if not isinstance(m, Matrix):
             m = Matrix(sub_dim, sub_dim, m)
         sub_images.append(BlockMonomial((0,), (_block_from_matrix(m),)))
-    conductor = 1
-    for mono in sub_images:
-        for row in mono.blocks[0]:
-            for x in row:
-                conductor = conductor * x.conductor // math.gcd(conductor, x.conductor)
+    conductor = math.lcm(1, *(x.conductor for mono in sub_images
+                              for row in mono.blocks[0] for x in row))
     sub_rep = UnitaryRep(cover.group, sub_dim, conductor, "explicit",
                          monomials=sub_images)
     dims_cover = twisted_homology(cover, sub_rep)
@@ -365,51 +380,6 @@ def shapiro_compare(c: EquivariantComplex, action: PermAction, sub_matrices,
 # ---------------------------------------------------------------------------
 # subquotient dimensions along the invariant/coinvariant split
 # ---------------------------------------------------------------------------
-
-def _specialize_with_matrices(c: EquivariantComplex, mats: list[Matrix],
-                              dim: int) -> BlockComplex:
-    """Specialization under an arbitrary invertible matrix assignment.
-
-    Used for the restriction to W in a non-orthonormal basis; inverses are
-    computed exactly instead of by conjugate-transpose.
-    """
-    from .matrices import solve_column_combination
-
-    if dim == 0:
-        return BlockComplex([0] * len(c.ranks),
-                            [Matrix(0, 0, []) for _ in c.boundaries], False)
-    ident = Matrix.identity(dim, Cyclo.one(), Cyclo.zero())
-    inverses = [solve_column_combination(m, ident) for m in mats]
-    cache: dict = {}
-
-    def word_image(w):
-        got = cache.get(w)
-        if got is None:
-            got = ident
-            for g, e in w:
-                got = got @ (mats[g] if e == 1 else inverses[g])
-            cache[w] = got
-        return got
-
-    zero = Cyclo.zero()
-    boundaries = []
-    for b in c.boundaries:
-        entries = [[zero] * (b.cols * dim) for _ in range(b.rows * dim)]
-        for i in range(b.rows):
-            for j in range(b.cols):
-                for w, coeff in b[i, j].terms.items():
-                    img = word_image(w)
-                    for a in range(dim):
-                        for bb in range(dim):
-                            v = coeff * img[a, bb]
-                            entries[i * dim + a][j * dim + bb] = \
-                                entries[i * dim + a][j * dim + bb] + v
-        boundaries.append(Matrix(b.rows * dim, b.cols * dim, entries))
-    for t in range(len(boundaries) - 1):
-        if not _cyclo_product_is_zero(boundaries[t], boundaries[t + 1]):
-            raise BoundaryError(f"d{t + 1}.d{t + 2} != 0 under restricted action")
-    return BlockComplex([r * dim for r in c.ranks], boundaries, False)
-
 
 def subquotient_dims(c: EquivariantComplex, r: UnitaryRep, s: SplitData) \
         -> tuple[HomologyReport, HomologyReport, HomologyReport]:
@@ -431,8 +401,7 @@ def subquotient_dims(c: EquivariantComplex, r: UnitaryRep, s: SplitData) \
     if s.w_basis.cols == 0:
         dims_w = HomologyReport([0] * len(c.ranks))
     else:
-        mats = restrict_to_span(r, s.w_basis)
-        dims_w = homology_dims(_specialize_with_matrices(c, mats, s.w_basis.cols))
+        dims_w = homology_dims(specialize_restricted(c, r, s.w_basis))
     dims_wperp = twisted_homology(c, trivial_rep(c.group, s.wperp_basis.cols)) \
         if s.wperp_basis.cols else HomologyReport([0] * len(c.ranks))
 

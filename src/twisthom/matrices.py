@@ -1,19 +1,24 @@
 """Dense exact matrices and the normal-form kernels built on them.
 
 A ``Matrix`` stores one scalar domain per instance (Fraction/int, Cyclo or
-Laurent).  Everything here is exact; the modular rank helpers certify their
-result against a per-matrix Hadamard bound instead of trusting a single prime.
-Degenerate shapes (0 rows or columns) are legal everywhere and have rank 0.
+Laurent).  Everything here is exact.  Ranks over Q and Q(zeta_n) have one
+routine, ``certified_rank``: it takes integer coefficient arrays over
+Z[x]/(x^n - 1), ranks them over F_p for split primes p = 1 (mod n), and
+certifies the result with a Hadamard bound on the norms of the minors.
+Bareiss ``matrix_rank`` is the fallback and the test oracle.  Degenerate
+shapes (0 rows or columns) are legal everywhere and have rank 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from .numbers import Cyclo, Laurent, as_fraction, euler_phi
+from .numbers import (Cyclo, Laurent, as_fraction, cyclotomic_reduction_rows,
+                      euler_phi)
 
 _INT_TYPES = (int, np.integer)
 
@@ -154,156 +159,213 @@ def matrix_rank(m: Matrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# fast certified rank over Q and Q(zeta_n)
+# integer arrays over Z[x]/(x^n - 1) and the certified split-prime rank
 # ---------------------------------------------------------------------------
+#
+# An array a[..., m] with m <= n stands for the elements sum_i a[..., i] x^i of
+# Z[x]/(x^n - 1), which map onto Z[zeta_n] by x -> zeta_n.  Arrays are int64
+# while a bound on every value a computation can reach stays below 2^62, and
+# object arrays of Python ints otherwise, so nothing wraps silently.
 
-# Primes just below 2**31; products of residues stay inside int64.
-_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
-           2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
-           2147483423, 2147483399, 2147483353, 2147483323, 2147483269,
-           2147483249, 2147483237, 2147483179, 2147483171, 2147483137)
+def int_dtype(bound: int):
+    """int64 when no value can reach ``bound`` >= 2^62, else object (Python ints)."""
+    return np.int64 if bound < 2 ** 62 else object
 
 
-def _rank_mod_p(a: np.ndarray, p: int) -> int:
-    m = (a % p).astype(np.int64)
+def max_abs(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def ring_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Matrix products over Z[x]/(x^n - 1), batched over leading axes:
+    a[..., i, k, m] @ b[..., k, j, m'] (m, m' <= n) -> [..., i, j, n], as one
+    integer matmul per power x^s that occurs in a, added in at x^s times."""
+    (k, j), m = b.shape[-3:-1], b.shape[-1]
+    dtype = int_dtype(max_abs(a) * max_abs(b) * k * n)
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    flat = b.reshape(b.shape[:-2] + (j * m,))
+    out = np.zeros(np.broadcast_shapes(a.shape[:-3], b.shape[:-3]) + (a.shape[-3], j, n), dtype)
+    for s in np.flatnonzero(a.reshape(-1, a.shape[-1]).any(axis=0)):
+        out[..., (s + np.arange(m)) % n] += (a[..., s] @ flat).reshape(out.shape[:-1] + (m,))
+    return out
+
+
+@functools.cache
+def _reduction(n: int) -> np.ndarray:
+    rows = cyclotomic_reduction_rows(n)
+    return np.array(rows, dtype=int_dtype(max(abs(c) for row in rows for c in row)))
+
+
+def reduce_cyclotomic(a: np.ndarray, n: int) -> np.ndarray:
+    """Reduce a[..., m] (m <= n) modulo Phi_n: coefficients [..., phi(n)] in the
+    power basis 1, zeta_n, ..., zeta_n^(phi(n)-1)."""
+    red = _reduction(n)[:a.shape[-1]]
+    if red.shape == (1, 1):
+        return a
+    dtype = int_dtype(max_abs(a) * int(np.abs(red).sum(axis=0).max()))
+    return a.astype(dtype, copy=False) @ red.astype(dtype, copy=False)
+
+
+def lift_cyclo(entries, n: int) -> tuple[np.ndarray, int]:
+    """Integer array a[R, C, n] and a common denominator with entries = a / den.
+
+    Each Cyclo of conductor m | n is lifted to Z[x]/(x^n - 1) by placing its
+    coefficient of zeta_m^i at x^(i n/m); no reduction happens.  Rational
+    entries are allowed.
+    """
+    entries = [[x if isinstance(x, Cyclo) else Cyclo.from_rational(as_fraction(x))
+                for x in row] for row in entries]
+    den = math.lcm(1, *(c.denominator for row in entries for x in row for c in x.coeffs))
+    out = np.zeros((len(entries), len(entries[0]) if entries else 0, n), dtype=object)
+    for i, row in enumerate(entries):
+        for j, x in enumerate(row):
+            out[i, j, :len(x.coeffs) * (n // x.conductor):n // x.conductor] = \
+                [c.numerator * (den // c.denominator) for c in x.coeffs]
+    return out.astype(int_dtype(max_abs(out))), den
+
+
+def cyclo_array(m: Matrix) -> tuple[np.ndarray, int]:
+    """(a, n): Phi_n-reduced integer coefficients a[R, C, phi(n)] of a matrix over
+    Q(zeta_n) with at least one row, each row scaled by the lcm of its
+    denominators (which keeps the rank)."""
+    n = math.lcm(1, *(getattr(x, "conductor", 1) for row in m.entries for x in row))
+    a = np.concatenate([lift_cyclo([row], n)[0].astype(object) for row in m.entries])
+    return reduce_cyclotomic(a.astype(int_dtype(max_abs(a))), n), n
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin below 3 215 031 751 (bases 2, 3, 5, 7)."""
+    if p in (2, 3, 5, 7):
+        return True
+    if p < 2 or any(p % q == 0 for q in (2, 3, 5, 7)):
+        return False
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, p)
+        # a witness: x is not +-1 and no repeated square of it reaches -1
+        if x not in (1, p - 1) and all((x := x * x % p) != p - 1 for _ in range(s - 1)):
+            return False
+    return True
+
+
+def _root_of_unity_mod(p: int, n: int) -> int:
+    """A primitive n-th root of unity modulo the prime p = 1 (mod n)."""
+    factors = [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
+    for g in range(2, p):
+        r = pow(g, (p - 1) // n, p)
+        if all(pow(r, n // q, p) != 1 for q in factors):
+            return r
+    raise AssertionError("no primitive root")
+
+
+_SPLIT_PRIMES: dict[int, list[tuple[int, int]]] = {}
+
+
+def split_primes(n: int, count: int) -> list[tuple[int, int]]:
+    """Up to ``count`` pairs (p, r): the largest primes 2^30 < p < 2^31 with
+    p = 1 (mod n), descending, and r a primitive n-th root of unity mod p.
+
+    Residues below 2^31 keep every product inside int64.  Fewer pairs come
+    back only when the interval runs out of such primes.
+    """
+    got = _SPLIT_PRIMES.setdefault(n, [])
+    step = n if n % 2 == 0 else 2 * n
+    p = got[-1][0] - step if got else (2 ** 31 - 2) // step * step + 1
+    while len(got) < count and p > 2 ** 30:
+        if _is_prime(p):
+            got.append((p, _root_of_unity_mod(p, n)))
+        p -= step
+    return got[:count]
+
+
+def _rank_mod_p(m: np.ndarray, p: int) -> int:
+    """Rank over F_p by elimination in place on the int64 residues m; a row is
+    cleared as pivot * row - head * pivot_row, so no inverse is needed."""
     rows, cols = m.shape
     rank = 0
     for j in range(cols):
         if rank == rows:
             break
-        nz = np.nonzero(m[rank:, j])[0]
+        nz = np.flatnonzero(m[rank:, j])
         if nz.size == 0:
             continue
         piv = rank + int(nz[0])
         if piv != rank:
             m[[rank, piv]] = m[[piv, rank]]
-        inv = pow(int(m[rank, j]), p - 2, p)
-        m[rank] = (m[rank] * inv) % p
-        below = m[rank + 1:, j]
-        mask = below != 0
-        if mask.any():
-            m[rank + 1:][mask] = (m[rank + 1:][mask] - np.outer(below[mask], m[rank])) % p
+        below = rank + 1 + np.flatnonzero(m[rank + 1:, j])
+        if below.size:
+            m[below, j:] = (m[below, j:] * m[rank, j] - np.outer(m[below, j], m[rank, j:])) % p
         rank += 1
     return rank
 
 
-def _hadamard_bits(a) -> float:
-    """log2 of the Hadamard bound on the absolute value of any minor."""
-    bits = 0.0
-    for row in a:
-        s = 0
-        for x in row:
-            s += int(x) * int(x)
-        if s:
-            bits += 0.5 * math.log2(s)
-    return bits
+def _evaluate_mod_p(a: np.ndarray, p: int, r: int) -> np.ndarray:
+    """The image of a[R, C, m] under zeta_n -> r in F_p, as an int64 matrix."""
+    a = (a % p).astype(np.int64)
+    if a.shape[-1] == 1:
+        return a[..., 0]
+    powers = np.array([pow(r, i, p) for i in range(a.shape[-1])], dtype=np.int64)
+    return (a * powers % p).sum(axis=-1) % p
 
 
-def int_matrix_rank(rows: list[list[int]]) -> int:
-    """Exact rank of an integer matrix via enough independent primes.
+def _hadamard_bits(a: np.ndarray) -> float:
+    """log2 of H = prod over nonzero rows of ||(L1 norms of the row's entries)||_2.
 
-    A nonzero r x r minor is bounded by the Hadamard bound H, so it cannot be
-    divisible by more than log_p(H) of the 31-bit primes used here; taking the
-    max of the modular ranks over one more prime than that is therefore exact.
+    |sigma(x)| <= L1(x) under every embedding sigma, so |sigma(M)| <= H for
+    every minor M by Hadamard's inequality.
     """
-    if not rows or not rows[0]:
+    if a.dtype == object:
+        l1 = np.abs(a).sum(axis=-1).tolist()
+        return sum(0.5 * math.log2(s) for s in (sum(x * x for x in row) for row in l1) if s)
+    l1 = np.abs(a).sum(axis=-1, dtype=np.float64)
+    sq = (l1 * l1).sum(axis=1)
+    return float(0.5 * np.log2(sq[sq > 0]).sum())
+
+
+MAX_PRIMES = 256
+
+
+def certified_rank(a: np.ndarray, n: int) -> int:
+    """Exact rank over Q(zeta_n) of the integer array a[R, C, m]; entry (i, j)
+    is sum_k a[i, j, k] zeta_n^k (any m; Phi_n-reduced arrays have m = phi(n)).
+
+    Each split prime p = 1 (mod n) maps Z[zeta_n] onto F_p by zeta_n -> r, so
+    the rank over F_p never exceeds the true rank.  A nonzero minor M keeps
+    the true rank unless it lies in the kernel, and then p divides its norm,
+    a nonzero integer with |N(M)| <= H^phi(n).  The primes exceed 2^30, so at
+    most floor(phi(n) log2(H) / 30) of them can divide it: the maximum rank
+    over one more prime than that is exact.  The loop stops early once the
+    rank is full.  For n = 1 this is the classical multimodular integer rank.
+    Bareiss ``matrix_rank`` takes over when more than MAX_PRIMES are needed.
+    """
+    rows, cols = a.shape[:2]
+    if rows == 0 or cols == 0 or not a.any():
         return 0
-    bits = _hadamard_bits(rows)
-    need = int(bits // 30) + 1  # 30 bits per 31-bit prime leaves margin
-    if need > len(_PRIMES):
-        return matrix_rank(Matrix(len(rows), len(rows[0]), rows))
-    big = max(abs(int(x)) for row in rows for x in row)
-    if big >= 2 ** 62:
-        return matrix_rank(Matrix(len(rows), len(rows[0]), rows))
-    a = np.array(rows, dtype=np.int64)
-    return max(_rank_mod_p(a, p) for p in _PRIMES[:need])
-
-
-def _fraction_rows_to_int(rows) -> list[list[int]] | None:
-    out = []
-    for row in rows:
-        denom = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                denom = denom * x.denominator // math.gcd(denom, x.denominator)
-        if denom.bit_length() > 256:
-            return None
-        out.append([int(x * denom) if isinstance(x, Fraction) else int(x) * denom for x in row])
-    return out
-
-
-def _cyclo_expand_rows(m: Matrix) -> tuple[list[list[Fraction]], int]:
-    """Replace each Q(zeta_n) entry by its phi x phi multiplication matrix.
-
-    The expansion is Q-linear and multiplicative, so the rational rank of the
-    expanded matrix is phi(n) times the cyclotomic rank.
-    """
-    conductor = 1
-    for row in m.entries:
-        for x in row:
-            if isinstance(x, Cyclo):
-                conductor = conductor * x.conductor // math.gcd(conductor, x.conductor)
-    phi = euler_phi(conductor)
-    zero = [Fraction(0)] * phi
-    big = [[None] * (m.cols * phi) for _ in range(m.rows * phi)]
-    powers = [Cyclo.root_of_unity(conductor, k) for k in range(phi)] if conductor > 1 else None
-    for i in range(m.rows):
-        for j in range(m.cols):
-            x = m.entries[i][j]
-            if not isinstance(x, Cyclo):
-                x = Cyclo.from_rational(as_fraction(x))
-            if not x:
-                block = [zero] * phi
-            elif conductor == 1:
-                block = [[x.coeffs[0]]]
-            else:
-                xe = x.embed(conductor)
-                block = []
-                for k in range(phi):
-                    col = (xe * powers[k]).coeffs
-                    block.append(col)
-                # block[k] is the coefficient vector of x*z^k: use as columns.
-                block = [[block[k][r] for k in range(phi)] for r in range(phi)]
-            for r in range(phi):
-                for k in range(phi):
-                    big[i * phi + r][j * phi + k] = block[r][k]
-    return big, phi
+    need = int(euler_phi(n) * _hadamard_bits(a) / 30 * (1 + 1e-9)) + 1
+    primes = split_primes(n, need) if need <= MAX_PRIMES else []
+    if len(primes) < need:
+        a = reduce_cyclotomic(a, n)
+        return matrix_rank(Matrix(rows, cols, [[Cyclo(n, e) for e in row]
+                                               for row in a.tolist()]))
+    best, full = 0, min(rows, cols)
+    for p, r in primes:
+        best = max(best, _rank_mod_p(_evaluate_mod_p(a, p, r), p))
+        if best == full:
+            break
+    return best
 
 
 def fast_rank(m: Matrix) -> int:
-    """Exact rank with modular fast paths; falls back to matrix_rank."""
+    """Exact rank of a Matrix over Q or Q(zeta_n) by ``certified_rank``;
+    Laurent entries go to Bareiss ``matrix_rank``."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    sample = m.entries[0][0]
-    if isinstance(sample, Laurent):
+    if isinstance(m.entries[0][0], Laurent):
         return matrix_rank(m)
-    if isinstance(sample, Cyclo):
-        big, phi = _cyclo_expand_rows(m)
-        ints = _fraction_rows_to_int(big)
-        if ints is None:
-            return matrix_rank(m)
-        r = int_matrix_rank(ints)
-        assert r % phi == 0
-        return r // phi
-    ints = _fraction_rows_to_int(m.entries)
-    if ints is None:
-        return matrix_rank(m)
-    return int_matrix_rank(ints)
-
-
-def ndarray_rank(a: np.ndarray) -> int:
-    """Exact rational rank of an integer ndarray (certified modular ranks)."""
-    if a.size == 0:
-        return 0
-    big = int(np.abs(a).max())
-    if big >= 2 ** 62:
-        return int_matrix_rank(a.tolist())
-    sq = (a.astype(np.float64) ** 2).sum(axis=1)
-    bits = float(0.5 * np.log2(sq[sq > 0]).sum()) if (sq > 0).any() else 0.0
-    need = int(bits // 30) + 1
-    if need > len(_PRIMES):
-        return int_matrix_rank(a.tolist())
-    return max(_rank_mod_p(a, p) for p in _PRIMES[:need])
+    a, n = cyclo_array(m)
+    return certified_rank(a, n)
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +856,7 @@ def right_kernel_basis_field(m: Matrix, one_scalar=1, zero_scalar=0) -> Matrix:
 
 def in_column_span(basis: Matrix, vector: list) -> bool:
     col = Matrix(basis.rows, 1, [[x] for x in vector])
-    return matrix_rank(basis.hstack(col)) == matrix_rank(basis)
+    return fast_rank(basis.hstack(col)) == fast_rank(basis)
 
 
 def solve_column_combination(basis: Matrix, target: Matrix) -> Matrix:

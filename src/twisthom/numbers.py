@@ -100,6 +100,20 @@ def _cyclotomic_coeffs(n: int) -> tuple[Fraction, ...]:
     return tuple(q)
 
 
+@functools.cache
+def cyclotomic_reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row k < n holds the integer coefficients of x^k modulo Phi_n."""
+    phi = euler_phi(n)
+    low = [-int(c) for c in _cyclotomic_coeffs(n)[:phi]]  # x^phi = sum low[i] x^i
+    rows = [tuple(int(i == k) for i in range(phi)) for k in range(min(n, phi))]
+    while len(rows) < n:
+        prev = rows[-1]
+        top = prev[-1]
+        rows.append(tuple(top * low[0] if i == 0 else prev[i - 1] + top * low[i]
+                          for i in range(phi)))
+    return tuple(rows)
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic numbers
 # ---------------------------------------------------------------------------
@@ -114,6 +128,8 @@ class Cyclo:
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor: int, coeffs):
+        if conductor < 1:
+            raise ValueError(f"conductor must be >= 1, got {conductor}")
         phi = euler_phi(conductor)
         coeffs = tuple(as_fraction(c) for c in coeffs)
         if len(coeffs) != phi:
@@ -179,7 +195,7 @@ class Cyclo:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        m = _lcm(self.conductor, other.conductor)
+        m = math.lcm(self.conductor, other.conductor)
         a, b = self._embedded(m), other._embedded(m)
         return Cyclo(m, [x + y for x, y in zip(a, b)])
 
@@ -201,7 +217,7 @@ class Cyclo:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        m = _lcm(self.conductor, other.conductor)
+        m = math.lcm(self.conductor, other.conductor)
         a, b = self._embedded(m), other._embedded(m)
         prod = _poly_mul(list(a), list(b))
         return Cyclo(m, _reduce_mod_cyclotomic(prod, m))
@@ -267,7 +283,7 @@ class Cyclo:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        m = _lcm(self.conductor, other.conductor)
+        m = math.lcm(self.conductor, other.conductor)
         return self._embedded(m) == other._embedded(m)
 
     def __hash__(self):
@@ -281,10 +297,6 @@ class Cyclo:
         terms = [f"{c}*z{self.conductor}^{i}" for i, c in enumerate(self.coeffs) if c]
         return " + ".join(terms) if terms else "0"
 
-    def key(self) -> tuple:
-        """Hashable canonical key (valid between values of equal conductor)."""
-        return (self.conductor, self.coeffs)
-
 
 def _reduce_mod_cyclotomic(poly: list[Fraction], n: int) -> list[Fraction]:
     phi = euler_phi(n)
@@ -292,10 +304,6 @@ def _reduce_mod_cyclotomic(poly: list[Fraction], n: int) -> list[Fraction]:
     if len(poly) > phi:
         _, poly = _poly_divmod(poly, list(_cyclotomic_coeffs(n)))
     return poly + [ZERO] * (phi - len(poly))
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -422,20 +430,6 @@ class Laurent:
         v = self.valuation()
         lead = self.leading_coeff()
         return Laurent({e - v: c / lead for e, c in self.terms.items()})
-
-    def shift(self, k: int) -> "Laurent":
-        return Laurent({e + k: c for e, c in self.terms.items()})
-
-    def evaluate(self, x: Fraction) -> Fraction:
-        x = as_fraction(x)
-        out = ZERO
-        for e, c in self.terms.items():
-            out += c * x ** e
-        return out
-
-    def substitute_inverse(self) -> "Laurent":
-        """t |-> t^-1."""
-        return Laurent({-e: c for e, c in self.terms.items()})
 
     # -- Euclidean structure (via the polynomial part) ----------------------
 

@@ -125,16 +125,6 @@ class UnitaryRep:
                                tuple(m.dense() for m in self.monomials))
         return self._dense
 
-    def is_integral(self) -> bool:
-        """True when every entry is a rational integer (enables int fast paths)."""
-        def block_ok(b: Block) -> bool:
-            return all(x.is_rational() and x.coeffs[0].denominator == 1
-                       for row in b for x in row)
-        if self.monomials is not None:
-            return all(block_ok(m.blocks[i]) for m in self.monomials
-                       for i in range(len(m.perm)))
-        return all(block_ok(_block_from_matrix(m)) for m in self.generator_images)
-
     # -- word evaluation -----------------------------------------------------
 
     def word_monomial(self, w: Word) -> BlockMonomial:
@@ -155,10 +145,6 @@ class UnitaryRep:
                 f"provenance={self.provenance!r})")
 
 
-def _dense_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
-
-
 def _dense_conj_transpose(a: Matrix) -> Matrix:
     return Matrix(a.cols, a.rows,
                   [[(a[j, i].conjugate() if isinstance(a[j, i], Cyclo)
@@ -176,7 +162,7 @@ def evaluate_word(r: UnitaryRep, w: Word) -> Matrix:
     out = Matrix.identity(r.dim, Cyclo.one(), Cyclo.zero())
     for g, e in w:
         m = r.generator_images[g]
-        out = _dense_mul(out, m if e == 1 else _dense_conj_transpose(m))
+        out = out @ (m if e == 1 else _dense_conj_transpose(m))
     return out
 
 
@@ -225,9 +211,7 @@ def torsion_characters(p: GroupPresentation) -> list[UnitaryRep]:
                          monomials=[mono] * p.num_generators)
         object.__setattr__(rep, "_verified", True)
         return [rep]
-    lcm = 1
-    for d in ds:
-        lcm = lcm * d // math.gcd(lcm, d)
+    lcm = math.lcm(*ds)
     out = []
     for a in itertools.product(*[range(d) for d in ds]):
         monos = []
@@ -288,17 +272,13 @@ def induce_rep(p: GroupPresentation, action: PermAction, sub_matrices,
 
     identity = _block_identity(sub_dim)
     monos = []
-    conductor = 1
     for g in range(p.num_generators):
         cols = []
         for i in range(action.degree):
             idx = data.pair_index[(i, g)]
             cols.append(identity if idx is None else blocks_in[idx])
         monos.append(BlockMonomial(action.generator_images[g], cols))
-    for b in blocks_in:
-        for row in b:
-            for x in row:
-                conductor = conductor * x.conductor // math.gcd(conductor, x.conductor)
+    conductor = math.lcm(1, *(x.conductor for b in blocks_in for row in b for x in row))
     rep = UnitaryRep(p, action.degree * sub_dim, conductor, "induced",
                      monomials=monos)
     # sub-representation was validated above; induction preserves unitarity
@@ -311,7 +291,6 @@ def explicit_rep(p: GroupPresentation, matrices, provenance: str = "explicit",
                  dim: int | None = None) -> UnitaryRep:
     """Dense representation from explicit generator matrices; verified on use."""
     dense = []
-    conductor = 1
     for m in matrices:
         if not isinstance(m, Matrix):
             m = Matrix(len(m), len(m[0]) if m else 0, m)
@@ -324,14 +303,12 @@ def explicit_rep(p: GroupPresentation, matrices, provenance: str = "explicit",
             dim = m.rows
         elif m.rows != dim:
             raise ValueError("generator images must share one dimension")
-        for row in m.entries:
-            for x in row:
-                conductor = conductor * x.conductor // math.gcd(conductor, x.conductor)
         dense.append(m)
     if len(dense) != p.num_generators:
         raise ValueError("one matrix per generator required")
     if dim is None:
         raise ValueError("dim is required when the group has no generators")
+    conductor = math.lcm(1, *(x.conductor for m in dense for row in m.entries for x in row))
     if dense:
         return UnitaryRep(p, dim, conductor, provenance, dense=dense)
     return UnitaryRep(p, dim, conductor, provenance, monomials=[])
@@ -390,7 +367,7 @@ def _verify_rep_uncached(r: UnitaryRep) -> bool:
         return True
     ident = Matrix.identity(r.dim, Cyclo.one(), Cyclo.zero())
     for m in r.generator_images:
-        if _dense_mul(_dense_conj_transpose(m), m) != ident:
+        if _dense_conj_transpose(m) @ m != ident:
             return False
     for rel in r.group.relators:
         if evaluate_word(r, rel) != ident:
@@ -511,7 +488,7 @@ def fixed_point_free_check(r: UnitaryRep, element_cap: int = 10000) -> bool:
         new = []
         for m in frontier:
             for g in gens:
-                prod = _dense_mul(g, m)
+                prod = g @ m
                 key = _matrix_key(prod, r.conductor)
                 if key not in seen:
                     if len(seen) >= element_cap:

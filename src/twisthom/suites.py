@@ -9,6 +9,7 @@ are deterministic regardless of the seed.
 from __future__ import annotations
 
 import functools
+import math
 import random
 
 from .complexes import (CatalogEntry, EquivariantComplex, catalog_complex,
@@ -271,10 +272,7 @@ def _seeded_diag_rep(p: GroupPresentation, rng: random.Random, dim: int) -> Unit
             chars.append(trivial_rep(p, 1))
         else:
             chars.append(seeded_character(p, rng))
-    conductor = 1
-    import math
-    for c in chars:
-        conductor = conductor * c.conductor // math.gcd(conductor, c.conductor)
+    conductor = math.lcm(*(c.conductor for c in chars))
     monos = []
     zero = Cyclo.zero()
     for g in range(p.num_generators):

@@ -1,0 +1,131 @@
+"""The split-prime certified rank against Bareiss, and its prime count."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from twisthom.complexes import catalog_complex
+from twisthom.groups import GroupRingElt, PermAction, reidemeister_schreier
+from twisthom.homology import BoundaryError, specialize, specialize_restricted
+from twisthom.matrices import (Matrix, _evaluate_mod_p, _rank_mod_p,
+                               certified_rank, cyclo_array, fast_rank,
+                               matrix_rank, split_primes)
+from twisthom.numbers import Cyclo, euler_phi
+from twisthom.reps import (explicit_rep, induce_rep, invariant_coinvariant_split,
+                           permutation_rep, torsion_characters)
+
+CONDUCTORS = (1, 3, 4, 5, 8, 12, 23)
+SETTINGS = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def cyclo_entries(draw, n: int, rational: bool):
+    phi = euler_phi(n)
+    if not draw(st.integers(0, 3)):
+        return Cyclo.zero(n)
+    nums = draw(st.lists(st.integers(-3, 3), min_size=phi, max_size=phi))
+    dens = draw(st.lists(st.integers(1, 4) if rational else st.just(1),
+                         min_size=phi, max_size=phi))
+    return Cyclo(n, [Fraction(a, b) for a, b in zip(nums, dens)])
+
+
+@st.composite
+def cyclo_matrices(draw):
+    """A random matrix over Q(zeta_n), or a low-rank product B @ C."""
+    n = draw(st.sampled_from(CONDUCTORS))
+    side = 3 if n == 23 else 4
+    rows, cols = draw(st.integers(1, side)), draw(st.integers(1, side))
+    entry = cyclo_entries(n, draw(st.booleans()))
+
+    def matrix(r, c):
+        return Matrix(r, c, [[draw(entry) for _ in range(c)] for _ in range(r)])
+
+    if draw(st.booleans()):
+        inner = draw(st.integers(1, 2))
+        return matrix(rows, inner) @ matrix(inner, cols)
+    return matrix(rows, cols)
+
+
+@SETTINGS
+@given(cyclo_matrices())
+def test_split_prime_rank_equals_bareiss(m):
+    assert fast_rank(m) == matrix_rank(m)
+
+
+@SETTINGS
+@given(st.sampled_from(CONDUCTORS), st.data())
+def test_rank_of_stacked_copies(n, data):
+    """Stacking a matrix on a Q(zeta_n)-multiple of itself keeps the rank."""
+    m = data.draw(cyclo_matrices())
+    scale = data.draw(cyclo_entries(n, True))
+    stacked = Matrix(2 * m.rows, m.cols, m.entries + [[scale * x for x in row]
+                                                      for row in m.entries])
+    assert fast_rank(stacked) == fast_rank(m) == matrix_rank(m)
+
+
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_prime_count_is_certified(n):
+    """Entries prod (zeta_n - r_i) vanish modulo each of the first three split
+    primes; the certified rank still finds the true rank 2."""
+    primes = split_primes(n, 3)
+    assert all((p - 1) % n == 0 and 2 ** 30 < p < 2 ** 31 for p, _ in primes)
+    zeta = Cyclo.root_of_unity(n) if n > 1 else Cyclo.one()
+    entry = Cyclo.one()
+    for _, r in primes:
+        entry = entry * (zeta - r)
+    if n == 1:  # zeta - r is 0 for n = 1: use the primes themselves instead
+        entry = Cyclo.from_rational(primes[0][0] * primes[1][0] * primes[2][0])
+    m = Matrix(2, 2, [[entry, Cyclo.zero()], [Cyclo.zero(), entry]])
+    a, conductor = cyclo_array(m)
+    assert conductor == n
+    for p, r in primes:
+        assert _rank_mod_p(_evaluate_mod_p(a, p, r), p) == 0
+    assert certified_rank(a, n) == matrix_rank(m) == 2
+
+
+def test_rank_of_huge_entries_uses_python_ints():
+    big = 2 ** 70 + 1
+    m = Matrix(2, 2, [[big, big + 1], [big - 1, big]])
+    a, _ = cyclo_array(m)
+    assert a.dtype == object
+    assert fast_rank(m) == matrix_rank(m) == 2
+
+
+def _broken(cx, k):
+    """The complex with one extra identity term in entry (0, 0) of d_k."""
+    b = cx.boundaries[k]
+    entries = [row[:] for row in b.entries]
+    entries[0][0] = GroupRingElt(list(entries[0][0].terms.items()) + [((), 1)])
+    return type(cx)(cx.group, cx.ranks, cx.boundaries[:k] + (Matrix(b.rows, b.cols, entries),)
+                    + cx.boundaries[k + 1:])
+
+
+def test_broken_boundary_raises_on_every_path():
+    t3 = catalog_complex("t3").complex
+    g = t3.group
+    z = Cyclo.root_of_unity(4)
+    perm = permutation_rep(g, PermAction(g, [(1, 2, 0), (2, 0, 1), (0, 1, 2)]))
+    action = PermAction(g, [(1, 0), (0, 1), (0, 1)])
+    count = reidemeister_schreier(g, action)[0].num_generators
+    induced = induce_rep(g, action, [Matrix(2, 2, [[z, Cyclo.zero()],
+                                                   [Cyclo.zero(), z]])] * count, 2)
+    dense = explicit_rep(g, [Matrix(2, 2, [[z, Cyclo.zero()], [Cyclo.zero(), Cyclo.one()]])] * 3)
+    lens = catalog_complex("lens", [5, 1]).complex
+    for cx, rep in ((t3, perm), (t3, induced), (t3, dense),
+                    (lens, torsion_characters(lens.group)[2])):
+        specialize(cx, rep)
+        with pytest.raises(BoundaryError):
+            specialize(_broken(cx, 1), rep)
+    w_basis = invariant_coinvariant_split(dense).w_basis
+    specialize_restricted(t3, dense, w_basis)
+    with pytest.raises(BoundaryError):
+        specialize_restricted(_broken(t3, 1), dense, w_basis)
+
+
+def test_certified_rank_degenerate_arrays():
+    assert certified_rank(np.zeros((0, 3, 1), dtype=np.int64), 1) == 0
+    assert certified_rank(np.zeros((2, 2, 4), dtype=np.int64), 5) == 0

@@ -187,3 +187,16 @@ def test_rep_file_group_mismatch(tmp_path):
     code, _ = run_cli(tmp_path, "homology", "--catalog", "lens:5,1",
                       "--rep", str(rep_file))
     assert code == 1  # two matrices for a one-generator group
+
+
+def test_rep_file_conductor_zero(tmp_path, capsys):
+    with pytest.raises(InputError):
+        cyclo_from_json({"conductor": 0, "coeffs": ["1"]})
+    rep_file = tmp_path / "rep.json"
+    rep_file.write_text(json.dumps({
+        "dim": 1, "conductor": 0, "provenance": "explicit",
+        "generators": [[[{"conductor": 0, "coeffs": ["1"]}]]]}))
+    code, data = run_cli(tmp_path, "homology", "--catalog", "lens:5,1",
+                         "--rep", str(rep_file))
+    assert code == 1 and data is None
+    assert capsys.readouterr().err.startswith("error: ")

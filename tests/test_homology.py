@@ -1,21 +1,26 @@
 """Twisted homology: specialization, dims, coinvariants, covers, splits, sums."""
 
+from fractions import Fraction
+
 import pytest
 
-from twisthom.complexes import (catalog_complex, presentation_complex,
-                                trefoil_group)
+from twisthom.complexes import (EquivariantComplex, catalog_complex,
+                                presentation_complex, trefoil_group)
 from twisthom.groups import (GroupPresentation, GroupRingElt, PermAction,
-                             free_product, trivial_action, word_power)
+                             free_product, reidemeister_schreier,
+                             trivial_action, word_power)
 from twisthom.homology import (BoundaryError, GroupMismatchError,
                                coinvariants_h0, connected_sum_dims,
                                homology_dims, shapiro_compare, specialize,
-                               subquotient_dims, twisted_homology)
-from twisthom.matrices import Matrix
+                               specialize_restricted, subquotient_dims,
+                               twisted_homology)
+from twisthom.matrices import (Matrix, certified_rank, integer_kernel_basis,
+                               matrix_rank, solve_column_combination)
 from twisthom.numbers import Cyclo
-from twisthom.reps import (character_from_grading, explicit_rep,
-                           invariant_coinvariant_split, permutation_rep,
-                           quaternion_left_rep, torsion_characters,
-                           trivial_rep)
+from twisthom.reps import (character_from_grading, evaluate_word, explicit_rep,
+                           induce_rep, invariant_coinvariant_split,
+                           permutation_rep, quaternion_left_rep,
+                           restrict_to_span, torsion_characters, trivial_rep)
 
 
 def _circle():
@@ -215,18 +220,103 @@ def test_free_product_t3_t3_not_acyclic_for_trivial():
     assert h.dims == (1, 6, 6)
 
 
-def test_integral_and_cyclo_paths_agree():
-    """The int64 fast path and the dense cyclotomic path compute the same blocks."""
-    from unittest import mock
-    from twisthom.reps import UnitaryRep
-    tre = presentation_complex(trefoil_group())
-    s3 = PermAction(tre.group, [(1, 0, 2), (0, 2, 1)])
-    rep = permutation_rep(tre.group, s3)
-    fast = specialize(tre, rep)
-    assert fast.integral
-    with mock.patch.object(UnitaryRep, "is_integral", return_value=False):
-        dense = specialize(tre, rep)
-    assert not dense.integral
-    for k in range(len(fast.boundaries)):
-        assert fast.boundary_matrix(k) == dense.boundary_matrix(k)
-    assert homology_dims(fast).dims == homology_dims(dense).dims
+def _rotated(mats, k):
+    """Conjugate by the rational rotation (3/5, 4/5) in the plane of the first
+    two coordinates: unitary, dense and with denominators."""
+    zero = Cyclo.zero()
+    u = [[Cyclo.from_rational(int(i == j)) for j in range(k)] for i in range(k)]
+    u[0][0] = u[1][1] = Cyclo.from_rational(Fraction(3, 5))
+    u[0][1], u[1][0] = Cyclo.from_rational(Fraction(-4, 5)), Cyclo.from_rational(Fraction(4, 5))
+    u = Matrix(k, k, u)
+    assert (u @ u.transpose()) == Matrix.identity(k, Cyclo.one(), zero)
+    return [u @ m @ u.transpose() for m in mats]
+
+
+def _diagonal(values):
+    k = len(values)
+    return Matrix(k, k, [[values[i] if i == j else Cyclo.zero() for j in range(k)]
+                         for i in range(k)])
+
+
+def _assembled(c, dim, image):
+    """Boundaries built entry by entry from word images with Cyclo arithmetic."""
+    out = []
+    for b in c.boundaries:
+        entries = [[Cyclo.zero()] * (b.cols * dim) for _ in range(b.rows * dim)]
+        for i in range(b.rows):
+            for j in range(b.cols):
+                for w, coeff in b[i, j].terms.items():
+                    img = image(w)
+                    for a in range(dim):
+                        for bb in range(dim):
+                            entries[i * dim + a][j * dim + bb] += coeff * img[a, bb]
+        out.append(Matrix(b.rows * dim, b.cols * dim, entries))
+    return out
+
+
+def _backend_cases():
+    """(name, complex, BlockComplex, dim, word image) for four kinds of rep."""
+    t3 = catalog_complex("t3").complex
+    z4, z3 = (lambda e: Cyclo.root_of_unity(4, e)), (lambda e: Cyclo.root_of_unity(3, e))
+    perm = permutation_rep(t3.group, PermAction(t3.group, [(1, 2, 0), (2, 0, 1), (0, 1, 2)]))
+    action = PermAction(t3.group, [(1, 0), (0, 1), (1, 0)])
+    sub, _ = reidemeister_schreier(t3.group, action)
+    phis = integer_kernel_basis(sub.exponent_matrix().transpose())
+    blocks = _rotated([_diagonal([z4(phis[0][s]), z4(phis[1][s] + 2 * phis[2][s])])
+                       for s in range(sub.num_generators)], 2)
+    induced = induce_rep(t3.group, action, blocks, 2)
+    dense = explicit_rep(t3.group, _rotated(
+        [_diagonal([z4(a), z3(b), Cyclo.one()]) for a, b in ((1, 0), (0, 1), (1, 2))], 3))
+    cases = [(name, t3, specialize(t3, r), r.dim, lambda w, r=r: evaluate_word(r, w))
+             for name, r in (("permutation", perm), ("induced 2x2", induced),
+                             ("dense", dense))]
+    w_basis = invariant_coinvariant_split(dense).w_basis
+    mats = restrict_to_span(dense, w_basis)
+    ident = Matrix.identity(w_basis.cols, Cyclo.one(), Cyclo.zero())
+    inverses = [solve_column_combination(m, ident) for m in mats]
+    assert all(m @ inv == ident for m, inv in zip(mats, inverses))
+
+    def restricted_image(w):
+        out = ident
+        for g, e in w:
+            out = out @ (mats[g] if e == 1 else inverses[g])
+        return out
+
+    cases.append(("restricted", t3, specialize_restricted(t3, dense, w_basis),
+                  w_basis.cols, restricted_image))
+    return cases
+
+
+def test_boundaries_match_independent_assembly():
+    """Every compiled form (monomial, k x k blocks with denominators, dense,
+    restricted with exact inverses) gives the boundaries and ranks of a
+    straight Cyclo assembly from word images and Bareiss ranks."""
+    kinds = {}
+    for name, c, b, dim, image in _backend_cases():
+        expected = _assembled(c, dim, image)
+        assert len(b.boundaries) == len(expected)
+        ranks = [0]
+        for k, m in enumerate(expected):
+            assert b.boundary_matrix(k) == m, (name, k)
+            ranks.append(matrix_rank(m))
+            assert certified_rank(b.boundaries[k], b.conductor) == ranks[-1], (name, k)
+        ranks.append(0)
+        want = [dim * r - ranks[i] - ranks[i + 1] for i, r in enumerate(c.ranks)]
+        assert homology_dims(b).dims == tuple(want), name
+        kinds[name] = (b.conductor, max(b.denominators))
+    assert kinds == {"permutation": (1, 1), "induced 2x2": (4, 25), "dense": (12, 25),
+                     "restricted": (12, 1)}
+
+
+def test_specialize_has_no_int64_wraparound():
+    """4 * 2^62 is 0 in int64: the magnitude guard keeps the entry nonzero."""
+    p = GroupPresentation(1)
+    x = ((0, 1),)
+    entry = GroupRingElt([(x * k, 2 ** 62) for k in range(1, 5)])
+    cx = EquivariantComplex(p, (1, 1), (Matrix(1, 1, [[entry]]),))
+    assert twisted_homology(cx, trivial_rep(p, 1)).dims == (0, 0)
+    assert twisted_homology(cx, character_from_grading(p, [1], 4, 1)).dims == (1, 1)
+    # d1.d2 = 2^64 != 0 must not wrap to a passing d.d = 0 check
+    big = Matrix(1, 1, [[GroupRingElt([((), 2 ** 32)])]])
+    with pytest.raises(BoundaryError):
+        specialize(EquivariantComplex(p, (1, 1, 1), (big, big)), trivial_rep(p, 1))

@@ -188,14 +188,14 @@ def test_integer_kernel_basis():
 def test_certified_rank_on_engineered_low_rank():
     """Big-entry rank-deficient products force the multi-prime certificates."""
     rng = random.Random(0)
-    from twisthom.matrices import int_matrix_rank
+    from twisthom.matrices import certified_rank
     for _ in range(30):
         n, r = rng.randint(2, 7), rng.randint(1, 3)
         b = [[rng.randint(-10 ** 9, 10 ** 9) for _ in range(r)] for _ in range(n)]
         c = [[rng.randint(-10 ** 9, 10 ** 9) for _ in range(n)] for _ in range(r)]
         a = [[sum(b[i][k] * c[k][j] for k in range(r)) for j in range(n)]
              for i in range(n)]
-        got = int_matrix_rank(a)
+        got = certified_rank(np.array(a, dtype=object).reshape(n, n, 1), 1)
         assert got == matrix_rank(Matrix(n, n, a))
         assert got <= r
     for _ in range(20):
