@@ -35,10 +35,12 @@ class EquivariantComplex:
     ``boundaries[k]`` is the boundary C_{k+1} -> C_k, of shape
     ranks[k] x ranks[k+1], with GroupRingElt entries in stored (right-module)
     coordinates.  The d.d = 0 identity holds under every specialization; it is
-    checked there, not symbolically.
+    checked there, not symbolically.  ``terms[k]`` holds boundary k in the form
+    every specialization reads: parallel tuples (rows, cols, coeffs, words)
+    with one item per term, then the largest sum of |coeff| in one entry.
     """
 
-    __slots__ = ("group", "ranks", "boundaries")
+    __slots__ = ("group", "ranks", "boundaries", "terms")
 
     def __init__(self, group: GroupPresentation, ranks, boundaries):
         ranks = tuple(int(r) for r in ranks)
@@ -47,19 +49,27 @@ class EquivariantComplex:
             raise ValueError("ranks must be non-negative")
         if len(boundaries) != max(0, len(ranks) - 1):
             raise ValueError("need one boundary matrix per adjacent degree pair")
+        terms = []
         for k, b in enumerate(boundaries):
             if not isinstance(b, Matrix) or (b.rows, b.cols) != (ranks[k], ranks[k + 1]):
                 raise ValueError(f"boundary {k + 1} must be {ranks[k]}x{ranks[k + 1]}")
-            for row in b.entries:
-                for e in row:
+            rows, cols, coeffs, words, bound = [], [], [], [], 0
+            for i, row in enumerate(b.entries):
+                for j, e in enumerate(row):
                     if not isinstance(e, GroupRingElt):
                         raise ValueError("boundary entries must be GroupRingElt")
-                    for w, _ in e.terms.items():
-                        if any(g >= group.num_generators for g, _ in w):
-                            raise ValueError("boundary word uses an unknown generator")
+                    if any(g >= group.num_generators for w in e.terms for g, _ in w):
+                        raise ValueError("boundary word uses an unknown generator")
+                    rows += [i] * len(e.terms)
+                    cols += [j] * len(e.terms)
+                    coeffs += e.terms.values()
+                    words += e.terms
+                    bound = max(bound, sum(map(abs, e.terms.values())))
+            terms.append((tuple(rows), tuple(cols), tuple(coeffs), tuple(words), bound))
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "boundaries", boundaries)
+        object.__setattr__(self, "terms", tuple(terms))
 
     def __setattr__(self, *a):
         raise AttributeError("EquivariantComplex is immutable")

@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
+import numpy as np
+
 from .matrices import Matrix, int_diagonal, smith_normal_form_int
 
 # A word is a tuple of (generator index, +1/-1) letters, always freely reduced.
@@ -89,10 +91,6 @@ class GroupRingElt:
 
     def __setattr__(self, *a):
         raise AttributeError("GroupRingElt is immutable")
-
-    @staticmethod
-    def from_word(w, coeff: int = 1) -> "GroupRingElt":
-        return GroupRingElt([(tuple(w), coeff)])
 
     @staticmethod
     def one() -> "GroupRingElt":
@@ -251,16 +249,23 @@ def verify_grading(p: GroupPresentation, phi) -> bool:
 Perm = tuple[int, ...]
 
 
-def perm_compose(p: Perm, q: Perm) -> Perm:
-    """(p o q)[i] = p[q[i]]: apply q first."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
 def perm_inverse(p: Perm) -> Perm:
     out = [0] * len(p)
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
+
+
+def _transitive(images, degree: int) -> bool:
+    """True iff the perms carry 0 to every point (the forward orbit of finitely
+    many perms is already closed under their inverses)."""
+    orbit, seen = [0], {0}
+    for i in orbit:
+        for perm in images:
+            if perm[i] not in seen:
+                seen.add(perm[i])
+                orbit.append(perm[i])
+    return len(orbit) == degree
 
 
 class PermAction:
@@ -288,23 +293,21 @@ class PermAction:
         for r in presentation.relators:
             if self.word_perm(r) != tuple(range(degree)):
                 raise ValueError(f"relator {word_to_ints(r)} does not act trivially")
-        if not self._is_transitive():
+        if not _transitive(images, degree):
             raise ValueError("action is not transitive")
+
+    @classmethod
+    def _trusted(cls, presentation: GroupPresentation, degree: int, images, inverses):
+        """An action whose relators and transitivity the caller has checked."""
+        action = object.__new__(cls)
+        object.__setattr__(action, "presentation", presentation)
+        object.__setattr__(action, "degree", degree)
+        object.__setattr__(action, "generator_images", images)
+        object.__setattr__(action, "_inverses", inverses)
+        return action
 
     def __setattr__(self, *a):
         raise AttributeError("PermAction is immutable")
-
-    def _is_transitive(self) -> bool:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
-            for perm in self.generator_images + self._inverses:
-                j = perm[i]
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        return len(seen) == self.degree
 
     def apply_letter(self, point: int, gen: int, exp: int) -> int:
         perm = self.generator_images[gen] if exp == 1 else self._inverses[gen]
@@ -444,27 +447,6 @@ def reidemeister_schreier(p: GroupPresentation, action: PermAction) -> tuple[Gro
 # enumeration of transitive actions up to conjugacy
 # ---------------------------------------------------------------------------
 
-def _perm_conjugate(g: Perm, x: Perm, g_inv: Perm) -> Perm:
-    return tuple(g[x[g_inv[i]]] for i in range(len(g)))
-
-
-def _word_perm_images(images, w: Word, degree: int) -> Perm:
-    pts = []
-    invs = {}
-    for i in range(degree):
-        c = i
-        for g, e in reversed(w):
-            perm = images[g]
-            if e == 1:
-                c = perm[c]
-            else:
-                if g not in invs:
-                    invs[g] = perm_inverse(perm)
-                c = invs[g][c]
-        pts.append(c)
-    return tuple(pts)
-
-
 def transitive_actions(p: GroupPresentation, degree: int) -> list[PermAction]:
     """All transitive actions of the given degree, one per conjugacy class.
 
@@ -473,42 +455,58 @@ def transitive_actions(p: GroupPresentation, degree: int) -> list[PermAction]:
     enumerates orbit representatives exactly (orbits of S_d on tuples split as
     orbits of successive stabilizers).  Deterministic: lexicographically least
     representatives, in lexicographic order.
+
+    S_d is one array ``sym[d!, d]`` in lexicographic order, and perms are its
+    row indices.  A relator is evaluated on all d! candidates for its largest
+    generator at once, one gather per letter; as it is checked exactly there,
+    the leaves need no second check.
     """
-    sym = sorted(itertools.permutations(range(degree)))
-    identity = tuple(range(degree))
+    if degree < 1:
+        return []
+    perm_tuples = list(itertools.permutations(range(degree)))
+    sym = np.array(perm_tuples, dtype=np.intp)
+    inv = np.argsort(sym, axis=1)
+    weights = degree ** np.arange(degree - 1, -1, -1)
+    keys = sym @ weights  # increasing: sym is in lexicographic order
+    inverse = keys.searchsorted(inv @ weights).tolist()
+    identity = np.arange(degree)
+    start = np.broadcast_to(identity, sym.shape)
+    rows = np.arange(len(sym))[:, None]
+    perms = {1: sym, -1: inv}
     by_max: dict[int, list[Word]] = {}
     for r in p.relators:
-        m = max(g for g, _ in r)
-        by_max.setdefault(m, []).append(r)
+        by_max.setdefault(max(g for g, _ in r), []).append(r)
 
     out: list[PermAction] = []
 
-    def recurse(images: list[Perm], stab: list[Perm]):
+    def kills(images: list[int], r: Word) -> np.ndarray:
+        k, cur = len(images), start
+        for g, e in r:  # cur = cur o letter: the word acts right to left
+            cur = cur[rows, perms[e]] if g == k else cur[..., perms[e][images[g]]]
+        return (cur == identity).all(axis=1)
+
+    def recurse(images: list[int], stab: np.ndarray):
         k = len(images)
         if k == p.num_generators:
-            try:
-                out.append(PermAction(p, images))
-            except ValueError:
-                pass  # not transitive
+            gens = tuple([perm_tuples[i] for i in images])
+            if _transitive(gens, degree):
+                out.append(PermAction._trusted(
+                    p, degree, gens, tuple([perm_tuples[inverse[i]] for i in images])))
             return
-        cands = []
-        for x in sym:
-            trial = images + [x]
-            ok = all(_word_perm_images(trial, r, degree) == identity
-                     for r in by_max.get(k, ()))
-            if ok:
-                cands.append(x)
-        seen: set[Perm] = set()
-        inv_stab = [(g, perm_inverse(g)) for g in stab]
-        for x in cands:
-            if x in seen:
+        ok = np.ones(len(sym), dtype=bool)
+        for r in by_max.get(k, ()):
+            ok &= kills(images, r)
+        seen = np.zeros(len(sym), dtype=bool)
+        rows_stab, inv_stab = stab[:, None], inv[stab]
+        for x in ok.nonzero()[0].tolist():
+            if seen[x]:
                 continue
-            orbit = {_perm_conjugate(g, x, gi) for g, gi in inv_stab}
-            seen |= orbit
-            new_stab = [g for g, gi in inv_stab if _perm_conjugate(g, x, gi) == x]
-            recurse(images + [x], new_stab)
+            # the conjugates g x g^-1 over the stabilizer, as row indices
+            orbit = keys.searchsorted(sym[rows_stab, sym[x][inv_stab]] @ weights)
+            seen[orbit] = True
+            recurse(images + [x], stab[orbit == x])
 
-    recurse([], sym)
+    recurse([], np.arange(len(sym)))
     return out
 
 

@@ -144,11 +144,11 @@ class _Monomial:
         (pa, ea), (pb, eb), n = a, b, self.n
         return tuple([pa[j] for j in pb]), tuple([(ea[j] + e) % n for j, e in zip(pb, eb)])
 
-    def assemble(self, terms, bound: int, shape, images):
+    def assemble(self, terms, shape, images):
+        rows, cols, coeffs, words, bound = terms
         d = self.dim
         out = np.zeros((shape[0] * d, shape[1] * d, self.n), dtype=int_dtype(bound))
-        if terms:
-            rows, cols, coeffs, words = zip(*terms)
+        if words:
             perms = np.array([images[w][0] for w in words], dtype=np.int64).reshape(-1, d)
             exps = np.array([images[w][1] for w in words], dtype=np.int64).reshape(-1, d)
             np.add.at(out, (np.array(rows)[:, None] * d + perms,
@@ -179,10 +179,11 @@ class _Blocks:
             out[row * k:(row + 1) * k, i * k:(i + 1) * k] = blocks[i]
         return out
 
-    def assemble(self, terms, bound: int, shape, images):
-        den = math.lcm(1, *(images[w][2] for *_, w in terms))
+    def assemble(self, terms, shape, images):
+        rows, cols, coeffs, words, _ = terms
+        den = math.lcm(1, *(images[w][2] for w in words))
         dense, sums = {}, {}
-        for i, j, c, w in terms:
+        for i, j, c, w in zip(rows, cols, coeffs, words):
             if w not in dense:
                 dense[w] = self.dense(images[w])
             sums[i, j] = sums.get((i, j), 0) + \
@@ -190,7 +191,7 @@ class _Blocks:
         dim = self.dim
         out = np.zeros((shape[0] * dim, shape[1] * dim, self.n),
                        dtype=int_dtype(max(sums.values(), default=0)))
-        for i, j, c, w in terms:
+        for i, j, c, w in zip(rows, cols, coeffs, words):
             out[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] += \
                 dense[w].astype(out.dtype) * (c * (den // images[w][2]))
         return out, den
@@ -232,8 +233,10 @@ def _compile(r: UnitaryRep):
     if not monos:
         return _Monomial(1, r.dim, [])
     if len(monos[0].blocks[0]) == 1:
-        roots = [[_roots_of_unity(b[0][0].conductor).get(b[0][0].coeffs) for b in m.blocks]
-                 for m in monos]
+        # one lookup per distinct block: hashing Fraction coefficients is slow
+        blocks = {id(b): b[0][0] for m in monos for b in m.blocks}
+        root = {i: _roots_of_unity(x.conductor).get(x.coeffs) for i, x in blocks.items()}
+        roots = [[root[id(b)] for b in m.blocks] for m in monos]
         if all(x is not None for row in roots for x in row):
             n = math.lcm(*(m for row in roots for m, _ in row))
             return _Monomial(n, r.dim, [(m.perm, [e * (n // o) for o, e in row])
@@ -255,25 +258,11 @@ def _word_images(imgs, words) -> dict:
     return cache
 
 
-def _terms(b: Matrix):
-    """(row, col, coeff, word) per term, and the largest sum of |coeff| in an entry."""
-    terms, bound = [], 0
-    for i, row in enumerate(b.entries):
-        for j, entry in enumerate(row):
-            total = 0
-            for w, coeff in entry.terms.items():
-                terms.append((i, j, coeff, w))
-                total += abs(coeff)
-            bound = max(bound, total)
-    return terms, bound
-
-
 def _specialize(c: EquivariantComplex, imgs, under: str) -> BlockComplex:
-    terms = [_terms(b) for b in c.boundaries]
-    images = _word_images(imgs, {t[3] for ts, _ in terms for t in ts})
+    images = _word_images(imgs, {w for t in c.terms for w in t[3]})
     n = imgs.n
-    assembled = [imgs.assemble(ts, bound, (b.rows, b.cols), images)
-                 for b, (ts, bound) in zip(c.boundaries, terms)]
+    assembled = [imgs.assemble(t, (b.rows, b.cols), images)
+                 for b, t in zip(c.boundaries, c.terms)]
     reduced = [reduce_cyclotomic(a, n) for a, _ in assembled]
     for t in range(len(reduced) - 1):
         if reduce_cyclotomic(ring_matmul(reduced[t], reduced[t + 1], n), n).any():

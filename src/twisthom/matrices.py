@@ -288,15 +288,16 @@ def _rank_mod_p(m: np.ndarray, p: int) -> int:
     for j in range(cols):
         if rank == rows:
             break
-        nz = np.flatnonzero(m[rank:, j])
+        nz = m[rank:, j].nonzero()[0]
         if nz.size == 0:
             continue
         piv = rank + int(nz[0])
         if piv != rank:
             m[[rank, piv]] = m[[piv, rank]]
-        below = rank + 1 + np.flatnonzero(m[rank + 1:, j])
+        # the swap moved a zero of column j to row piv, so one scan serves both
+        below = rank + nz[1:]
         if below.size:
-            m[below, j:] = (m[below, j:] * m[rank, j] - np.outer(m[below, j], m[rank, j:])) % p
+            m[below, j:] = (m[below, j:] * m[rank, j] - m[below, j, None] * m[rank, j:]) % p
         rank += 1
     return rank
 

@@ -1,14 +1,19 @@
 """Words, group rings, presentations, actions, Reidemeister-Schreier."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from twisthom.complexes import catalog_complex
 from twisthom.groups import (GroupPresentation, GroupRingElt, PermAction,
                              abelianization, free_product, free_reduce,
                              reidemeister_schreier, transitive_actions,
-                             trivial_action, verify_grading, word_from_ints,
-                             word_inverse, word_mul, word_power, word_to_ints)
+                             transitive_actions_up_to, trivial_action,
+                             verify_grading, word_from_ints, word_inverse,
+                             word_mul, word_power, word_to_ints)
 from twisthom.matrices import Matrix, int_diagonal, smith_normal_form_int
 
 
@@ -193,3 +198,96 @@ def test_word_helpers():
     w = word_from_ints([1, 2])
     assert word_inverse(w) == ((1, -1), (0, -1))
     assert word_mul(w, word_inverse(w)) == ()
+
+
+def test_transitive_actions_of_the_trivial_group():
+    # the rank-0 presentation acts transitively only on one point
+    g0 = GroupPresentation(0)
+    assert [a.degree for a in transitive_actions(g0, 1)] == [1]
+    assert transitive_actions(g0, 2) == [] and transitive_actions(g0, 3) == []
+    assert len(transitive_actions_up_to(g0, 3)) == 1
+    assert transitive_actions(GroupPresentation(2), 0) == []
+
+
+# ---------------------------------------------------------------------------
+# enumeration against a brute-force oracle
+# ---------------------------------------------------------------------------
+
+def _word_perm(images, w, d):
+    inverses = [tuple(sorted(range(d), key=x.__getitem__)) for x in images]
+
+    def act(i):
+        for g, e in reversed(w):
+            i = (images if e == 1 else inverses)[g][i]
+        return i
+
+    return tuple(act(i) for i in range(d))
+
+
+def _brute_force_actions(p, d):
+    """Every tuple of S_d^g that kills the relators and acts transitively,
+    reduced to its lexicographically least simultaneous conjugate, sorted."""
+    sym = list(itertools.permutations(range(d)))
+    conjugators = [(g, tuple(sorted(range(d), key=g.__getitem__))) for g in sym]
+    seen, reps = set(), []
+    for images in itertools.product(sym, repeat=p.num_generators):
+        if images in seen:
+            continue
+        if any(_word_perm(images, r, d) != tuple(range(d)) for r in p.relators):
+            continue
+        orbit, frontier = {0}, [0]
+        for i in frontier:
+            for x in images:
+                if x[i] not in orbit:
+                    orbit.add(x[i])
+                    frontier.append(x[i])
+        conjugates = {tuple(tuple(g[x[gi[i]]] for i in range(d)) for x in images)
+                      for g, gi in conjugators}
+        seen |= conjugates
+        if len(orbit) == d:
+            reps.append(min(conjugates))
+    return sorted(reps)
+
+
+def _assert_matches_oracle(p, max_degree):
+    for d in range(1, max_degree + 1):
+        got = [a.generator_images for a in transitive_actions(p, d)]
+        assert got == _brute_force_actions(p, d), (p, d)
+
+
+def test_transitive_actions_match_brute_force():
+    _assert_matches_oracle(GroupPresentation(2), 3)
+    _assert_matches_oracle(GroupPresentation(1, [word_power(0, 6)]), 4)
+    _assert_matches_oracle(catalog_complex("trefoil_exterior").complex.group, 4)
+    _assert_matches_oracle(catalog_complex("t3").complex.group, 3)
+
+
+@st.composite
+def presentations(draw):
+    gens = draw(st.integers(0, 3))
+    relators = []
+    if gens:
+        for _ in range(draw(st.integers(0, 3))):
+            w = free_reduce(draw(st.lists(st.tuples(st.integers(0, gens - 1),
+                                                    st.sampled_from((1, -1))),
+                                          min_size=1, max_size=6)))
+            if w:
+                relators.append(w)
+    return GroupPresentation(gens, relators)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(presentations(), st.integers(1, 4))
+def test_transitive_actions_match_brute_force_random(p, d):
+    assert [a.generator_images for a in transitive_actions(p, d)] == \
+        _brute_force_actions(p, d)
+
+
+def test_enumerated_actions_pass_the_public_constructor():
+    t3 = catalog_complex("t3").complex.group
+    tre = catalog_complex("trefoil_exterior").complex.group
+    for p, max_degree in ((free_product(t3, t3), 4), (tre, 6)):
+        for a in transitive_actions_up_to(p, max_degree):
+            checked = PermAction(p, a.generator_images)
+            assert checked == a and checked.degree == a.degree
+            assert checked._inverses == a._inverses
