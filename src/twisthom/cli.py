@@ -19,7 +19,8 @@ from .homology import (BoundaryError, GroupMismatchError, twisted_homology)
 from .jsonio import (InputError, certificate_to_json, complex_from_json,
                      complex_to_json, rep_from_json, report_to_json)
 from .numbers import Cyclo, cyclotomic_reduction_rows
-from .reps import BlockMonomial, UnitaryRep, torsion_characters, trivial_rep, verify_rep
+from .reps import (UnitaryRep, explicit_rep, torsion_characters, trivial_rep,
+                   verify_rep)
 from .suites import SUITES, run_suites
 
 EXIT_OK = 0
@@ -63,8 +64,7 @@ def _load_complex(args):
 def _uniform_character(group: GroupPresentation, n: int, a: int) -> UnitaryRep:
     """--character n:a sends every generator to zeta_n^a (relators checked)."""
     z = Cyclo.root_of_unity(n, a) if n > 1 else Cyclo.one()
-    monos = [BlockMonomial((0,), (((z,),),)) for _ in range(group.num_generators)]
-    rep = UnitaryRep(group, 1, n if n > 1 else 1, "character", monomials=monos)
+    rep = explicit_rep(group, [[[z]]] * group.num_generators, "character", dim=1)
     if not verify_rep(rep):
         raise InputError(
             f"character {a}/{n} does not satisfy the relators of this group")

@@ -368,6 +368,12 @@ def _trivial_dims_by_augmentation(c: EquivariantComplex) -> tuple[int, ...]:
 CATALOG_NAMES = ("lens", "s1xs2", "t3", "s1x_sigma", "quaternion_q8",
                  "trefoil_exterior", "handlebody", "torus2d", "free_product_of")
 
+# Size caps on catalog parameters.  On a 2-core machine lens:1009,1 and
+# s1x_sigma:60 build and check in about a second, lens:10007,1 and
+# s1x_sigma:200 in over 30 s.
+MAX_LENS_ORDER = 1024
+MAX_GENUS = 64
+
 
 def catalog_complex(name: str, params=()) -> CatalogEntry:
     """Build a validated catalog entry; raises ValueError on unknown input."""
@@ -376,8 +382,8 @@ def catalog_complex(name: str, params=()) -> CatalogEntry:
         if len(params) != 2:
             raise ValueError("lens requires parameters p,q")
         p, q = int(params[0]), int(params[1])
-        if p <= 0:
-            raise ValueError("lens space requires p > 0")
+        if not 0 < p <= MAX_LENS_ORDER:
+            raise ValueError(f"lens space requires 0 < p <= {MAX_LENS_ORDER}")
         if math.gcd(p, q) != 1:
             raise ValueError("lens space requires gcd(p, q) = 1")
         return CatalogEntry("lens", (p, q), _lens_complex(p, q), (1, 0, 0, 1),
@@ -394,8 +400,8 @@ def catalog_complex(name: str, params=()) -> CatalogEntry:
         if len(params) != 1:
             raise ValueError("s1x_sigma requires a genus parameter")
         g = int(params[0])
-        if g < 1:
-            raise ValueError("genus must be >= 1")
+        if not 1 <= g <= MAX_GENUS:
+            raise ValueError(f"genus must be between 1 and {MAX_GENUS}")
         cx = circle_product(presentation_complex(surface_group(g)))
         return CatalogEntry("s1x_sigma", (g,), cx, (1, 2 * g + 1, 2 * g + 1, 1),
                             "circle times genus-g surface", closed=True)
@@ -411,8 +417,8 @@ def catalog_complex(name: str, params=()) -> CatalogEntry:
         if len(params) != 1:
             raise ValueError("handlebody requires a genus parameter")
         g = int(params[0])
-        if g < 0:
-            raise ValueError("genus must be >= 0")
+        if not 0 <= g <= MAX_GENUS:
+            raise ValueError(f"genus must be between 0 and {MAX_GENUS}")
         cx = presentation_complex(free_group(g))
         return CatalogEntry("handlebody", (g,), cx, (1, g),
                             "genus-g handlebody (free group)", closed=False)

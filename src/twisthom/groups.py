@@ -485,28 +485,32 @@ def transitive_actions(p: GroupPresentation, degree: int) -> list[PermAction]:
             cur = cur[rows, perms[e]] if g == k else cur[..., perms[e][images[g]]]
         return (cur == identity).all(axis=1)
 
-    def recurse(images: list[int], stab: np.ndarray):
+    # depth first with an explicit stack (children pushed in reverse keep the
+    # order); a self-calling closure would leave a reference cycle behind
+    stack = [([], np.arange(len(sym)))]
+    while stack:
+        images, stab = stack.pop()
         k = len(images)
         if k == p.num_generators:
             gens = tuple([perm_tuples[i] for i in images])
             if _transitive(gens, degree):
                 out.append(PermAction._trusted(
                     p, degree, gens, tuple([perm_tuples[inverse[i]] for i in images])))
-            return
+            continue
         ok = np.ones(len(sym), dtype=bool)
         for r in by_max.get(k, ()):
             ok &= kills(images, r)
         seen = np.zeros(len(sym), dtype=bool)
         rows_stab, inv_stab = stab[:, None], inv[stab]
+        children = []
         for x in ok.nonzero()[0].tolist():
             if seen[x]:
                 continue
             # the conjugates g x g^-1 over the stabilizer, as row indices
             orbit = keys.searchsorted(sym[rows_stab, sym[x][inv_stab]] @ weights)
             seen[orbit] = True
-            recurse(images + [x], stab[orbit == x])
-
-    recurse([], np.arange(len(sym)))
+            children.append((images + [x], stab[orbit == x]))
+        stack.extend(reversed(children))
     return out
 
 

@@ -339,11 +339,6 @@ class Laurent:
     def const(c) -> "Laurent":
         return Laurent({0: c})
 
-    @staticmethod
-    def from_int_coeffs(coeffs) -> "Laurent":
-        """Polynomial from a low-to-high coefficient list starting at t^0."""
-        return Laurent({i: c for i, c in enumerate(coeffs)})
-
     # -- ring structure -----------------------------------------------------
 
     def _coerce(self, other):

@@ -1,180 +1,315 @@
-"""Unitary representations with cyclotomic entries.
+"""Unitary representations with cyclotomic entries, in one exact image format.
 
-Most constructed representations (characters, permutation and induced
-representations) are block-monomial: a permutation of block-columns plus one
-unitary block per column.  Words then evaluate in O(length * degree * k^3)
-instead of dense matrix products, which is what makes the large permutation
-batteries affordable.  Dense generator matrices are materialized on demand.
+A representation stores its generator images, and their inverses, once, as
+integers over Z[x]/(x^n - 1), which maps onto Z[zeta_n] by x -> zeta_n.  An
+image is a permutation of column blocks plus one block per column, and every
+constructor compiles its images by one rule (``_compile``):
+
+* when every block is a 1x1 root of unity (characters, trivial, permutation
+  and induced reps of characters), an image is a permutation plus one
+  exponent of x per column, composed in plain Python ints (``_Monomial``);
+* otherwise it is a permutation plus k x k blocks, an integer array
+  [d, k, k, n] over a common denominator (``_Blocks``; a dense rep is one
+  block).
+
+Inverses are conjugate transposes.  Word images (``evaluate_word``),
+verification and specialization all multiply through ``_word_images``; the
+Cyclo matrices of ``generator_images`` are a view derived on demand.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import itertools
 import math
+from fractions import Fraction
+
+import numpy as np
 
 from .complexes import quaternion_presentation
 from .groups import (GroupPresentation, PermAction, Word,
-                     abelianization_change_of_basis, perm_inverse,
-                     reidemeister_schreier, verify_grading)
+                     abelianization_change_of_basis, reidemeister_schreier,
+                     verify_grading)
 from .matrices import (Matrix, column_space_basis, fast_rank, in_column_span,
-                       right_kernel_basis_field, solve_column_combination)
-from .numbers import Cyclo
+                       int_dtype, lift_cyclo, max_abs, reduce_cyclotomic,
+                       right_kernel_basis_field, ring_matmul,
+                       solve_column_combination)
+from .numbers import Cyclo, cyclotomic_reduction_rows
 
-Block = tuple[tuple[Cyclo, ...], ...]
-
-
-def _block_from_matrix(m: Matrix) -> Block:
-    return tuple(tuple(x if isinstance(x, Cyclo) else Cyclo.from_rational(x)
-                       for x in row) for row in m.entries)
-
-
-def _block_identity(k: int) -> Block:
-    one, zero = Cyclo.one(), Cyclo.zero()
-    return tuple(tuple(one if i == j else zero for j in range(k)) for i in range(k))
+# ---------------------------------------------------------------------------
+# generator images over Z[x]/(x^n - 1)
+# ---------------------------------------------------------------------------
 
 
-def _block_mul(a: Block, b: Block) -> Block:
-    k = len(a)
-    return tuple(tuple(sum((a[i][m] * b[m][j] for m in range(k)), Cyclo.zero())
-                       for j in range(k)) for i in range(k))
+@functools.cache
+def _roots_of_unity(n: int) -> dict:
+    """Power-basis coefficients of each root of unity x in Q(zeta_n) -> (m, e)
+    with x = zeta_m^e and m its order; for odd n, -zeta_n^e = zeta_2n^(2e + n)."""
+    def primitive(m, e):
+        g = math.gcd(m, e)
+        return m // g, e // g
+
+    rows = cyclotomic_reduction_rows(n)
+    table = {} if n % 2 == 0 else {tuple(-c for c in row): primitive(2 * n, (2 * e + n) % (2 * n))
+                                   for e, row in enumerate(rows)}
+    table.update({row: primitive(n, e) for e, row in enumerate(rows)})
+    return table
 
 
-def _block_conj_transpose(a: Block) -> Block:
-    k = len(a)
-    return tuple(tuple(a[j][i].conjugate() for j in range(k)) for i in range(k))
+class _Monomial:
+    """Images (perm, exps): column i holds x^exps[i] in row perm[i].
+
+    Exponents are written at n / gcd(n, exponents), the lcm of the orders of
+    the roots; the inverse of an image is x^-e at the inverse permutation.
+    """
+
+    __slots__ = ("n", "dim", "images")
+
+    def __init__(self, n: int, dim: int, gens):
+        gens = [(tuple(perm), [e % n for e in exps]) for perm, exps in gens]
+        g = math.gcd(n, *(e for _, exps in gens for e in exps))
+        self.n, self.dim, self.images = n // g, dim, {}
+        shared = {}
+
+        def stored(t):  # equal tuples are kept once: reps are held by the thousand
+            t = tuple(t)
+            return shared.setdefault(t, t)
+
+        for gen, (perm, exps) in enumerate(gens):
+            inv_perm, inv_exps = [0] * dim, [0] * dim
+            for i, (row, e) in enumerate(zip(perm, exps)):
+                inv_perm[row], inv_exps[row] = i, -e // g % self.n
+            self.images[gen, 1] = (stored(perm), stored(e // g for e in exps))
+            self.images[gen, -1] = (stored(inv_perm), stored(inv_exps))
+
+    @property
+    def identity(self):
+        return tuple(range(self.dim)), (0,) * self.dim
+
+    def mul(self, a, b):
+        (pa, ea), (pb, eb), n = a, b, self.n
+        return tuple([pa[j] for j in pb]), tuple([(ea[j] + e) % n for j, e in zip(pb, eb)])
+
+    def is_identity(self, img) -> bool:
+        return img == self.identity
+
+    def dense(self, img) -> tuple[np.ndarray, int]:
+        perm, exps = img
+        out = np.zeros((self.dim, self.dim, self.n), dtype=np.int64)
+        out[list(perm), np.arange(self.dim), list(exps)] = 1
+        return out, 1
+
+    def assemble(self, terms, shape, images):
+        rows, cols, coeffs, words, bound = terms
+        d = self.dim
+        out = np.zeros((shape[0] * d, shape[1] * d, self.n), dtype=int_dtype(bound))
+        if words:
+            perms = np.array([images[w][0] for w in words], dtype=np.int64).reshape(-1, d)
+            exps = np.array([images[w][1] for w in words], dtype=np.int64).reshape(-1, d)
+            np.add.at(out, (np.array(rows)[:, None] * d + perms,
+                            np.array(cols)[:, None] * d + np.arange(d), exps),
+                      np.array(coeffs, dtype=out.dtype)[:, None])
+        return out, 1
 
 
-def _block_is_identity(a: Block) -> bool:
-    return all((a[i][j].is_one() if i == j else not a[i][j])
-               for i in range(len(a)) for j in range(len(a)))
+class _Blocks:
+    """Images (perm, blocks, den): column block i holds blocks[i] / den in row
+    block perm[i]; blocks is an integer array [d, k, k, n]."""
+
+    __slots__ = ("n", "k", "dim", "images")
+
+    def __init__(self, n: int, k: int, dim: int, images: dict):
+        self.n, self.k, self.dim, self.images = n, k, dim, images
+
+    @property
+    def identity(self):
+        d, k = self.dim // self.k, self.k
+        eye = np.zeros((d, k, k, self.n), dtype=np.int64)
+        eye[:, np.arange(k), np.arange(k), 0] = 1
+        return tuple(range(d)), eye, 1
+
+    def mul(self, a, b):
+        (pa, ba, da), (pb, bb, db) = a, b
+        return tuple([pa[j] for j in pb]), ring_matmul(ba[list(pb)], bb, self.n), da * db
+
+    def is_identity(self, img) -> bool:
+        """perm is the identity and blocks = den * I modulo Phi_n."""
+        perm, blocks, den = img
+        red = reduce_cyclotomic(blocks, self.n)
+        want = np.zeros(red.shape, dtype=object)
+        want[:, np.arange(self.k), np.arange(self.k), 0] = den
+        return perm == tuple(range(len(perm))) and np.array_equal(red, want)
+
+    def dense(self, img) -> tuple[np.ndarray, int]:
+        perm, blocks, den = img
+        k = self.k
+        out = np.zeros((self.dim, self.dim, self.n), dtype=blocks.dtype)
+        for i, row in enumerate(perm):
+            out[row * k:(row + 1) * k, i * k:(i + 1) * k] = blocks[i]
+        return out, den
+
+    def assemble(self, terms, shape, images):
+        rows, cols, coeffs, words, _ = terms
+        den = math.lcm(1, *(images[w][2] for w in words))
+        dense, sums = {}, {}
+        for i, j, c, w in zip(rows, cols, coeffs, words):
+            if w not in dense:
+                dense[w] = self.dense(images[w])[0]
+            sums[i, j] = sums.get((i, j), 0) + \
+                abs(c) * (den // images[w][2]) * max_abs(dense[w])
+        dim = self.dim
+        out = np.zeros((shape[0] * dim, shape[1] * dim, self.n),
+                       dtype=int_dtype(max(sums.values(), default=0)))
+        for i, j, c, w in zip(rows, cols, coeffs, words):
+            out[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] += \
+                dense[w].astype(out.dtype) * (c * (den // images[w][2]))
+        return out, den
 
 
-class BlockMonomial:
-    """A block-monomial matrix: column i carries block ``blocks[i]`` in row ``perm[i]``."""
+def _dagger(img, n: int):
+    """Conjugate transpose: x^u -> x^-u on every entry, blocks transposed."""
+    perm, blocks, den = img
+    q = [0] * len(perm)
+    for i, row in enumerate(perm):
+        q[row] = i
+    conj = blocks[..., -np.arange(n) % n]
+    return tuple(q), np.swapaxes(conj[q], -3, -2), den
 
-    __slots__ = ("perm", "blocks")
 
-    def __init__(self, perm, blocks):
-        object.__setattr__(self, "perm", tuple(perm))
-        object.__setattr__(self, "blocks", tuple(blocks))
+def _lift_blocks(gens, inverses=None) -> _Blocks:
+    """Compile (perm, blocks of Cyclo entries) per generator; inverses default
+    to conjugate transposes (unitary images)."""
+    every = gens + (inverses or [])
+    n = math.lcm(1, *(getattr(x, "conductor", 1) for _, blocks in every
+                      for block in blocks for row in block for x in row))
+    d, k = len(gens[0][0]), len(gens[0][1][0])
 
-    def __setattr__(self, *a):
-        raise AttributeError("BlockMonomial is immutable")
+    def lift(perm, blocks):
+        a, den = lift_cyclo([row for block in blocks for row in block], n)
+        return tuple(perm), a.reshape(d, k, k, n), den
 
-    @staticmethod
-    def identity(degree: int, k: int) -> "BlockMonomial":
-        block = _block_identity(k)
-        return BlockMonomial(range(degree), [block] * degree)
+    images = {}
+    for g, image in enumerate(gens):
+        images[g, 1] = lift(*image)
+        images[g, -1] = lift(*inverses[g]) if inverses else _dagger(images[g, 1], n)
+    return _Blocks(n, k, d * k, images)
 
-    def __matmul__(self, other: "BlockMonomial") -> "BlockMonomial":
-        perm = tuple(self.perm[other.perm[i]] for i in range(len(self.perm)))
-        blocks = tuple(_block_mul(self.blocks[other.perm[i]], other.blocks[i])
-                       for i in range(len(self.perm)))
-        return BlockMonomial(perm, blocks)
 
-    def inverse(self) -> "BlockMonomial":
-        """Inverse of a block-unitary monomial matrix (blocks invert by dagger)."""
-        q = perm_inverse(self.perm)
-        blocks = tuple(_block_conj_transpose(self.blocks[q[i]]) for i in range(len(q)))
-        return BlockMonomial(q, blocks)
+def _compile(dim: int, gens):
+    """The one image format, from (perm, Cyclo blocks by column) per generator:
+    1x1 roots of unity become exponents of x, anything else integer blocks."""
+    if not gens:
+        return _Monomial(1, dim, [])
+    if len(gens[0][1][0]) == 1:
+        # one lookup per distinct block: hashing Fraction coefficients is slow
+        entries = {id(b): b[0][0] for _, blocks in gens for b in blocks}
+        root = {i: _roots_of_unity(x.conductor).get(x.coeffs) for i, x in entries.items()}
+        if None not in root.values():
+            n = math.lcm(*(m for m, _ in root.values()))
+            exps = {i: e * (n // m) for i, (m, e) in root.items()}
+            return _Monomial(n, dim, [(perm, [exps[id(b)] for b in blocks])
+                                      for perm, blocks in gens])
+    return _lift_blocks(gens)
 
-    def is_identity(self) -> bool:
-        return all(self.perm[i] == i and _block_is_identity(self.blocks[i])
-                   for i in range(len(self.perm)))
 
-    def dense(self) -> Matrix:
-        d = len(self.perm)
-        k = len(self.blocks[0]) if d else 0
-        zero = Cyclo.zero()
-        n = d * k
-        entries = [[zero] * n for _ in range(n)]
-        for i in range(d):
-            r = self.perm[i]
-            for a in range(k):
-                for b in range(k):
-                    entries[r * k + a][i * k + b] = self.blocks[i][a][b]
-        return Matrix(n, n, entries)
+def _word_images(imgs, words) -> dict:
+    """Images of the words and of all their prefixes, one product per letter."""
+    cache = {(): imgs.identity}
+    for w in words:
+        i = len(w)
+        while w[:i] not in cache:
+            i -= 1
+        img = cache[w[:i]]
+        for t in range(i, len(w)):
+            img = imgs.mul(img, imgs.images[w[t]])
+            cache[w[:t + 1]] = img
+    return cache
+
+
+def _as_matrix(imgs, img, c: int) -> Matrix:
+    """A compiled image as a Matrix of Cyclo entries of conductor c.
+
+    The compiled n divides c, or, for odd c, 2c: then x = zeta_2c^s with
+    s = 2c/n odd, and zeta_2c = -zeta_c^((c + 1)/2).
+    """
+    a, den = imgs.dense(img)
+    n, rows = imgs.n, cyclotomic_reduction_rows(c)
+    if c % n == 0:
+        basis = [rows[i * (c // n)] for i in range(n)]
+    else:
+        s = 2 * c // n
+        basis = [tuple((-1) ** i * v for v in rows[i * s * ((c + 1) // 2) % c])
+                 for i in range(n)]
+    coeffs = a.astype(object) @ np.array(basis, dtype=object).reshape(n, -1)
+    cache = {}
+
+    def entry(v):
+        v = tuple(v)
+        if v not in cache:
+            cache[v] = Cyclo(c, [Fraction(x, den) for x in v])
+        return cache[v]
+
+    return Matrix(imgs.dim, imgs.dim, [[entry(v) for v in row] for row in coeffs.tolist()])
 
 
 class UnitaryRep:
-    """A homomorphism pi -> U(dim) with entries in Q(zeta_conductor)."""
+    """A homomorphism pi -> U(dim) with entries in Q(zeta_conductor).
 
-    __slots__ = ("group", "dim", "conductor", "provenance", "monomials",
-                 "_dense", "_verified")
+    ``compiled`` holds the generator images and their inverses in the one
+    image format of this module.
+    """
+
+    __slots__ = ("group", "dim", "conductor", "provenance", "compiled", "_verified")
 
     def __init__(self, group: GroupPresentation, dim: int, conductor: int,
-                 provenance: str, monomials=None, dense=None):
-        if monomials is None and dense is None:
-            raise ValueError("need monomial or dense generator images")
+                 provenance: str, compiled, verified: bool | None = None):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "monomials",
-                           tuple(monomials) if monomials is not None else None)
-        object.__setattr__(self, "_dense", tuple(dense) if dense is not None else None)
-        object.__setattr__(self, "_verified", None)
+        object.__setattr__(self, "compiled", compiled)
+        object.__setattr__(self, "_verified", verified)
 
     def __setattr__(self, *a):
         raise AttributeError("UnitaryRep is immutable")
 
     @property
     def generator_images(self) -> tuple[Matrix, ...]:
-        if self._dense is None:
-            object.__setattr__(self, "_dense",
-                               tuple(m.dense() for m in self.monomials))
-        return self._dense
-
-    # -- word evaluation -----------------------------------------------------
-
-    def word_monomial(self, w: Word) -> BlockMonomial:
-        assert self.monomials is not None
-        if self.monomials:
-            d = len(self.monomials[0].perm)
-            k = len(self.monomials[0].blocks[0]) if d else self.dim
-        else:
-            d, k = 1, self.dim
-        out = BlockMonomial.identity(d, k)
-        for g, e in w:
-            m = self.monomials[g] if e == 1 else self.monomials[g].inverse()
-            out = out @ m
-        return out
+        """The generator images as Cyclo matrices, derived on every access."""
+        imgs = self.compiled
+        return tuple(_as_matrix(imgs, imgs.images[g, 1], self.conductor)
+                     for g in range(self.group.num_generators))
 
     def __repr__(self):
         return (f"UnitaryRep(dim={self.dim}, conductor={self.conductor}, "
                 f"provenance={self.provenance!r})")
 
 
-def _dense_conj_transpose(a: Matrix) -> Matrix:
-    return Matrix(a.cols, a.rows,
-                  [[(a[j, i].conjugate() if isinstance(a[j, i], Cyclo)
-                     else Cyclo.from_rational(a[j, i]).conjugate())
-                    for j in range(a.rows)] for i in range(a.cols)])
-
-
 def evaluate_word(r: UnitaryRep, w: Word) -> Matrix:
     """The image alpha(w): inverses evaluate by conjugate-transpose (unitarity)."""
+    w = tuple(w)
     for g, _ in w:
         if g < 0 or g >= r.group.num_generators:
             raise ValueError(f"generator index {g} out of range")
-    if r.monomials is not None:
-        return r.word_monomial(w).dense()
-    out = Matrix.identity(r.dim, Cyclo.one(), Cyclo.zero())
-    for g, e in w:
-        m = r.generator_images[g]
-        out = out @ (m if e == 1 else _dense_conj_transpose(m))
-    return out
+    return _as_matrix(r.compiled, _word_images(r.compiled, [w])[w], r.conductor)
 
 
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
 
+def _cyclo_matrix(m) -> Matrix:
+    if not isinstance(m, Matrix):
+        m = Matrix(len(m), len(m[0]) if m else 0, m)
+    return Matrix(m.rows, m.cols, [[x if isinstance(x, Cyclo) else Cyclo.from_rational(x)
+                                    for x in row] for row in m.entries])
+
+
 def trivial_rep(p: GroupPresentation, k: int = 1) -> UnitaryRep:
-    mono = BlockMonomial((0,), (_block_identity(k),))
-    rep = UnitaryRep(p, k, 1, "trivial", monomials=[mono] * p.num_generators)
-    object.__setattr__(rep, "_verified", True)
-    return rep
+    ident = (range(k), [0] * k)
+    return UnitaryRep(p, k, 1, "trivial", _Monomial(1, k, [ident] * p.num_generators),
+                      verified=True)
 
 
 def character_from_grading(p: GroupPresentation, phi, z_order: int,
@@ -184,15 +319,9 @@ def character_from_grading(p: GroupPresentation, phi, z_order: int,
         raise ValueError("grading does not vanish on all relators")
     if z_order < 1:
         raise ValueError("root order must be >= 1")
-    monos = []
-    for g in range(p.num_generators):
-        z = Cyclo.root_of_unity(z_order, z_power * phi[g]) if z_order > 1 \
-            else Cyclo.one()
-        monos.append(BlockMonomial((0,), (((z,),),)))
-    rep = UnitaryRep(p, 1, z_order if z_order > 1 else 1, "character",
-                     monomials=monos)
-    object.__setattr__(rep, "_verified", True)
-    return rep
+    gens = [((0,), (z_power * phi[g],)) for g in range(p.num_generators)]
+    return UnitaryRep(p, 1, z_order, "character", _Monomial(z_order, 1, gens),
+                      verified=True)
 
 
 def torsion_characters(p: GroupPresentation) -> list[UnitaryRep]:
@@ -206,22 +335,15 @@ def torsion_characters(p: GroupPresentation) -> list[UnitaryRep]:
     idxs = [i for i, d in enumerate(diag) if d > 1]
     ds = [diag[i] for i in idxs]
     if not ds:
-        mono = BlockMonomial((0,), (_block_identity(1),))
-        rep = UnitaryRep(p, 1, 1, "character",
-                         monomials=[mono] * p.num_generators)
-        object.__setattr__(rep, "_verified", True)
-        return [rep]
+        gens = [((0,), (0,))] * p.num_generators
+        return [UnitaryRep(p, 1, 1, "character", _Monomial(1, 1, gens), verified=True)]
     lcm = math.lcm(*ds)
     out = []
     for a in itertools.product(*[range(d) for d in ds]):
-        monos = []
-        for j in range(p.num_generators):
-            e = sum(a[i] * (lcm // ds[i]) * u[idxs[i], j] for i in range(len(ds)))
-            z = Cyclo.root_of_unity(lcm, e)
-            monos.append(BlockMonomial((0,), (((z,),),)))
-        rep = UnitaryRep(p, 1, lcm, "character", monomials=monos)
-        object.__setattr__(rep, "_verified", True)
-        out.append(rep)
+        gens = [((0,), (sum(a[i] * (lcm // ds[i]) * u[idxs[i], j] for i in range(len(ds))),))
+                for j in range(p.num_generators)]
+        out.append(UnitaryRep(p, 1, lcm, "character", _Monomial(lcm, 1, gens),
+                              verified=True))
     return out
 
 
@@ -229,13 +351,11 @@ def permutation_rep(p: GroupPresentation, action: PermAction) -> UnitaryRep:
     """0/1 permutation matrices of the action; unitary by construction."""
     if action.presentation != p:
         raise ValueError("action does not belong to this presentation")
-    block = _block_identity(1)
-    monos = [BlockMonomial(img, (block,) * action.degree)
-             for img in action.generator_images]
-    rep = UnitaryRep(p, action.degree, 1, "permutation", monomials=monos)
+    zeros = [0] * action.degree
+    gens = [(img, zeros) for img in action.generator_images]
     # relators were checked on the permutations, unitarity is structural
-    object.__setattr__(rep, "_verified", True)
-    return rep
+    return UnitaryRep(p, action.degree, 1, "permutation",
+                      _Monomial(1, action.degree, gens), verified=True)
 
 
 def induce_rep(p: GroupPresentation, action: PermAction, sub_matrices,
@@ -243,75 +363,48 @@ def induce_rep(p: GroupPresentation, action: PermAction, sub_matrices,
     """Induction of a stabilizer representation given on Schreier generators.
 
     ``sub_matrices[m]`` is the unitary sub_dim x sub_dim image of the m-th
-    Schreier generator.  The result is block-monomial of dimension
-    degree * sub_dim: block (w(i), i) of a generator w is the sub-image of the
-    Schreier word carrying coset i to w(i).
+    Schreier generator.  The result has dimension degree * sub_dim: block
+    (w(i), i) of a generator w is the sub-image of the Schreier word carrying
+    coset i to w(i).
     """
     sub, data = reidemeister_schreier(p, action)
-    blocks_in = [_block_from_matrix(m) if isinstance(m, Matrix) else _block_from_matrix(Matrix(sub_dim, sub_dim, m))
-                 for m in sub_matrices]
-    if len(blocks_in) != data.num_schreier_generators():
+    mats = [_cyclo_matrix(m) for m in sub_matrices]
+    if len(mats) != data.num_schreier_generators():
         raise ValueError(f"need {data.num_schreier_generators()} Schreier images, "
-                         f"got {len(blocks_in)}")
-    for b in blocks_in:
-        if len(b) != sub_dim or any(len(row) != sub_dim for row in b):
-            raise ValueError("sub-representation blocks have the wrong size")
-        if not _block_is_identity(_block_mul(_block_conj_transpose(b), b)):
-            raise ValueError("sub-representation image is not unitary")
-
-    def sub_word_block(w: Word) -> Block:
-        out = _block_identity(sub_dim)
-        for g, e in w:
-            b = blocks_in[g] if e == 1 else _block_conj_transpose(blocks_in[g])
-            out = _block_mul(out, b)
-        return out
-
-    for r in sub.relators:
-        if not _block_is_identity(sub_word_block(r)):
-            raise ValueError("sub-representation fails a rewritten relator")
-
-    identity = _block_identity(sub_dim)
-    monos = []
+                         f"got {len(mats)}")
+    sub_rep = explicit_rep(sub, mats, dim=sub_dim)
+    if not verify_rep(sub_rep):
+        raise ValueError("sub-representation is not unitary or fails a rewritten relator")
+    identity = Matrix.identity(sub_dim, Cyclo.one(), Cyclo.zero()).entries
+    gens = []
     for g in range(p.num_generators):
-        cols = []
-        for i in range(action.degree):
-            idx = data.pair_index[(i, g)]
-            cols.append(identity if idx is None else blocks_in[idx])
-        monos.append(BlockMonomial(action.generator_images[g], cols))
-    conductor = math.lcm(1, *(x.conductor for b in blocks_in for row in b for x in row))
-    rep = UnitaryRep(p, action.degree * sub_dim, conductor, "induced",
-                     monomials=monos)
-    # sub-representation was validated above; induction preserves unitarity
-    # and relator identities (checked exhaustively in the test suite)
-    object.__setattr__(rep, "_verified", True)
-    return rep
+        idxs = [data.pair_index[(i, g)] for i in range(action.degree)]
+        gens.append((action.generator_images[g],
+                     [identity if idx is None else mats[idx].entries for idx in idxs]))
+    # induction preserves unitarity and relator identities (checked
+    # exhaustively in the test suite)
+    return UnitaryRep(p, action.degree * sub_dim, sub_rep.conductor, "induced",
+                      _compile(action.degree * sub_dim, gens), verified=True)
 
 
 def explicit_rep(p: GroupPresentation, matrices, provenance: str = "explicit",
                  dim: int | None = None) -> UnitaryRep:
-    """Dense representation from explicit generator matrices; verified on use."""
-    dense = []
-    for m in matrices:
-        if not isinstance(m, Matrix):
-            m = Matrix(len(m), len(m[0]) if m else 0, m)
-        entries = [[x if isinstance(x, Cyclo) else Cyclo.from_rational(x)
-                    for x in row] for row in m.entries]
-        m = Matrix(m.rows, m.cols, entries)
+    """Representation from explicit generator matrices; verified on use."""
+    mats = [_cyclo_matrix(m) for m in matrices]
+    for m in mats:
         if m.rows != m.cols:
             raise ValueError("generator images must be square")
         if dim is None:
             dim = m.rows
         elif m.rows != dim:
             raise ValueError("generator images must share one dimension")
-        dense.append(m)
-    if len(dense) != p.num_generators:
+    if len(mats) != p.num_generators:
         raise ValueError("one matrix per generator required")
     if dim is None:
         raise ValueError("dim is required when the group has no generators")
-    conductor = math.lcm(1, *(x.conductor for m in dense for row in m.entries for x in row))
-    if dense:
-        return UnitaryRep(p, dim, conductor, provenance, dense=dense)
-    return UnitaryRep(p, dim, conductor, provenance, monomials=[])
+    conductor = math.lcm(1, *(x.conductor for m in mats for row in m.entries for x in row))
+    return UnitaryRep(p, dim, conductor, provenance,
+                      _compile(dim, [((0,), (m.entries,)) for m in mats]))
 
 
 def quaternion_left_rep() -> UnitaryRep:
@@ -328,18 +421,14 @@ def quaternion_left_rep() -> UnitaryRep:
 def extend_by_identity(r: UnitaryRep, big_group: GroupPresentation) -> UnitaryRep:
     """Pull a representation back through the projection that kills the extra
     generators of ``big_group`` (the first generators must be r's)."""
-    extra = big_group.num_generators - r.group.num_generators
-    if extra < 0:
+    if big_group.num_generators < r.group.num_generators:
         raise ValueError("target group has fewer generators")
-    if r.monomials is not None:
-        d = len(r.monomials[0].perm) if r.monomials else 1
-        k = r.dim // d if d else r.dim
-        ident = BlockMonomial.identity(d if r.monomials else 1, k if r.monomials else r.dim)
-        monos = list(r.monomials) + [ident] * extra
-        return UnitaryRep(big_group, r.dim, r.conductor, r.provenance, monomials=monos)
-    ident = Matrix.identity(r.dim, Cyclo.one(), Cyclo.zero())
-    dense = list(r.generator_images) + [ident] * extra
-    return UnitaryRep(big_group, r.dim, r.conductor, r.provenance, dense=dense)
+    compiled = copy.copy(r.compiled)
+    ident = compiled.identity
+    compiled.images = {**compiled.images,
+                       **{(g, e): ident for e in (1, -1)
+                          for g in range(r.group.num_generators, big_group.num_generators)}}
+    return UnitaryRep(big_group, r.dim, r.conductor, r.provenance, compiled)
 
 
 # ---------------------------------------------------------------------------
@@ -356,23 +445,14 @@ def verify_rep(r: UnitaryRep) -> bool:
 
 
 def _verify_rep_uncached(r: UnitaryRep) -> bool:
-    if r.monomials is not None:
-        for m in r.monomials:
-            for b in m.blocks:
-                if not _block_is_identity(_block_mul(_block_conj_transpose(b), b)):
-                    return False
-        for rel in r.group.relators:
-            if not r.word_monomial(rel).is_identity():
-                return False
-        return True
-    ident = Matrix.identity(r.dim, Cyclo.one(), Cyclo.zero())
-    for m in r.generator_images:
-        if _dense_conj_transpose(m) @ m != ident:
-            return False
-    for rel in r.group.relators:
-        if evaluate_word(r, rel) != ident:
-            return False
-    return True
+    """B B^dagger = den^2 I modulo Phi_n for every generator image B, and every
+    relator's word image is the identity."""
+    imgs = r.compiled
+    if not all(imgs.is_identity(imgs.mul(imgs.images[g, 1], imgs.images[g, -1]))
+               for g in range(r.group.num_generators)):
+        return False
+    words = _word_images(imgs, r.group.relators)
+    return all(imgs.is_identity(words[rel]) for rel in r.group.relators)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +477,7 @@ def stacked_alpha_minus_one(r: UnitaryRep) -> Matrix:
     k = r.dim
     ident = Matrix.identity(k, Cyclo.one(), Cyclo.zero())
     cols: list[list] = [[] for _ in range(k)]
-    for g in range(r.group.num_generators):
-        m = r.generator_images[g]
+    for m in r.generator_images:
         for i in range(k):
             cols[i].extend(m[i, j] - ident[i, j] for j in range(k))
     return Matrix(k, k * r.group.num_generators, cols)
@@ -420,8 +499,7 @@ def invariant_coinvariant_split(r: UnitaryRep) -> SplitData:
     wperp_basis = right_kernel_basis_field(wt, Cyclo.one(), Cyclo.zero())
     if w_basis.cols + wperp_basis.cols != r.dim:
         raise AssertionError("split dimensions do not add up")
-    for g in range(r.group.num_generators):
-        m = r.generator_images[g]
+    for m in r.generator_images:
         for c in range(w_basis.cols):
             img = [sum((m[i, j] * w_basis[j, c] for j in range(r.dim)), Cyclo.zero())
                    for i in range(r.dim)]
@@ -443,8 +521,7 @@ def restrict_to_span(r: UnitaryRep, basis: Matrix) -> list[Matrix]:
     but not literally unitary; homology only needs ranks.
     """
     out = []
-    for g in range(r.group.num_generators):
-        m = r.generator_images[g]
+    for m in r.generator_images:
         img = Matrix(r.dim, basis.cols,
                      [[sum((m[i, j] * basis[j, c] for j in range(r.dim)), Cyclo.zero())
                        for c in range(basis.cols)] for i in range(r.dim)])
@@ -481,7 +558,7 @@ def fixed_point_free_check(r: UnitaryRep, element_cap: int = 10000) -> bool:
     ident = Matrix.identity(r.dim, Cyclo.one(), Cyclo.zero())
     if any(m == ident for m in gens):
         return False
-    gens += [_dense_conj_transpose(m) for m in gens]
+    gens += [evaluate_word(r, ((g, -1),)) for g in range(len(gens))]
     seen = {_matrix_key(ident, r.conductor): ident}
     frontier = [ident]
     while frontier:

@@ -9,7 +9,6 @@ are deterministic regardless of the seed.
 from __future__ import annotations
 
 import functools
-import math
 import random
 
 from .complexes import (CatalogEntry, EquivariantComplex, catalog_complex,
@@ -20,7 +19,7 @@ from .homology import (coinvariants_h0, shapiro_compare, subquotient_dims,
                        twisted_homology)
 from .matrices import Matrix, integer_kernel_basis
 from .numbers import Cyclo
-from .reps import (BlockMonomial, UnitaryRep, induce_rep,
+from .reps import (UnitaryRep, explicit_rep, induce_rep,
                    invariant_coinvariant_split, permutation_rep,
                    torsion_characters, trivial_rep)
 
@@ -109,13 +108,13 @@ def seeded_sub_character_matrices(sub: GroupPresentation, rng: random.Random,
                                   sub_dim: int) -> list[Matrix]:
     """Diagonal unitary matrices on Schreier generators: a direct sum of
     sub_dim seeded characters of the subgroup presentation."""
-    diag_chars = [seeded_character(sub, rng) for _ in range(sub_dim)]
+    diag_images = [seeded_character(sub, rng).generator_images for _ in range(sub_dim)]
     mats = []
     for s in range(sub.num_generators):
         zero = Cyclo.zero()
         entries = [[zero] * sub_dim for _ in range(sub_dim)]
-        for i, ch in enumerate(diag_chars):
-            entries[i][i] = ch.generator_images[s][0, 0]
+        for i, images in enumerate(diag_images):
+            entries[i][i] = images[s][0, 0]
         mats.append(Matrix(sub_dim, sub_dim, entries))
     return mats
 
@@ -272,16 +271,15 @@ def _seeded_diag_rep(p: GroupPresentation, rng: random.Random, dim: int) -> Unit
             chars.append(trivial_rep(p, 1))
         else:
             chars.append(seeded_character(p, rng))
-    conductor = math.lcm(*(c.conductor for c in chars))
-    monos = []
+    images = [c.generator_images for c in chars]
+    mats = []
     zero = Cyclo.zero()
     for g in range(p.num_generators):
         entries = [[zero] * dim for _ in range(dim)]
-        for i, c in enumerate(chars):
-            entries[i][i] = c.generator_images[g][0, 0]
-        block = tuple(tuple(row) for row in entries)
-        monos.append(BlockMonomial((0,), (block,)))
-    return UnitaryRep(p, dim, conductor, "explicit", monomials=monos)
+        for i, imgs in enumerate(images):
+            entries[i][i] = imgs[g][0, 0]
+        mats.append(entries)
+    return explicit_rep(p, mats, dim=dim)
 
 
 def les_suite(seed: int, count: int = 100) -> SuiteReport:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from twisthom.cli import main
-from twisthom.complexes import catalog_complex
+from twisthom.complexes import MAX_GENUS, MAX_LENS_ORDER, catalog_complex
 from twisthom.groups import PermAction, GroupPresentation
 from twisthom.jsonio import (InputError, complex_from_json, complex_to_json,
                              cyclo_from_json, cyclo_to_json, laurent_from_json,
@@ -200,3 +200,18 @@ def test_rep_file_conductor_zero(tmp_path, capsys):
                          "--rep", str(rep_file))
     assert code == 1 and data is None
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("spec", ["lens:1031,1", "lens:10007,1", "s1x_sigma:65",
+                                  "s1x_sigma:200", "handlebody:65",
+                                  "free_product_of:t3,s1x_sigma:1000000"])
+def test_oversized_catalog_specs_are_refused(tmp_path, capsys, spec):
+    """Each family with a size parameter refuses specs above its cap up front."""
+    code, data = run_cli(tmp_path, "homology", "--catalog", spec, "--trivial", "1")
+    assert code == 1 and data is None
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_catalog_caps_admit_their_largest_specs():
+    assert catalog_complex("lens", [MAX_LENS_ORDER, 1]).expected_trivial_dims == (1, 0, 0, 1)
+    assert catalog_complex("handlebody", [MAX_GENUS]).complex.group.num_generators == MAX_GENUS

@@ -1,5 +1,6 @@
 """Words, group rings, presentations, actions, Reidemeister-Schreier."""
 
+import gc
 import itertools
 import random
 
@@ -281,6 +282,19 @@ def presentations(draw):
 def test_transitive_actions_match_brute_force_random(p, d):
     assert [a.generator_images for a in transitive_actions(p, d)] == \
         _brute_force_actions(p, d)
+
+
+def test_transitive_actions_leave_no_reference_cycles():
+    """The backtrack frees everything it built when it returns, without
+    waiting for a cyclic garbage collection."""
+    tre = catalog_complex("trefoil_exterior").complex.group
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(transitive_actions(tre, 6)) == 8
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumerated_actions_pass_the_public_constructor():

@@ -1,8 +1,11 @@
 """Twisted homology: specialization, dims, coinvariants, covers, splits, sums."""
 
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from twisthom.complexes import (EquivariantComplex, catalog_complex,
                                 presentation_complex, trefoil_group)
@@ -254,8 +257,10 @@ def _assembled(c, dim, image):
     return out
 
 
-def _backend_cases():
-    """(name, complex, BlockComplex, dim, word image) for four kinds of rep."""
+@functools.cache
+def _backend_reps():
+    """A permutation rep, an induced rep with rotated 2x2 blocks and a rotated
+    dense rep of pi1(T^3), and a 1x1 unitary non-root (3 + 4i)/5 of Z."""
     t3 = catalog_complex("t3").complex
     z4, z3 = (lambda e: Cyclo.root_of_unity(4, e)), (lambda e: Cyclo.root_of_unity(3, e))
     perm = permutation_rep(t3.group, PermAction(t3.group, [(1, 2, 0), (2, 0, 1), (0, 1, 2)]))
@@ -267,9 +272,19 @@ def _backend_cases():
     induced = induce_rep(t3.group, action, blocks, 2)
     dense = explicit_rep(t3.group, _rotated(
         [_diagonal([z4(a), z3(b), Cyclo.one()]) for a, b in ((1, 0), (0, 1), (1, 2))], 3))
-    cases = [(name, t3, specialize(t3, r), r.dim, lambda w, r=r: evaluate_word(r, w))
-             for name, r in (("permutation", perm), ("induced 2x2", induced),
-                             ("dense", dense))]
+    non_root = explicit_rep(GroupPresentation(1), [[[Cyclo(4, [Fraction(3, 5), Fraction(4, 5)])]]])
+    return {"permutation": perm, "induced 2x2": induced, "dense": dense,
+            "non-root": non_root}
+
+
+def _backend_cases(word_reference):
+    """(name, complex, BlockComplex, dim, word image) for four kinds of rep."""
+    t3 = catalog_complex("t3").complex
+    reps = _backend_reps()
+    cases = [(name, t3, specialize(t3, reps[name]), reps[name].dim,
+              lambda w, r=reps[name]: word_reference(r, w))
+             for name in ("permutation", "induced 2x2", "dense")]
+    dense = reps["dense"]
     w_basis = invariant_coinvariant_split(dense).w_basis
     mats = restrict_to_span(dense, w_basis)
     ident = Matrix.identity(w_basis.cols, Cyclo.one(), Cyclo.zero())
@@ -287,12 +302,12 @@ def _backend_cases():
     return cases
 
 
-def test_boundaries_match_independent_assembly():
+def test_boundaries_match_independent_assembly(word_reference):
     """Every compiled form (monomial, k x k blocks with denominators, dense,
     restricted with exact inverses) gives the boundaries and ranks of a
-    straight Cyclo assembly from word images and Bareiss ranks."""
+    straight Cyclo assembly from reference word images and Bareiss ranks."""
     kinds = {}
-    for name, c, b, dim, image in _backend_cases():
+    for name, c, b, dim, image in _backend_cases(word_reference):
         expected = _assembled(c, dim, image)
         assert len(b.boundaries) == len(expected)
         ranks = [0]
@@ -306,6 +321,23 @@ def test_boundaries_match_independent_assembly():
         kinds[name] = (b.conductor, max(b.denominators))
     assert kinds == {"permutation": (1, 1), "induced 2x2": (4, 25), "dense": (12, 25),
                      "restricted": (12, 1)}
+
+
+@st.composite
+def _rep_and_word(draw):
+    name = draw(st.sampled_from(sorted(_backend_reps())))
+    rep = _backend_reps()[name]
+    letters = st.tuples(st.integers(0, rep.group.num_generators - 1), st.sampled_from((1, -1)))
+    return name, rep, tuple(draw(st.lists(letters, max_size=8)))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_rep_and_word())
+def test_evaluate_word_matches_reference(word_reference, case):
+    """Compiled word images (monomial and block forms, with denominators and
+    non-root entries) equal plain Cyclo matrix products."""
+    name, rep, w = case
+    assert evaluate_word(rep, w) == word_reference(rep, w), (name, w)
 
 
 def test_specialize_has_no_int64_wraparound():

@@ -1,6 +1,7 @@
 """Representation constructors, verification, induction, splitting."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,7 @@ from twisthom.groups import (GroupPresentation, PermAction, free_reduce,
                              trivial_action, word_power)
 from twisthom.matrices import Matrix, fast_rank
 from twisthom.numbers import Cyclo
-from twisthom.reps import (ImageClosureError, _verify_rep_uncached,
+from twisthom.reps import (ImageClosureError, UnitaryRep, _verify_rep_uncached,
                            character_from_grading, evaluate_word, explicit_rep,
                            fixed_point_free_check, induce_rep,
                            invariant_coinvariant_split, permutation_rep,
@@ -63,13 +64,18 @@ def test_torsion_characters_counts_and_validity():
     assert all(evaluate_word(chars[0], ((g, 1),))[0, 0].is_one() for g in range(2))
 
 
-def test_relator_regression_on_shipped_reps():
+def test_relator_regression_on_shipped_reps(word_reference):
     for spec in ["lens:7,3", "t3", "quaternion_q8", "trefoil_exterior"]:
         group = catalog_complex(*_split(spec)).complex.group
         ident = Matrix.identity(1, Cyclo.one(), Cyclo.zero())
         for ch in torsion_characters(group):
             for rel in group.relators:
+                assert word_reference(ch, rel) == ident
                 assert evaluate_word(ch, rel) == ident
+    q8 = quaternion_left_rep()
+    ident = Matrix.identity(4, Cyclo.one(), Cyclo.zero())
+    for rel in q8.group.relators:
+        assert word_reference(q8, rel) == evaluate_word(q8, rel) == ident
 
 
 def _split(spec):
@@ -149,6 +155,30 @@ def test_verify_rep_examples():
     bad2 = explicit_rep(GroupPresentation(1, [word_power(0, 2)]),
                         [[[Cyclo.root_of_unity(3)]]])
     assert not verify_rep(bad2)
+
+
+def test_verify_rep_rejects_on_both_image_forms():
+    """Non-unitary images and relator failures, on monomial and block images.
+    (Monomial images are unitary by construction: roots of unity.)"""
+    z = GroupPresentation(1)
+    z3 = GroupPresentation(1, [word_power(0, 3)])
+    quarter = Cyclo(4, [Fraction(3, 5), Fraction(4, 5)])  # (3 + 4i)/5, not a root
+    assert _verify_rep_uncached(explicit_rep(z, [[[quarter]]]))
+    assert not _verify_rep_uncached(explicit_rep(z, [[[quarter * 2]]]))
+    assert not _verify_rep_uncached(explicit_rep(z, [[[1, 1], [0, 1]]]))
+    assert not _verify_rep_uncached(explicit_rep(z3, [[[quarter]]]))
+    rotation = [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
+    assert not _verify_rep_uncached(explicit_rep(z3, [rotation]))
+    assert not _verify_rep_uncached(explicit_rep(z3, [[[Cyclo.root_of_unity(4)]]]))
+    assert _verify_rep_uncached(explicit_rep(z3, [[[Cyclo.root_of_unity(3)]]]))
+    # a 2-cycle with identity blocks: only the permutation breaks x^3 = 1
+    swap = PermAction(z, [(1, 0)])
+    one = Matrix.identity(2, Cyclo.one(), Cyclo.zero())
+    for rep in (permutation_rep(z, swap), induce_rep(z, swap, [one], 2)):
+        assert _verify_rep_uncached(rep)
+        moved = UnitaryRep(z3, rep.dim, 1, "moved", rep.compiled)
+        assert not _verify_rep_uncached(moved)
+        assert not verify_rep(moved)
 
 
 def test_split_examples():
