@@ -5,6 +5,13 @@ Q[t, t^-1] matrices, present each homology module over that PID (free ranks
 plus torsion polynomials), pick the smallest root of unity avoiding every
 middle-degree torsion polynomial, and certify acyclicity of the resulting
 character both directly and through the universal-coefficient dimension count.
+
+The homology modules are read off the boundaries one at a time.  Over the PID
+Q[t, t^-1] the image of d_i is a submodule of the free module C_{i-1}, hence
+free, so ker d_i is a direct summand of C_i.  Therefore Tors H_i equals
+Tors coker d_{i+1}: its torsion polynomials are the non-unit invariant
+factors of d_{i+1}, and rank H_i = c_i - rank d_i - rank d_{i+1}.  That
+argument needs d.d = 0, which ``torsion_invariants`` checks exactly.
 """
 
 from __future__ import annotations
@@ -14,8 +21,7 @@ import math
 from .complexes import EquivariantComplex
 from .groups import grading_weight, verify_grading
 from .homology import CrossCheckError, HomologyReport, twisted_homology
-from .matrices import (Matrix, kernel_basis_poly, poly_diagonal,
-                       smith_normal_form_poly, solve_in_column_span)
+from .matrices import Matrix, invariant_factors_poly
 from .numbers import Laurent, cyclotomic_polynomial, euler_phi
 from .reps import UnitaryRep, character_from_grading
 
@@ -77,7 +83,8 @@ class TorsionData:
 def laurent_specialize(c: EquivariantComplex, phi) -> list[Matrix]:
     """Boundary matrices over Q[t, t^-1] under the ring map g -> t^phi(g).
 
-    The d.d = 0 identity is verified over the Laurent ring (hard error).
+    The d.d = 0 identity is checked by ``torsion_invariants``, which every
+    pipeline runs on these matrices next.
     """
     if not verify_grading(c.group, phi):
         raise GradingError("grading does not vanish on all relators")
@@ -94,44 +101,41 @@ def laurent_specialize(c: EquivariantComplex, phi) -> list[Matrix]:
                 row.append(Laurent(terms))
             entries.append(row)
         mats.append(Matrix(b.rows, b.cols, entries))
-    for t in range(len(mats) - 1):
-        if mats[t].cols and mats[t + 1].cols and mats[t].rows:
-            if not (mats[t] @ mats[t + 1]).is_zero():
-                raise ValueError(f"d{t + 1}.d{t + 2} != 0 over Q[t, t^-1]")
     return mats
 
 
-def torsion_invariants(mats: list[Matrix], ranks) -> TorsionData:
-    """Present each H_i = ker d_i / im d_{i+1} over the PID Q[t, t^-1].
+def _composes_to_zero(a: Matrix, b: Matrix) -> bool:
+    """a @ b == 0 exactly, summing only the products of nonzero entries."""
+    cols = [[(k, x) for k, x in enumerate(b.column(j)) if x] for j in range(b.cols)]
+    return not any(sum((row[k] * x for k, x in col if row[k]), Laurent())
+                   for row in a.entries for col in cols)
 
-    A free kernel basis K is computed per degree, the image of d_{i+1} is
-    expressed in that basis (exact division; failure means d.d != 0), and the
-    Smith normal form of the relation matrix yields the invariant factors.
+
+def torsion_invariants(mats: list[Matrix], ranks) -> TorsionData:
+    """Free ranks and torsion polynomials of each H_i = ker d_i / im d_{i+1}
+    over the PID Q[t, t^-1]; ``mats[i]`` is d_{i+1}: C_{i+1} -> C_i.
+
+    Once d.d = 0 holds, ker d_i is a direct summand of C_i (im d_i is free), so
+    Tors H_i = Tors coker d_{i+1}.  One Smith elimination per boundary, without
+    transforms, gives everything: the torsion polynomials of H_i are the
+    non-unit invariant factors of d_{i+1}, and the free rank is
+    c_i - rank d_i - rank d_{i+1}, each rank being the number of nonzero
+    factors.  Shapes and d.d = 0 are checked exactly here (ValueError).
     """
     ranks = [int(r) for r in ranks]
     if len(mats) != max(0, len(ranks) - 1):
         raise ValueError("need one matrix per adjacent degree pair")
-    one = Laurent.const(1)
-    free_ranks = []
-    torsion = []
-    for i in range(len(ranks)):
-        if i == 0:
-            kernel = Matrix.identity(ranks[0], one, Laurent())
-        else:
-            kernel = kernel_basis_poly(mats[i - 1])
-        image = mats[i] if i < len(mats) else None
-        if image is None or image.cols == 0 or kernel.cols == 0:
-            if kernel.cols == 0 and image is not None and not image.is_zero():
-                raise ValueError(f"image in degree {i} cannot lie in a zero kernel")
-            free_ranks.append(kernel.cols)
-            torsion.append(())
-            continue
-        relations = solve_in_column_span(kernel, image)
-        _, d, _ = smith_normal_form_poly(relations)
-        diag = poly_diagonal(d)
-        nonzero = [x for x in diag if x]
-        free_ranks.append(kernel.cols - len(nonzero))
-        torsion.append(tuple(x for x in nonzero if not x.is_unit()))
+    for i, m in enumerate(mats):
+        if (m.rows, m.cols) != (ranks[i], ranks[i + 1]):
+            raise ValueError(f"d{i + 1} is {m.rows}x{m.cols}, "
+                             f"expected {ranks[i]}x{ranks[i + 1]}")
+    for t in range(len(mats) - 1):
+        if not _composes_to_zero(mats[t], mats[t + 1]):
+            raise ValueError(f"d{t + 1}.d{t + 2} != 0 over Q[t, t^-1]")
+    factors = [[x for x in invariant_factors_poly(m) if x] for m in mats] + [[]]
+    free_ranks = [c - len(factors[i]) - (len(factors[i - 1]) if i else 0)
+                  for i, c in enumerate(ranks)]
+    torsion = [tuple(x for x in fs if not x.is_unit()) for fs in factors[:len(ranks)]]
     return TorsionData(free_ranks, torsion)
 
 

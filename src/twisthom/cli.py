@@ -16,8 +16,9 @@ from .alexander import FreeRankObstruction, GradingError, make_acyclic_fibered
 from .complexes import CATALOG_NAMES, catalog_entry_from_string
 from .groups import GroupPresentation
 from .homology import (BoundaryError, GroupMismatchError, twisted_homology)
-from .jsonio import (InputError, certificate_to_json, complex_from_json,
-                     complex_to_json, rep_from_json, report_to_json)
+from .jsonio import (InputError, certificate_to_json, check_conductor,
+                     complex_from_json, complex_to_json, rep_from_json,
+                     report_to_json)
 from .numbers import Cyclo, cyclotomic_reduction_rows
 from .reps import (UnitaryRep, explicit_rep, torsion_characters, trivial_rep,
                    verify_rep)
@@ -81,8 +82,7 @@ def _load_rep(args, group: GroupPresentation) -> UnitaryRep:
             n, a = int(n_str), int(a_str if a_str else "1")
         except ValueError:
             raise InputError(f"--character wants n:a, got {args.character!r}") from None
-        if n < 1:
-            raise InputError("character order must be >= 1")
+        check_conductor(n)
         return _uniform_character(group, n, a)
     if args.trivial is not None:
         if args.trivial < 1:

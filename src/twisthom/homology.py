@@ -77,15 +77,18 @@ class BlockComplex:
     ``boundaries[k]`` maps degree k+1 to degree k.  It is an integer array
     [rows, cols, phi(n)] of coefficients in the power basis of zeta_n, where n
     is ``conductor``, and the boundary is that array over ``denominators[k]``.
+    ``lifts[k]`` is the same numerator as assembled over Z[x]/(x^n - 1),
+    before the reduction; its smaller norms tighten the rank certificate.
     """
 
-    __slots__ = ("dims", "boundaries", "conductor", "denominators")
+    __slots__ = ("dims", "boundaries", "conductor", "denominators", "lifts")
 
-    def __init__(self, dims, boundaries, conductor: int, denominators):
+    def __init__(self, dims, boundaries, conductor: int, denominators, lifts):
         object.__setattr__(self, "dims", tuple(int(d) for d in dims))
         object.__setattr__(self, "boundaries", tuple(boundaries))
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "denominators", tuple(denominators))
+        object.__setattr__(self, "lifts", tuple(lifts))
 
     def __setattr__(self, *a):
         raise AttributeError("BlockComplex is immutable")
@@ -108,7 +111,7 @@ def _specialize(c: EquivariantComplex, imgs, under: str) -> BlockComplex:
         if reduce_cyclotomic(ring_matmul(reduced[t], reduced[t + 1], n), n).any():
             raise BoundaryError(f"d{t + 1}.d{t + 2} != 0 under {under}")
     return BlockComplex([rank * imgs.dim for rank in c.ranks], reduced, n,
-                        [den for _, den in assembled])
+                        [den for _, den in assembled], [a for a, _ in assembled])
 
 
 def specialize(c: EquivariantComplex, r: UnitaryRep) -> BlockComplex:
@@ -142,7 +145,8 @@ def specialize_restricted(c: EquivariantComplex, r: UnitaryRep,
 
 def homology_dims(b: BlockComplex) -> HomologyReport:
     """dims[i] = dim C_i - rank d_i - rank d_{i+1} (field coefficients)."""
-    ranks = [0] + [certified_rank(a, b.conductor) for a in b.boundaries] + [0]
+    ranks = [0] + [certified_rank(a, b.conductor, lift)
+                   for a, lift in zip(b.boundaries, b.lifts)] + [0]
     return HomologyReport([b.dims[i] - ranks[i] - ranks[i + 1]
                            for i in range(len(b.dims))])
 

@@ -8,6 +8,7 @@ group, ranks and boundary matrices of [coeff, word] term lists.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .alexander import AcyclicityCertificate, TorsionData
@@ -22,6 +23,17 @@ from .reps import UnitaryRep, explicit_rep
 
 class InputError(ValueError):
     """Malformed JSON input (schema violation, bad numbers, bad indices)."""
+
+
+# Every lens character (order <= MAX_LENS_ORDER) is admitted; larger conductors
+# are refused up front, before any per-conductor table of n * phi(n) entries.
+MAX_CONDUCTOR = 1024
+
+
+def check_conductor(n: int) -> int:
+    if not 1 <= n <= MAX_CONDUCTOR:
+        raise InputError(f"conductor must be between 1 and {MAX_CONDUCTOR}, got {n}")
+    return n
 
 
 def fraction_to_str(x: Fraction) -> str:
@@ -43,7 +55,7 @@ def cyclo_to_json(x: Cyclo) -> dict:
 
 def cyclo_from_json(obj) -> Cyclo:
     try:
-        n = int(obj["conductor"])
+        n = check_conductor(int(obj["conductor"]))
         coeffs = [fraction_from_str(c) for c in obj["coeffs"]]
         return Cyclo(n, coeffs)
     except (KeyError, TypeError, ValueError) as e:
@@ -129,6 +141,10 @@ def rep_from_json(obj, group: GroupPresentation) -> UnitaryRep:
         for rows in obj["generators"]:
             entries = [[cyclo_from_json(x) for x in row] for row in rows]
             mats.append(Matrix(len(rows), len(rows[0]) if rows else 0, entries))
+        if "conductor" in obj:
+            check_conductor(int(obj["conductor"]))
+        check_conductor(math.lcm(1, *(x.conductor for m in mats
+                                      for row in m.entries for x in row)))
         provenance = str(obj.get("provenance", "explicit"))
         return explicit_rep(group, mats, provenance=provenance, dim=dim)
     except InputError:

@@ -311,16 +311,19 @@ def _evaluate_mod_p(a: np.ndarray, p: int, r: int) -> np.ndarray:
     return (a * powers % p).sum(axis=-1) % p
 
 
-def _hadamard_bits(a: np.ndarray) -> float:
-    """log2 of H = prod over nonzero rows of ||(L1 norms of the row's entries)||_2.
-
-    |sigma(x)| <= L1(x) under every embedding sigma, so |sigma(M)| <= H for
-    every minor M by Hadamard's inequality.
-    """
+def _l1_norms(a: np.ndarray) -> np.ndarray:
+    """Per-entry L1 norms of a[R, C, m]; |sigma(x)| <= L1(x) under every
+    embedding sigma of Z[zeta_n], whichever representative x is."""
     if a.dtype == object:
-        l1 = np.abs(a).sum(axis=-1).tolist()
-        return sum(0.5 * math.log2(s) for s in (sum(x * x for x in row) for row in l1) if s)
-    l1 = np.abs(a).sum(axis=-1, dtype=np.float64)
+        return np.abs(a).sum(axis=-1)
+    return np.abs(a).sum(axis=-1, dtype=np.float64)
+
+
+def _hadamard_bits(l1: np.ndarray) -> float:
+    """log2 of H = prod over nonzero rows of ||row of l1||_2 for entry bounds
+    l1[R, C]: |sigma(M)| <= H for every minor M by Hadamard's inequality."""
+    if l1.dtype == object:
+        return sum(0.5 * math.log2(s) for s in (sum(x * x for x in row) for row in l1.tolist()) if s)
     sq = (l1 * l1).sum(axis=1)
     return float(0.5 * np.log2(sq[sq > 0]).sum())
 
@@ -328,7 +331,7 @@ def _hadamard_bits(a: np.ndarray) -> float:
 MAX_PRIMES = 256
 
 
-def certified_rank(a: np.ndarray, n: int) -> int:
+def certified_rank(a: np.ndarray, n: int, lift: np.ndarray | None = None) -> int:
     """Exact rank over Q(zeta_n) of the integer array a[R, C, m]; entry (i, j)
     is sum_k a[i, j, k] zeta_n^k (any m; Phi_n-reduced arrays have m = phi(n)).
 
@@ -340,11 +343,19 @@ def certified_rank(a: np.ndarray, n: int) -> int:
     over one more prime than that is exact.  The loop stops early once the
     rank is full.  For n = 1 this is the classical multimodular integer rank.
     Bareiss ``matrix_rank`` takes over when more than MAX_PRIMES are needed.
+
+    ``lift`` may give the same matrix as an array over Z[x]/(x^n - 1) before
+    its reduction to ``a``.  H then uses the smaller L1 norm of each entry:
+    for prime n, reducing one term zeta_n^(n-1) spreads it over n - 1
+    coefficients, which would inflate H and the prime count.
     """
     rows, cols = a.shape[:2]
     if rows == 0 or cols == 0 or not a.any():
         return 0
-    need = int(euler_phi(n) * _hadamard_bits(a) / 30 * (1 + 1e-9)) + 1
+    l1 = _l1_norms(a)
+    if lift is not None and lift is not a:  # for n = 1 the reduction is a itself
+        l1 = np.minimum(l1, _l1_norms(lift))
+    need = int(euler_phi(n) * _hadamard_bits(l1) / 30 * (1 + 1e-9)) + 1
     primes = split_primes(n, need) if need <= MAX_PRIMES else []
     if len(primes) < need:
         a = reduce_cyclotomic(a, n)
@@ -543,29 +554,51 @@ def smith_normal_form_poly(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """U*A*V = D over Q[t, t^-1]: U, V unimodular (unit determinant c*t^k),
     D diagonal with entries monic with nonzero constant term (or zero) and
     d_i | d_{i+1}.
+    """
+    a, u, v = _snf_poly(m, transforms=True)
+    return (Matrix(m.rows, m.rows, u), Matrix(m.rows, m.cols, a),
+            Matrix(m.cols, m.cols, v))
 
+
+def invariant_factors_poly(m: Matrix) -> list[Laurent]:
+    """The diagonal of the Smith normal form of m over Q[t, t^-1], computed
+    without the transforms: the nonzero entries come first, each monic with
+    nonzero constant term and dividing the next; their count is the rank."""
+    a, _, _ = _snf_poly(m, transforms=False)
+    return [a[i][i] for i in range(min(m.rows, m.cols))]
+
+
+def _snf_poly(m: Matrix, transforms: bool):
+    """The one Smith elimination over Q[t, t^-1]: the entries of D, U and V.
+
+    Without ``transforms``, U has zero columns and V zero rows, so every
+    transform update is empty and A receives exactly the same operations.
     Rows are first scaled by t^-v to land in Q[t]; pivoting picks the entry of
     smallest polynomial degree (ties by row, then column).
     """
     a = _laurent_matrix(m)
     nr, nc = m.rows, m.cols
-    one = Laurent.const(1)
-    u = [[one if i == j else Laurent() for j in range(nr)] for i in range(nr)]
-    v = [[one if i == j else Laurent() for j in range(nc)] for i in range(nc)]
+    one, zero = Laurent.const(1), Laurent()
+    u = [[one if i == j else zero for j in range(nr)] if transforms else []
+         for i in range(nr)]
+    v = [[one if i == j else zero for j in range(nc)] for i in range(nc)] if transforms else []
 
+    # zero entries are skipped: Laurent values are canonical, so x - q*0 is x
     def scale_row(i, unit):
-        a[i] = [unit * x for x in a[i]]
-        u[i] = [unit * x for x in u[i]]
+        a[i] = [unit * x if x else x for x in a[i]]
+        u[i] = [unit * x if x else x for x in u[i]]
 
     def scale_col(j, unit):
         for row in a:
-            row[j] = unit * row[j]
+            if row[j]:
+                row[j] = unit * row[j]
         for row in v:
-            row[j] = unit * row[j]
+            if row[j]:
+                row[j] = unit * row[j]
 
     def row_op(i1, i2, q):  # row i2 -= q*row i1, then renormalize content
-        a[i2] = [x - q * y for x, y in zip(a[i2], a[i1])]
-        u[i2] = [x - q * y for x, y in zip(u[i2], u[i1])]
+        a[i2] = [x - q * y if y else x for x, y in zip(a[i2], a[i1])]
+        u[i2] = [x - q * y if y else x for x, y in zip(u[i2], u[i1])]
         unit = _content_unit(a[i2])
         if unit is not None:
             scale_row(i2, unit)
@@ -576,9 +609,11 @@ def smith_normal_form_poly(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 
     def col_op(j1, j2, q):  # col j2 -= q*col j1, then renormalize content
         for row in a:
-            row[j2] = row[j2] - q * row[j1]
+            if row[j1]:
+                row[j2] = row[j2] - q * row[j1]
         for row in v:
-            row[j2] = row[j2] - q * row[j1]
+            if row[j1]:
+                row[j2] = row[j2] - q * row[j1]
         unit = _content_unit([row[j2] for row in a])
         if unit is not None:
             scale_col(j2, unit)
@@ -675,14 +710,10 @@ def smith_normal_form_poly(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                     scale_col(j, Laurent.const(lead ** (shift + 1)))
                 q, _ = a[k][j].divmod(a[k][k])
                 col_op(k, j, q)
-        offender = None
-        for i in range(k + 1, nr):
-            for j in range(k + 1, nc):
-                if not a[k][k].divides(a[i][j]):
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        head = a[k][k]
+        offender = None if head.is_unit() else next(  # a unit divides everything
+            (i for i in range(k + 1, nr) for j in range(k + 1, nc)
+             if not head.divides(a[i][j])), None)
         if offender is not None:
             row_op(offender, k, Laurent.const(-1))
             continue
@@ -694,7 +725,7 @@ def smith_normal_form_poly(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             unit = Laurent.t_power(-d.valuation(), 1 / d.leading_coeff())
             if not unit.is_one():
                 scale_row(i, unit)
-    return (Matrix(nr, nr, u), Matrix(nr, nc, a), Matrix(nc, nc, v))
+    return a, u, v
 
 
 def poly_diagonal(d: Matrix) -> list[Laurent]:
@@ -872,25 +903,3 @@ def solve_column_combination(basis: Matrix, target: Matrix) -> Matrix:
             x[pj][c] = a[r][basis.cols + c]
     return Matrix(basis.cols, target.cols, x)
 
-
-def solve_in_column_span(k: Matrix, b: Matrix) -> Matrix:
-    """Solve K*X = B over Q[t, t^-1] when K has full column rank.
-
-    Uses the SNF of K: with U K V = D, X = V * (U B scaled by 1/d_i).
-    Raises ValueError when B is not in the column span (inexact division or a
-    nonzero residual row), which downstream signals a broken chain complex.
-    """
-    u, d, v = smith_normal_form_poly(k)
-    ub = u @ b
-    ncols_k = k.cols
-    diag = poly_diagonal(d)
-    if any(not x for x in diag[:ncols_k]) or len(diag) < ncols_k:
-        raise ValueError("kernel basis matrix is not of full column rank")
-    y = []
-    for i in range(ncols_k):
-        y.append([_as_laurent(ub.entries[i][j]).exact_div(diag[i]) for j in range(b.cols)])
-    for i in range(ncols_k, k.rows):
-        for j in range(b.cols):
-            if ub.entries[i][j]:
-                raise ValueError("vector not in the column span of the kernel basis")
-    return v @ Matrix(ncols_k, b.cols, y)

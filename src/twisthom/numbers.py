@@ -332,6 +332,14 @@ class Laurent:
         raise AttributeError("Laurent values are immutable")
 
     @staticmethod
+    def _of(terms: dict) -> "Laurent":
+        """From int exponents to Fraction coefficients, without the coercions of
+        ``__init__``; zero coefficients are dropped."""
+        out = object.__new__(Laurent)
+        object.__setattr__(out, "terms", {e: terms[e] for e in sorted(terms) if terms[e]})
+        return out
+
+    @staticmethod
     def t_power(k: int, coeff=1) -> "Laurent":
         return Laurent({k: coeff})
 
@@ -355,12 +363,12 @@ class Laurent:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, ZERO) + c
-        return Laurent(out)
+        return Laurent._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Laurent({e: -c for e, c in self.terms.items()})
+        return Laurent._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -380,7 +388,7 @@ class Laurent:
             for e2, c2 in other.terms.items():
                 e = e1 + e2
                 out[e] = out.get(e, ZERO) + c1 * c2
-        return Laurent(out)
+        return Laurent._of(out)
 
     __rmul__ = __mul__
 
@@ -449,8 +457,8 @@ class Laurent:
         a, va = self._as_poly()
         b, vb = other._as_poly()
         q, r = _poly_divmod(a, b)
-        qp = Laurent({i + va - vb: c for i, c in enumerate(q)})
-        rp = Laurent({i + va: c for i, c in enumerate(r)})
+        qp = Laurent._of({i + va - vb: c for i, c in enumerate(q)})
+        rp = Laurent._of({i + va: c for i, c in enumerate(r)})
         return qp, rp
 
     def exact_div(self, other: "Laurent") -> "Laurent":

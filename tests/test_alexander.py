@@ -9,6 +9,7 @@ from twisthom.alexander import (AcyclicityCertificate, FreeRankObstruction,
                                 uct_dims)
 from twisthom.complexes import catalog_complex
 from twisthom.homology import twisted_homology
+from twisthom.matrices import Matrix
 from twisthom.numbers import Laurent, cyclotomic_polynomial
 from twisthom.reps import character_from_grading
 
@@ -189,6 +190,28 @@ def test_certificate_invariants_enforced():
 def test_torsion_invariants_rejects_mismatched_input():
     with pytest.raises(ValueError):
         torsion_invariants([], [1, 1])
+
+
+def test_torsion_invariants_rejects_non_complex():
+    """The invariant factors of [[1]] and [[1]] alone look fine; d.d = 0 fails."""
+    one = Matrix(1, 1, [[ONE]])
+    with pytest.raises(ValueError, match=r"d1\.d2 != 0 over Q\[t, t\^-1\]"):
+        torsion_invariants([one, one], [1, 1, 1])
+    # the same check through the pipeline, on a specialized complex
+    tre = catalog_complex("trefoil_exterior").complex
+    mats = laurent_specialize(tre, [1, 1])
+    broken = Matrix(mats[1].rows, mats[1].cols,
+                    [[x + ONE for x in row] for row in mats[1].entries])
+    with pytest.raises(ValueError, match="d1.d2 != 0"):
+        torsion_invariants([mats[0], broken], tre.ranks)
+
+
+def test_torsion_invariants_rejects_wrong_shape():
+    row = Matrix(1, 2, [[T - 1, Laurent()]])
+    with pytest.raises(ValueError, match="d1 is 1x2, expected 1x1"):
+        torsion_invariants([row], [1, 1])
+    with pytest.raises(ValueError, match="d2 is 1x1, expected 2x1"):
+        torsion_invariants([row, Matrix(1, 1, [[ONE]])], [1, 2, 1])
 
 
 def test_torus2d_is_acyclifiable():

@@ -1,17 +1,19 @@
 """CLI commands, exit codes, JSON schemas and byte-determinism."""
 
 import json
+import time
 
 import pytest
 
+from twisthom import matrices
 from twisthom.cli import main
 from twisthom.complexes import MAX_GENUS, MAX_LENS_ORDER, catalog_complex
 from twisthom.groups import PermAction, GroupPresentation
-from twisthom.jsonio import (InputError, complex_from_json, complex_to_json,
-                             cyclo_from_json, cyclo_to_json, laurent_from_json,
-                             laurent_to_json, rep_from_json, rep_to_json,
-                             action_to_json)
-from twisthom.numbers import Cyclo, Laurent
+from twisthom.jsonio import (MAX_CONDUCTOR, InputError, complex_from_json,
+                             complex_to_json, cyclo_from_json, cyclo_to_json,
+                             laurent_from_json, laurent_to_json, rep_from_json,
+                             rep_to_json, action_to_json)
+from twisthom.numbers import Cyclo, Laurent, euler_phi
 from twisthom.reps import permutation_rep, torsion_characters
 
 
@@ -215,3 +217,53 @@ def test_oversized_catalog_specs_are_refused(tmp_path, capsys, spec):
 def test_catalog_caps_admit_their_largest_specs():
     assert catalog_complex("lens", [MAX_LENS_ORDER, 1]).expected_trivial_dims == (1, 0, 0, 1)
     assert catalog_complex("handlebody", [MAX_GENUS]).complex.group.num_generators == MAX_GENUS
+
+
+def _root_json(n: int) -> dict:
+    return {"conductor": n, "coeffs": ["0", "1"] + ["0"] * (euler_phi(n) - 2)}
+
+
+@pytest.mark.parametrize("spec", ["10007:1", f"{MAX_CONDUCTOR + 1}:1", "0:1"])
+def test_oversized_character_conductor_is_refused(tmp_path, capsys, spec):
+    start = time.perf_counter()
+    code, data = run_cli(tmp_path, "homology", "--catalog", "t3", "--character", spec)
+    assert code == 1 and data is None
+    assert capsys.readouterr().err.startswith("error: conductor must be between 1 and 1024")
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("generators, top", [
+    ([_root_json(10007)] * 3, 10007),     # one oversized entry conductor
+    ([_root_json(5)] * 3, 10007),         # the rep's own "conductor" field
+    ([_root_json(1021), _root_json(1019), {"conductor": 1, "coeffs": ["1"]}],
+     1)])  # entries within the cap, but their lcm is 1 040 399
+def test_rep_file_oversized_conductor_is_refused(tmp_path, capsys, generators, top):
+    rep_file = tmp_path / "rep.json"
+    rep_file.write_text(json.dumps({"dim": 1, "conductor": top, "provenance": "explicit",
+                                    "generators": [[[g]] for g in generators]}))
+    start = time.perf_counter()
+    code, data = run_cli(tmp_path, "homology", "--catalog", "t3", "--rep", str(rep_file))
+    assert code == 1 and data is None
+    assert "conductor must be between 1 and 1024" in capsys.readouterr().err
+    assert time.perf_counter() - start < 5
+
+
+def test_largest_conductor_is_admitted(tmp_path):
+    assert MAX_CONDUCTOR == MAX_LENS_ORDER  # every lens character passes
+    code, data = run_cli(tmp_path, "homology", "--catalog", f"lens:{MAX_LENS_ORDER},1",
+                         "--character", f"{MAX_CONDUCTOR}:1")
+    assert code == 0 and data["dims"] == [0, 0, 0, 0]
+
+
+def test_large_prime_conductor_uses_split_primes(tmp_path, monkeypatch):
+    """Under zeta_1009 the reduced coefficients of t3's boundaries would need
+    1 057 primes (over MAX_PRIMES); the unreduced ones need 152, so the rank
+    stays on the split-prime path instead of falling back to Bareiss."""
+    def no_fallback(m):
+        raise AssertionError("certified_rank fell back to Bareiss")
+
+    monkeypatch.setattr(matrices, "matrix_rank", no_fallback)
+    start = time.perf_counter()
+    code, data = run_cli(tmp_path, "homology", "--catalog", "t3", "--character", "1009:1")
+    assert code == 0 and data["dims"] == [0, 0, 0, 0]
+    assert time.perf_counter() - start < 20
