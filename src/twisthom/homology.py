@@ -4,8 +4,9 @@ There is one exact backend.  A representation carries its generator images
 and their inverses in the one image format of ``reps``: integers over
 Z[x]/(x^n - 1), which maps onto Z[zeta_n] by x -> zeta_n, either as a
 permutation plus one exponent of x per column or as a permutation plus
-integer k x k blocks over a denominator.  Restricted representations are
-compiled here into the block form with their exact inverses.
+integer k x k blocks over a denominator.  Every image is unitary, so its
+inverse is its conjugate transpose.  The homology of an invariant subspace
+W is read off the specialized complex of V itself (``subquotient_dims``).
 
 Word images are products of these, cached by prefix (``reps._word_images``).
 Each boundary is accumulated as an integer array [R, C, n] and reduced
@@ -17,17 +18,19 @@ Python ints wherever a magnitude bound would leave int64, so no value wraps.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+import numpy as np
 
 from .complexes import CatalogEntry, EquivariantComplex, presentation_complex
 from .groups import GroupPresentation, PermAction, free_product
-from .matrices import (Matrix, certified_rank, fast_rank, in_column_span,
-                       reduce_cyclotomic, ring_matmul, solve_column_combination)
+from .matrices import (Matrix, certified_rank, fast_rank, lift_cyclo,
+                       reduce_cyclotomic, ring_matmul)
 from .numbers import Cyclo
-from .reps import (SplitData, UnitaryRep, _lift_blocks, _word_images,
-                   explicit_rep, extend_by_identity, induce_rep,
-                   restrict_to_span, stacked_alpha_minus_one, trivial_rep,
-                   verify_rep)
+from .reps import (SplitData, UnitaryRep, _word_images, explicit_rep,
+                   extend_by_identity, induce_rep, stacked_alpha_minus_one,
+                   trivial_rep, verify_rep)
 
 
 class GroupMismatchError(ValueError):
@@ -101,19 +104,6 @@ class BlockComplex:
                        for row in a.tolist()])
 
 
-def _specialize(c: EquivariantComplex, imgs, under: str) -> BlockComplex:
-    images = _word_images(imgs, {w for t in c.terms for w in t[3]})
-    n = imgs.n
-    assembled = [imgs.assemble(t, (b.rows, b.cols), images)
-                 for b, t in zip(c.boundaries, c.terms)]
-    reduced = [reduce_cyclotomic(a, n) for a, _ in assembled]
-    for t in range(len(reduced) - 1):
-        if reduce_cyclotomic(ring_matmul(reduced[t], reduced[t + 1], n), n).any():
-            raise BoundaryError(f"d{t + 1}.d{t + 2} != 0 under {under}")
-    return BlockComplex([rank * imgs.dim for rank in c.ranks], reduced, n,
-                        [den for _, den in assembled], [a for a, _ in assembled])
-
-
 def specialize(c: EquivariantComplex, r: UnitaryRep) -> BlockComplex:
     """Tensor the complex with the representation: entries sum n_w alpha(w).
 
@@ -125,22 +115,17 @@ def specialize(c: EquivariantComplex, r: UnitaryRep) -> BlockComplex:
         raise GroupMismatchError("representation group differs from complex group")
     if not verify_rep(r):
         raise ValueError("representation fails verification")
-    return _specialize(c, r.compiled, "this representation")
-
-
-def specialize_restricted(c: EquivariantComplex, r: UnitaryRep,
-                          basis: Matrix) -> BlockComplex:
-    """Specialize under r restricted to the invariant column span of ``basis``.
-
-    The basis need not be orthonormal, so the restricted images are not
-    unitary: their inverses are solved exactly instead.
-    """
-    mats = restrict_to_span(r, basis)
-    ident = Matrix.identity(basis.cols, Cyclo.one(), Cyclo.zero())
-    inverses = [solve_column_combination(m, ident) for m in mats]
-    imgs = _lift_blocks([((0,), (m.entries,)) for m in mats],
-                         [((0,), (m.entries,)) for m in inverses])
-    return _specialize(c, imgs, "the restricted action")
+    imgs = r.compiled
+    images = _word_images(imgs, {w for t in c.terms for w in t[3]})
+    n = imgs.n
+    assembled = [imgs.assemble(t, (b.rows, b.cols), images)
+                 for b, t in zip(c.boundaries, c.terms)]
+    reduced = [reduce_cyclotomic(a, n) for a, _ in assembled]
+    for t in range(len(reduced) - 1):
+        if reduce_cyclotomic(ring_matmul(reduced[t], reduced[t + 1], n), n).any():
+            raise BoundaryError(f"d{t + 1}.d{t + 2} != 0 under this representation")
+    return BlockComplex([rank * imgs.dim for rank in c.ranks], reduced, n,
+                        [den for _, den in assembled], [a for a, _ in assembled])
 
 
 def homology_dims(b: BlockComplex) -> HomologyReport:
@@ -205,27 +190,54 @@ def shapiro_compare(c: EquivariantComplex, action: PermAction, sub_matrices,
 # subquotient dimensions along the invariant/coinvariant split
 # ---------------------------------------------------------------------------
 
+def _subspace_ranks(b: BlockComplex, basis: Matrix) -> list[int]:
+    """rank of d_k (I tensor B) for every boundary d_k of ``b`` = C tensor V,
+    where the columns of B = ``basis`` lie in Q(zeta_m) for some m.
+
+    The product is formed over Z[x]/(x^N - 1) with N = lcm(m, n), n the
+    conductor of ``b``: its lifts embed by x -> x^(N/n), and B multiplies each
+    cell's column block."""
+    n = b.conductor
+    big = math.lcm(n, *(getattr(x, "conductor", 1) for row in basis.entries for x in row))
+    lifted = lift_cyclo(basis.entries, big)[0]
+    ranks = []
+    for lift in b.lifts:
+        rows, cols = lift.shape[:2]
+        cells = cols // basis.rows
+        embedded = np.zeros((rows, cols, big), dtype=lift.dtype)
+        embedded[..., ::big // n] = lift
+        per_cell = embedded.reshape(rows, cells, basis.rows, big).swapaxes(0, 1)
+        prod = ring_matmul(per_cell, lifted, big).swapaxes(0, 1) \
+            .reshape(rows, cells * basis.cols, big)
+        ranks.append(certified_rank(reduce_cyclotomic(prod, big), big, prod))
+    return ranks
+
+
 def subquotient_dims(c: EquivariantComplex, r: UnitaryRep, s: SplitData) \
         -> tuple[HomologyReport, HomologyReport, HomologyReport]:
     """(dims of W, dims of V, dims of V/W) for the invariant/coinvariant split.
 
-    V/W is computed through the W-perp model (the action there is exactly
-    trivial).  Checks Euler additivity and the long-exact-sequence bounds.
+    W is the column span of B = ``s.w_basis``.  B has full column rank and
+    holds every (alpha(g) - 1)v, so W is invariant, and iota_k = I_{c_k}
+    tensor B is an injective chain map C_k tensor W -> C_k tensor V:
+    d_V iota_{k+1} = iota_k d_W.  Hence rank d_W = rank d_V (I tensor B), and
+    C tensor W is read off the one specialization of V.  V/W is computed
+    through the W-perp model (the action there is exactly trivial).  Checks
+    Euler additivity and the long-exact-sequence bounds.
     """
-    if s.w_basis.cols + s.wperp_basis.cols != r.dim:
+    w = s.w_basis.cols
+    if w + s.wperp_basis.cols != r.dim:
         raise ValueError("split is inconsistent with the representation")
-    stacked = stacked_alpha_minus_one(r)
-    for j in range(stacked.cols):
-        if not in_column_span(s.w_basis, stacked.column(j)):
-            raise ValueError("split W does not span the coinvariant directions")
-    if fast_rank(s.w_basis) != s.w_basis.cols:
+    if fast_rank(s.w_basis) != w:
         raise ValueError("split W basis is degenerate")
+    if fast_rank(s.w_basis.hstack(stacked_alpha_minus_one(r))) != w:
+        raise ValueError("split W does not span the coinvariant directions")
 
-    dims_v = twisted_homology(c, r)
-    if s.w_basis.cols == 0:
-        dims_w = HomologyReport([0] * len(c.ranks))
-    else:
-        dims_w = homology_dims(specialize_restricted(c, r, s.w_basis))
+    b = specialize(c, r)
+    dims_v = homology_dims(b)
+    ranks = [0] + _subspace_ranks(b, s.w_basis) + [0]
+    dims_w = HomologyReport([cells * w - ranks[i] - ranks[i + 1]
+                             for i, cells in enumerate(c.ranks)])
     dims_wperp = twisted_homology(c, trivial_rep(c.group, s.wperp_basis.cols)) \
         if s.wperp_basis.cols else HomologyReport([0] * len(c.ranks))
 

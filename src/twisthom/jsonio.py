@@ -141,10 +141,12 @@ def rep_from_json(obj, group: GroupPresentation) -> UnitaryRep:
         for rows in obj["generators"]:
             entries = [[cyclo_from_json(x) for x in row] for row in rows]
             mats.append(Matrix(len(rows), len(rows[0]) if rows else 0, entries))
-        if "conductor" in obj:
-            check_conductor(int(obj["conductor"]))
-        check_conductor(math.lcm(1, *(x.conductor for m in mats
-                                      for row in m.entries for x in row)))
+        declared = check_conductor(int(obj["conductor"])) if "conductor" in obj else None
+        conductor = check_conductor(math.lcm(1, *(x.conductor for m in mats
+                                                  for row in m.entries for x in row)))
+        if declared not in (None, conductor):
+            raise InputError(f"rep conductor {declared} is not the lcm {conductor} "
+                             "of its entries' conductors")
         provenance = str(obj.get("provenance", "explicit"))
         return explicit_rep(group, mats, provenance=provenance, dim=dim)
     except InputError:

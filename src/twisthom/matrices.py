@@ -5,8 +5,10 @@ Laurent).  Everything here is exact.  Ranks over Q and Q(zeta_n) have one
 routine, ``certified_rank``: it takes integer coefficient arrays over
 Z[x]/(x^n - 1), ranks them over F_p for split primes p = 1 (mod n), and
 certifies the result with a Hadamard bound on the norms of the minors.
-Bareiss ``matrix_rank`` is the fallback and the test oracle.  Degenerate
-shapes (0 rows or columns) are legal everywhere and have rank 0.
+It has no fallback: when the interval of split primes cannot supply the
+certified count, it raises ValueError.  Bareiss ``matrix_rank`` ranks
+Laurent matrices and is the test oracle.  Degenerate shapes (0 rows or
+columns) are legal everywhere and have rank 0.
 """
 
 from __future__ import annotations
@@ -328,9 +330,6 @@ def _hadamard_bits(l1: np.ndarray) -> float:
     return float(0.5 * np.log2(sq[sq > 0]).sum())
 
 
-MAX_PRIMES = 256
-
-
 def certified_rank(a: np.ndarray, n: int, lift: np.ndarray | None = None) -> int:
     """Exact rank over Q(zeta_n) of the integer array a[R, C, m]; entry (i, j)
     is sum_k a[i, j, k] zeta_n^k (any m; Phi_n-reduced arrays have m = phi(n)).
@@ -342,7 +341,8 @@ def certified_rank(a: np.ndarray, n: int, lift: np.ndarray | None = None) -> int
     most floor(phi(n) log2(H) / 30) of them can divide it: the maximum rank
     over one more prime than that is exact.  The loop stops early once the
     rank is full.  For n = 1 this is the classical multimodular integer rank.
-    Bareiss ``matrix_rank`` takes over when more than MAX_PRIMES are needed.
+    Raises ValueError when 2^30 < p < 2^31 holds fewer than the certified
+    count of split primes (about 4 * 10^4 exist for every n <= 1024).
 
     ``lift`` may give the same matrix as an array over Z[x]/(x^n - 1) before
     its reduction to ``a``.  H then uses the smaller L1 norm of each entry:
@@ -356,11 +356,10 @@ def certified_rank(a: np.ndarray, n: int, lift: np.ndarray | None = None) -> int
     if lift is not None and lift is not a:  # for n = 1 the reduction is a itself
         l1 = np.minimum(l1, _l1_norms(lift))
     need = int(euler_phi(n) * _hadamard_bits(l1) / 30 * (1 + 1e-9)) + 1
-    primes = split_primes(n, need) if need <= MAX_PRIMES else []
+    primes = split_primes(n, need)
     if len(primes) < need:
-        a = reduce_cyclotomic(a, n)
-        return matrix_rank(Matrix(rows, cols, [[Cyclo(n, e) for e in row]
-                                               for row in a.tolist()]))
+        raise ValueError(f"the rank certificate needs {need} split primes for "
+                         f"conductor {n}; only {len(primes)} exist below 2^31")
     best, full = 0, min(rows, cols)
     for p, r in primes:
         best = max(best, _rank_mod_p(_evaluate_mod_p(a, p, r), p))
@@ -884,22 +883,3 @@ def right_kernel_basis_field(m: Matrix, one_scalar=1, zero_scalar=0) -> Matrix:
         cols.append(v)
     return Matrix(m.cols, len(cols), [[cols[c][i] for c in range(len(cols))]
                                       for i in range(m.cols)])
-
-
-def in_column_span(basis: Matrix, vector: list) -> bool:
-    col = Matrix(basis.rows, 1, [[x] for x in vector])
-    return fast_rank(basis.hstack(col)) == fast_rank(basis)
-
-
-def solve_column_combination(basis: Matrix, target: Matrix) -> Matrix:
-    """Solve basis @ X = target over the entry field; raises when unsolvable."""
-    aug = basis.hstack(target)
-    a, pivots = rref(aug)
-    if any(j >= basis.cols for j in pivots):
-        raise ValueError("target is not in the column span")
-    x = [[0] * target.cols for _ in range(basis.cols)]
-    for r, pj in enumerate(pivots):
-        for c in range(target.cols):
-            x[pj][c] = a[r][basis.cols + c]
-    return Matrix(basis.cols, target.cols, x)
-

@@ -12,9 +12,11 @@ constructor compiles its images by one rule (``_compile``):
   [d, k, k, n] over a common denominator (``_Blocks``; a dense rep is one
   block).
 
-Inverses are conjugate transposes.  Word images (``evaluate_word``),
-verification and specialization all multiply through ``_word_images``; the
-Cyclo matrices of ``generator_images`` are a view derived on demand.
+Every image is unitary, so its inverse is always its conjugate transpose
+(``_dagger``; for monomials, the inverse permutation with negated exponents).
+Word images (``evaluate_word``), verification and specialization all multiply
+through ``_word_images``; the Cyclo matrices of ``generator_images`` are a
+view derived on demand.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ from .complexes import quaternion_presentation
 from .groups import (GroupPresentation, PermAction, Word,
                      abelianization_change_of_basis, reidemeister_schreier,
                      verify_grading)
-from .matrices import (Matrix, column_space_basis, fast_rank, in_column_span,
-                       int_dtype, lift_cyclo, max_abs, reduce_cyclotomic,
-                       right_kernel_basis_field, ring_matmul,
-                       solve_column_combination)
+from .matrices import (Matrix, column_space_basis, fast_rank, int_dtype,
+                       lift_cyclo, max_abs, reduce_cyclotomic,
+                       right_kernel_basis_field, ring_matmul)
 from .numbers import Cyclo, cyclotomic_reduction_rows
 
 # ---------------------------------------------------------------------------
@@ -177,11 +178,10 @@ def _dagger(img, n: int):
     return tuple(q), np.swapaxes(conj[q], -3, -2), den
 
 
-def _lift_blocks(gens, inverses=None) -> _Blocks:
-    """Compile (perm, blocks of Cyclo entries) per generator; inverses default
-    to conjugate transposes (unitary images)."""
-    every = gens + (inverses or [])
-    n = math.lcm(1, *(getattr(x, "conductor", 1) for _, blocks in every
+def _lift_blocks(gens) -> _Blocks:
+    """Compile (perm, blocks of Cyclo entries) per generator; the images are
+    unitary, so their inverses are conjugate transposes."""
+    n = math.lcm(1, *(getattr(x, "conductor", 1) for _, blocks in gens
                       for block in blocks for row in block for x in row))
     d, k = len(gens[0][0]), len(gens[0][1][0])
 
@@ -192,7 +192,7 @@ def _lift_blocks(gens, inverses=None) -> _Blocks:
     images = {}
     for g, image in enumerate(gens):
         images[g, 1] = lift(*image)
-        images[g, -1] = lift(*inverses[g]) if inverses else _dagger(images[g, 1], n)
+        images[g, -1] = _dagger(images[g, 1], n)
     return _Blocks(n, k, d * k, images)
 
 
@@ -499,34 +499,16 @@ def invariant_coinvariant_split(r: UnitaryRep) -> SplitData:
     wperp_basis = right_kernel_basis_field(wt, Cyclo.one(), Cyclo.zero())
     if w_basis.cols + wperp_basis.cols != r.dim:
         raise AssertionError("split dimensions do not add up")
+    # every (alpha(g) - 1)v in W gives alpha(g)W in W
+    if fast_rank(w_basis.hstack(stacked)) != w_basis.cols:
+        raise AssertionError("W is not invariant under the action")
     for m in r.generator_images:
-        for c in range(w_basis.cols):
-            img = [sum((m[i, j] * w_basis[j, c] for j in range(r.dim)), Cyclo.zero())
-                   for i in range(r.dim)]
-            if not in_column_span(w_basis, img):
-                raise AssertionError("W is not invariant under the action")
         for c in range(wperp_basis.cols):
             img = [sum((m[i, j] * wperp_basis[j, c] for j in range(r.dim)), Cyclo.zero())
                    for i in range(r.dim)]
             if any(img[i] != wperp_basis[i, c] for i in range(r.dim)):
                 raise AssertionError("action on W-perp is not trivial")
     return SplitData(w_basis, wperp_basis)
-
-
-def restrict_to_span(r: UnitaryRep, basis: Matrix) -> list[Matrix]:
-    """Generator matrices of the action restricted to an invariant column span.
-
-    The basis need not be orthonormal (orthonormalizing would need square
-    roots outside the cyclotomic field), so the restricted matrices are exact
-    but not literally unitary; homology only needs ranks.
-    """
-    out = []
-    for m in r.generator_images:
-        img = Matrix(r.dim, basis.cols,
-                     [[sum((m[i, j] * basis[j, c] for j in range(r.dim)), Cyclo.zero())
-                       for c in range(basis.cols)] for i in range(r.dim)])
-        out.append(solve_column_combination(basis, img))
-    return out
 
 
 # ---------------------------------------------------------------------------

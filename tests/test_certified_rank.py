@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from twisthom.complexes import catalog_complex
 from twisthom.groups import GroupRingElt, PermAction, reidemeister_schreier
-from twisthom.homology import BoundaryError, specialize, specialize_restricted
+from twisthom import matrices
+from twisthom.homology import BoundaryError, specialize, subquotient_dims
 from twisthom.matrices import (Matrix, _evaluate_mod_p, _rank_mod_p,
                                certified_rank, cyclo_array, fast_rank,
                                matrix_rank, split_primes)
@@ -120,12 +121,23 @@ def test_broken_boundary_raises_on_every_path():
         specialize(cx, rep)
         with pytest.raises(BoundaryError):
             specialize(_broken(cx, 1), rep)
-    w_basis = invariant_coinvariant_split(dense).w_basis
-    specialize_restricted(t3, dense, w_basis)
+    split = invariant_coinvariant_split(dense)
+    subquotient_dims(t3, dense, split)
     with pytest.raises(BoundaryError):
-        specialize_restricted(_broken(t3, 1), dense, w_basis)
+        subquotient_dims(_broken(t3, 1), dense, split)
 
 
 def test_certified_rank_degenerate_arrays():
     assert certified_rank(np.zeros((0, 3, 1), dtype=np.int64), 1) == 0
     assert certified_rank(np.zeros((2, 2, 4), dtype=np.int64), 5) == 0
+
+
+def test_too_few_split_primes_raise(monkeypatch):
+    """With fewer split primes than the certificate needs there is no
+    fallback: the rank is refused."""
+    original = split_primes
+    monkeypatch.setattr(matrices, "split_primes", lambda n, count: original(n, 1))
+    big = Cyclo.from_rational(2 ** 40)  # the certificate needs 11 primes
+    a, n = cyclo_array(Matrix(2, 2, [[Cyclo.root_of_unity(5), big], [big, big]]))
+    with pytest.raises(ValueError, match="split primes"):
+        certified_rank(a, n)

@@ -14,7 +14,7 @@ from twisthom.jsonio import (MAX_CONDUCTOR, InputError, complex_from_json,
                              laurent_from_json, laurent_to_json, rep_from_json,
                              rep_to_json, action_to_json)
 from twisthom.numbers import Cyclo, Laurent, euler_phi
-from twisthom.reps import permutation_rep, torsion_characters
+from twisthom.reps import explicit_rep, permutation_rep, torsion_characters
 
 
 def run_cli(tmp_path, *argv):
@@ -257,13 +257,35 @@ def test_largest_conductor_is_admitted(tmp_path):
 
 def test_large_prime_conductor_uses_split_primes(tmp_path, monkeypatch):
     """Under zeta_1009 the reduced coefficients of t3's boundaries would need
-    1 057 primes (over MAX_PRIMES); the unreduced ones need 152, so the rank
-    stays on the split-prime path instead of falling back to Bareiss."""
-    def no_fallback(m):
-        raise AssertionError("certified_rank fell back to Bareiss")
+    1 057 primes; the unreduced ones need at most 152, so the rank
+    certificate must be read off the unreduced lift."""
+    counts = []
+    original = matrices.split_primes
 
-    monkeypatch.setattr(matrices, "matrix_rank", no_fallback)
+    def recorded(n, count):
+        counts.append(count)
+        return original(n, count)
+
+    monkeypatch.setattr(matrices, "split_primes", recorded)
     start = time.perf_counter()
     code, data = run_cli(tmp_path, "homology", "--catalog", "t3", "--character", "1009:1")
     assert code == 0 and data["dims"] == [0, 0, 0, 0]
+    assert 0 < max(counts) <= 152
     assert time.perf_counter() - start < 20
+
+
+def test_rep_file_conductor_must_match_entries(tmp_path, capsys):
+    """A rep file's "conductor" field is the lcm of its entries' conductors."""
+    rep_file = tmp_path / "rep.json"
+    rep_file.write_text(json.dumps({"dim": 1, "conductor": 5, "provenance": "explicit",
+                                    "generators": [[[_root_json(4)]]] * 3}))
+    code, data = run_cli(tmp_path, "homology", "--catalog", "t3", "--rep", str(rep_file))
+    assert code == 1 and data is None
+    assert capsys.readouterr().err.startswith(
+        "error: rep conductor 5 is not the lcm 4")
+    # rep_to_json writes the rep's conductor, also when its images are stored
+    # at another order (-zeta_3 is zeta_6)
+    t3 = catalog_complex("t3").complex.group
+    rep = explicit_rep(t3, [[[-Cyclo.root_of_unity(3)]]] * 3)
+    assert rep.conductor == 3 and rep.compiled.n == 6
+    assert rep_from_json(json.loads(json.dumps(rep_to_json(rep))), t3).conductor == 3

@@ -1,6 +1,7 @@
 """Twisted homology: specialization, dims, coinvariants, covers, splits, sums."""
 
 import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,22 +9,24 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from twisthom.complexes import (EquivariantComplex, catalog_complex,
+                                catalog_entry_from_string,
                                 presentation_complex, trefoil_group)
 from twisthom.groups import (GroupPresentation, GroupRingElt, PermAction,
                              free_product, reidemeister_schreier,
                              trivial_action, word_power)
 from twisthom.homology import (BoundaryError, GroupMismatchError,
-                               coinvariants_h0, connected_sum_dims,
-                               homology_dims, shapiro_compare, specialize,
-                               specialize_restricted, subquotient_dims,
+                               _subspace_ranks, coinvariants_h0,
+                               connected_sum_dims, homology_dims,
+                               shapiro_compare, specialize, subquotient_dims,
                                twisted_homology)
 from twisthom.matrices import (Matrix, certified_rank, integer_kernel_basis,
-                               matrix_rank, solve_column_combination)
+                               matrix_rank)
 from twisthom.numbers import Cyclo
-from twisthom.reps import (character_from_grading, evaluate_word, explicit_rep,
-                           induce_rep, invariant_coinvariant_split,
-                           permutation_rep, quaternion_left_rep,
-                           restrict_to_span, torsion_characters, trivial_rep)
+from twisthom.reps import (SplitData, character_from_grading, evaluate_word,
+                           explicit_rep, induce_rep,
+                           invariant_coinvariant_split, permutation_rep,
+                           quaternion_left_rep, torsion_characters,
+                           trivial_rep)
 
 
 def _circle():
@@ -179,6 +182,63 @@ def test_subquotient_rejects_bad_split():
         subquotient_dims(circle, d, s)
 
 
+def _character_values(cx, rng):
+    """Generator values of a nontrivial character g -> (+-zeta_m)^phi(g), phi a
+    random grading; the minus sign at odd m gives order 2m in Q(zeta_m).
+    Without gradings (lens:3,1, H1 = Z/3) it takes cube roots of unity."""
+    ngens = cx.group.num_generators
+    lattice = integer_kernel_basis(cx.group.exponent_matrix().transpose())
+    if not lattice:
+        return [Cyclo.root_of_unity(3, rng.randrange(1, 3))]
+    while True:
+        coeffs = [rng.randrange(-2, 3) for _ in lattice]
+        phi = [sum(a * v[g] for a, v in zip(coeffs, lattice)) for g in range(ngens)]
+        m, sign = rng.choice(((3, -1), (4, 1), (5, -1), (6, 1)))
+        values = [sign ** (e % 2) * Cyclo.root_of_unity(m, e) for e in phi]
+        if any(x != Cyclo.one() for x in values):
+            return values
+
+
+@pytest.mark.parametrize("base", ["circle", "torus2d", "lens:3,1", "trefoil_exterior", "t3"])
+def test_subspace_dims_match_summands(base):
+    """On rotated sums of 1-4 characters, some trivial, dims_w is the sum of
+    the nontrivial summands' dims and dims_wperp is (trivial summands) x the
+    trivial dims; both are computed separately, one character at a time."""
+    cx = _circle() if base == "circle" else catalog_entry_from_string(base).complex
+    rng = random.Random(f"subspace {base}")
+    trivial_dims = twisted_homology(cx, trivial_rep(cx.group, 1)).dims
+    for k in range(1, 5):
+        for t in range(k + 1):
+            summands = [[Cyclo.one()] * cx.group.num_generators for _ in range(t)]
+            summands += [_character_values(cx, rng) for _ in range(k - t)]
+            rng.shuffle(summands)
+            mats = [_diagonal([s[g] for s in summands]) for g in range(cx.group.num_generators)]
+            rep = explicit_rep(cx.group, _rotated(mats, k) if k > 1 else mats)
+            w, v, q = subquotient_dims(cx, rep, invariant_coinvariant_split(rep))
+            want_w = [0] * len(cx.ranks)
+            for s in summands:
+                if any(x != Cyclo.one() for x in s):
+                    d = twisted_homology(cx, explicit_rep(cx.group, [[[x]] for x in s])).dims
+                    want_w = [a + b for a, b in zip(want_w, d)]
+            case = (k, t, summands)
+            assert w.dims == tuple(want_w), case
+            assert q.dims == tuple(t * d for d in trivial_dims), case
+            assert v.dims == tuple(a + b for a, b in zip(w.dims, q.dims)), case
+
+
+def test_subquotient_rejects_degenerate_w():
+    """W given with a repeated column (and the true W-perp, so the counts add
+    up) is refused as degenerate; the span check alone would pass it, since
+    [W | stacked] still has rank 2."""
+    rep = _backend_reps()["dense"]
+    split = invariant_coinvariant_split(rep)
+    first = split.w_basis.column(0)
+    repeated = Matrix(rep.dim, 2, [[x, x] for x in first])
+    with pytest.raises(ValueError, match="degenerate"):
+        subquotient_dims(catalog_complex("t3").complex, rep,
+                         SplitData(repeated, split.wperp_basis))
+
+
 def test_connected_sum_examples():
     s1xs2 = catalog_complex("s1xs2")
     lens3 = catalog_complex("lens", [3, 1])
@@ -277,38 +337,26 @@ def _backend_reps():
             "non-root": non_root}
 
 
-def _backend_cases(word_reference):
-    """(name, complex, BlockComplex, dim, word image) for four kinds of rep."""
-    t3 = catalog_complex("t3").complex
-    reps = _backend_reps()
-    cases = [(name, t3, specialize(t3, reps[name]), reps[name].dim,
-              lambda w, r=reps[name]: word_reference(r, w))
-             for name in ("permutation", "induced 2x2", "dense")]
-    dense = reps["dense"]
-    w_basis = invariant_coinvariant_split(dense).w_basis
-    mats = restrict_to_span(dense, w_basis)
-    ident = Matrix.identity(w_basis.cols, Cyclo.one(), Cyclo.zero())
-    inverses = [solve_column_combination(m, ident) for m in mats]
-    assert all(m @ inv == ident for m, inv in zip(mats, inverses))
-
-    def restricted_image(w):
-        out = ident
-        for g, e in w:
-            out = out @ (mats[g] if e == 1 else inverses[g])
-        return out
-
-    cases.append(("restricted", t3, specialize_restricted(t3, dense, w_basis),
-                  w_basis.cols, restricted_image))
-    return cases
+def _block_diagonal(m: Matrix, copies: int) -> Matrix:
+    """I_copies tensor m."""
+    zero = Cyclo.zero()
+    return Matrix(copies * m.rows, copies * m.cols,
+                  [[m[i % m.rows, j % m.cols] if i // m.rows == j // m.cols else zero
+                    for j in range(copies * m.cols)] for i in range(copies * m.rows)])
 
 
 def test_boundaries_match_independent_assembly(word_reference):
-    """Every compiled form (monomial, k x k blocks with denominators, dense,
-    restricted with exact inverses) gives the boundaries and ranks of a
-    straight Cyclo assembly from reference word images and Bareiss ranks."""
+    """Every compiled form (monomial, k x k blocks with denominators, dense)
+    gives the boundaries and ranks of a straight Cyclo assembly from reference
+    word images and Bareiss ranks; so do the ranks of the invariant subspace
+    W, read off the dense rep's complex as d_V (I tensor B)."""
+    t3 = catalog_complex("t3").complex
+    reps = _backend_reps()
     kinds = {}
-    for name, c, b, dim, image in _backend_cases(word_reference):
-        expected = _assembled(c, dim, image)
+    for name in ("permutation", "induced 2x2", "dense"):
+        r = reps[name]
+        b, dim = specialize(t3, r), r.dim
+        expected = _assembled(t3, dim, lambda w: word_reference(r, w))
         assert len(b.boundaries) == len(expected)
         ranks = [0]
         for k, m in enumerate(expected):
@@ -316,11 +364,22 @@ def test_boundaries_match_independent_assembly(word_reference):
             ranks.append(matrix_rank(m))
             assert certified_rank(b.boundaries[k], b.conductor) == ranks[-1], (name, k)
         ranks.append(0)
-        want = [dim * r - ranks[i] - ranks[i + 1] for i, r in enumerate(c.ranks)]
+        want = [dim * cells - ranks[i] - ranks[i + 1] for i, cells in enumerate(t3.ranks)]
         assert homology_dims(b).dims == tuple(want), name
         kinds[name] = (b.conductor, max(b.denominators))
-    assert kinds == {"permutation": (1, 1), "induced 2x2": (4, 25), "dense": (12, 25),
-                     "restricted": (12, 1)}
+    assert kinds == {"permutation": (1, 1), "induced 2x2": (4, 25), "dense": (12, 25)}
+
+    dense = reps["dense"]
+    split = invariant_coinvariant_split(dense)
+    w_basis = split.w_basis
+    assert (w_basis.rows, w_basis.cols) == (3, 2)
+    expected = _assembled(t3, dense.dim, lambda w: word_reference(dense, w))
+    ranks = [matrix_rank(m @ _block_diagonal(w_basis, m.cols // dense.dim))
+             for m in expected]
+    assert _subspace_ranks(specialize(t3, dense), w_basis) == ranks
+    ranks = [0] + ranks + [0]
+    want = [2 * cells - ranks[i] - ranks[i + 1] for i, cells in enumerate(t3.ranks)]
+    assert subquotient_dims(t3, dense, split)[0].dims == tuple(want)
 
 
 @st.composite

@@ -43,3 +43,22 @@ def test_seeded_induced_reps_are_valid():
         assert rep.dim <= 6
         assert verify_rep(rep)
         assert _verify_rep_uncached(rep)  # not just the constructor flag
+
+
+def test_les_suite_fails_under_random_ranks(monkeypatch):
+    """The les suite must be able to fail: with a rank layer that answers at
+    random (seeded), most splits are reported as failures."""
+    import random
+    from twisthom import homology, matrices
+    from twisthom.suites import les_suite
+
+    rng = random.Random(0)
+
+    def random_rank(a, n, lift=None):
+        return rng.randint(0, min(a.shape[:2]))
+
+    monkeypatch.setattr(matrices, "certified_rank", random_rank)
+    monkeypatch.setattr(homology, "certified_rank", random_rank)
+    report = les_suite(0)
+    assert report.passed + report.failed == 100
+    assert report.failed > 0
