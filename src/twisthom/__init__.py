@@ -23,8 +23,7 @@ from .homology import (BlockComplex, BoundaryError, GroupMismatchError,
                        HomologyReport, coinvariants_h0, connected_sum_dims,
                        homology_dims, shapiro_compare, specialize,
                        subquotient_dims, twisted_homology, validate_complex)
-from .matrices import (Matrix, fast_rank, kernel_basis_poly, matrix_rank,
-                       smith_normal_form_int, smith_normal_form_poly)
+from .matrices import Matrix, fast_rank, smith_normal_form_int
 from .numbers import Cyclo, Laurent, cyclotomic_polynomial, euler_phi
 from .reps import (SplitData, UnitaryRep, character_from_grading, evaluate_word,
                    explicit_rep, fixed_point_free_check, induce_rep,

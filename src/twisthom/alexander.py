@@ -116,8 +116,8 @@ def torsion_invariants(mats: list[Matrix], ranks) -> TorsionData:
     over the PID Q[t, t^-1]; ``mats[i]`` is d_{i+1}: C_{i+1} -> C_i.
 
     Once d.d = 0 holds, ker d_i is a direct summand of C_i (im d_i is free), so
-    Tors H_i = Tors coker d_{i+1}.  One Smith elimination per boundary, without
-    transforms, gives everything: the torsion polynomials of H_i are the
+    Tors H_i = Tors coker d_{i+1}.  One Smith elimination per boundary, diagonal
+    only, gives everything: the torsion polynomials of H_i are the
     non-unit invariant factors of d_{i+1}, and the free rank is
     c_i - rank d_i - rank d_{i+1}, each rank being the number of nonzero
     factors.  Shapes and d.d = 0 are checked exactly here (ValueError).

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 
 from .groups import (EMPTY_WORD, GroupPresentation, GroupRingElt, PermAction,
-                     Word, free_reduce, reidemeister_schreier, word_inverse,
-                     word_mul, word_power)
-from .matrices import Matrix, fast_rank
+                     Word, abelianization, free_reduce, reidemeister_schreier,
+                     word_inverse, word_mul, word_power)
+from .matrices import Matrix
 
 GR_ONE = GroupRingElt.one()
 
@@ -355,16 +355,6 @@ def _quaternion_complex() -> EquivariantComplex:
     return EquivariantComplex(p, (1, 2, 2, 1), (d1, d2, d3))
 
 
-def _trivial_dims_by_augmentation(c: EquivariantComplex) -> tuple[int, ...]:
-    """Homology dims over Q under the trivial 1-dim rep, via integer ranks."""
-    ranks = []
-    for b in c.boundaries:
-        aug = [[b[i, j].augmentation() for j in range(b.cols)] for i in range(b.rows)]
-        ranks.append(fast_rank(Matrix(b.rows, b.cols, aug)))
-    ranks = [0] + ranks + [0]
-    return tuple(c.ranks[i] - ranks[i] - ranks[i + 1] for i in range(len(c.ranks)))
-
-
 CATALOG_NAMES = ("lens", "s1xs2", "t3", "s1x_sigma", "quaternion_q8",
                  "trefoil_exterior", "handlebody", "torus2d", "free_product_of")
 
@@ -436,7 +426,11 @@ def catalog_complex(name: str, params=()) -> CatalogEntry:
         for part in parts[1:]:
             group = fp(group, part.complex.group)
         cx = presentation_complex(group)
-        expected = _trivial_dims_by_augmentation(cx)
+        # Under the trivial rep d1 vanishes and d2 is the relator exponent
+        # matrix, of rank g - b1; so the dims are (1, b1, r - g + b1).
+        b1 = abelianization(group)[0]
+        expected = (1, b1, len(group.relators) - group.num_generators + b1) \
+            if group.relators else (1, b1)
         label = ",".join(str(s) for s in params)
         return CatalogEntry("free_product_of", tuple(params), cx, expected,
                             f"presentation complex of the free product of [{label}]",
@@ -445,15 +439,25 @@ def catalog_complex(name: str, params=()) -> CatalogEntry:
 
 
 def catalog_entry_from_string(spec: str) -> CatalogEntry:
-    """Parse "name" or "name:p1,p2" into a catalog entry."""
+    """Parse "name" or "name:p1,p2" into a catalog entry.
+
+    The parts of "free_product_of:..." are catalog specs themselves, so each
+    bare-integer token joins the named part before it: "lens:5,1,t3" is the
+    parts "lens:5,1" and "t3".
+    """
     if ":" in spec:
         name, _, rest = spec.partition(":")
         params = [s.strip() for s in rest.split(",") if s.strip()]
         parsed = []
         for s in params:
             try:
-                parsed.append(int(s))
+                value = int(s)
             except ValueError:
                 parsed.append(s)
+                continue
+            if parsed and isinstance(parsed[-1], str):
+                parsed[-1] = f"{parsed[-1]},{value}"
+            else:
+                parsed.append(value)
         return catalog_complex(name.strip(), parsed)
     return catalog_complex(spec.strip(), ())

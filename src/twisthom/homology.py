@@ -243,8 +243,12 @@ def subquotient_dims(c: EquivariantComplex, r: UnitaryRep, s: SplitData) \
 
     if dims_v.euler != dims_w.euler + dims_wperp.euler:
         raise CrossCheckError("Euler characteristic is not additive across the split")
-    for i in range(len(dims_v.dims)):
-        if dims_v.dims[i] > dims_w.dims[i] + dims_wperp.dims[i]:
+    # exactness of ... -> H_i(W) -> H_i(V) -> H_i(V/W) -> H_{i-1}(W) -> ... at
+    # H_i(V), at H_i(W) and at H_i(V/W).  Terms out of range are 0: the
+    # appended 0 is read both at i + 1 = len(c.ranks) and at i - 1 = -1.
+    hv, hw, hq = (list(h.dims) + [0] for h in (dims_v, dims_w, dims_wperp))
+    for i in range(len(c.ranks)):
+        if hv[i] > hw[i] + hq[i] or hw[i] > hv[i] + hq[i + 1] or hq[i] > hv[i] + hw[i - 1]:
             raise CrossCheckError("long-exact-sequence bound violated in degree %d" % i)
     return dims_w, dims_v, dims_wperp
 

@@ -1,14 +1,19 @@
 """Dense exact matrices and the normal-form kernels built on them.
 
 A ``Matrix`` stores one scalar domain per instance (Fraction/int, Cyclo or
-Laurent).  Everything here is exact.  Ranks over Q and Q(zeta_n) have one
-routine, ``certified_rank``: it takes integer coefficient arrays over
-Z[x]/(x^n - 1), ranks them over F_p for split primes p = 1 (mod n), and
-certifies the result with a Hadamard bound on the norms of the minors.
-It has no fallback: when the interval of split primes cannot supply the
-certified count, it raises ValueError.  Bareiss ``matrix_rank`` ranks
-Laurent matrices and is the test oracle.  Degenerate shapes (0 rows or
-columns) are legal everywhere and have rank 0.
+Laurent).  Everything here is exact, with one elimination per ring:
+
+- ranks over Q and Q(zeta_n): ``certified_rank``.  It takes integer
+  coefficient arrays over Z[x]/(x^n - 1), ranks them over F_p for split
+  primes p = 1 (mod n), and certifies the result with a Hadamard bound on
+  the norms of the minors.  It has no fallback: when the interval of split
+  primes cannot supply the certified count, it raises ValueError;
+- Smith normal form over Z: ``smith_normal_form_int``, with U and V;
+- Smith normal form over Q[t, t^-1]: ``invariant_factors_poly``, the
+  diagonal alone.
+
+``rref`` still serves the invariant/coinvariant split over Q(zeta_n).
+Degenerate shapes (0 rows or columns) are legal everywhere and have rank 0.
 """
 
 from __future__ import annotations
@@ -21,9 +26,6 @@ import numpy as np
 
 from .numbers import (Cyclo, Laurent, as_fraction, cyclotomic_reduction_rows,
                       euler_phi)
-
-_INT_TYPES = (int, np.integer)
-
 
 class Matrix:
     """Immutable dense matrix over a single exact scalar domain."""
@@ -40,10 +42,6 @@ class Matrix:
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
-
-    @staticmethod
-    def zero(rows: int, cols: int, zero_scalar=0) -> "Matrix":
-        return Matrix(rows, cols, [[zero_scalar] * cols for _ in range(rows)])
 
     @staticmethod
     def identity(n: int, one_scalar=1, zero_scalar=0) -> "Matrix":
@@ -98,66 +96,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.entries!r})"
-
-
-# ---------------------------------------------------------------------------
-# exact rank: fraction-free elimination, first-nonzero pivoting
-# ---------------------------------------------------------------------------
-
-def _exact_div(a, b):
-    if isinstance(a, _INT_TYPES) and isinstance(b, _INT_TYPES):
-        q, r = divmod(a, b)
-        assert r == 0, "inexact integer division in fraction-free elimination"
-        return q
-    if isinstance(a, Cyclo) or isinstance(b, Cyclo):
-        bc = b if isinstance(b, Cyclo) else Cyclo.from_rational(as_fraction(b))
-        return a * bc.invert()
-    if isinstance(a, Laurent) or isinstance(b, Laurent):
-        al = a if isinstance(a, Laurent) else Laurent.const(a)
-        bl = b if isinstance(b, Laurent) else Laurent.const(b)
-        return al.exact_div(bl)
-    return as_fraction(a) / as_fraction(b)
-
-
-def matrix_rank(m: Matrix) -> int:
-    """Exact rank by fraction-free (Bareiss) elimination.
-
-    Pivots are chosen as the first nonzero entry of the active submatrix,
-    scanning rows then columns, so results are reproducible bit for bit.
-    Works over Fraction/int, Cyclo and Laurent entries.
-    """
-    a = [row[:] for row in m.entries]
-    nrows, ncols = m.rows, m.cols
-    rank = 0
-    prev = 1
-    r = 0
-    while r < nrows and rank < ncols:
-        pivot = None
-        for i in range(r, nrows):
-            for j in range(rank, ncols):
-                if a[i][j]:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != r:
-            a[r], a[pi] = a[pi], a[r]
-        if pj != rank:
-            for row in a:
-                row[rank], row[pj] = row[pj], row[rank]
-        p = a[r][rank]
-        for i in range(r + 1, nrows):
-            head = a[i][rank]
-            for j in range(rank + 1, ncols):
-                a[i][j] = _exact_div(p * a[i][j] - head * a[r][j], prev)
-            a[i][rank] = 0 if not isinstance(p, Laurent) else Laurent()
-        prev = p
-        rank += 1
-        r += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +307,10 @@ def certified_rank(a: np.ndarray, n: int, lift: np.ndarray | None = None) -> int
 
 
 def fast_rank(m: Matrix) -> int:
-    """Exact rank of a Matrix over Q or Q(zeta_n) by ``certified_rank``;
-    Laurent entries go to Bareiss ``matrix_rank``."""
+    """Exact rank of a Matrix over Q or Q(zeta_n) (Fraction/int or Cyclo
+    entries) by ``certified_rank``."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    if isinstance(m.entries[0][0], Laurent):
-        return matrix_rank(m)
     a, n = cyclo_array(m)
     return certified_rank(a, n)
 
@@ -483,48 +419,16 @@ def integer_kernel_basis(m: Matrix) -> list[list[int]]:
     return [v.column(j) for j in range(rank, m.cols)]
 
 
-def det_int(m: Matrix) -> int:
-    """Exact determinant of a square integer matrix (Bareiss)."""
-    n = m.rows
-    assert n == m.cols
-    if n == 0:
-        return 1
-    a = [[int(x) for x in row] for row in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 # ---------------------------------------------------------------------------
-# Smith normal form and kernels over Q[t, t^-1]
+# Smith normal form over Q[t, t^-1]
 # ---------------------------------------------------------------------------
-
-def _as_laurent(x) -> Laurent:
-    if isinstance(x, Laurent):
-        return x
-    return Laurent.const(x)
-
 
 def _content_unit(vals) -> Laurent | None:
     """Unit u = c * t^k making the entries coprime-integer with valuation 0.
 
-    Multiplying a row or column (and its transform row) by such a unit keeps
-    U, V unimodular while stopping the coefficient blowup of rational
-    polynomial elimination (the primitive-remainder trick).
+    Multiplying a row or column by such a unit keeps its invariant factors
+    while stopping the coefficient blowup of rational polynomial elimination
+    (the primitive-remainder trick).
     """
     num_gcd = 0
     den_lcm = 1
@@ -545,94 +449,54 @@ def _content_unit(vals) -> Laurent | None:
     return Laurent.t_power(-min_val, factor)
 
 
-def _laurent_matrix(m: Matrix) -> list[list[Laurent]]:
-    return [[_as_laurent(x) for x in row] for row in m.entries]
-
-
-def smith_normal_form_poly(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """U*A*V = D over Q[t, t^-1]: U, V unimodular (unit determinant c*t^k),
-    D diagonal with entries monic with nonzero constant term (or zero) and
-    d_i | d_{i+1}.
-    """
-    a, u, v = _snf_poly(m, transforms=True)
-    return (Matrix(m.rows, m.rows, u), Matrix(m.rows, m.cols, a),
-            Matrix(m.cols, m.cols, v))
-
-
 def invariant_factors_poly(m: Matrix) -> list[Laurent]:
-    """The diagonal of the Smith normal form of m over Q[t, t^-1], computed
-    without the transforms: the nonzero entries come first, each monic with
-    nonzero constant term and dividing the next; their count is the rank."""
-    a, _, _ = _snf_poly(m, transforms=False)
-    return [a[i][i] for i in range(min(m.rows, m.cols))]
+    """The diagonal of the Smith normal form of m over Q[t, t^-1]: the nonzero
+    entries come first, each monic with nonzero constant term and dividing
+    the next; their count is the rank."""
+    a = _snf_poly(m)
+    return [a[i][i].unit_normalize() for i in range(min(m.rows, m.cols))]
 
 
-def _snf_poly(m: Matrix, transforms: bool):
-    """The one Smith elimination over Q[t, t^-1]: the entries of D, U and V.
+def _snf_poly(m: Matrix) -> list[list[Laurent]]:
+    """The Smith elimination over Q[t, t^-1] on A alone (no U or V): the
+    eliminated entries, diagonal up to units.
 
-    Without ``transforms``, U has zero columns and V zero rows, so every
-    transform update is empty and A receives exactly the same operations.
     Rows are first scaled by t^-v to land in Q[t]; pivoting picks the entry of
     smallest polynomial degree (ties by row, then column).
     """
-    a = _laurent_matrix(m)
+    a = [[x if isinstance(x, Laurent) else Laurent.const(x) for x in row]
+         for row in m.entries]
     nr, nc = m.rows, m.cols
-    one, zero = Laurent.const(1), Laurent()
-    u = [[one if i == j else zero for j in range(nr)] if transforms else []
-         for i in range(nr)]
-    v = [[one if i == j else zero for j in range(nc)] for i in range(nc)] if transforms else []
 
     # zero entries are skipped: Laurent values are canonical, so x - q*0 is x
     def scale_row(i, unit):
         a[i] = [unit * x if x else x for x in a[i]]
-        u[i] = [unit * x if x else x for x in u[i]]
 
     def scale_col(j, unit):
         for row in a:
             if row[j]:
                 row[j] = unit * row[j]
-        for row in v:
-            if row[j]:
-                row[j] = unit * row[j]
 
     def row_op(i1, i2, q):  # row i2 -= q*row i1, then renormalize content
         a[i2] = [x - q * y if y else x for x, y in zip(a[i2], a[i1])]
-        u[i2] = [x - q * y if y else x for x, y in zip(u[i2], u[i1])]
         unit = _content_unit(a[i2])
         if unit is not None:
             scale_row(i2, unit)
-        elif not any(a[i2]):
-            unit = _content_unit(u[i2])  # zero A-row: tame U alone, still valid
-            if unit is not None:
-                u[i2] = [unit * x for x in u[i2]]
 
     def col_op(j1, j2, q):  # col j2 -= q*col j1, then renormalize content
         for row in a:
             if row[j1]:
                 row[j2] = row[j2] - q * row[j1]
-        for row in v:
-            if row[j1]:
-                row[j2] = row[j2] - q * row[j1]
         unit = _content_unit([row[j2] for row in a])
         if unit is not None:
             scale_col(j2, unit)
-        elif not any(row[j2] for row in a):
-            unit = _content_unit([row[j2] for row in v])
-            if unit is not None:
-                for row in v:
-                    row[j2] = unit * row[j2]
 
     def swap_rows(i1, i2):
-        if i1 != i2:
-            a[i1], a[i2] = a[i2], a[i1]
-            u[i1], u[i2] = u[i2], u[i1]
+        a[i1], a[i2] = a[i2], a[i1]
 
     def swap_cols(j1, j2):
-        if j1 != j2:
-            for row in a:
-                row[j1], row[j2] = row[j2], row[j1]
-            for row in v:
-                row[j1], row[j2] = row[j2], row[j1]
+        for row in a:
+            row[j1], row[j2] = row[j2], row[j1]
 
     # clear t-powers and content rowwise
     for i in range(nr):
@@ -717,115 +581,7 @@ def _snf_poly(m: Matrix, transforms: bool):
             row_op(offender, k, Laurent.const(-1))
             continue
         k += 1
-    # normalize diagonal entries to monic with nonzero constant term
-    for i in range(min(nr, nc)):
-        d = a[i][i]
-        if d:
-            unit = Laurent.t_power(-d.valuation(), 1 / d.leading_coeff())
-            if not unit.is_one():
-                scale_row(i, unit)
-    return a, u, v
-
-
-def poly_diagonal(d: Matrix) -> list[Laurent]:
-    return [_as_laurent(d.entries[i][i]) for i in range(min(d.rows, d.cols))]
-
-
-def det_poly(m: Matrix) -> Laurent:
-    """Determinant of a square Laurent matrix by cofactor/Bareiss-free expansion.
-
-    Only used on the small unimodular witnesses from SNF, so the naive
-    expansion is fine up to ~6x6.
-    """
-    n = m.rows
-    assert n == m.cols
-    if n == 0:
-        return Laurent.const(1)
-    a = _laurent_matrix(m)
-
-    def cof(rows, cols):
-        if len(rows) == 1:
-            return a[rows[0]][cols[0]]
-        total = Laurent()
-        r0 = rows[0]
-        for idx, c in enumerate(cols):
-            x = a[r0][c]
-            if x:
-                sub = cof(rows[1:], cols[:idx] + cols[idx + 1:])
-                term = x * sub
-                total = total + term if idx % 2 == 0 else total - term
-        return total
-
-    return cof(tuple(range(n)), tuple(range(n)))
-
-
-def kernel_basis_poly(m: Matrix) -> Matrix:
-    """Free basis of the kernel of a Laurent matrix, as columns.
-
-    Column reduction by the Euclidean algorithm; the returned basis has
-    cols(A) - rank(A) columns.  Each basis column is normalized so its first
-    nonzero entry is monic with zero valuation.
-    """
-    a = _laurent_matrix(m)
-    nr, nc = m.rows, m.cols
-    one = Laurent.const(1)
-    v = [[one if i == j else Laurent() for j in range(nc)] for i in range(nc)]
-
-    def col_op(j_src, j_dst, q):
-        for i in range(nr):
-            a[i][j_dst] = a[i][j_dst] - q * a[i][j_src]
-        for i in range(nc):
-            v[i][j_dst] = v[i][j_dst] - q * v[i][j_src]
-        unit = _content_unit([a[i][j_dst] for i in range(nr)])
-        if unit is None and not any(a[i][j_dst] for i in range(nr)):
-            unit = _content_unit([v[i][j_dst] for i in range(nc)])
-            if unit is not None:
-                for i in range(nc):
-                    v[i][j_dst] = unit * v[i][j_dst]
-            return
-        if unit is not None:
-            for i in range(nr):
-                a[i][j_dst] = unit * a[i][j_dst]
-            for i in range(nc):
-                v[i][j_dst] = unit * v[i][j_dst]
-
-    def scale_col(j, unit):
-        for i in range(nr):
-            a[i][j] = unit * a[i][j]
-        for i in range(nc):
-            v[i][j] = unit * v[i][j]
-
-    active = list(range(nc))
-    for i in range(nr):
-        while True:
-            live = [j for j in active if a[i][j]]
-            if len(live) <= 1:
-                break
-            # reduce against the smallest-degree entry in this row
-            live.sort(key=lambda j: (a[i][j].degree() - a[i][j].valuation(), j))
-            pivot = live[0]
-            piv_deg = a[i][pivot].degree() - a[i][pivot].valuation()
-            lead = a[i][pivot].leading_coeff()
-            for j in live[1:]:
-                shift = (a[i][j].degree() - a[i][j].valuation()) - piv_deg
-                if shift >= 0 and lead != 1:
-                    scale_col(j, Laurent.const(lead ** (shift + 1)))
-                q, _ = a[i][j].divmod(a[i][pivot])
-                col_op(pivot, j, q)
-        live = [j for j in active if a[i][j]]
-        if live:
-            active.remove(live[0])
-    kernel_cols = [j for j in active if all(not a[i][j] for i in range(nr))]
-    assert len(kernel_cols) == len(active), "column reduction left a nonzero active column"
-    cols = []
-    for j in kernel_cols:
-        col = [v[i][j] for i in range(nc)]
-        lead = next((x for x in col if x), None)
-        if lead is not None:
-            unit = Laurent.t_power(-lead.valuation(), 1 / lead.leading_coeff())
-            col = [unit * x for x in col]
-        cols.append(col)
-    return Matrix(nc, len(cols), [[cols[j][i] for j in range(len(cols))] for i in range(nc)])
+    return a
 
 
 # ---------------------------------------------------------------------------

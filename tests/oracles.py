@@ -1,0 +1,206 @@
+"""Exact references for the library's linear algebra, independent of it.
+
+The library has one elimination per ring: the split-prime ``certified_rank``
+over Q and Q(zeta_n), ``smith_normal_form_int`` over Z and the diagonal-only
+``invariant_factors_poly`` over Q[t, t^-1].  The routines here reach the same
+answers by other eliminations and use only ``Matrix`` and the scalar types
+``Cyclo`` and ``Laurent`` of the library:
+
+- ``matrix_rank``: fraction-free (Bareiss) elimination over Fraction/int,
+  Cyclo or Laurent entries;
+- ``det_int`` (Bareiss) and ``det_poly`` (cofactor expansion);
+- ``smith_normal_form_poly``: U A V = D over Q[t, t^-1] with both
+  transforms, by elimination on A bordered with identities, and its own
+  content normalization;
+- ``kernel_basis_poly``: the columns of that V past the rank.
+"""
+
+import math
+from fractions import Fraction
+
+from twisthom.matrices import Matrix
+from twisthom.numbers import Cyclo, Laurent
+
+
+def _laurent(x) -> Laurent:
+    return x if isinstance(x, Laurent) else Laurent.const(x)
+
+
+def _exact_div(a, b):
+    if isinstance(a, Laurent) or isinstance(b, Laurent):
+        return _laurent(a).exact_div(_laurent(b))
+    if isinstance(a, Cyclo) or isinstance(b, Cyclo):
+        return a * (b if isinstance(b, Cyclo) else Cyclo.from_rational(Fraction(b))).invert()
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        assert r == 0, "inexact integer division in fraction-free elimination"
+        return q
+    return Fraction(a) / Fraction(b)
+
+
+def matrix_rank(m: Matrix) -> int:
+    """Exact rank by fraction-free (Bareiss) elimination, pivoting on the
+    first nonzero entry of the active block (rows, then columns)."""
+    a = [row[:] for row in m.entries]
+    rank, prev = 0, 1
+    while rank < min(m.rows, m.cols):
+        pivot = next(((i, j) for i in range(rank, m.rows) for j in range(rank, m.cols)
+                      if a[i][j]), None)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        a[rank], a[pi] = a[pi], a[rank]
+        for row in a:
+            row[rank], row[pj] = row[pj], row[rank]
+        p = a[rank][rank]
+        for i in range(rank + 1, m.rows):
+            head = a[i][rank]
+            for j in range(rank + 1, m.cols):
+                a[i][j] = _exact_div(p * a[i][j] - head * a[rank][j], prev)
+        prev = p
+        rank += 1
+    return rank
+
+
+def det_int(m: Matrix) -> int:
+    """Exact determinant of a square integer matrix (Bareiss)."""
+    n = m.rows
+    assert n == m.cols
+    if n == 0:
+        return 1
+    a = [[int(x) for x in row] for row in m.entries]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def det_poly(m: Matrix) -> Laurent:
+    """Determinant of a small square Laurent matrix by cofactor expansion
+    along the first row."""
+    assert m.rows == m.cols
+    a = [[_laurent(x) for x in row] for row in m.entries]
+
+    def cof(rows, cols):
+        if not rows:
+            return Laurent.const(1)
+        total = Laurent()
+        for idx, c in enumerate(cols):
+            if a[rows[0]][c]:
+                term = a[rows[0]][c] * cof(rows[1:], cols[:idx] + cols[idx + 1:])
+                total = total + term if idx % 2 == 0 else total - term
+        return total
+
+    return cof(tuple(range(m.rows)), tuple(range(m.cols)))
+
+
+def poly_diagonal(d: Matrix) -> list[Laurent]:
+    return [_laurent(d.entries[i][i]) for i in range(min(d.rows, d.cols))]
+
+
+def _primitive(vals) -> Laurent:
+    """The unit c * t^k of Q[t, t^-1] that turns the nonzero entries of vals
+    into integer polynomials with coprime coefficients and a nonzero constant
+    term somewhere; 1 when every entry is zero."""
+    vals = [x for x in vals if x]
+    if not vals:
+        return Laurent.const(1)
+    coeffs = [c for x in vals for c in x.terms.values()]
+    scale = Fraction(math.lcm(*(c.denominator for c in coeffs)),
+                     math.gcd(*(c.numerator for c in coeffs)))
+    return Laurent.t_power(-min(x.valuation() for x in vals), scale)
+
+
+def smith_normal_form_poly(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """U*A*V = D over Q[t, t^-1]: U, V unimodular (unit determinant c*t^k),
+    D diagonal with its nonzero entries first, each monic with nonzero
+    constant term and dividing the next.
+
+    The elimination runs on B = [[A, I_r], [I_c, 0]].  Row operations on its
+    first r rows carry U along in the last r columns, and column operations
+    on its first c columns carry V along in the last c rows; after each one
+    the whole row or column is made primitive.  Each pass moves an entry of
+    least degree of the active block to the pivot and divides the rest of
+    its row and column by it.  A pivot that fails to divide the block takes
+    in the row it fails on.
+    """
+    r, c = m.rows, m.cols
+    one, zero = Laurent.const(1), Laurent()
+    b = [[_laurent(x) for x in row] + [one if i == j else zero for j in range(r)]
+         for i, row in enumerate(m.entries)]
+    b += [[one if i == j else zero for j in range(c)] + [zero] * r for i in range(c)]
+
+    def deg(x: Laurent) -> int:
+        return x.degree() - x.valuation()
+
+    def scale_row(i, unit):
+        b[i] = [unit * x for x in b[i]]
+
+    def scale_col(j, unit):
+        for row in b:
+            row[j] = unit * row[j]
+
+    def add_row(src, dst, q):  # row dst -= q * row src
+        b[dst] = [x - q * y for x, y in zip(b[dst], b[src])]
+        scale_row(dst, _primitive(b[dst]))
+
+    def add_col(src, dst, q):  # col dst -= q * col src
+        for row in b:
+            row[dst] = row[dst] - q * row[src]
+        scale_col(dst, _primitive([row[dst] for row in b]))
+
+    k = 0
+    while k < min(r, c):
+        block = [(deg(b[i][j]), i, j) for i in range(k, r) for j in range(k, c) if b[i][j]]
+        if not block:
+            break
+        _, i, j = min(block)
+        b[k], b[i] = b[i], b[k]
+        for row in b:
+            row[k], row[j] = row[j], row[k]
+        p = b[k][k]
+        for i in range(k + 1, r):
+            if b[i][k]:
+                add_row(k, i, b[i][k].divmod(p)[0])
+        for j in range(k + 1, c):
+            if b[k][j]:
+                add_col(k, j, b[k][j].divmod(p)[0])
+        if any(b[i][k] for i in range(k + 1, r)) or any(b[k][j] for j in range(k + 1, c)):
+            continue  # a remainder of lower degree is left: it becomes the pivot
+        bad = next((i for i in range(k + 1, r) for j in range(k + 1, c)
+                    if not p.divides(b[i][j])), None)
+        if bad is not None:
+            add_row(bad, k, -one)
+            continue
+        k += 1
+    for i in range(min(r, c)):
+        if b[i][i]:
+            scale_row(i, Laurent.t_power(-b[i][i].valuation(), 1 / b[i][i].leading_coeff()))
+    return (Matrix(r, r, [row[c:] for row in b[:r]]),
+            Matrix(r, c, [row[:c] for row in b[:r]]),
+            Matrix(c, c, [row[:c] for row in b[r:]]))
+
+
+def kernel_basis_poly(m: Matrix) -> Matrix:
+    """Free basis of the kernel of a Laurent matrix, as columns: the columns
+    of V past the rank, where U A V = D.  Each column is scaled so that its
+    first nonzero entry is monic with valuation 0."""
+    _, d, v = smith_normal_form_poly(m)
+    rank = sum(1 for x in poly_diagonal(d) if x)
+    cols = []
+    for j in range(rank, m.cols):
+        col = v.column(j)
+        lead = next(x for x in col if x)
+        cols.append([x * Laurent.t_power(-lead.valuation(), 1 / lead.leading_coeff())
+                     for x in col])
+    return Matrix(m.cols, len(cols), [list(row) for row in zip(*cols)] if cols
+                  else [[] for _ in range(m.cols)])

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import matrix_rank
 from twisthom.complexes import catalog_complex
 from twisthom.groups import GroupRingElt, PermAction, reidemeister_schreier
 from twisthom import matrices
 from twisthom.homology import BoundaryError, specialize, subquotient_dims
 from twisthom.matrices import (Matrix, _evaluate_mod_p, _rank_mod_p,
                                certified_rank, cyclo_array, fast_rank,
-                               matrix_rank, split_primes)
+                               split_primes)
 from twisthom.numbers import Cyclo, euler_phi
 from twisthom.reps import (explicit_rep, induce_rep, invariant_coinvariant_split,
                            permutation_rep, torsion_characters)

@@ -36,6 +36,12 @@ def test_homology_t3_trivial(tmp_path):
     assert code == 0 and data["dims"] == [1, 3, 3, 1]
 
 
+def test_homology_free_product_with_parameterised_part(tmp_path):
+    code, data = run_cli(tmp_path, "homology", "--catalog", "free_product_of:lens:5,1,t3",
+                         "--trivial", "1")
+    assert code == 0 and data["dims"] == [1, 3, 3]
+
+
 def test_homology_trivial_character(tmp_path):
     code, data = run_cli(tmp_path, "homology", "--catalog", "lens:5,1",
                          "--character", "5:0")

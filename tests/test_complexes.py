@@ -113,6 +113,23 @@ def test_catalog_examples_from_table():
     assert catalog_complex("quaternion_q8").expected_trivial_dims == (1, 0, 0, 1)
 
 
+@pytest.mark.parametrize("spec, parts, dims", [
+    ("free_product_of:lens:5,1,t3", ("lens:5,1", "t3"), (1, 3, 3)),
+    ("free_product_of:t3,t3", ("t3", "t3"), (1, 6, 6)),
+    ("free_product_of:t3,s1xs2", ("t3", "s1xs2"), (1, 4, 3)),
+    ("free_product_of:quaternion_q8,t3", ("quaternion_q8", "t3"), (1, 3, 3)),
+    ("free_product_of:torus2d,trefoil_exterior", ("torus2d", "trefoil_exterior"), (1, 3, 1)),
+    ("free_product_of:handlebody:2", ("handlebody:2",), (1, 2)),
+])
+def test_free_product_of_parts_and_trivial_dims(spec, parts, dims):
+    """A bare integer joins the part before it, and the frozen trivial dims,
+    read off the abelianization, agree with the twisted homology."""
+    e = catalog_entry_from_string(spec)
+    assert e.parameters == parts and e.spec_string() == spec
+    assert e.expected_trivial_dims == dims
+    assert twisted_homology(e.complex, trivial_rep(e.complex.group, 1)).dims == dims
+
+
 def test_catalog_rejects_bad_input():
     with pytest.raises(ValueError):
         catalog_complex("lens", [0, 1])

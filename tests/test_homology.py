@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import matrix_rank
 from twisthom.complexes import (EquivariantComplex, catalog_complex,
                                 catalog_entry_from_string,
                                 presentation_complex, trefoil_group)
@@ -19,8 +20,7 @@ from twisthom.homology import (BoundaryError, GroupMismatchError,
                                connected_sum_dims, homology_dims,
                                shapiro_compare, specialize, subquotient_dims,
                                twisted_homology)
-from twisthom.matrices import (Matrix, certified_rank, integer_kernel_basis,
-                               matrix_rank)
+from twisthom.matrices import Matrix, certified_rank, integer_kernel_basis
 from twisthom.numbers import Cyclo
 from twisthom.reps import (SplitData, character_from_grading, evaluate_word,
                            explicit_rep, induce_rep,

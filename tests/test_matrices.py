@@ -1,15 +1,16 @@
-"""Matrix kernels: exact ranks, Smith normal forms, polynomial kernels."""
+"""Matrix kernels: exact ranks and Smith normal forms, against the
+independent references in ``oracles``."""
 
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from twisthom.matrices import (Matrix, det_int, det_poly, fast_rank,
-                               int_diagonal, integer_kernel_basis,
-                               invariant_factors_poly, kernel_basis_poly,
-                               matrix_rank, poly_diagonal,
-                               smith_normal_form_int, smith_normal_form_poly)
+from oracles import (det_int, det_poly, kernel_basis_poly, matrix_rank,
+                     poly_diagonal, smith_normal_form_poly)
+from twisthom.matrices import (Matrix, fast_rank, int_diagonal,
+                               integer_kernel_basis, invariant_factors_poly,
+                               smith_normal_form_int)
 from twisthom.numbers import Cyclo, Laurent, euler_phi
 
 
@@ -30,6 +31,8 @@ def test_rank_degenerate():
     assert matrix_rank(Matrix(0, 3, [])) == 0
     assert matrix_rank(Matrix(3, 0, [[], [], []])) == 0
     assert fast_rank(Matrix(0, 0, [])) == 0
+    assert fast_rank(Matrix(0, 3, [])) == 0
+    assert fast_rank(Matrix(3, 0, [[], [], []])) == 0
 
 
 def test_rank_identity():
@@ -102,12 +105,13 @@ def test_snf_poly_examples():
     one = Laurent.const(1)
     m = Matrix(2, 2, [[t - 1, Laurent()], [Laurent(), t - 1]])
     _, d, _ = smith_normal_form_poly(m)
-    assert poly_diagonal(d) == [t - 1, t - 1]
-    _, d, _ = smith_normal_form_poly(Matrix(1, 1, [[Laurent({1: 2})]]))
-    assert poly_diagonal(d) == [one]
+    assert invariant_factors_poly(m) == poly_diagonal(d) == [t - 1, t - 1]
+    m = Matrix(1, 1, [[Laurent({1: 2})]])
+    _, d, _ = smith_normal_form_poly(m)
+    assert invariant_factors_poly(m) == poly_diagonal(d) == [one]
     m = Matrix(2, 2, [[t - 1, one], [Laurent(), t - 1]])
     u, d, v = smith_normal_form_poly(m)
-    assert poly_diagonal(d) == [one, (t - 1) * (t - 1)]
+    assert invariant_factors_poly(m) == poly_diagonal(d) == [one, (t - 1) * (t - 1)]
     assert (u @ m @ v) == d
 
 
@@ -117,17 +121,19 @@ def _random_laurent(rng, max_degree=3):
 
 
 def _check_poly_snf(m: Matrix):
+    """The library's invariant factors equal the diagonal of the oracle's
+    U A V = D, whose transforms are checked to be unimodular."""
     u, d, v = smith_normal_form_poly(m)
     assert (u @ m @ v) == d
     assert det_poly(u).is_unit()
     assert det_poly(v).is_unit()
-    diag = poly_diagonal(d)
-    assert invariant_factors_poly(m) == diag  # the same elimination without U, V
-    for x in diag:
+    got = invariant_factors_poly(m)
+    assert got == poly_diagonal(d)
+    for x in got:
         if x:
             assert x.valuation() == 0 and x.leading_coeff() == 1
-    nonzero = [x for x in diag if x]
-    assert [bool(x) for x in diag] == [True] * len(nonzero) + [False] * (len(diag) - len(nonzero))
+    nonzero = [x for x in got if x]
+    assert [bool(x) for x in got] == [True] * len(nonzero) + [False] * (len(got) - len(nonzero))
     for i in range(len(nonzero) - 1):
         assert nonzero[i].divides(nonzero[i + 1])
 
@@ -164,8 +170,10 @@ def test_kernel_basis_random():
         k = kernel_basis_poly(m)
         if k.cols:
             assert (m @ k).is_zero()
-        # rank over the fraction field + kernel columns = total columns
+        # rank over the fraction field + kernel columns = total columns, with
+        # the rank from Bareiss and from the library's invariant factors
         assert k.cols == cols - matrix_rank(m)
+        assert k.cols == cols - sum(1 for x in invariant_factors_poly(m) if x)
 
 
 def test_integer_kernel_basis():

@@ -62,3 +62,18 @@ def test_les_suite_fails_under_random_ranks(monkeypatch):
     report = les_suite(0)
     assert report.passed + report.failed == 100
     assert report.failed > 0
+
+
+def test_les_suite_sees_every_subspace_rank_off_by_one(monkeypatch):
+    """Every rank of d_V (I tensor B) one short raises dims_w in a pattern
+    that keeps the Euler characteristic and the upper bound; the lower bounds
+    of the long exact sequence must still catch it."""
+    from twisthom import homology
+    from twisthom.suites import les_suite
+
+    real = homology._subspace_ranks
+    monkeypatch.setattr(homology, "_subspace_ranks",
+                        lambda b, basis: [max(r - 1, 0) for r in real(b, basis)])
+    report = les_suite(0)
+    assert report.passed + report.failed == 100
+    assert report.failed > 0

@@ -2,8 +2,10 @@
 
 The reference presents each H_i = ker d_i / im d_{i+1} directly: a free
 kernel basis K of d_i, the image of d_{i+1} solved in that basis through the
-Smith form of K, and the Smith form of the resulting relation matrix.  The
-library instead reads H_i off the invariant factors of the boundaries alone.
+Smith form of K, and the Smith form of the resulting relation matrix, all
+by the transform-tracking elimination of ``oracles``.  The library instead
+reads H_i off the invariant factors of the boundaries alone, by its own
+diagonal-only elimination.
 """
 
 import math
@@ -12,11 +14,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import kernel_basis_poly, poly_diagonal, smith_normal_form_poly
+
 from twisthom.alexander import TorsionData, laurent_specialize, torsion_invariants
 from twisthom.complexes import catalog_complex, cover_complex
 from twisthom.groups import reidemeister_schreier, transitive_actions
-from twisthom.matrices import (Matrix, kernel_basis_poly, poly_diagonal,
-                               smith_normal_form_poly)
+from twisthom.matrices import Matrix
 from twisthom.numbers import Laurent
 
 
