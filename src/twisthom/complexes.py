@@ -368,6 +368,8 @@ MAX_GENUS = 64
 def catalog_complex(name: str, params=()) -> CatalogEntry:
     """Build a validated catalog entry; raises ValueError on unknown input."""
     params = list(params)
+    if params and name in ("s1xs2", "t3", "quaternion_q8", "trefoil_exterior", "torus2d"):
+        raise ValueError(f"{name} takes no parameters")
     if name == "lens":
         if len(params) != 2:
             raise ValueError("lens requires parameters p,q")

@@ -25,12 +25,12 @@ import numpy as np
 
 from .complexes import CatalogEntry, EquivariantComplex, presentation_complex
 from .groups import GroupPresentation, PermAction, free_product
-from .matrices import (Matrix, certified_rank, fast_rank, lift_cyclo,
-                       reduce_cyclotomic, ring_matmul)
+from .matrices import (Matrix, certified_rank, lift_cyclo, reduce_cyclotomic,
+                       ring_matmul)
 from .numbers import Cyclo
-from .reps import (SplitData, UnitaryRep, _word_images, explicit_rep,
-                   extend_by_identity, induce_rep, stacked_alpha_minus_one,
-                   trivial_rep, verify_rep)
+from .reps import (SplitData, UnitaryRep, _word_images, alpha_minus_one_blocks,
+                   explicit_rep, extend_by_identity, induce_rep, trivial_rep,
+                   verify_rep)
 
 
 class GroupMismatchError(ValueError):
@@ -154,15 +154,15 @@ def validate_complex(c: EquivariantComplex, r: UnitaryRep) -> bool:
 # ---------------------------------------------------------------------------
 
 def coinvariants_h0(p: GroupPresentation, r: UnitaryRep) -> int:
-    """dim of V / span{alpha(g)v - v}: dim V minus the rank of the stacked
-    (alpha(g) - I) over all generators."""
+    """dim of V / span{alpha(g)v - v}: dim V minus the rank of the blocks
+    (alpha(g) - I) of all generators, side by side."""
     if r.group != p:
         raise GroupMismatchError("representation group differs from presentation")
     if not verify_rep(r):
         raise ValueError("representation fails verification")
-    if p.num_generators == 0:
-        return r.dim
-    return r.dim - fast_rank(stacked_alpha_minus_one(r))
+    blocks, n = alpha_minus_one_blocks(r)
+    side = np.concatenate(blocks, axis=1)
+    return r.dim - certified_rank(reduce_cyclotomic(side, n), n, side)
 
 
 # ---------------------------------------------------------------------------
@@ -190,25 +190,27 @@ def shapiro_compare(c: EquivariantComplex, action: PermAction, sub_matrices,
 # subquotient dimensions along the invariant/coinvariant split
 # ---------------------------------------------------------------------------
 
-def _subspace_ranks(b: BlockComplex, basis: Matrix) -> list[int]:
-    """rank of d_k (I tensor B) for every boundary d_k of ``b`` = C tensor V,
-    where the columns of B = ``basis`` lie in Q(zeta_m) for some m.
+def _embed(a: np.ndarray, big: int) -> np.ndarray:
+    """a[..., n] over Z[x]/(x^n - 1) in Z[x]/(x^big - 1), by x -> x^(big/n)."""
+    out = np.zeros(a.shape[:-1] + (big,), dtype=a.dtype)
+    out[..., ::big // a.shape[-1]] = a
+    return out
 
-    The product is formed over Z[x]/(x^N - 1) with N = lcm(m, n), n the
-    conductor of ``b``: its lifts embed by x -> x^(N/n), and B multiplies each
-    cell's column block."""
-    n = b.conductor
-    big = math.lcm(n, *(getattr(x, "conductor", 1) for row in basis.entries for x in row))
-    lifted = lift_cyclo(basis.entries, big)[0]
+
+def _subspace_ranks(b: BlockComplex, basis: np.ndarray) -> list[int]:
+    """rank of d_k (I tensor B) for every boundary d_k of ``b`` = C tensor V,
+    where B = ``basis`` is an integer array [dim V, w, N] over
+    Z[x]/(x^N - 1) and the conductor of ``b`` divides N.
+
+    The lifts of ``b`` embed by ``_embed``, and B multiplies each cell's
+    column block."""
+    dim, w, big = basis.shape
     ranks = []
     for lift in b.lifts:
         rows, cols = lift.shape[:2]
-        cells = cols // basis.rows
-        embedded = np.zeros((rows, cols, big), dtype=lift.dtype)
-        embedded[..., ::big // n] = lift
-        per_cell = embedded.reshape(rows, cells, basis.rows, big).swapaxes(0, 1)
-        prod = ring_matmul(per_cell, lifted, big).swapaxes(0, 1) \
-            .reshape(rows, cells * basis.cols, big)
+        cells = cols // dim
+        per_cell = _embed(lift, big).reshape(rows, cells, dim, big).swapaxes(0, 1)
+        prod = ring_matmul(per_cell, basis, big).swapaxes(0, 1).reshape(rows, cells * w, big)
         ranks.append(certified_rank(reduce_cyclotomic(prod, big), big, prod))
     return ranks
 
@@ -221,36 +223,39 @@ def subquotient_dims(c: EquivariantComplex, r: UnitaryRep, s: SplitData) \
     holds every (alpha(g) - 1)v, so W is invariant, and iota_k = I_{c_k}
     tensor B is an injective chain map C_k tensor W -> C_k tensor V:
     d_V iota_{k+1} = iota_k d_W.  Hence rank d_W = rank d_V (I tensor B), and
-    C tensor W is read off the one specialization of V.  V/W is computed
-    through the W-perp model (the action there is exactly trivial).  Checks
-    Euler additivity and the long-exact-sequence bounds.
+    C tensor W is read off the one specialization of V.  pi acts trivially on
+    V/W, the coinvariants, so C tensor V/W is C tensor the trivial rep of
+    dimension dim V - dim W.  Checks Euler additivity and the long-exact-
+    sequence bounds.
     """
     w = s.w_basis.cols
-    if w + s.wperp_basis.cols != r.dim:
-        raise ValueError("split is inconsistent with the representation")
-    if fast_rank(s.w_basis) != w:
+    blocks, n = alpha_minus_one_blocks(r)
+    big = math.lcm(n, *(getattr(x, "conductor", 1) for row in s.w_basis.entries for x in row))
+    basis = lift_cyclo(s.w_basis.entries, big)[0]
+    if certified_rank(reduce_cyclotomic(basis, big), big, basis) != w:
         raise ValueError("split W basis is degenerate")
-    if fast_rank(s.w_basis.hstack(stacked_alpha_minus_one(r))) != w:
+    span = np.concatenate([basis] + [_embed(a, big) for a in blocks], axis=1)
+    if certified_rank(reduce_cyclotomic(span, big), big, span) != w:
         raise ValueError("split W does not span the coinvariant directions")
 
     b = specialize(c, r)
     dims_v = homology_dims(b)
-    ranks = [0] + _subspace_ranks(b, s.w_basis) + [0]
+    ranks = [0] + _subspace_ranks(b, basis) + [0]
     dims_w = HomologyReport([cells * w - ranks[i] - ranks[i + 1]
                              for i, cells in enumerate(c.ranks)])
-    dims_wperp = twisted_homology(c, trivial_rep(c.group, s.wperp_basis.cols)) \
-        if s.wperp_basis.cols else HomologyReport([0] * len(c.ranks))
+    dims_q = twisted_homology(c, trivial_rep(c.group, r.dim - w)) \
+        if w < r.dim else HomologyReport([0] * len(c.ranks))
 
-    if dims_v.euler != dims_w.euler + dims_wperp.euler:
+    if dims_v.euler != dims_w.euler + dims_q.euler:
         raise CrossCheckError("Euler characteristic is not additive across the split")
     # exactness of ... -> H_i(W) -> H_i(V) -> H_i(V/W) -> H_{i-1}(W) -> ... at
     # H_i(V), at H_i(W) and at H_i(V/W).  Terms out of range are 0: the
     # appended 0 is read both at i + 1 = len(c.ranks) and at i - 1 = -1.
-    hv, hw, hq = (list(h.dims) + [0] for h in (dims_v, dims_w, dims_wperp))
+    hv, hw, hq = (list(h.dims) + [0] for h in (dims_v, dims_w, dims_q))
     for i in range(len(c.ranks)):
         if hv[i] > hw[i] + hq[i] or hw[i] > hv[i] + hq[i + 1] or hq[i] > hv[i] + hw[i - 1]:
             raise CrossCheckError("long-exact-sequence bound violated in degree %d" % i)
-    return dims_w, dims_v, dims_wperp
+    return dims_w, dims_v, dims_q
 
 
 # ---------------------------------------------------------------------------

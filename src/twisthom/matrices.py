@@ -3,16 +3,16 @@
 A ``Matrix`` stores one scalar domain per instance (Fraction/int, Cyclo or
 Laurent).  Everything here is exact, with one elimination per ring:
 
-- ranks over Q and Q(zeta_n): ``certified_rank``.  It takes integer
-  coefficient arrays over Z[x]/(x^n - 1), ranks them over F_p for split
-  primes p = 1 (mod n), and certifies the result with a Hadamard bound on
-  the norms of the minors.  It has no fallback: when the interval of split
-  primes cannot supply the certified count, it raises ValueError;
+- ranks and column bases over Q and Q(zeta_n): ``certified_pivots``, and
+  ``certified_rank``, their count.  It takes integer coefficient arrays over
+  Z[x]/(x^n - 1), eliminates them over F_p for split primes p = 1 (mod n),
+  and certifies the result with a Hadamard bound on the norms of the minors.
+  It has no fallback: when the interval of split primes cannot supply the
+  certified count, it raises ValueError;
 - Smith normal form over Z: ``smith_normal_form_int``, with U and V;
 - Smith normal form over Q[t, t^-1]: ``invariant_factors_poly``, the
   diagonal alone.
 
-``rref`` still serves the invariant/coinvariant split over Q(zeta_n).
 Degenerate shapes (0 rows or columns) are legal everywhere and have rank 0.
 """
 
@@ -87,12 +87,6 @@ class Matrix:
 
     def column(self, j: int) -> list:
         return [self.entries[i][j] for i in range(self.rows)]
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        return Matrix(self.rows, self.cols + other.cols,
-                      [self.entries[i] + other.entries[i] for i in range(self.rows)])
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.entries!r})"
@@ -220,12 +214,14 @@ def split_primes(n: int, count: int) -> list[tuple[int, int]]:
     return got[:count]
 
 
-def _rank_mod_p(m: np.ndarray, p: int) -> int:
-    """Rank over F_p by elimination in place on the int64 residues m; a row is
-    cleared as pivot * row - head * pivot_row, so no inverse is needed."""
+def _rank_mod_p(m: np.ndarray, p: int) -> list[int]:
+    """Pivot columns over F_p, by elimination in place on the int64 residues
+    m; their count is the rank.  A row is cleared as pivot * row - head *
+    pivot_row, so no inverse is needed."""
     rows, cols = m.shape
-    rank = 0
+    pivots: list[int] = []
     for j in range(cols):
+        rank = len(pivots)
         if rank == rows:
             break
         nz = m[rank:, j].nonzero()[0]
@@ -238,8 +234,8 @@ def _rank_mod_p(m: np.ndarray, p: int) -> int:
         below = rank + nz[1:]
         if below.size:
             m[below, j:] = (m[below, j:] * m[rank, j] - m[below, j, None] * m[rank, j:]) % p
-        rank += 1
-    return rank
+        pivots.append(j)
+    return pivots
 
 
 def _evaluate_mod_p(a: np.ndarray, p: int, r: int) -> np.ndarray:
@@ -268,9 +264,10 @@ def _hadamard_bits(l1: np.ndarray) -> float:
     return float(0.5 * np.log2(sq[sq > 0]).sum())
 
 
-def certified_rank(a: np.ndarray, n: int, lift: np.ndarray | None = None) -> int:
-    """Exact rank over Q(zeta_n) of the integer array a[R, C, m]; entry (i, j)
-    is sum_k a[i, j, k] zeta_n^k (any m; Phi_n-reduced arrays have m = phi(n)).
+def certified_pivots(a: np.ndarray, n: int, lift: np.ndarray | None = None) -> list[int]:
+    """Columns of the integer array a[R, C, m] that form a basis of its column
+    span over Q(zeta_n); entry (i, j) is sum_k a[i, j, k] zeta_n^k (any m;
+    Phi_n-reduced arrays have m = phi(n)).  Their count is the exact rank.
 
     Each split prime p = 1 (mod n) maps Z[zeta_n] onto F_p by zeta_n -> r, so
     the rank over F_p never exceeds the true rank.  A nonzero minor M keeps
@@ -282,6 +279,10 @@ def certified_rank(a: np.ndarray, n: int, lift: np.ndarray | None = None) -> int
     Raises ValueError when 2^30 < p < 2^31 holds fewer than the certified
     count of split primes (about 4 * 10^4 exist for every n <= 1024).
 
+    The pivots come from the first prime that reaches the maximum.  Columns
+    independent over F_p have a minor that is nonzero mod p, hence nonzero:
+    they are independent over Q(zeta_n), and there are rank of them.
+
     ``lift`` may give the same matrix as an array over Z[x]/(x^n - 1) before
     its reduction to ``a``.  H then uses the smaller L1 norm of each entry:
     for prime n, reducing one term zeta_n^(n-1) spreads it over n - 1
@@ -289,7 +290,7 @@ def certified_rank(a: np.ndarray, n: int, lift: np.ndarray | None = None) -> int
     """
     rows, cols = a.shape[:2]
     if rows == 0 or cols == 0 or not a.any():
-        return 0
+        return []
     l1 = _l1_norms(a)
     if lift is not None and lift is not a:  # for n = 1 the reduction is a itself
         l1 = np.minimum(l1, _l1_norms(lift))
@@ -298,12 +299,20 @@ def certified_rank(a: np.ndarray, n: int, lift: np.ndarray | None = None) -> int
     if len(primes) < need:
         raise ValueError(f"the rank certificate needs {need} split primes for "
                          f"conductor {n}; only {len(primes)} exist below 2^31")
-    best, full = 0, min(rows, cols)
+    best, full = [], min(rows, cols)
     for p, r in primes:
-        best = max(best, _rank_mod_p(_evaluate_mod_p(a, p, r), p))
-        if best == full:
+        pivots = _rank_mod_p(_evaluate_mod_p(a, p, r), p)
+        if len(pivots) > len(best):
+            best = pivots
+        if len(best) == full:
             break
     return best
+
+
+def certified_rank(a: np.ndarray, n: int, lift: np.ndarray | None = None) -> int:
+    """Exact rank over Q(zeta_n) of the integer array a[R, C, m]: the count of
+    ``certified_pivots``."""
+    return len(certified_pivots(a, n, lift))
 
 
 def fast_rank(m: Matrix) -> int:
@@ -582,60 +591,3 @@ def _snf_poly(m: Matrix) -> list[list[Laurent]]:
             continue
         k += 1
     return a
-
-
-# ---------------------------------------------------------------------------
-# Gaussian elimination over a field (Fraction or Cyclo entries)
-# ---------------------------------------------------------------------------
-
-def _field_inv(x):
-    if isinstance(x, Cyclo):
-        return x.invert()
-    return 1 / as_fraction(x)
-
-
-def rref(m: Matrix) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form (entries list) and pivot column indices."""
-    a = [row[:] for row in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for j in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if a[i][j]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = _field_inv(a[r][j])
-        a[r] = [inv * x for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][j]:
-                f = a[i][j]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(j)
-        r += 1
-    return a, pivots
-
-
-def column_space_basis(m: Matrix) -> Matrix:
-    """Basis of the column space: the original columns at the RREF pivot positions."""
-    _, pivots = rref(m)
-    return Matrix(m.rows, len(pivots),
-                  [[m.entries[i][j] for j in pivots] for i in range(m.rows)])
-
-
-def right_kernel_basis_field(m: Matrix, one_scalar=1, zero_scalar=0) -> Matrix:
-    """Basis of the right kernel over the entry field, one column per free column."""
-    a, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    cols = []
-    for j in free:
-        v = [zero_scalar] * m.cols
-        v[j] = one_scalar
-        for r, pj in enumerate(pivots):
-            v[pj] = -a[r][j]
-        cols.append(v)
-    return Matrix(m.cols, len(cols), [[cols[c][i] for c in range(len(cols))]
-                                      for i in range(m.cols)])

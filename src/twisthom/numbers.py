@@ -46,12 +46,6 @@ def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return _poly_trim(out)
 
 
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else ZERO) - (b[i] if i < len(b) else ZERO) for i in range(n)]
-    return _poly_trim(out)
-
-
 def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -182,7 +176,7 @@ class Cyclo:
         """The same field element written with conductor m (n must divide m)."""
         return Cyclo(m, self._embedded(m))
 
-    # -- ring/field structure ----------------------------------------------
+    # -- ring structure -----------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, Cyclo):
@@ -223,34 +217,6 @@ class Cyclo:
         return Cyclo(m, _reduce_mod_cyclotomic(prod, m))
 
     __rmul__ = __mul__
-
-    def invert(self) -> "Cyclo":
-        """Multiplicative inverse, by the extended Euclidean algorithm mod Phi_n."""
-        if not self:
-            raise ZeroDivisionError("inverting zero cyclotomic number")
-        n = self.conductor
-        phi = list(_cyclotomic_coeffs(n))
-        # Extended Euclid keeping u with u*self = a (mod Phi_n); Phi_n is
-        # irreducible so the loop ends with a nonzero constant a.
-        a, b = _poly_trim(list(self.coeffs)), phi
-        u0, u1 = [ONE], []
-        while b:
-            q, r = _poly_divmod(a, b)
-            a, b = b, r
-            u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-        assert len(a) == 1
-        g_inv = 1 / a[0]
-        inv = [c * g_inv for c in u0]
-        return Cyclo(n, _reduce_mod_cyclotomic(inv, n))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.invert()
-
-    def __rtruediv__(self, other):
-        return self.invert() * other
 
     def conjugate(self) -> "Cyclo":
         """Complex conjugation: the field automorphism zeta |-> zeta^(n-1)."""

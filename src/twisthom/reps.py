@@ -15,8 +15,9 @@ constructor compiles its images by one rule (``_compile``):
 Every image is unitary, so its inverse is always its conjugate transpose
 (``_dagger``; for monomials, the inverse permutation with negated exponents).
 Word images (``evaluate_word``), verification and specialization all multiply
-through ``_word_images``; the Cyclo matrices of ``generator_images`` are a
-view derived on demand.
+through ``_word_images``, and the invariant/coinvariant split ranks the same
+integers (``alpha_minus_one_blocks``); the Cyclo matrices of
+``generator_images`` are a view derived on demand.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from .complexes import quaternion_presentation
 from .groups import (GroupPresentation, PermAction, Word,
                      abelianization_change_of_basis, reidemeister_schreier,
                      verify_grading)
-from .matrices import (Matrix, column_space_basis, fast_rank, int_dtype,
-                       lift_cyclo, max_abs, reduce_cyclotomic,
-                       right_kernel_basis_field, ring_matmul)
+from .matrices import (Matrix, certified_pivots, certified_rank, fast_rank,
+                       int_dtype, lift_cyclo, max_abs, reduce_cyclotomic,
+                       ring_matmul)
 from .numbers import Cyclo, cyclotomic_reduction_rows
 
 # ---------------------------------------------------------------------------
@@ -227,19 +228,20 @@ def _word_images(imgs, words) -> dict:
     return cache
 
 
-def _as_matrix(imgs, img, c: int) -> Matrix:
-    """A compiled image as a Matrix of Cyclo entries of conductor c.
+def _as_matrix(a: np.ndarray, den: int, c: int) -> Matrix:
+    """The integer array a[R, C, n] over Z[x]/(x^n - 1), divided by den, as a
+    Matrix of Cyclo entries of conductor c.
 
-    The compiled n divides c, or, for odd c, 2c: then x = zeta_2c^s with
-    s = 2c/n odd, and zeta_2c = -zeta_c^((c + 1)/2).
+    n divides c, or, for odd c, 2c: then x = zeta_2c^s with s = 2c/n odd,
+    and zeta_2c = -zeta_c^((c + 1)/2).
     """
-    a, den = imgs.dense(img)
-    n, rows = imgs.n, cyclotomic_reduction_rows(c)
+    rows, cols, n = a.shape
+    reduction = cyclotomic_reduction_rows(c)
     if c % n == 0:
-        basis = [rows[i * (c // n)] for i in range(n)]
+        basis = [reduction[i * (c // n)] for i in range(n)]
     else:
         s = 2 * c // n
-        basis = [tuple((-1) ** i * v for v in rows[i * s * ((c + 1) // 2) % c])
+        basis = [tuple((-1) ** i * v for v in reduction[i * s * ((c + 1) // 2) % c])
                  for i in range(n)]
     coeffs = a.astype(object) @ np.array(basis, dtype=object).reshape(n, -1)
     cache = {}
@@ -250,7 +252,7 @@ def _as_matrix(imgs, img, c: int) -> Matrix:
             cache[v] = Cyclo(c, [Fraction(x, den) for x in v])
         return cache[v]
 
-    return Matrix(imgs.dim, imgs.dim, [[entry(v) for v in row] for row in coeffs.tolist()])
+    return Matrix(rows, cols, [[entry(v) for v in row] for row in coeffs.tolist()])
 
 
 class UnitaryRep:
@@ -278,7 +280,7 @@ class UnitaryRep:
     def generator_images(self) -> tuple[Matrix, ...]:
         """The generator images as Cyclo matrices, derived on every access."""
         imgs = self.compiled
-        return tuple(_as_matrix(imgs, imgs.images[g, 1], self.conductor)
+        return tuple(_as_matrix(*imgs.dense(imgs.images[g, 1]), self.conductor)
                      for g in range(self.group.num_generators))
 
     def __repr__(self):
@@ -292,7 +294,7 @@ def evaluate_word(r: UnitaryRep, w: Word) -> Matrix:
     for g, _ in w:
         if g < 0 or g >= r.group.num_generators:
             raise ValueError(f"generator index {g} out of range")
-    return _as_matrix(r.compiled, _word_images(r.compiled, [w])[w], r.conductor)
+    return _as_matrix(*r.compiled.dense(_word_images(r.compiled, [w])[w]), r.conductor)
 
 
 # ---------------------------------------------------------------------------
@@ -460,55 +462,53 @@ def _verify_rep_uncached(r: UnitaryRep) -> bool:
 # ---------------------------------------------------------------------------
 
 class SplitData:
-    """Bases of W = span{alpha(g)v - v} and of its orthogonal complement."""
+    """A basis of W = span{alpha(g)v - v}: the columns of ``w_basis``.
 
-    __slots__ = ("w_basis", "wperp_basis")
+    For a unitary rep, V = W + V^G with V^G the invariant vectors, and
+    V/W is the module of coinvariants, of dimension dim V - dim W."""
 
-    def __init__(self, w_basis: Matrix, wperp_basis: Matrix):
+    __slots__ = ("w_basis",)
+
+    def __init__(self, w_basis: Matrix):
         object.__setattr__(self, "w_basis", w_basis)
-        object.__setattr__(self, "wperp_basis", wperp_basis)
 
     def __setattr__(self, *a):
         raise AttributeError("SplitData is immutable")
 
 
-def stacked_alpha_minus_one(r: UnitaryRep) -> Matrix:
-    """All (alpha(g) - I) side by side: a dim x (dim * num_generators) matrix."""
-    k = r.dim
-    ident = Matrix.identity(k, Cyclo.one(), Cyclo.zero())
-    cols: list[list] = [[] for _ in range(k)]
-    for m in r.generator_images:
-        for i in range(k):
-            cols[i].extend(m[i, j] - ident[i, j] for j in range(k))
-    return Matrix(k, k * r.group.num_generators, cols)
+def alpha_minus_one_blocks(r: UnitaryRep) -> tuple[list[np.ndarray], int]:
+    """The integer blocks den_g (alpha(g) - I) over Z[x]/(x^n - 1), one per
+    generator g (one zero block when there is none), and n."""
+    imgs = r.compiled
+    blocks = []
+    for img in [imgs.images[g, 1] for g in range(r.group.num_generators)] or [imgs.identity]:
+        a, den = imgs.dense(img)
+        block = a.astype(int_dtype(max_abs(a) + den))
+        block[np.arange(r.dim), np.arange(r.dim), 0] -= den
+        blocks.append(block)
+    return blocks, imgs.n
 
 
 def invariant_coinvariant_split(r: UnitaryRep) -> SplitData:
-    """W = column span of the stacked (alpha(g) - I); W-perp under the standard
-    hermitian form.  Checks that W is a submodule and that the action on
-    W-perp is exactly trivial (the unitarity argument of the splitting)."""
+    """W = span{alpha(g)v - v}, with the columns of the blocks side by side at
+    their certified pivots as its basis B.
+
+    Checks V = W + V^G, the splitting of the unitarity argument, by two
+    certified ranks of the blocks T stacked one above the other: V^G = ker T
+    has dimension dim V - dim W when rank T = dim W, and meets W only in 0
+    when rank T B = dim W."""
     if not verify_rep(r):
         raise ValueError("representation fails verification")
-    stacked = stacked_alpha_minus_one(r)
-    w_basis = column_space_basis(stacked)
-    # <v, w> = 0 for all w in W  <=>  conj(W)^T v = 0
-    wt = Matrix(w_basis.cols, w_basis.rows,
-                [[w_basis[i, j].conjugate() if isinstance(w_basis[i, j], Cyclo)
-                  else Cyclo.from_rational(w_basis[i, j])
-                  for i in range(w_basis.rows)] for j in range(w_basis.cols)])
-    wperp_basis = right_kernel_basis_field(wt, Cyclo.one(), Cyclo.zero())
-    if w_basis.cols + wperp_basis.cols != r.dim:
-        raise AssertionError("split dimensions do not add up")
-    # every (alpha(g) - 1)v in W gives alpha(g)W in W
-    if fast_rank(w_basis.hstack(stacked)) != w_basis.cols:
-        raise AssertionError("W is not invariant under the action")
-    for m in r.generator_images:
-        for c in range(wperp_basis.cols):
-            img = [sum((m[i, j] * wperp_basis[j, c] for j in range(r.dim)), Cyclo.zero())
-                   for i in range(r.dim)]
-            if any(img[i] != wperp_basis[i, c] for i in range(r.dim)):
-                raise AssertionError("action on W-perp is not trivial")
-    return SplitData(w_basis, wperp_basis)
+    blocks, n = alpha_minus_one_blocks(r)
+    side, tall = np.concatenate(blocks, axis=1), np.concatenate(blocks, axis=0)
+    basis = side[:, certified_pivots(reduce_cyclotomic(side, n), n, side)]
+    w = basis.shape[1]
+    if certified_rank(reduce_cyclotomic(tall, n), n, tall) != w:
+        raise AssertionError("the invariant vectors do not have dimension dim V - dim W")
+    on_w = ring_matmul(tall, basis, n)
+    if certified_rank(reduce_cyclotomic(on_w, n), n, on_w) != w:
+        raise AssertionError("W meets the invariant vectors")
+    return SplitData(_as_matrix(basis, 1, r.conductor))
 
 
 # ---------------------------------------------------------------------------

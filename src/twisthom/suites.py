@@ -283,7 +283,7 @@ def _seeded_diag_rep(p: GroupPresentation, rng: random.Random, dim: int) -> Unit
 
 
 def les_suite(seed: int, count: int = 100) -> SuiteReport:
-    """Euler additivity and exactness bounds across the W / W-perp split."""
+    """Euler additivity and exactness bounds across 0 -> W -> V -> V/W -> 0."""
     rng = random.Random(seed)
     report = SuiteReport("les")
     from .complexes import _circle_complex

@@ -7,7 +7,8 @@ answers by other eliminations and use only ``Matrix`` and the scalar types
 ``Cyclo`` and ``Laurent`` of the library:
 
 - ``matrix_rank``: fraction-free (Bareiss) elimination over Fraction/int,
-  Cyclo or Laurent entries;
+  Cyclo or Laurent entries, with the exact division ``cyclo_div`` over
+  Q(zeta_n);
 - ``det_int`` (Bareiss) and ``det_poly`` (cofactor expansion);
 - ``smith_normal_form_poly``: U A V = D over Q[t, t^-1] with both
   transforms, by elimination on A bordered with identities, and its own
@@ -19,18 +20,43 @@ import math
 from fractions import Fraction
 
 from twisthom.matrices import Matrix
-from twisthom.numbers import Cyclo, Laurent
+from twisthom.numbers import Cyclo, Laurent, euler_phi
 
 
 def _laurent(x) -> Laurent:
     return x if isinstance(x, Laurent) else Laurent.const(x)
 
 
+def cyclo_div(a, b) -> Cyclo:
+    """a / b in Q(zeta_n), n the lcm of the conductors: the solution x of
+    b x = a, by Gauss-Jordan elimination over Fraction on the phi(n) x phi(n)
+    matrix of multiplication by b, whose column i holds the Cyclo product
+    b zeta_n^i.  Raises ZeroDivisionError when b is 0."""
+    a, b = (x if isinstance(x, Cyclo) else Cyclo.from_rational(Fraction(x)) for x in (a, b))
+    if not b:
+        raise ZeroDivisionError("division by zero in Q(zeta_n)")
+    n = math.lcm(a.conductor, b.conductor)
+    size = euler_phi(n)
+    cols = [(b * Cyclo.root_of_unity(n, i)).embed(n).coeffs for i in range(size)]
+    rows = [[col[r] for col in cols] + [a.embed(n).coeffs[r]] for r in range(size)]
+    for j in range(size):
+        # multiplication by b != 0 is invertible, so a pivot exists
+        piv = next(i for i in range(j, size) if rows[i][j])
+        rows[j], rows[piv] = rows[piv], rows[j]
+        head = rows[j][j]
+        rows[j] = [x / head for x in rows[j]]
+        for i in range(size):
+            if i != j and rows[i][j]:
+                f = rows[i][j]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[j])]
+    return Cyclo(n, [row[-1] for row in rows])
+
+
 def _exact_div(a, b):
     if isinstance(a, Laurent) or isinstance(b, Laurent):
         return _laurent(a).exact_div(_laurent(b))
     if isinstance(a, Cyclo) or isinstance(b, Cyclo):
-        return a * (b if isinstance(b, Cyclo) else Cyclo.from_rational(Fraction(b))).invert()
+        return cyclo_div(a, b)
     if isinstance(a, int) and isinstance(b, int):
         q, r = divmod(a, b)
         assert r == 0, "inexact integer division in fraction-free elimination"

@@ -220,6 +220,14 @@ def test_oversized_catalog_specs_are_refused(tmp_path, capsys, spec):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("spec", ["t3:7", "quaternion_q8:1,2", "s1xs2:1", "trefoil_exterior:2",
+                                  "torus2d:0", "free_product_of:t3:7,s1xs2"])
+def test_catalog_entries_without_parameters_refuse_them(tmp_path, capsys, spec):
+    code, data = run_cli(tmp_path, "homology", "--catalog", spec, "--trivial", "1")
+    assert code == 1 and data is None
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_catalog_caps_admit_their_largest_specs():
     assert catalog_complex("lens", [MAX_LENS_ORDER, 1]).expected_trivial_dims == (1, 0, 0, 1)
     assert catalog_complex("handlebody", [MAX_GENUS]).complex.group.num_generators == MAX_GENUS

@@ -20,7 +20,8 @@ from twisthom.homology import (BoundaryError, GroupMismatchError,
                                connected_sum_dims, homology_dims,
                                shapiro_compare, specialize, subquotient_dims,
                                twisted_homology)
-from twisthom.matrices import Matrix, certified_rank, integer_kernel_basis
+from twisthom.matrices import (Matrix, certified_rank, integer_kernel_basis,
+                               lift_cyclo)
 from twisthom.numbers import Cyclo
 from twisthom.reps import (SplitData, character_from_grading, evaluate_word,
                            explicit_rep, induce_rep,
@@ -49,10 +50,10 @@ def test_specialize_lens_values():
     lens = catalog_complex("lens", [5, 1]).complex
     ch = torsion_characters(lens.group)[1]
     b = specialize(lens, ch)
-    z = Cyclo.root_of_unity(5)
-    assert b.boundary_matrix(0)[0, 0] == z.invert() - 1
+    z_inv = Cyclo.root_of_unity(5, -1)
+    assert b.boundary_matrix(0)[0, 0] == z_inv - 1
     assert b.boundary_matrix(1)[0, 0] == Cyclo.zero()  # geometric sum of all powers
-    assert b.boundary_matrix(2)[0, 0] == z.invert() - 1
+    assert b.boundary_matrix(2)[0, 0] == z_inv - 1
     assert homology_dims(b).dims == (0, 0, 0, 0)
 
 
@@ -227,16 +228,43 @@ def test_subspace_dims_match_summands(base):
 
 
 def test_subquotient_rejects_degenerate_w():
-    """W given with a repeated column (and the true W-perp, so the counts add
-    up) is refused as degenerate; the span check alone would pass it, since
-    [W | stacked] still has rank 2."""
+    """W given with a repeated column is refused as degenerate; the span check
+    alone would pass it, since [W | stacked] still has rank 2."""
     rep = _backend_reps()["dense"]
     split = invariant_coinvariant_split(rep)
     first = split.w_basis.column(0)
     repeated = Matrix(rep.dim, 2, [[x, x] for x in first])
     with pytest.raises(ValueError, match="degenerate"):
         subquotient_dims(catalog_complex("t3").complex, rep,
-                         SplitData(repeated, split.wperp_basis))
+                         SplitData(repeated))
+
+
+def test_split_path_does_no_cyclo_arithmetic(monkeypatch):
+    """The split, the subquotient dims and the coinvariants read the compiled
+    integer images: they run with Cyclo arithmetic disabled, on rotated dense
+    sums of one trivial and two nontrivial characters."""
+    rng = random.Random("integer split")
+    cases = []
+    for base in ("torus2d", "lens:3,1", "trefoil_exterior", "t3"):
+        cx = catalog_entry_from_string(base).complex
+        ngens = cx.group.num_generators
+        summands = [[Cyclo.one()] * ngens] + [_character_values(cx, rng) for _ in range(2)]
+        mats = [_diagonal([s[g] for s in summands]) for g in range(ngens)]
+        trivial = twisted_homology(cx, trivial_rep(cx.group, 1))
+        cases.append((cx, explicit_rep(cx.group, _rotated(mats, 3)), trivial))
+
+    def refuse(*args):
+        raise AssertionError("Cyclo arithmetic on the split path")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+                 "__neg__", "conjugate"):
+        monkeypatch.setattr(Cyclo, name, refuse)
+    for cx, rep, trivial in cases:
+        split = invariant_coinvariant_split(rep)
+        assert split.w_basis.cols == 2
+        w, v, q = subquotient_dims(cx, rep, split)
+        assert q == trivial
+        assert coinvariants_h0(cx.group, rep) == v.dims[0] == 1
 
 
 def test_connected_sum_examples():
@@ -376,7 +404,8 @@ def test_boundaries_match_independent_assembly(word_reference):
     expected = _assembled(t3, dense.dim, lambda w: word_reference(dense, w))
     ranks = [matrix_rank(m @ _block_diagonal(w_basis, m.cols // dense.dim))
              for m in expected]
-    assert _subspace_ranks(specialize(t3, dense), w_basis) == ranks
+    lifted = lift_cyclo(w_basis.entries, dense.conductor)[0]
+    assert _subspace_ranks(specialize(t3, dense), lifted) == ranks
     ranks = [0] + ranks + [0]
     want = [2 * cells - ranks[i] - ranks[i + 1] for i, cells in enumerate(t3.ranks)]
     assert subquotient_dims(t3, dense, split)[0].dims == tuple(want)

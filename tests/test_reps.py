@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import matrix_rank
 from twisthom.complexes import (catalog_complex, quaternion_presentation,
                                 quaternion_regular_action, trefoil_group)
 from twisthom.groups import (GroupPresentation, PermAction, free_reduce,
                              reidemeister_schreier, transitive_actions,
                              trivial_action, word_power)
-from twisthom.matrices import Matrix, fast_rank
+from twisthom.matrices import Matrix
 from twisthom.numbers import Cyclo
 from twisthom.reps import (ImageClosureError, UnitaryRep, _verify_rep_uncached,
                            character_from_grading, evaluate_word, explicit_rep,
@@ -184,18 +185,19 @@ def test_verify_rep_rejects_on_both_image_forms():
 def test_split_examples():
     z = GroupPresentation(1)
     s = invariant_coinvariant_split(trivial_rep(z, 3))
-    assert s.w_basis.cols == 0 and s.wperp_basis.cols == 3
+    assert (s.w_basis.rows, s.w_basis.cols) == (3, 0)
     p5 = GroupPresentation(1, [word_power(0, 5)])
     s = invariant_coinvariant_split(torsion_characters(p5)[2])
-    assert s.w_basis.cols == 1 and s.wperp_basis.cols == 0
+    assert (s.w_basis.rows, s.w_basis.cols) == (1, 1)
     d = explicit_rep(z, [[[1, 0], [0, -1]]])
     s = invariant_coinvariant_split(d)
-    assert s.w_basis.cols == 1 and s.wperp_basis.cols == 1
+    assert (s.w_basis.rows, s.w_basis.cols) == (2, 1)
     assert not s.w_basis[0, 0] and s.w_basis[1, 0]  # W is the second axis
-    assert s.wperp_basis[0, 0] and not s.wperp_basis[1, 0]
 
 
 def test_split_dimensions_random():
+    """dim W is the number of nontrivial characters in a diagonal sum, and
+    the Bareiss rank of the stacked (alpha(g) - I) agrees."""
     rng = random.Random(41)
     z2z2 = GroupPresentation(2, [word_power(0, 2), word_power(1, 2),
                                  free_reduce([(0, 1), (1, 1), (0, -1), (1, -1)])])
@@ -203,18 +205,33 @@ def test_split_dimensions_random():
     for _ in range(30):
         k = rng.randint(1, 3)
         picks = [rng.choice(chars) for _ in range(k)]
-        diag = [[Cyclo.zero()] * k for _ in range(k)]
-        for i, c in enumerate(picks):
-            diag[i][i] = c.generator_images[0][0, 0]
-        diag2 = [[Cyclo.zero()] * k for _ in range(k)]
-        for i, c in enumerate(picks):
-            diag2[i][i] = c.generator_images[1][0, 0]
-        rep = explicit_rep(z2z2, [diag, diag2])
+        mats = []
+        for g in range(2):
+            diag = [[Cyclo.zero()] * k for _ in range(k)]
+            for i, c in enumerate(picks):
+                diag[i][i] = c.generator_images[g][0, 0]
+            mats.append(diag)
+        rep = explicit_rep(z2z2, mats)
         s = invariant_coinvariant_split(rep)
-        assert s.w_basis.cols + s.wperp_basis.cols == k
-        # W-perp basis vectors are fixed exactly: rank of stacked alpha-1 = dim W
-        from twisthom.reps import stacked_alpha_minus_one
-        assert fast_rank(stacked_alpha_minus_one(rep)) == s.w_basis.cols
+        assert s.w_basis.cols == sum(c is not chars[0] for c in picks)
+        stacked = Matrix(k, 2 * k, [[m[i][j] - int(i == j) for m in mats for j in range(k)]
+                                    for i in range(k)])
+        assert matrix_rank(stacked) == s.w_basis.cols
+
+
+@pytest.mark.parametrize("mats, message", [
+    # W = V^G = the first axis
+    ([[[1, 1], [0, 1]]], "W meets the invariant vectors"),
+    # W is the second axis, but only 0 is invariant
+    ([[[1, 0], [1, 1]], [[1, 0], [0, 2]]], "do not have dimension"),
+])
+def test_split_refuses_non_unitary_reps(mats, message):
+    """V = W + V^G can fail without unitarity; each rep breaks one of the two
+    rank checks of the split and passes the other."""
+    p = GroupPresentation(len(mats))
+    rep = UnitaryRep(p, 2, 1, "explicit", explicit_rep(p, mats).compiled, verified=True)
+    with pytest.raises(AssertionError, match=message):
+        invariant_coinvariant_split(rep)
 
 
 def test_fixed_point_free_examples():

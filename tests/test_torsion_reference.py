@@ -139,3 +139,14 @@ def test_non_cyclic_torsion():
     td = _assert_same([d1, d2], [1, 3, 2])
     assert td.torsion_polys == ((), (t1, t1), ())
     assert td.free_ranks == (0, 0, 0)
+
+
+def test_torsion_that_needs_the_divisibility_step():
+    """diag(t - 1, t - 2) is diagonal but not a Smith form: the invariant
+    factors are 1 and (t - 1)(t - 2), which only the divisibility step of
+    the elimination reaches."""
+    zero = Laurent()
+    d1 = Matrix(2, 2, [[Laurent({0: -1, 1: 1}), zero], [zero, Laurent({0: -2, 1: 1})]])
+    td = _assert_same([d1], [2, 2])
+    assert td.torsion_polys == ((Laurent({0: 2, 1: -3, 2: 1}),), ())
+    assert td.free_ranks == (0, 0)
