@@ -17,8 +17,8 @@ from .complexes import CATALOG_NAMES, catalog_entry_from_string
 from .groups import GroupPresentation
 from .homology import (BoundaryError, GroupMismatchError, twisted_homology)
 from .jsonio import (InputError, certificate_to_json, check_conductor,
-                     complex_from_json, complex_to_json, rep_from_json,
-                     report_to_json)
+                     check_dim, complex_from_json, complex_to_json,
+                     rep_from_json, report_to_json)
 from .numbers import Cyclo, cyclotomic_reduction_rows
 from .reps import (UnitaryRep, explicit_rep, torsion_characters, trivial_rep,
                    verify_rep)
@@ -85,9 +85,7 @@ def _load_rep(args, group: GroupPresentation) -> UnitaryRep:
         check_conductor(n)
         return _uniform_character(group, n, a)
     if args.trivial is not None:
-        if args.trivial < 1:
-            raise InputError("trivial rep dimension must be >= 1")
-        return trivial_rep(group, args.trivial)
+        return trivial_rep(group, check_dim(args.trivial))
     try:
         with open(args.rep, encoding="utf-8") as fh:
             return rep_from_json(json.load(fh), group)

@@ -18,15 +18,13 @@ Python ints wherever a magnitude bound would leave int64, so no value wraps.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
 
 from .complexes import CatalogEntry, EquivariantComplex, presentation_complex
 from .groups import GroupPresentation, PermAction, free_product
-from .matrices import (Matrix, certified_rank, lift_cyclo, reduce_cyclotomic,
-                       ring_matmul)
+from .matrices import Matrix, certified_rank, reduce_cyclotomic, ring_matmul
 from .numbers import Cyclo
 from .reps import (SplitData, UnitaryRep, _word_images, alpha_minus_one_blocks,
                    explicit_rep, extend_by_identity, induce_rep, trivial_rep,
@@ -190,28 +188,19 @@ def shapiro_compare(c: EquivariantComplex, action: PermAction, sub_matrices,
 # subquotient dimensions along the invariant/coinvariant split
 # ---------------------------------------------------------------------------
 
-def _embed(a: np.ndarray, big: int) -> np.ndarray:
-    """a[..., n] over Z[x]/(x^n - 1) in Z[x]/(x^big - 1), by x -> x^(big/n)."""
-    out = np.zeros(a.shape[:-1] + (big,), dtype=a.dtype)
-    out[..., ::big // a.shape[-1]] = a
-    return out
-
-
 def _subspace_ranks(b: BlockComplex, basis: np.ndarray) -> list[int]:
     """rank of d_k (I tensor B) for every boundary d_k of ``b`` = C tensor V,
-    where B = ``basis`` is an integer array [dim V, w, N] over
-    Z[x]/(x^N - 1) and the conductor of ``b`` divides N.
-
-    The lifts of ``b`` embed by ``_embed``, and B multiplies each cell's
-    column block."""
-    dim, w, big = basis.shape
+    where B = ``basis`` is an integer array [dim V, w, n] over
+    Z[x]/(x^n - 1), n the conductor of ``b``: B multiplies each cell's
+    column block of the lifts."""
+    dim, w, n = basis.shape
     ranks = []
     for lift in b.lifts:
         rows, cols = lift.shape[:2]
         cells = cols // dim
-        per_cell = _embed(lift, big).reshape(rows, cells, dim, big).swapaxes(0, 1)
-        prod = ring_matmul(per_cell, basis, big).swapaxes(0, 1).reshape(rows, cells * w, big)
-        ranks.append(certified_rank(reduce_cyclotomic(prod, big), big, prod))
+        per_cell = lift.reshape(rows, cells, dim, n).swapaxes(0, 1)
+        prod = ring_matmul(per_cell, basis, n).swapaxes(0, 1).reshape(rows, cells * w, n)
+        ranks.append(certified_rank(reduce_cyclotomic(prod, n), n, prod))
     return ranks
 
 
@@ -219,23 +208,26 @@ def subquotient_dims(c: EquivariantComplex, r: UnitaryRep, s: SplitData) \
         -> tuple[HomologyReport, HomologyReport, HomologyReport]:
     """(dims of W, dims of V, dims of V/W) for the invariant/coinvariant split.
 
-    W is the column span of B = ``s.w_basis``.  B has full column rank and
-    holds every (alpha(g) - 1)v, so W is invariant, and iota_k = I_{c_k}
-    tensor B is an injective chain map C_k tensor W -> C_k tensor V:
+    W is the column span of B = ``s.w_basis``, an integer array [dim V, w, n]
+    over Z[x]/(x^n - 1) at the compiled n of r; any other shape is a
+    ValueError.  B must have full column rank and hold every (alpha(g) - 1)v,
+    which two certified ranks check.  Then W is invariant, and iota_k =
+    I_{c_k} tensor B is an injective chain map C_k tensor W -> C_k tensor V:
     d_V iota_{k+1} = iota_k d_W.  Hence rank d_W = rank d_V (I tensor B), and
     C tensor W is read off the one specialization of V.  pi acts trivially on
     V/W, the coinvariants, so C tensor V/W is C tensor the trivial rep of
     dimension dim V - dim W.  Checks Euler additivity and the long-exact-
     sequence bounds.
     """
-    w = s.w_basis.cols
     blocks, n = alpha_minus_one_blocks(r)
-    big = math.lcm(n, *(getattr(x, "conductor", 1) for row in s.w_basis.entries for x in row))
-    basis = lift_cyclo(s.w_basis.entries, big)[0]
-    if certified_rank(reduce_cyclotomic(basis, big), big, basis) != w:
+    basis = s.w_basis
+    if np.ndim(basis) != 3 or np.shape(basis)[::2] != (r.dim, n):
+        raise ValueError(f"split W basis must be an integer array [{r.dim}, w, {n}]")
+    w = basis.shape[1]
+    if certified_rank(reduce_cyclotomic(basis, n), n, basis) != w:
         raise ValueError("split W basis is degenerate")
-    span = np.concatenate([basis] + [_embed(a, big) for a in blocks], axis=1)
-    if certified_rank(reduce_cyclotomic(span, big), big, span) != w:
+    span = np.concatenate([basis] + blocks, axis=1)
+    if certified_rank(reduce_cyclotomic(span, n), n, span) != w:
         raise ValueError("split W does not span the coinvariant directions")
 
     b = specialize(c, r)

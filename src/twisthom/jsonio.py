@@ -36,6 +36,17 @@ def check_conductor(n: int) -> int:
     return n
 
 
+# Larger representation dimensions are refused before any image is built: a
+# boundary of C tensor V has (dim V)^2 times the entries of C's.
+MAX_DIM = 1024
+
+
+def check_dim(k: int) -> int:
+    if not 1 <= k <= MAX_DIM:
+        raise InputError(f"representation dimension must be between 1 and {MAX_DIM}, got {k}")
+    return k
+
+
 def fraction_to_str(x: Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -136,7 +147,7 @@ def rep_to_json(r: UnitaryRep) -> dict:
 def rep_from_json(obj, group: GroupPresentation) -> UnitaryRep:
     """Bind a serialized representation to the group of the paired complex."""
     try:
-        dim = int(obj["dim"])
+        dim = check_dim(int(obj["dim"]))
         mats = []
         for rows in obj["generators"]:
             entries = [[cyclo_from_json(x) for x in row] for row in rows]

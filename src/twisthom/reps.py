@@ -15,9 +15,9 @@ constructor compiles its images by one rule (``_compile``):
 Every image is unitary, so its inverse is always its conjugate transpose
 (``_dagger``; for monomials, the inverse permutation with negated exponents).
 Word images (``evaluate_word``), verification and specialization all multiply
-through ``_word_images``, and the invariant/coinvariant split ranks the same
-integers (``alpha_minus_one_blocks``); the Cyclo matrices of
-``generator_images`` are a view derived on demand.
+through ``_word_images``; the split and the fixed-point-free test rank the
+same integers (``alpha_minus_one_blocks``).  ``Cyclo`` is a codec only: no
+Cyclo arithmetic happens here, and Cyclo matrices are a view on demand.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ from .complexes import quaternion_presentation
 from .groups import (GroupPresentation, PermAction, Word,
                      abelianization_change_of_basis, reidemeister_schreier,
                      verify_grading)
-from .matrices import (Matrix, certified_pivots, certified_rank, fast_rank,
-                       int_dtype, lift_cyclo, max_abs, reduce_cyclotomic,
-                       ring_matmul)
+from .matrices import (Matrix, certified_pivots, certified_rank, int_dtype,
+                       lift_cyclo, max_abs, reduce_cyclotomic, ring_matmul)
 from .numbers import Cyclo, cyclotomic_reduction_rows
 
 # ---------------------------------------------------------------------------
@@ -96,6 +95,9 @@ class _Monomial:
     def is_identity(self, img) -> bool:
         return img == self.identity
 
+    def reduced(self, img):
+        return img  # exponents are kept modulo n, so equal matrices are equal images
+
     def dense(self, img) -> tuple[np.ndarray, int]:
         perm, exps = img
         out = np.zeros((self.dim, self.dim, self.n), dtype=np.int64)
@@ -135,6 +137,13 @@ class _Blocks:
         (pa, ba, da), (pb, bb, db) = a, b
         return tuple([pa[j] for j in pb]), ring_matmul(ba[list(pb)], bb, self.n), da * db
 
+    def reduced(self, img):
+        """Blocks modulo Phi_n, blocks and den over their gcd: one per matrix."""
+        perm, blocks, den = img
+        red = reduce_cyclotomic(blocks, self.n)
+        g = math.gcd(den, *np.unique(red).tolist())
+        return perm, red // g, den // g
+
     def is_identity(self, img) -> bool:
         """perm is the identity and blocks = den * I modulo Phi_n."""
         perm, blocks, den = img
@@ -148,7 +157,7 @@ class _Blocks:
         k = self.k
         out = np.zeros((self.dim, self.dim, self.n), dtype=blocks.dtype)
         for i, row in enumerate(perm):
-            out[row * k:(row + 1) * k, i * k:(i + 1) * k] = blocks[i]
+            out[row * k:(row + 1) * k, i * k:(i + 1) * k, :blocks.shape[-1]] = blocks[i]
         return out, den
 
     def assemble(self, terms, shape, images):
@@ -462,31 +471,35 @@ def _verify_rep_uncached(r: UnitaryRep) -> bool:
 # ---------------------------------------------------------------------------
 
 class SplitData:
-    """A basis of W = span{alpha(g)v - v}: the columns of ``w_basis``.
+    """A basis of W = span{alpha(g)v - v}: the columns of ``w_basis``, an
+    integer array [dim V, w, n] over Z[x]/(x^n - 1), n the rep's compiled n.
 
     For a unitary rep, V = W + V^G with V^G the invariant vectors, and
     V/W is the module of coinvariants, of dimension dim V - dim W."""
 
     __slots__ = ("w_basis",)
 
-    def __init__(self, w_basis: Matrix):
+    def __init__(self, w_basis: np.ndarray):
         object.__setattr__(self, "w_basis", w_basis)
 
     def __setattr__(self, *a):
         raise AttributeError("SplitData is immutable")
 
 
+def _minus_identity(imgs, img) -> np.ndarray:
+    """den (alpha - I) over Z[x]/(x^n - 1) for an image alpha = a / den."""
+    a, den = imgs.dense(img)
+    block = a.astype(int_dtype(max_abs(a) + den))
+    block[np.arange(imgs.dim), np.arange(imgs.dim), 0] -= den
+    return block
+
+
 def alpha_minus_one_blocks(r: UnitaryRep) -> tuple[list[np.ndarray], int]:
     """The integer blocks den_g (alpha(g) - I) over Z[x]/(x^n - 1), one per
     generator g (one zero block when there is none), and n."""
     imgs = r.compiled
-    blocks = []
-    for img in [imgs.images[g, 1] for g in range(r.group.num_generators)] or [imgs.identity]:
-        a, den = imgs.dense(img)
-        block = a.astype(int_dtype(max_abs(a) + den))
-        block[np.arange(r.dim), np.arange(r.dim), 0] -= den
-        blocks.append(block)
-    return blocks, imgs.n
+    gens = [imgs.images[g, 1] for g in range(r.group.num_generators)] or [imgs.identity]
+    return [_minus_identity(imgs, img) for img in gens], imgs.n
 
 
 def invariant_coinvariant_split(r: UnitaryRep) -> SplitData:
@@ -508,7 +521,7 @@ def invariant_coinvariant_split(r: UnitaryRep) -> SplitData:
     on_w = ring_matmul(tall, basis, n)
     if certified_rank(reduce_cyclotomic(on_w, n), n, on_w) != w:
         raise AssertionError("W meets the invariant vectors")
-    return SplitData(_as_matrix(basis, 1, r.conductor))
+    return SplitData(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -519,49 +532,32 @@ class ImageClosureError(RuntimeError):
     """The BFS closure of the generator images exceeded the element cap."""
 
 
-def _matrix_key(m: Matrix, conductor: int):
-    return tuple(tuple((x if isinstance(x, Cyclo) else Cyclo.from_rational(x))
-                       .embed(conductor).coeffs for x in row) for row in m.entries)
-
-
 def fixed_point_free_check(r: UnitaryRep, element_cap: int = 10000) -> bool:
-    """True iff no non-identity element of the (finite) image fixes a vector.
+    """True iff no non-identity element alpha = a / den of the (finite) image
+    fixes a vector, i.e. den (alpha - I) has full rank.
 
-    Materializes the image group by BFS over generator products; raises
-    ImageClosureError when it exceeds element_cap (image possibly infinite).
-    A generator mapping to the identity fails the check (a presumed-nontrivial
-    element fixing everything); kernel elements hidden beyond the generators
-    cannot be detected without a word-problem solver, so faithfulness is the
-    caller's obligation for non-generator kernel elements.
+    Materializes the image group from the compiled images of the generators
+    and their inverses, each element ``reduced`` and keyed by den and its
+    dense array modulo Phi_n; raises ImageClosureError past element_cap
+    elements (image possibly infinite).  A generator mapping to the identity
+    fails the check (a presumed-nontrivial element fixing everything); kernel
+    elements hidden beyond the generators cannot be detected without a
+    word-problem solver, so faithfulness is the caller's obligation for them.
     """
     if not verify_rep(r):
         raise ValueError("representation fails verification")
-    gens = list(r.generator_images)
-    ident = Matrix.identity(r.dim, Cyclo.one(), Cyclo.zero())
-    if any(m == ident for m in gens):
+    imgs, n = r.compiled, r.compiled.n
+    if any(imgs.is_identity(imgs.images[g, 1]) for g in range(r.group.num_generators)):
         return False
-    gens += [evaluate_word(r, ((g, -1),)) for g in range(len(gens))]
-    seen = {_matrix_key(ident, r.conductor): ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in gens:
-                prod = g @ m
-                key = _matrix_key(prod, r.conductor)
-                if key not in seen:
-                    if len(seen) >= element_cap:
-                        raise ImageClosureError(
-                            f"image closure exceeded {element_cap} elements")
-                    seen[key] = prod
-                    new.append(prod)
-        frontier = new
-    for key, m in seen.items():
-        if m == ident:
-            continue
-        diff = Matrix(r.dim, r.dim,
-                      [[m[i, j] - ident[i, j] for j in range(r.dim)]
-                       for i in range(r.dim)])
-        if fast_rank(diff) < r.dim:
-            return False
-    return True
+    seen, todo = {}, [imgs.identity]
+    while todo:
+        img = todo.pop()
+        a, den = imgs.dense(img)
+        key = den, tuple(reduce_cyclotomic(a, n).ravel().tolist())
+        if key not in seen:
+            if len(seen) >= element_cap:
+                raise ImageClosureError(f"image closure exceeded {element_cap} elements")
+            seen[key] = img
+            todo += [imgs.reduced(imgs.mul(g, img)) for g in imgs.images.values()]
+    blocks = [_minus_identity(imgs, img) for img in list(seen.values())[1:]]  # not I
+    return all(certified_rank(reduce_cyclotomic(b, n), n, b) == r.dim for b in blocks)

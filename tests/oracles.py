@@ -13,7 +13,12 @@ answers by other eliminations and use only ``Matrix`` and the scalar types
 - ``smith_normal_form_poly``: U A V = D over Q[t, t^-1] with both
   transforms, by elimination on A bordered with identities, and its own
   content normalization;
-- ``kernel_basis_poly``: the columns of that V past the rank.
+- ``kernel_basis_poly``: the columns of that V past the rank;
+- ``fixed_point_free_reference``: the image group as ``Matrix`` products of
+  ``generator_images`` and their conjugate transposes, each non-identity
+  element ranked by ``matrix_rank``;
+- ``decode_basis``: an integer array over Z[x]/(x^n - 1) as a ``Matrix``
+  of ``Cyclo`` sums of ``Cyclo.root_of_unity``.
 """
 
 import math
@@ -21,6 +26,7 @@ from fractions import Fraction
 
 from twisthom.matrices import Matrix
 from twisthom.numbers import Cyclo, Laurent, euler_phi
+from twisthom.reps import ImageClosureError
 
 
 def _laurent(x) -> Laurent:
@@ -230,3 +236,51 @@ def kernel_basis_poly(m: Matrix) -> Matrix:
                      for x in col])
     return Matrix(m.cols, len(cols), [list(row) for row in zip(*cols)] if cols
                   else [[] for _ in range(m.cols)])
+
+
+def fixed_point_free_reference(r, element_cap: int = 10000) -> bool:
+    """True iff no non-identity element of the finite image of r fixes a
+    vector, by BFS over Cyclo matrix products.  A generator mapping to the
+    identity fails; raises ImageClosureError past element_cap elements."""
+    gens = list(r.generator_images)
+    ident = Matrix.identity(r.dim, Cyclo.one(), Cyclo.zero())
+    if any(m == ident for m in gens):
+        return False
+    gens += [Matrix(m.cols, m.rows, [[m[j, i].conjugate() for j in range(m.rows)]
+                                     for i in range(m.cols)]) for m in gens]
+
+    def key(m):
+        return tuple(tuple(x.embed(r.conductor).coeffs for x in row) for row in m.entries)
+
+    seen = {key(ident): ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for m in frontier:
+            for g in gens:
+                prod = g @ m
+                if key(prod) not in seen:
+                    if len(seen) >= element_cap:
+                        raise ImageClosureError(f"image closure exceeded {element_cap} elements")
+                    seen[key(prod)] = prod
+                    new.append(prod)
+        frontier = new
+    return all(matrix_rank(Matrix(r.dim, r.dim, [[m[i, j] - ident[i, j] for j in range(r.dim)]
+                                                 for i in range(r.dim)])) == r.dim
+               for m in seen.values() if m != ident)
+
+
+def decode_basis(a) -> Matrix:
+    """The integer array a[R, C, n] over Z[x]/(x^n - 1) as a Matrix over
+    Q(zeta_n), by x -> zeta_n."""
+    rows, cols, n = a.shape
+    powers = [Cyclo.root_of_unity(n, k) for k in range(n)]
+
+    def entry(coeffs):
+        out = Cyclo.zero(n)
+        for c, z in zip(coeffs, powers):
+            if c:
+                out = out + int(c) * z
+        return out
+
+    return Matrix(rows, cols, [[entry(a[i, j]) for j in range(cols)] for i in range(rows)])

@@ -9,7 +9,7 @@ from twisthom import matrices
 from twisthom.cli import main
 from twisthom.complexes import MAX_GENUS, MAX_LENS_ORDER, catalog_complex
 from twisthom.groups import PermAction, GroupPresentation
-from twisthom.jsonio import (MAX_CONDUCTOR, InputError, complex_from_json,
+from twisthom.jsonio import (MAX_CONDUCTOR, MAX_DIM, InputError, complex_from_json,
                              complex_to_json, cyclo_from_json, cyclo_to_json,
                              laurent_from_json, laurent_to_json, rep_from_json,
                              rep_to_json, action_to_json)
@@ -303,3 +303,30 @@ def test_rep_file_conductor_must_match_entries(tmp_path, capsys):
     rep = explicit_rep(t3, [[[-Cyclo.root_of_unity(3)]]] * 3)
     assert rep.conductor == 3 and rep.compiled.n == 6
     assert rep_from_json(json.loads(json.dumps(rep_to_json(rep))), t3).conductor == 3
+
+
+def test_largest_trivial_dimension_is_admitted(tmp_path):
+    code, data = run_cli(tmp_path, "homology", "--catalog", "t3", "--trivial", str(MAX_DIM))
+    assert code == 0 and data["dims"] == [MAX_DIM, 3 * MAX_DIM, 3 * MAX_DIM, MAX_DIM]
+
+
+@pytest.mark.parametrize("source", ["trivial", "rep file"])
+@pytest.mark.parametrize("dim", [0, MAX_DIM + 1, 100_000_000])
+def test_oversized_rep_dimension_is_refused(tmp_path, capsys, source, dim):
+    """--trivial k and a rep file's "dim" are capped before any image is
+    built; the rep file belongs to a group with no generators, so nothing
+    else bounds its "dim"."""
+    if source == "trivial":
+        argv = ["--catalog", "lens:5,1", "--trivial", str(dim)]
+    else:
+        cx, rep = tmp_path / "cx.json", tmp_path / "rep.json"
+        cx.write_text(json.dumps({"group": {"num_generators": 0, "relators": []},
+                                  "ranks": [1], "boundaries": []}))
+        rep.write_text(json.dumps({"dim": dim, "generators": []}))
+        argv = ["--complex", str(cx), "--rep", str(rep)]
+    start = time.perf_counter()
+    code, data = run_cli(tmp_path, "homology", *argv)
+    assert code == 1 and data is None
+    assert capsys.readouterr().err.startswith(
+        f"error: representation dimension must be between 1 and {MAX_DIM}")
+    assert time.perf_counter() - start < 5

@@ -1,14 +1,17 @@
 """Twisted homology: specialization, dims, coinvariants, covers, splits, sums."""
 
 import functools
+import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import matrix_rank
+from oracles import decode_basis, matrix_rank
+from twisthom.cli import main
 from twisthom.complexes import (EquivariantComplex, catalog_complex,
                                 catalog_entry_from_string,
                                 presentation_complex, trefoil_group)
@@ -20,14 +23,14 @@ from twisthom.homology import (BoundaryError, GroupMismatchError,
                                connected_sum_dims, homology_dims,
                                shapiro_compare, specialize, subquotient_dims,
                                twisted_homology)
-from twisthom.matrices import (Matrix, certified_rank, integer_kernel_basis,
-                               lift_cyclo)
+from twisthom.jsonio import rep_to_json
+from twisthom.matrices import Matrix, certified_rank, integer_kernel_basis
 from twisthom.numbers import Cyclo
-from twisthom.reps import (SplitData, character_from_grading, evaluate_word,
-                           explicit_rep, induce_rep,
-                           invariant_coinvariant_split, permutation_rep,
-                           quaternion_left_rep, torsion_characters,
-                           trivial_rep)
+from twisthom.reps import (ImageClosureError, SplitData, character_from_grading,
+                           evaluate_word, explicit_rep, fixed_point_free_check,
+                           induce_rep, invariant_coinvariant_split,
+                           permutation_rep, quaternion_left_rep,
+                           torsion_characters, trivial_rep)
 
 
 def _circle():
@@ -231,18 +234,37 @@ def test_subquotient_rejects_degenerate_w():
     """W given with a repeated column is refused as degenerate; the span check
     alone would pass it, since [W | stacked] still has rank 2."""
     rep = _backend_reps()["dense"]
-    split = invariant_coinvariant_split(rep)
-    first = split.w_basis.column(0)
-    repeated = Matrix(rep.dim, 2, [[x, x] for x in first])
+    first = invariant_coinvariant_split(rep).w_basis[:, :1]
     with pytest.raises(ValueError, match="degenerate"):
         subquotient_dims(catalog_complex("t3").complex, rep,
-                         SplitData(repeated))
+                         SplitData(np.concatenate([first, first], axis=1)))
 
 
-def test_split_path_does_no_cyclo_arithmetic(monkeypatch):
-    """The split, the subquotient dims and the coinvariants read the compiled
-    integer images: they run with Cyclo arithmetic disabled, on rotated dense
-    sums of one trivial and two nontrivial characters."""
+def test_subquotient_rejects_misshapen_basis():
+    """A basis at another n, of another dimension or in another format than
+    the integer array of the rep's split is refused."""
+    t3 = catalog_complex("t3").complex
+    rep = _backend_reps()["dense"]
+    basis = invariant_coinvariant_split(rep).w_basis
+    doubled = np.zeros(basis.shape[:2] + (24,), dtype=basis.dtype)
+    doubled[..., ::2] = basis  # the same vectors over Z[x]/(x^24 - 1)
+    for bad in (doubled, basis[1:], basis[..., 0], decode_basis(basis)):
+        with pytest.raises(ValueError, match="integer array"):
+            subquotient_dims(t3, rep, SplitData(bad))
+
+
+def _rep_file(tmp_path, rep):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep_to_json(rep)))
+    return str(path)
+
+
+def test_no_cyclo_arithmetic_past_the_codec(monkeypatch, tmp_path, fixed_point_battery):
+    """Cyclo is only the codec: with its arithmetic disabled, the
+    fixed-point-free battery, the split, the subquotient dims and the
+    coinvariants (on rotated dense sums of one trivial and two nontrivial
+    characters), and the search, acyclify and homology --rep commands run
+    and give the answers they give with it."""
     rng = random.Random("integer split")
     cases = []
     for base in ("torus2d", "lens:3,1", "trefoil_exterior", "t3"):
@@ -252,19 +274,36 @@ def test_split_path_does_no_cyclo_arithmetic(monkeypatch):
         mats = [_diagonal([s[g] for s in summands]) for g in range(ngens)]
         trivial = twisted_homology(cx, trivial_rep(cx.group, 1))
         cases.append((cx, explicit_rep(cx.group, _rotated(mats, 3)), trivial))
+    commands = [["search", "--catalog", "lens:7,1"],
+                ["acyclify", "--catalog", "t3", "--phi", "1,0,0"],
+                ["homology", "--catalog", "t3", "--rep",
+                 _rep_file(tmp_path, _backend_reps()["dense"])]]
+
+    def run(argv):
+        out = tmp_path / "out.json"
+        return main(argv + ["--out", str(out)]), out.read_text()
+
+    expected = [run(argv) for argv in commands]
 
     def refuse(*args):
-        raise AssertionError("Cyclo arithmetic on the split path")
+        raise AssertionError("Cyclo arithmetic past the codec")
 
     for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
                  "__neg__", "conjugate"):
         monkeypatch.setattr(Cyclo, name, refuse)
+    for label, rep, cap, want in fixed_point_battery:
+        if want is ImageClosureError:
+            with pytest.raises(ImageClosureError):
+                fixed_point_free_check(rep, element_cap=cap)
+        else:
+            assert fixed_point_free_check(rep, element_cap=cap) == want, label
     for cx, rep, trivial in cases:
         split = invariant_coinvariant_split(rep)
-        assert split.w_basis.cols == 2
+        assert split.w_basis.shape[1] == 2
         w, v, q = subquotient_dims(cx, rep, split)
         assert q == trivial
         assert coinvariants_h0(cx.group, rep) == v.dims[0] == 1
+    assert [run(argv) for argv in commands] == expected
 
 
 def test_connected_sum_examples():
@@ -399,13 +438,12 @@ def test_boundaries_match_independent_assembly(word_reference):
 
     dense = reps["dense"]
     split = invariant_coinvariant_split(dense)
-    w_basis = split.w_basis
-    assert (w_basis.rows, w_basis.cols) == (3, 2)
+    assert split.w_basis.shape == (3, 2, 12)
+    w_basis = decode_basis(split.w_basis)
     expected = _assembled(t3, dense.dim, lambda w: word_reference(dense, w))
     ranks = [matrix_rank(m @ _block_diagonal(w_basis, m.cols // dense.dim))
              for m in expected]
-    lifted = lift_cyclo(w_basis.entries, dense.conductor)[0]
-    assert _subspace_ranks(specialize(t3, dense), lifted) == ranks
+    assert _subspace_ranks(specialize(t3, dense), split.w_basis) == ranks
     ranks = [0] + ranks + [0]
     want = [2 * cells - ranks[i] - ranks[i + 1] for i, cells in enumerate(t3.ranks)]
     assert subquotient_dims(t3, dense, split)[0].dims == tuple(want)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import matrix_rank
+from oracles import decode_basis, fixed_point_free_reference, matrix_rank
 from twisthom.complexes import (catalog_complex, quaternion_presentation,
                                 quaternion_regular_action, trefoil_group)
 from twisthom.groups import (GroupPresentation, PermAction, free_reduce,
@@ -183,16 +183,19 @@ def test_verify_rep_rejects_on_both_image_forms():
 
 
 def test_split_examples():
+    """The basis is an integer array [dim V, w, n] at the compiled n."""
     z = GroupPresentation(1)
     s = invariant_coinvariant_split(trivial_rep(z, 3))
-    assert (s.w_basis.rows, s.w_basis.cols) == (3, 0)
+    assert s.w_basis.shape == (3, 0, 1)
     p5 = GroupPresentation(1, [word_power(0, 5)])
     s = invariant_coinvariant_split(torsion_characters(p5)[2])
-    assert (s.w_basis.rows, s.w_basis.cols) == (1, 1)
+    assert s.w_basis.shape == (1, 1, 5)
+    assert decode_basis(s.w_basis)[0, 0] == Cyclo.root_of_unity(5, 2) - 1
     d = explicit_rep(z, [[[1, 0], [0, -1]]])
     s = invariant_coinvariant_split(d)
-    assert (s.w_basis.rows, s.w_basis.cols) == (2, 1)
-    assert not s.w_basis[0, 0] and s.w_basis[1, 0]  # W is the second axis
+    assert s.w_basis.shape == (2, 1, 1)
+    w = decode_basis(s.w_basis)
+    assert not w[0, 0] and w[1, 0]  # W is the second axis
 
 
 def test_split_dimensions_random():
@@ -213,10 +216,15 @@ def test_split_dimensions_random():
             mats.append(diag)
         rep = explicit_rep(z2z2, mats)
         s = invariant_coinvariant_split(rep)
-        assert s.w_basis.cols == sum(c is not chars[0] for c in picks)
+        assert s.w_basis.shape[1] == sum(c is not chars[0] for c in picks)
         stacked = Matrix(k, 2 * k, [[m[i][j] - int(i == j) for m in mats for j in range(k)]
                                     for i in range(k)])
-        assert matrix_rank(stacked) == s.w_basis.cols
+        assert matrix_rank(stacked) == s.w_basis.shape[1]
+        # the basis spans the same space as the stacked columns
+        basis = decode_basis(s.w_basis)
+        both = Matrix(k, 2 * k + basis.cols,
+                      [stacked.entries[i] + basis.entries[i] for i in range(k)])
+        assert matrix_rank(basis) == matrix_rank(both) == s.w_basis.shape[1]
 
 
 @pytest.mark.parametrize("mats, message", [
@@ -247,3 +255,18 @@ def test_fixed_point_free_cap():
     assert fixed_point_free_check(ch)
     with pytest.raises(ImageClosureError):
         fixed_point_free_check(ch, element_cap=3)
+
+
+def test_fixed_point_free_matches_reference(fixed_point_battery):
+    """The check on the compiled images equals the Cyclo BFS reference on
+    characters of Z/n (n <= 12), Q8's left and regular reps, dense block
+    images (one fixed-point free generator whose square is not), an image
+    of infinite order and an element cap."""
+    for label, rep, cap, expected in fixed_point_battery:
+        answers = []
+        for check in (fixed_point_free_check, fixed_point_free_reference):
+            try:
+                answers.append(check(rep, element_cap=cap))
+            except ImageClosureError:
+                answers.append(ImageClosureError)
+        assert answers == [expected, expected], label
