@@ -21,7 +21,8 @@ import math
 from .complexes import EquivariantComplex
 from .groups import grading_weight, verify_grading
 from .homology import CrossCheckError, HomologyReport, twisted_homology
-from .matrices import Matrix, invariant_factors_poly
+from .matrices import (Matrix, _laurent_int_rows, _monic_laurent, _scale_sub,
+                       _snf_poly)
 from .numbers import Laurent, cyclotomic_polynomial, euler_phi
 from .reps import UnitaryRep, character_from_grading
 
@@ -80,11 +81,17 @@ class TorsionData:
         return f"TorsionData(free={self.free_ranks}, torsion={self.torsion_polys})"
 
 
+# The torsion elimination is linear in the degree span of the entries, which
+# grows with the grading's weights, so wider entries are refused up front.
+MAX_LAURENT_SPAN = 1024
+
+
 def laurent_specialize(c: EquivariantComplex, phi) -> list[Matrix]:
     """Boundary matrices over Q[t, t^-1] under the ring map g -> t^phi(g).
 
     The d.d = 0 identity is checked by ``torsion_invariants``, which every
-    pipeline runs on these matrices next.
+    pipeline runs on these matrices next.  An entry whose degree minus
+    valuation exceeds MAX_LAURENT_SPAN raises ValueError.
     """
     if not verify_grading(c.group, phi):
         raise GradingError("grading does not vanish on all relators")
@@ -98,17 +105,29 @@ def laurent_specialize(c: EquivariantComplex, phi) -> list[Matrix]:
                 for w, coeff in b[i, j].terms.items():
                     e = grading_weight(phi, w)
                     terms[e] = terms.get(e, 0) + coeff
-                row.append(Laurent(terms))
+                x = Laurent(terms)
+                if x and x.degree() - x.valuation() > MAX_LAURENT_SPAN:
+                    raise ValueError(f"a specialized entry spans {x.degree() - x.valuation()} "
+                                     f"powers of t; at most {MAX_LAURENT_SPAN} are admitted")
+                row.append(x)
             entries.append(row)
         mats.append(Matrix(b.rows, b.cols, entries))
     return mats
 
 
-def _composes_to_zero(a: Matrix, b: Matrix) -> bool:
-    """a @ b == 0 exactly, summing only the products of nonzero entries."""
-    cols = [[(k, x) for k, x in enumerate(b.column(j)) if x] for j in range(b.cols)]
-    return not any(sum((row[k] * x for k, x in col if row[k]), Laurent())
-                   for row in a.entries for col in cols)
+def _composes_to_zero(a: list[list], b: list[list]) -> bool:
+    """a @ b == 0 exactly for integer Laurent rows a and b, summing only the
+    products of nonzero entries."""
+    cols = [[(k, y) for k, y in enumerate(col) if y] for col in zip(*b)]
+    for row in a:
+        for col in cols:
+            acc = None  # minus the entry of a @ b
+            for k, y in col:
+                if row[k]:
+                    acc = _scale_sub(1, acc, row[k], y)
+            if acc:
+                return False
+    return True
 
 
 def torsion_invariants(mats: list[Matrix], ranks) -> TorsionData:
@@ -121,6 +140,10 @@ def torsion_invariants(mats: list[Matrix], ranks) -> TorsionData:
     non-unit invariant factors of d_{i+1}, and the free rank is
     c_i - rank d_i - rank d_{i+1}, each rank being the number of nonzero
     factors.  Shapes and d.d = 0 are checked exactly here (ValueError).
+
+    Each matrix is scaled to integer Laurent polynomials once on entry; the
+    d.d = 0 check and the elimination run on that form, and only the torsion
+    polynomials go back to monic ``Laurent`` values.
     """
     ranks = [int(r) for r in ranks]
     if len(mats) != max(0, len(ranks) - 1):
@@ -129,13 +152,15 @@ def torsion_invariants(mats: list[Matrix], ranks) -> TorsionData:
         if (m.rows, m.cols) != (ranks[i], ranks[i + 1]):
             raise ValueError(f"d{i + 1} is {m.rows}x{m.cols}, "
                              f"expected {ranks[i]}x{ranks[i + 1]}")
+    ints = [_laurent_int_rows(m) for m in mats]
     for t in range(len(mats) - 1):
-        if not _composes_to_zero(mats[t], mats[t + 1]):
+        if not _composes_to_zero(ints[t], ints[t + 1]):
             raise ValueError(f"d{t + 1}.d{t + 2} != 0 over Q[t, t^-1]")
-    factors = [[x for x in invariant_factors_poly(m) if x] for m in mats] + [[]]
+    factors = [[x for x in _snf_poly(a) if x] for a in ints] + [[]]
     free_ranks = [c - len(factors[i]) - (len(factors[i - 1]) if i else 0)
                   for i, c in enumerate(ranks)]
-    torsion = [tuple(x for x in fs if not x.is_unit()) for fs in factors[:len(ranks)]]
+    torsion = [tuple(_monic_laurent(x) for x in fs if len(x[1]) > 1)
+               for fs in factors[:len(ranks)]]
     return TorsionData(free_ranks, torsion)
 
 

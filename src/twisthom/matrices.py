@@ -11,7 +11,9 @@ Laurent).  Everything here is exact, with one elimination per ring:
   certified count, it raises ValueError;
 - Smith normal form over Z: ``smith_normal_form_int``, with U and V;
 - Smith normal form over Q[t, t^-1]: ``invariant_factors_poly``, the
-  diagonal alone.
+  diagonal alone.  Its elimination ``_snf_poly`` runs on primitive integer
+  Laurent polynomials (``_laurent_int_rows``): Python ints only, with
+  exact integer pseudo-division and no Fraction.
 
 Degenerate shapes (0 rows or columns) are legal everywhere and have rank 0.
 """
@@ -429,165 +431,193 @@ def integer_kernel_basis(m: Matrix) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over Q[t, t^-1]
+# Smith normal form over Q[t, t^-1], on integer Laurent polynomials
 # ---------------------------------------------------------------------------
+#
+# An integer Laurent polynomial is None for zero, or (v, c) for
+# t^v (c[0] + c[1] t + ... + c[d] t^d), c a tuple of Python ints with c[0] and
+# c[d] nonzero; d is its degree span.  Every nonzero rational is a unit of
+# Q[t, t^-1], so a matrix scaled to integers keeps its invariant factors.
 
-def _content_unit(vals) -> Laurent | None:
-    """Unit u = c * t^k making the entries coprime-integer with valuation 0.
+def _laurent_int_rows(m: Matrix) -> list[list]:
+    """The entries of a matrix over Q[t, t^-1] (Laurent, Fraction or int) times
+    the lcm of their denominators, as integer Laurent polynomials.  One scalar
+    for the whole matrix keeps products of such matrices exact up to a
+    nonzero constant."""
+    terms = [[x.terms if isinstance(x, Laurent) else {0: as_fraction(x)} if x else {}
+              for x in row] for row in m.entries]
+    den = math.lcm(1, *(c.denominator for row in terms for x in row for c in x.values()))
 
-    Multiplying a row or column by such a unit keeps its invariant factors
-    while stopping the coefficient blowup of rational polynomial elimination
-    (the primitive-remainder trick).
-    """
-    num_gcd = 0
-    den_lcm = 1
-    min_val = None
-    for x in vals:
+    def entry(x: dict):
         if not x:
-            continue
-        v = x.valuation()
-        min_val = v if min_val is None else min(min_val, v)
-        for c in x.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    if min_val is None:
-        return None
-    factor = Fraction(den_lcm, num_gcd)
-    if factor == 1 and min_val == 0:
-        return None
-    return Laurent.t_power(-min_val, factor)
+            return None
+        v = min(x)
+        c = [0] * (max(x) - v + 1)
+        for e, q in x.items():
+            c[e - v] = q.numerator * (den // q.denominator)
+        return v, tuple(c)
+
+    return [[entry(x) for x in row] for row in terms]
+
+
+@functools.lru_cache(maxsize=1024)
+def _ratio(p: int, q: int) -> Fraction:
+    """Fraction(p, q), one shared object per recent value: torsion
+    polynomials repeat across complexes, and callers may keep many."""
+    return Fraction(p, q)
+
+
+def _monic_laurent(x) -> Laurent:
+    """The associate of a nonzero integer Laurent polynomial that is monic
+    with nonzero constant term."""
+    c = x[1]
+    return Laurent._of({e: _ratio(q, c[-1]) for e, q in enumerate(c)})
+
+
+def _primitive(xs: list) -> list:
+    """xs divided by the gcd of all their coefficients (a positive integer, so
+    signs stay) and by t^v, v the least valuation among them."""
+    nonzero = [x for x in xs if x]
+    if not nonzero:
+        return xs
+    g = math.gcd(*(q for _, c in nonzero for q in c))
+    v = min(x[0] for x in nonzero)
+    if g == 1 and v == 0:
+        return xs
+    return [x and (x[0] - v, x[1] if g == 1 else tuple(q // g for q in x[1])) for x in xs]
+
+
+def _scale_sub(s: int, x, q, y):
+    """s x - q y for an integer s and integer Laurent polynomials x, q, y."""
+    if y is None:
+        return x if s == 1 or x is None else (x[0], tuple(s * a for a in x[1]))
+    (vq, cq), (vy, cy) = q, y
+    p = [0] * (len(cq) + len(cy) - 1)
+    for i, a in enumerate(cq):
+        for j, b in enumerate(cy, i):
+            p[j] += a * b
+    vp = vq + vy
+    if x is None:  # the end coefficients of p are products of nonzero ones
+        return vp, tuple(-a for a in p)
+    vx, cx = x
+    lo = min(vx, vp)
+    out = [0] * (max(vx + len(cx), vp + len(p)) - lo)
+    for i, a in enumerate(cx, vx - lo):
+        out[i] = s * a
+    for i, a in enumerate(p, vp - lo):
+        out[i] -= a
+    nonzero = [i for i, a in enumerate(out) if a]
+    return (lo + nonzero[0], tuple(out[nonzero[0]:nonzero[-1] + 1])) if nonzero else None
+
+
+def _divide(a: list, b: tuple) -> tuple[list, list] | None:
+    """(q, r) with a = q b + r and len(r) < len(b), for integer coefficient
+    lists; None as soon as a coefficient of q is not an integer, so nothing
+    is ever rounded."""
+    q, r, top = [0] * (len(a) - len(b) + 1), list(a), len(b) - 1
+    for m in range(len(q) - 1, -1, -1):
+        if r[m + top]:
+            q[m], rem = divmod(r[m + top], b[-1])
+            if rem:
+                return None
+            for i, c in enumerate(b, m):
+                r[i] -= q[m] * c
+    return q, r[:top]
+
+
+def _pseudo_quotient(x, y) -> tuple[int, tuple]:
+    """(s, q) with s = lead(y)^(span x - span y + 1) and s x = q y + r, the
+    span of r below that of y: the pseudo-division of Knuth, TAOCP vol. 2,
+    4.6.1, whose quotient is integral."""
+    (vx, cx), (vy, cy) = x, y
+    s = cy[-1] ** (len(cx) - len(cy) + 1)
+    div = _divide([s * c for c in cx], cy)
+    if div is None:
+        raise ArithmeticError("inexact pseudo-division")
+    q = div[0]
+    first = next(m for m, c in enumerate(q) if c)  # the top one, s lead(x) / lead(y), is not 0
+    return s, (vx - vy + first, tuple(q[first:]))
+
+
+def _divides(b: tuple, a: tuple) -> bool:
+    """Whether b divides a in Q[t], for coefficient tuples with nonzero constant
+    terms and b primitive: by Gauss's lemma the quotient is then integral."""
+    div = _divide(a, b)
+    return div is not None and not any(div[1])
 
 
 def invariant_factors_poly(m: Matrix) -> list[Laurent]:
     """The diagonal of the Smith normal form of m over Q[t, t^-1]: the nonzero
     entries come first, each monic with nonzero constant term and dividing
     the next; their count is the rank."""
-    a = _snf_poly(m)
-    return [a[i][i].unit_normalize() for i in range(min(m.rows, m.cols))]
+    return [_monic_laurent(x) if x else Laurent()
+            for x in _snf_poly(_laurent_int_rows(m))]
 
 
-def _snf_poly(m: Matrix) -> list[list[Laurent]]:
-    """The Smith elimination over Q[t, t^-1] on A alone (no U or V): the
-    eliminated entries, diagonal up to units.
+def _snf_poly(a: list[list]) -> list:
+    """The Smith elimination over Q[t, t^-1] on the integer Laurent rows a,
+    in place and without U or V: the diagonal, up to units.
 
-    Rows are first scaled by t^-v to land in Q[t]; pivoting picks the entry of
-    smallest polynomial degree (ties by row, then column).
+    Every row and column is kept primitive: after each operation it is
+    divided by the gcd of its coefficients and by the least power of t in it.
+    Pivoting picks the entry of least degree span (ties by row, then column).
+    Entries of the pivot cross are reduced one at a time by pseudo-division
+    (the primitive polynomial remainder sequence: Knuth, TAOCP vol. 2, 4.6.1;
+    Brown, JACM 18, 1971), so all arithmetic is on Python ints.
     """
-    a = [[x if isinstance(x, Laurent) else Laurent.const(x) for x in row]
-         for row in m.entries]
-    nr, nc = m.rows, m.cols
+    nr, nc = len(a), len(a[0]) if a else 0
 
-    # zero entries are skipped: Laurent values are canonical, so x - q*0 is x
-    def scale_row(i, unit):
-        a[i] = [unit * x if x else x for x in a[i]]
+    def row_op(i, s, q, k):  # row i = s * row i - q * row k, made primitive
+        a[i] = _primitive([_scale_sub(s, x, q, y) for x, y in zip(a[i], a[k])])
 
-    def scale_col(j, unit):
-        for row in a:
-            if row[j]:
-                row[j] = unit * row[j]
-
-    def row_op(i1, i2, q):  # row i2 -= q*row i1, then renormalize content
-        a[i2] = [x - q * y if y else x for x, y in zip(a[i2], a[i1])]
-        unit = _content_unit(a[i2])
-        if unit is not None:
-            scale_row(i2, unit)
-
-    def col_op(j1, j2, q):  # col j2 -= q*col j1, then renormalize content
-        for row in a:
-            if row[j1]:
-                row[j2] = row[j2] - q * row[j1]
-        unit = _content_unit([row[j2] for row in a])
-        if unit is not None:
-            scale_col(j2, unit)
-
-    def swap_rows(i1, i2):
-        a[i1], a[i2] = a[i2], a[i1]
+    def col_op(j, s, q, k):  # col j = s * col j - q * col k, made primitive
+        for row, x in zip(a, _primitive([_scale_sub(s, row[j], q, row[k]) for row in a])):
+            row[j] = x
 
     def swap_cols(j1, j2):
         for row in a:
             row[j1], row[j2] = row[j2], row[j1]
 
-    # clear t-powers and content rowwise
     for i in range(nr):
-        unit = _content_unit(a[i])
-        if unit is not None:
-            scale_row(i, unit)
-
-    def poly_deg(x: Laurent) -> int:
-        return x.degree() - x.valuation()
+        a[i] = _primitive(a[i])
 
     k = 0
     while True:
-        pivot = None
-        best = None
-        for i in range(k, nr):
-            for j in range(k, nc):
-                if a[i][j]:
-                    d = poly_deg(a[i][j])
-                    if best is None or d < best:
-                        best = d
-                        pivot = (i, j)
-        if pivot is None:
+        block = [(len(a[i][j][1]), i, j) for i in range(k, nr) for j in range(k, nc) if a[i][j]]
+        if not block:
             break
-        swap_rows(k, pivot[0])
-        swap_cols(k, pivot[1])
-        # Euclid chip-away on the pivot cross: always keep the minimal-degree
+        _, i, j = min(block)
+        a[k], a[i] = a[i], a[k]
+        swap_cols(k, j)
+        # Euclid chip-away on the pivot cross: always keep the least-span
         # cross entry at the pivot and reduce one entry per step, so cross
-        # degrees strictly decrease (a full clearing pass would ping-pong
+        # spans strictly decrease (a full clearing pass would ping-pong
         # high-degree entries through the cross and blow up degrees).
         while True:
-            min_deg = poly_deg(a[k][k])
-            where = None
-            for i in range(k + 1, nr):
-                if a[i][k]:
-                    d = poly_deg(a[i][k])
-                    if d < min_deg:
-                        min_deg, where = d, ("row", i)
-            for j in range(k + 1, nc):
-                if a[k][j]:
-                    d = poly_deg(a[k][j])
-                    if d < min_deg:
-                        min_deg, where = d, ("col", j)
-            if where is not None:
-                if where[0] == "row":
-                    swap_rows(k, where[1])
-                else:
-                    swap_cols(k, where[1])
-            target = None
-            for i in range(k + 1, nr):
-                if a[i][k]:
-                    target = ("row", i)
-                    break
-            if target is None:
-                for j in range(k + 1, nc):
-                    if a[k][j]:
-                        target = ("col", j)
-                        break
-            if target is None:
+            cross = ([(len(a[i][k][1]), 0, i) for i in range(k + 1, nr) if a[i][k]]
+                     + [(len(a[k][j][1]), 1, j) for j in range(k + 1, nc) if a[k][j]])
+            if not cross:
                 break
-            # pseudo-division: pre-scale so the quotient is integral, keeping
-            # coefficient growth polynomial (primitive-remainder trick)
-            lead = a[k][k].leading_coeff()
-            if target[0] == "row":
-                i = target[1]
-                shift = poly_deg(a[i][k]) - poly_deg(a[k][k])
-                if shift >= 0 and lead != 1:
-                    scale_row(i, Laurent.const(lead ** (shift + 1)))
-                q, _ = a[i][k].divmod(a[k][k])
-                row_op(k, i, q)
+            span, in_col, idx = min(cross)
+            if span < len(a[k][k][1]):
+                if in_col:
+                    swap_cols(k, idx)
+                else:
+                    a[k], a[idx] = a[idx], a[k]
+            i = next((i for i in range(k + 1, nr) if a[i][k]), None)
+            if i is not None:
+                row_op(i, *_pseudo_quotient(a[i][k], a[k][k]), k)
             else:
-                j = target[1]
-                shift = poly_deg(a[k][j]) - poly_deg(a[k][k])
-                if shift >= 0 and lead != 1:
-                    scale_col(j, Laurent.const(lead ** (shift + 1)))
-                q, _ = a[k][j].divmod(a[k][k])
-                col_op(k, j, q)
-        head = a[k][k]
-        offender = None if head.is_unit() else next(  # a unit divides everything
-            (i for i in range(k + 1, nr) for j in range(k + 1, nc)
-             if not head.divides(a[i][j])), None)
-        if offender is not None:
-            row_op(offender, k, Laurent.const(-1))
-            continue
+                j = next(j for j in range(k + 1, nc) if a[k][j])
+                col_op(j, *_pseudo_quotient(a[k][j], a[k][k]), k)
+        head = a[k][k][1]
+        if len(head) > 1:  # a unit divides everything
+            g = math.gcd(*head)
+            head = tuple(q // g for q in head)
+            offender = next((i for i in range(k + 1, nr) for j in range(k + 1, nc)
+                             if a[i][j] and not _divides(head, a[i][j][1])), None)
+            if offender is not None:
+                row_op(k, 1, (0, (-1,)), offender)
+                continue
         k += 1
-    return a
+    return [a[i][i] for i in range(min(nr, nc))]

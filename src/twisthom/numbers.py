@@ -389,9 +389,6 @@ class Laurent:
         """Units of Q[t, t^-1] are exactly the monomials c*t^k."""
         return len(self.terms) == 1
 
-    def is_one(self) -> bool:
-        return self.terms == {0: ONE}
-
     def unit_normalize(self) -> "Laurent":
         """Divide by the unit c*t^k: monic with nonzero constant term; zero stays zero."""
         if not self.terms:

@@ -1,13 +1,20 @@
 """The fibered acyclification pipeline over Q[t, t^-1]."""
 
+import functools
+import math
+from fractions import Fraction
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from twisthom.alexander import (AcyclicityCertificate, FreeRankObstruction,
                                 GradingError, TorsionData, alexander_data,
                                 laurent_specialize, make_acyclic_fibered,
                                 select_root_of_unity, torsion_invariants,
                                 uct_dims)
-from twisthom.complexes import catalog_complex
+from twisthom.complexes import catalog_complex, cover_complex
+from twisthom.groups import reidemeister_schreier, transitive_actions
 from twisthom.homology import twisted_homology
 from twisthom.matrices import Matrix
 from twisthom.numbers import Laurent, cyclotomic_polynomial
@@ -225,3 +232,89 @@ def test_torus2d_is_acyclifiable():
     assert td.free_ranks == (0, 0, 0)
     cert = make_acyclic_fibered(t2, [1, 0])
     assert cert.z_order == 2 and cert.report.acyclic
+
+
+# (catalog entry, parameters, fibration class, cover degrees)
+_BASES = (("trefoil_exterior", (), (1, 1), (1, 2, 3, 4, 5)),
+          ("t3", (), (1, 0, 0), (1, 2, 3)),
+          ("s1x_sigma", (2,), (0, 0, 0, 0, 1), (2,)))
+
+
+@functools.cache
+def _actions(name, params, degree):
+    base = catalog_complex(name, list(params)).complex
+    return base, transitive_actions(base.group, degree)
+
+
+def _pulled_back_cover(name, params, phi, degree, k):
+    """The k-th transitive cover of the given degree, with phi pulled back to
+    its group and divided by the gcd of its values."""
+    base, actions = _actions(name, params, degree)
+    sub, data = reidemeister_schreier(base.group, actions[k])
+    pulled = [sum(e * phi[g] for g, e in data.schreier_generator_word(s))
+              for s in range(sub.num_generators)]
+    return cover_complex(base, actions[k]), [v // math.gcd(*pulled) for v in pulled]
+
+
+_FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                       "__rmul__", "__truediv__", "__rtruediv__", "__floordiv__",
+                       "__rfloordiv__", "__mod__", "__rmod__", "__neg__", "__pow__")
+
+
+def test_torsion_invariants_do_no_fraction_arithmetic(monkeypatch):
+    """The elimination and the d.d = 0 check run on integer polynomials: with
+    Fraction arithmetic disabled, torsion_invariants gives the TorsionData it
+    gives with it, on the catalog entries above and on covers of the
+    trefoil and t3.  The monic output only constructs Fractions."""
+    cases = [(catalog_complex(name, params).complex, phi) for name, params, phi in (
+        ("s1xs2", [], [1]), ("trefoil_exterior", [], [1, 1]), ("t3", [], [1, 0, 0]),
+        ("t3", [], [1, -1, 3]), ("s1x_sigma", [2], [0, 0, 0, 0, 1]),
+        ("torus2d", [], [2, 1]), ("handlebody", [1], [1]), ("handlebody", [2], [1, 0]))]
+    cases += [_pulled_back_cover("trefoil_exterior", (), (1, 1), 4, k) for k in range(2)]
+    cases += [_pulled_back_cover("t3", (), (1, 0, 0), 3, k) for k in (0, 5, 12)]
+    specialized = [(laurent_specialize(cx, phi), cx.ranks) for cx, phi in cases]
+    expected = [torsion_invariants(mats, ranks) for mats, ranks in specialized]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in the torsion path")
+
+    for name in _FRACTION_OPERATORS:
+        monkeypatch.setattr(Fraction, name, refuse)
+    got = [torsion_invariants(mats, ranks) for mats, ranks in specialized]
+    monkeypatch.undo()
+    assert [(td.free_ranks, td.torsion_polys) for td in got] == \
+        [(td.free_ranks, td.torsion_polys) for td in expected]
+    assert any(td.torsion_polys[1] for td in got)
+
+
+@st.composite
+def _broken_covers(draw):
+    name, params, phi, degrees = draw(st.sampled_from(_BASES))
+    degree = draw(st.sampled_from(degrees))
+    k = draw(st.integers(0, len(_actions(name, params, degree)[1]) - 1))
+    cx, pulled = _pulled_back_cover(name, params, phi, degree, k)
+    mats = laurent_specialize(cx, pulled)
+    t = draw(st.integers(0, len(mats) - 1))
+    i, j = draw(st.integers(0, mats[t].rows - 1)), draw(st.integers(0, mats[t].cols - 1))
+    extra = Laurent({draw(st.integers(-3, 3)): draw(st.integers(-3, 3).filter(bool))
+                     for _ in range(draw(st.integers(1, 3)))})
+    return cx, mats, t, i, j, extra
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_broken_covers())
+def test_composition_check_can_fail(case):
+    """torsion_invariants accepts every specialized cover, and after one entry
+    of one boundary is changed it raises exactly when the Matrix product of
+    that boundary with a neighbour is no longer zero."""
+    cx, mats, t, i, j, extra = case
+    torsion_invariants(mats, cx.ranks)
+    entries = [list(row) for row in mats[t].entries]
+    entries[i][j] = entries[i][j] + extra
+    broken = mats[:t] + [Matrix(mats[t].rows, mats[t].cols, entries)] + mats[t + 1:]
+    products = [broken[s] @ broken[s + 1] for s in range(max(0, t - 1), min(t + 1, len(broken) - 1))]
+    if all(p.is_zero() for p in products):
+        torsion_invariants(broken, cx.ranks)
+    else:
+        with pytest.raises(ValueError, match=r"d\d\.d\d != 0"):
+            torsion_invariants(broken, cx.ranks)

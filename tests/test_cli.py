@@ -6,6 +6,7 @@ import time
 import pytest
 
 from twisthom import matrices
+from twisthom.alexander import MAX_LAURENT_SPAN, laurent_specialize
 from twisthom.cli import main
 from twisthom.complexes import MAX_GENUS, MAX_LENS_ORDER, catalog_complex
 from twisthom.groups import PermAction, GroupPresentation
@@ -329,4 +330,27 @@ def test_oversized_rep_dimension_is_refused(tmp_path, capsys, source, dim):
     assert code == 1 and data is None
     assert capsys.readouterr().err.startswith(
         f"error: representation dimension must be between 1 and {MAX_DIM}")
+    assert time.perf_counter() - start < 5
+
+
+def test_largest_laurent_span_is_admitted(tmp_path):
+    """The grading (1024, 1, 0) of t3 specializes entries of span exactly
+    MAX_LAURENT_SPAN, and the certificate still comes out."""
+    mats = laurent_specialize(catalog_complex("t3").complex, [MAX_LAURENT_SPAN, 1, 0])
+    assert max(x.degree() - x.valuation()
+               for m in mats for row in m.entries for x in row if x) == MAX_LAURENT_SPAN
+    code, data = run_cli(tmp_path, "acyclify", "--catalog", "t3", "--phi",
+                         f"{MAX_LAURENT_SPAN},1,0")
+    assert code == 0 and data["verified"] and data["dims"] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("weight", [MAX_LAURENT_SPAN + 1, 1_000_000])
+def test_oversized_laurent_span_is_refused(tmp_path, capsys, weight):
+    """Specialized entries are dense in the grading's weights; a span past
+    the cap is refused before any elimination."""
+    start = time.perf_counter()
+    code, data = run_cli(tmp_path, "acyclify", "--catalog", "t3", "--phi", f"{weight},1,0")
+    assert code == 1 and data is None
+    assert capsys.readouterr().err.startswith(
+        f"error: a specialized entry spans {weight} powers of t")
     assert time.perf_counter() - start < 5

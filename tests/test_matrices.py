@@ -148,6 +148,24 @@ def test_snf_poly_random_200():
         _check_poly_snf(m)
 
 
+def test_snf_poly_rational_entries():
+    """Fraction coefficients, with denominators that differ within a row and
+    bare Fraction or int entries, are cleared on entry: the result still
+    equals the oracle's."""
+    f = Fraction
+    _check_poly_snf(Matrix(2, 3, [
+        [Laurent({0: f(1, 2), 1: f(1, 3)}), Laurent({1: f(3, 4)}), f(5, 6)],
+        [Laurent({0: f(2, 5)}), Laurent({-1: f(-1, 3), 1: f(1, 6)}), 7]]))
+    rng = random.Random(29)
+    for _ in range(100):
+        rows = rng.randint(1, 4)
+        cols = rng.randint(1, 4)
+        m = Matrix(rows, cols, [[Laurent({rng.randint(-1, 3): f(rng.randint(-3, 3), rng.randint(1, 6))
+                                          for _ in range(rng.randint(0, 3))})
+                                 for _ in range(cols)] for _ in range(rows)])
+        _check_poly_snf(m)
+
+
 def test_kernel_basis_examples():
     t = Laurent.t_power(1)
     one = Laurent.const(1)
