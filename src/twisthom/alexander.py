@@ -5,6 +5,9 @@ Q[t, t^-1] matrices, present each homology module over that PID (free ranks
 plus torsion polynomials), pick the smallest root of unity avoiding every
 middle-degree torsion polynomial, and certify acyclicity of the resulting
 character both directly and through the universal-coefficient dimension count.
+Every step up to the tests Phi_n | p runs on the integer Laurent polynomials
+of ``matrices``; only the torsion polynomials of ``TorsionData`` are monic
+``Laurent`` values.
 
 The homology modules are read off the boundaries one at a time.  Over the PID
 Q[t, t^-1] the image of d_i is a submodule of the free module C_{i-1}, hence
@@ -21,9 +24,9 @@ import math
 from .complexes import EquivariantComplex
 from .groups import grading_weight, verify_grading
 from .homology import CrossCheckError, HomologyReport, twisted_homology
-from .matrices import (Matrix, _laurent_int_rows, _monic_laurent, _scale_sub,
-                       _snf_poly)
-from .numbers import Laurent, cyclotomic_polynomial, euler_phi
+from .matrices import (Matrix, _divides, _laurent_int_rows, _monic_laurent,
+                       _scale_sub, _snf_poly)
+from .numbers import Laurent, cyclotomic_coeffs, euler_phi
 from .reps import UnitaryRep, character_from_grading
 
 
@@ -68,7 +71,7 @@ class TorsionData:
         object.__setattr__(self, "torsion_polys", torsion_polys)
 
     def in_divisibility_order(self) -> bool:
-        return all(ps[i].divides(ps[i + 1])
+        return all(_divides(_int_coeffs(ps[i]), _int_coeffs(ps[i + 1]))
                    for ps in self.torsion_polys for i in range(len(ps) - 1))
 
     def __setattr__(self, *a):
@@ -87,32 +90,50 @@ MAX_LAURENT_SPAN = 1024
 
 
 def laurent_specialize(c: EquivariantComplex, phi) -> list[Matrix]:
-    """Boundary matrices over Q[t, t^-1] under the ring map g -> t^phi(g).
+    """Boundary matrices over Q[t, t^-1] under the ring map g -> t^phi(g), read
+    from ``c.terms`` with one grading weight per distinct word.
 
-    The d.d = 0 identity is checked by ``torsion_invariants``, which every
-    pipeline runs on these matrices next.  An entry whose degree minus
-    valuation exceeds MAX_LAURENT_SPAN raises ValueError.
+    Entries are integer Laurent polynomials, the form of ``matrices``: None
+    for zero, or (v, c) for t^v (c[0] + c[1] t + ... + c[d] t^d), c a tuple
+    of Python ints with c[0] and c[d] nonzero.  The d.d = 0 identity is
+    checked by ``torsion_invariants``, which every pipeline runs on these
+    matrices next.  An entry whose span d exceeds MAX_LAURENT_SPAN raises
+    ValueError.
     """
     if not verify_grading(c.group, phi):
         raise GradingError("grading does not vanish on all relators")
+    weight = {w: grading_weight(phi, w) for w in {w for t in c.terms for w in t[3]}}
     mats = []
-    for b in c.boundaries:
-        entries = []
-        for i in range(b.rows):
-            row = []
-            for j in range(b.cols):
-                terms: dict[int, int] = {}
-                for w, coeff in b[i, j].terms.items():
-                    e = grading_weight(phi, w)
-                    terms[e] = terms.get(e, 0) + coeff
-                x = Laurent(terms)
-                if x and x.degree() - x.valuation() > MAX_LAURENT_SPAN:
-                    raise ValueError(f"a specialized entry spans {x.degree() - x.valuation()} "
-                                     f"powers of t; at most {MAX_LAURENT_SPAN} are admitted")
-                row.append(x)
-            entries.append(row)
-        mats.append(Matrix(b.rows, b.cols, entries))
+    for k, (rows, cols, coeffs, words, _) in enumerate(c.terms):
+        shape = c.ranks[k], c.ranks[k + 1]
+        sums: list[list[dict]] = [[{} for _ in range(shape[1])] for _ in range(shape[0])]
+        for i, j, q, w in zip(rows, cols, coeffs, words):
+            e = weight[w]
+            sums[i][j][e] = sums[i][j].get(e, 0) + q
+        mats.append(Matrix(*shape, [[_int_laurent(x) for x in row] for row in sums]))
     return mats
+
+
+def _int_laurent(terms: dict):
+    """The integer Laurent polynomial sum q t^e over the items e: q of terms."""
+    exps = [e for e, q in terms.items() if q]
+    if not exps:
+        return None
+    v, span = min(exps), max(exps) - min(exps)
+    if span > MAX_LAURENT_SPAN:
+        raise ValueError(f"a specialized entry spans {span} powers of t; "
+                         f"at most {MAX_LAURENT_SPAN} are admitted")
+    c = [0] * (span + 1)
+    for e in exps:
+        c[e - v] = terms[e]
+    return v, tuple(c)
+
+
+def _int_coeffs(p: Laurent) -> tuple[int, ...]:
+    """The coefficients of a torsion polynomial (valuation 0, so constant
+    term first) times the lcm of their denominators: a primitive integer
+    polynomial with the same divisors in Q[t]."""
+    return _laurent_int_rows(Matrix(1, 1, [[p]]))[0][0][1]
 
 
 def _composes_to_zero(a: list[list], b: list[list]) -> bool:
@@ -132,7 +153,8 @@ def _composes_to_zero(a: list[list], b: list[list]) -> bool:
 
 def torsion_invariants(mats: list[Matrix], ranks) -> TorsionData:
     """Free ranks and torsion polynomials of each H_i = ker d_i / im d_{i+1}
-    over the PID Q[t, t^-1]; ``mats[i]`` is d_{i+1}: C_{i+1} -> C_i.
+    over the PID Q[t, t^-1]; ``mats[i]`` is d_{i+1}: C_{i+1} -> C_i, with
+    integer Laurent entries as ``laurent_specialize`` writes them.
 
     Once d.d = 0 holds, ker d_i is a direct summand of C_i (im d_i is free), so
     Tors H_i = Tors coker d_{i+1}.  One Smith elimination per boundary, diagonal
@@ -140,10 +162,8 @@ def torsion_invariants(mats: list[Matrix], ranks) -> TorsionData:
     non-unit invariant factors of d_{i+1}, and the free rank is
     c_i - rank d_i - rank d_{i+1}, each rank being the number of nonzero
     factors.  Shapes and d.d = 0 are checked exactly here (ValueError).
-
-    Each matrix is scaled to integer Laurent polynomials once on entry; the
-    d.d = 0 check and the elimination run on that form, and only the torsion
-    polynomials go back to monic ``Laurent`` values.
+    Both run on the integer entries; only the torsion polynomials become
+    monic ``Laurent`` values.
     """
     ranks = [int(r) for r in ranks]
     if len(mats) != max(0, len(ranks) - 1):
@@ -152,7 +172,7 @@ def torsion_invariants(mats: list[Matrix], ranks) -> TorsionData:
         if (m.rows, m.cols) != (ranks[i], ranks[i + 1]):
             raise ValueError(f"d{i + 1} is {m.rows}x{m.cols}, "
                              f"expected {ranks[i]}x{ranks[i + 1]}")
-    ints = [_laurent_int_rows(m) for m in mats]
+    ints = [[list(row) for row in m.entries] for m in mats]  # _snf_poly works in place
     for t in range(len(mats) - 1):
         if not _composes_to_zero(ints[t], ints[t + 1]):
             raise ValueError(f"d{t + 1}.d{t + 2} != 0 over Q[t, t^-1]")
@@ -178,16 +198,13 @@ def select_root_of_unity(td: TorsionData) -> tuple[int, int]:
     for degree, fr in enumerate(td.free_ranks):
         if fr:
             raise FreeRankObstruction(degree, fr)
-    polys = [p for degree in range(1, td.degrees()) for p in td.torsion_polys[degree]]
-    max_deg = max((p.degree() for p in polys), default=0)
+    polys = [_int_coeffs(p) for degree in range(1, td.degrees())
+             for p in td.torsion_polys[degree]]
+    max_deg = max((len(a) - 1 for a in polys), default=0)
     n = 2
-    while True:
-        if euler_phi(n) > max_deg:
-            return (n, 1)
-        phi_n = cyclotomic_polynomial(n)
-        if not any(phi_n.divides(p) for p in polys):
-            return (n, 1)
+    while euler_phi(n) <= max_deg and any(_divides(cyclotomic_coeffs(n), a) for a in polys):
         n += 1
+    return (n, 1)
 
 
 def uct_dims(td: TorsionData, n: int) -> list[int]:
@@ -199,12 +216,12 @@ def uct_dims(td: TorsionData, n: int) -> list[int]:
     """
     if n < 1:
         raise ValueError("root order must be >= 1")
-    phi_n = cyclotomic_polynomial(n)
+    phi_n = cyclotomic_coeffs(n)
 
     def hits(degree: int) -> int:
         if degree < 0:
             return 0
-        return sum(1 for p in td.torsion_polys[degree] if phi_n.divides(p))
+        return sum(1 for p in td.torsion_polys[degree] if _divides(phi_n, _int_coeffs(p)))
 
     return [td.free_ranks[i] + hits(i) + hits(i - 1) for i in range(td.degrees())]
 
@@ -220,10 +237,10 @@ class AcyclicityCertificate:
             raise ValueError("certificate requires an acyclic report")
         if z_order < 2:
             raise ValueError("certificate requires z != 1 (order >= 2)")
-        phi_n = cyclotomic_polynomial(z_order)
+        phi_n = cyclotomic_coeffs(z_order)
         for ps in torsion.torsion_polys[1:]:
             for p in ps:
-                if phi_n.divides(p):
+                if _divides(phi_n, _int_coeffs(p)):
                     raise ValueError("certificate root divides a torsion polynomial")
         object.__setattr__(self, "z_order", z_order)
         object.__setattr__(self, "z_power", z_power)

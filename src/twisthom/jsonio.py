@@ -77,14 +77,6 @@ def laurent_to_json(x: Laurent) -> dict:
     return {"terms": {str(e): fraction_to_str(c) for e, c in x.terms.items()}}
 
 
-def laurent_from_json(obj) -> Laurent:
-    try:
-        return Laurent({int(e): fraction_from_str(c)
-                        for e, c in obj["terms"].items()})
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
-        raise InputError(f"bad Laurent polynomial {obj!r}: {e}") from None
-
-
 def presentation_to_json(p: GroupPresentation) -> dict:
     return {"num_generators": p.num_generators,
             "relators": [word_to_ints(r) for r in p.relators]}

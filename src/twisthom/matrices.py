@@ -1,7 +1,8 @@
 """Dense exact matrices and the normal-form kernels built on them.
 
-A ``Matrix`` stores one scalar domain per instance (Fraction/int, Cyclo or
-Laurent).  Everything here is exact, with one elimination per ring:
+A ``Matrix`` stores one scalar domain per instance (Fraction/int, Cyclo,
+Laurent or integer Laurent polynomials).  Everything here is exact, with one
+elimination per ring:
 
 - ranks and column bases over Q and Q(zeta_n): ``certified_pivots``, and
   ``certified_rank``, their count.  It takes integer coefficient arrays over
@@ -10,10 +11,11 @@ Laurent).  Everything here is exact, with one elimination per ring:
   It has no fallback: when the interval of split primes cannot supply the
   certified count, it raises ValueError;
 - Smith normal form over Z: ``smith_normal_form_int``, with U and V;
-- Smith normal form over Q[t, t^-1]: ``invariant_factors_poly``, the
-  diagonal alone.  Its elimination ``_snf_poly`` runs on primitive integer
-  Laurent polynomials (``_laurent_int_rows``): Python ints only, with
-  exact integer pseudo-division and no Fraction.
+- Smith normal form over Q[t, t^-1]: ``_snf_poly``, the diagonal alone, on
+  integer Laurent polynomials (below): Python ints only, with exact integer
+  pseudo-division and no Fraction.  ``alexander`` feeds it integer rows
+  directly; ``invariant_factors_poly`` is its entry from a ``Laurent``
+  matrix.
 
 Degenerate shapes (0 rows or columns) are legal everywhere and have rank 0.
 """
@@ -564,6 +566,10 @@ def _snf_poly(a: list[list]) -> list:
     Entries of the pivot cross are reduced one at a time by pseudo-division
     (the primitive polynomial remainder sequence: Knuth, TAOCP vol. 2, 4.6.1;
     Brown, JACM 18, 1971), so all arithmetic is on Python ints.
+
+    A pivot that fails to divide its block takes in the row it fails on, and
+    the next pivot has a lower span: more such fix-ups at one position than
+    the span of its first pivot raise ArithmeticError instead of looping.
     """
     nr, nc = len(a), len(a[0]) if a else 0
 
@@ -581,12 +587,14 @@ def _snf_poly(a: list[list]) -> list:
     for i in range(nr):
         a[i] = _primitive(a[i])
 
-    k = 0
+    k, budget = 0, None
     while True:
         block = [(len(a[i][j][1]), i, j) for i in range(k, nr) for j in range(k, nc) if a[i][j]]
         if not block:
             break
-        _, i, j = min(block)
+        size, i, j = min(block)
+        if budget is None:  # the span of the first pivot at position k
+            budget = size - 1
         a[k], a[i] = a[i], a[k]
         swap_cols(k, j)
         # Euclid chip-away on the pivot cross: always keep the least-span
@@ -617,7 +625,10 @@ def _snf_poly(a: list[list]) -> list:
             offender = next((i for i in range(k + 1, nr) for j in range(k + 1, nc)
                              if a[i][j] and not _divides(head, a[i][j][1])), None)
             if offender is not None:
+                if not budget:
+                    raise ArithmeticError(f"no progress in the Smith elimination at {k}")
+                budget -= 1
                 row_op(k, 1, (0, (-1,)), offender)
                 continue
-        k += 1
+        k, budget = k + 1, None
     return [a[i][i] for i in range(min(nr, nc))]

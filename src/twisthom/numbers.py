@@ -1,9 +1,10 @@
-"""Exact scalar arithmetic: rationals, cyclotomic fields and Laurent polynomials.
+"""Exact scalars: rationals, cyclotomic fields and Laurent polynomials.
 
 Rationals are plain ``fractions.Fraction`` (already canonical: gcd 1, positive
 denominator).  ``Cyclo`` represents elements of Q(zeta_n) reduced modulo the
-n-th cyclotomic polynomial, ``Laurent`` represents elements of Q[t, t^-1].
-Floats never appear here; numeric cross-checks live in the test suite.
+n-th cyclotomic polynomial.  ``Laurent`` holds elements of Q[t, t^-1] as
+values; their arithmetic runs on integers, in ``matrices``.  Floats never
+appear here; numeric cross-checks live in the test suite.
 """
 
 from __future__ import annotations
@@ -81,24 +82,31 @@ def euler_phi(n: int) -> int:
 
 
 @functools.cache
-def _cyclotomic_coeffs(n: int) -> tuple[Fraction, ...]:
-    # Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d, by exact division.
-    num = [ZERO] * (n + 1)
-    num[0], num[n] = Fraction(-1), ONE
-    den = [ONE]
+def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
+    """The integer coefficients of Phi_n, constant term first: x^n - 1
+    divided by Phi_d for each d | n, d < n.  Each Phi_d is monic, so the
+    synthetic division stays in the integers."""
+    q = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            den = _poly_mul(den, list(_cyclotomic_coeffs(d)))
-    q, r = _poly_divmod(num, den)
-    assert not r
+            b = cyclotomic_coeffs(d)
+            for m in range(len(q) - len(b), -1, -1):  # quotient left in q[len(b) - 1:]
+                for i, c in enumerate(b[:-1]):
+                    q[m + i] -= q[m + len(b) - 1] * c
+            q = q[len(b) - 1:]
     return tuple(q)
+
+
+@functools.cache
+def _cyclotomic_coeffs(n: int) -> tuple[Fraction, ...]:
+    return tuple(map(Fraction, cyclotomic_coeffs(n)))
 
 
 @functools.cache
 def cyclotomic_reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Row k < n holds the integer coefficients of x^k modulo Phi_n."""
     phi = euler_phi(n)
-    low = [-int(c) for c in _cyclotomic_coeffs(n)[:phi]]  # x^phi = sum low[i] x^i
+    low = [-c for c in cyclotomic_coeffs(n)[:phi]]  # x^phi = sum low[i] x^i
     rows = [tuple(int(i == k) for i in range(phi)) for k in range(min(n, phi))]
     while len(rows) < n:
         prev = rows[-1]
@@ -273,11 +281,12 @@ def _reduce_mod_cyclotomic(poly: list[Fraction], n: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials over Q
+# Laurent polynomials over Q, as values
 # ---------------------------------------------------------------------------
 
 class Laurent:
-    """Element of Q[t, t^-1] as a map exponent -> nonzero rational coefficient."""
+    """Element of Q[t, t^-1] as a map exponent -> nonzero rational coefficient:
+    the value type of torsion polynomials and their JSON, with no arithmetic."""
 
     __slots__ = ("terms",)
 
@@ -305,72 +314,16 @@ class Laurent:
         object.__setattr__(out, "terms", {e: terms[e] for e in sorted(terms) if terms[e]})
         return out
 
-    @staticmethod
-    def t_power(k: int, coeff=1) -> "Laurent":
-        return Laurent({k: coeff})
-
-    @staticmethod
-    def const(c) -> "Laurent":
-        return Laurent({0: c})
-
-    # -- ring structure -----------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Laurent):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Laurent.const(other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, ZERO) + c
-        return Laurent._of(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Laurent._of({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, ZERO) + c1 * c2
-        return Laurent._of(out)
-
-    __rmul__ = __mul__
-
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, Laurent):
             return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
         return hash(tuple(self.terms.items()))
-
-    # -- structure ----------------------------------------------------------
 
     def valuation(self) -> int:
         if not self.terms:
@@ -388,60 +341,6 @@ class Laurent:
     def is_unit(self) -> bool:
         """Units of Q[t, t^-1] are exactly the monomials c*t^k."""
         return len(self.terms) == 1
-
-    def unit_normalize(self) -> "Laurent":
-        """Divide by the unit c*t^k: monic with nonzero constant term; zero stays zero."""
-        if not self.terms:
-            return self
-        v = self.valuation()
-        lead = self.leading_coeff()
-        return Laurent({e - v: c / lead for e, c in self.terms.items()})
-
-    # -- Euclidean structure (via the polynomial part) ----------------------
-
-    def _as_poly(self) -> tuple[list[Fraction], int]:
-        """Coefficient list of t^-v * self (a polynomial) plus the valuation v."""
-        if not self.terms:
-            return [], 0
-        v = self.valuation()
-        out = [ZERO] * (self.degree() - v + 1)
-        for e, c in self.terms.items():
-            out[e - v] = c
-        return out, v
-
-    def divmod(self, other: "Laurent") -> tuple["Laurent", "Laurent"]:
-        """Division with remainder: self = q*other + r, deg(poly part of r) < deg(other).
-
-        Remainder degrees are measured after stripping t-valuations, which is
-        the Euclidean function of Q[t, t^-1].
-        """
-        if not other:
-            raise ZeroDivisionError("Laurent division by zero")
-        a, va = self._as_poly()
-        b, vb = other._as_poly()
-        q, r = _poly_divmod(a, b)
-        qp = Laurent._of({i + va - vb: c for i, c in enumerate(q)})
-        rp = Laurent._of({i + va: c for i, c in enumerate(r)})
-        return qp, rp
-
-    def exact_div(self, other: "Laurent") -> "Laurent":
-        q, r = self.divmod(other)
-        if r:
-            raise ValueError(f"{self!r} is not divisible by {other!r}")
-        return q
-
-    def divides(self, other: "Laurent") -> bool:
-        """Whether self divides other in Q[t, t^-1]."""
-        if not self:
-            return not other
-        return not other.divmod(self)[1]
-
-    def gcd(self, other: "Laurent") -> "Laurent":
-        """Monic, valuation-free gcd in Q[t, t^-1]."""
-        a, b = self, other
-        while b:
-            a, b = b, a.divmod(b)[1]
-        return a.unit_normalize()
 
     def __repr__(self):
         if not self.terms:
@@ -461,4 +360,4 @@ def cyclotomic_polynomial(n: int) -> Laurent:
     """The n-th cyclotomic polynomial Phi_n, monic of degree phi(n)."""
     if n < 1:
         raise ValueError("conductor must be positive")
-    return Laurent({i: c for i, c in enumerate(_cyclotomic_coeffs(n))})
+    return Laurent(dict(enumerate(cyclotomic_coeffs(n))))

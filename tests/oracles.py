@@ -4,8 +4,11 @@ The library has one elimination per ring: the split-prime ``certified_rank``
 over Q and Q(zeta_n), ``smith_normal_form_int`` over Z and the diagonal-only
 ``invariant_factors_poly`` over Q[t, t^-1].  The routines here reach the same
 answers by other eliminations and use only ``Matrix`` and the scalar types
-``Cyclo`` and ``Laurent`` of the library:
+``Cyclo`` and ``Laurent`` of the library.  ``Laurent`` has no arithmetic, so
+the ring operations and the division of Q[t, t^-1] live here:
 
+- ``Poly``: a ``Laurent`` with +, - and *; ``poly_divmod`` and ``divides``
+  by long division over Fraction;
 - ``matrix_rank``: fraction-free (Bareiss) elimination over Fraction/int,
   Cyclo or Laurent entries, with the exact division ``cyclo_div`` over
   Q(zeta_n);
@@ -18,7 +21,9 @@ answers by other eliminations and use only ``Matrix`` and the scalar types
   ``generator_images`` and their conjugate transposes, each non-identity
   element ranked by ``matrix_rank``;
 - ``decode_basis``: an integer array over Z[x]/(x^n - 1) as a ``Matrix``
-  of ``Cyclo`` sums of ``Cyclo.root_of_unity``.
+  of ``Cyclo`` sums of ``Cyclo.root_of_unity``;
+- ``decode_laurent``: a matrix of integer Laurent polynomials, as
+  ``laurent_specialize`` writes them, as a ``Matrix`` of ``Poly``.
 """
 
 import math
@@ -29,8 +34,64 @@ from twisthom.numbers import Cyclo, Laurent, euler_phi
 from twisthom.reps import ImageClosureError
 
 
-def _laurent(x) -> Laurent:
-    return x if isinstance(x, Laurent) else Laurent.const(x)
+class Poly(Laurent):
+    """A ``Laurent`` value with the ring operations of Q[t, t^-1]; the other
+    operand may be a ``Laurent``, a Fraction or an int."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in _laurent(other).terms.items():
+            out[e] = out.get(e, 0) + c
+        return Poly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -_laurent(other)
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in _laurent(other).terms.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+
+def _laurent(x) -> Poly:
+    if isinstance(x, Poly):
+        return x
+    return Poly(x.terms if isinstance(x, Laurent) else {0: x})
+
+
+def poly_divmod(a, b) -> tuple[Poly, Poly]:
+    """(q, r) with a = q b + r in Q[t, t^-1] and the polynomial part of r
+    (r over its valuation) of lower degree than that of b: long division of
+    the polynomial parts, whose degree is the Euclidean function."""
+    a, b = _laurent(a), _laurent(b)
+    if not b:
+        raise ZeroDivisionError("Laurent division by zero")
+    va, vb, top = (a.valuation() if a else 0), b.valuation(), b.degree() - b.valuation()
+    r = {e - va: c for e, c in a.terms.items()}
+    q = {}
+    for m in range(max(r, default=top - 1) - top, -1, -1):
+        c = r.get(m + top, 0) / b.leading_coeff()
+        if c:
+            q[m + va - vb] = c
+            for e, x in b.terms.items():
+                r[m + e - vb] = r.get(m + e - vb, 0) - c * x
+    return Poly(q), Poly({e + va: c for e, c in r.items()})
+
+
+def divides(b, a) -> bool:
+    """Whether b divides a in Q[t, t^-1]."""
+    return not a if not b else not poly_divmod(a, b)[1]
 
 
 def cyclo_div(a, b) -> Cyclo:
@@ -58,9 +119,12 @@ def cyclo_div(a, b) -> Cyclo:
     return Cyclo(n, [row[-1] for row in rows])
 
 
-def _exact_div(a, b):
+def exact_div(a, b):
+    """a / b for Fraction/int, Cyclo or Laurent values; b must divide a."""
     if isinstance(a, Laurent) or isinstance(b, Laurent):
-        return _laurent(a).exact_div(_laurent(b))
+        q, r = poly_divmod(a, b)
+        assert not r, f"{a!r} is not divisible by {b!r}"
+        return q
     if isinstance(a, Cyclo) or isinstance(b, Cyclo):
         return cyclo_div(a, b)
     if isinstance(a, int) and isinstance(b, int):
@@ -88,7 +152,7 @@ def matrix_rank(m: Matrix) -> int:
         for i in range(rank + 1, m.rows):
             head = a[i][rank]
             for j in range(rank + 1, m.cols):
-                a[i][j] = _exact_div(p * a[i][j] - head * a[rank][j], prev)
+                a[i][j] = exact_div(p * a[i][j] - head * a[rank][j], prev)
         prev = p
         rank += 1
     return rank
@@ -124,8 +188,8 @@ def det_poly(m: Matrix) -> Laurent:
 
     def cof(rows, cols):
         if not rows:
-            return Laurent.const(1)
-        total = Laurent()
+            return Poly({0: 1})
+        total = Poly()
         for idx, c in enumerate(cols):
             if a[rows[0]][c]:
                 term = a[rows[0]][c] * cof(rows[1:], cols[:idx] + cols[idx + 1:])
@@ -135,21 +199,21 @@ def det_poly(m: Matrix) -> Laurent:
     return cof(tuple(range(m.rows)), tuple(range(m.cols)))
 
 
-def poly_diagonal(d: Matrix) -> list[Laurent]:
+def poly_diagonal(d: Matrix) -> list[Poly]:
     return [_laurent(d.entries[i][i]) for i in range(min(d.rows, d.cols))]
 
 
-def _primitive(vals) -> Laurent:
+def _primitive(vals) -> Poly:
     """The unit c * t^k of Q[t, t^-1] that turns the nonzero entries of vals
     into integer polynomials with coprime coefficients and a nonzero constant
     term somewhere; 1 when every entry is zero."""
     vals = [x for x in vals if x]
     if not vals:
-        return Laurent.const(1)
+        return Poly({0: 1})
     coeffs = [c for x in vals for c in x.terms.values()]
     scale = Fraction(math.lcm(*(c.denominator for c in coeffs)),
                      math.gcd(*(c.numerator for c in coeffs)))
-    return Laurent.t_power(-min(x.valuation() for x in vals), scale)
+    return Poly({-min(x.valuation() for x in vals): scale})
 
 
 def smith_normal_form_poly(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -166,12 +230,12 @@ def smith_normal_form_poly(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     in the row it fails on.
     """
     r, c = m.rows, m.cols
-    one, zero = Laurent.const(1), Laurent()
+    one, zero = Poly({0: 1}), Poly()
     b = [[_laurent(x) for x in row] + [one if i == j else zero for j in range(r)]
          for i, row in enumerate(m.entries)]
     b += [[one if i == j else zero for j in range(c)] + [zero] * r for i in range(c)]
 
-    def deg(x: Laurent) -> int:
+    def deg(x: Poly) -> int:
         return x.degree() - x.valuation()
 
     def scale_row(i, unit):
@@ -202,21 +266,21 @@ def smith_normal_form_poly(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         p = b[k][k]
         for i in range(k + 1, r):
             if b[i][k]:
-                add_row(k, i, b[i][k].divmod(p)[0])
+                add_row(k, i, poly_divmod(b[i][k], p)[0])
         for j in range(k + 1, c):
             if b[k][j]:
-                add_col(k, j, b[k][j].divmod(p)[0])
+                add_col(k, j, poly_divmod(b[k][j], p)[0])
         if any(b[i][k] for i in range(k + 1, r)) or any(b[k][j] for j in range(k + 1, c)):
             continue  # a remainder of lower degree is left: it becomes the pivot
         bad = next((i for i in range(k + 1, r) for j in range(k + 1, c)
-                    if not p.divides(b[i][j])), None)
+                    if not divides(p, b[i][j])), None)
         if bad is not None:
             add_row(bad, k, -one)
             continue
         k += 1
     for i in range(min(r, c)):
         if b[i][i]:
-            scale_row(i, Laurent.t_power(-b[i][i].valuation(), 1 / b[i][i].leading_coeff()))
+            scale_row(i, Poly({-b[i][i].valuation(): 1 / b[i][i].leading_coeff()}))
     return (Matrix(r, r, [row[c:] for row in b[:r]]),
             Matrix(r, c, [row[:c] for row in b[:r]]),
             Matrix(c, c, [row[:c] for row in b[r:]]))
@@ -232,8 +296,7 @@ def kernel_basis_poly(m: Matrix) -> Matrix:
     for j in range(rank, m.cols):
         col = v.column(j)
         lead = next(x for x in col if x)
-        cols.append([x * Laurent.t_power(-lead.valuation(), 1 / lead.leading_coeff())
-                     for x in col])
+        cols.append([x * Poly({-lead.valuation(): 1 / lead.leading_coeff()}) for x in col])
     return Matrix(m.cols, len(cols), [list(row) for row in zip(*cols)] if cols
                   else [[] for _ in range(m.cols)])
 
@@ -284,3 +347,10 @@ def decode_basis(a) -> Matrix:
         return out
 
     return Matrix(rows, cols, [[entry(a[i, j]) for j in range(cols)] for i in range(rows)])
+
+
+def decode_laurent(m: Matrix) -> Matrix:
+    """The integer Laurent entries of m (None for zero, or (v, c) for
+    t^v (c[0] + c[1] t + ...)) as a Matrix of Poly."""
+    return Matrix(m.rows, m.cols, [[Poly({x[0] + i: q for i, q in enumerate(x[1])} if x else None)
+                                    for x in row] for row in m.entries])

@@ -9,7 +9,7 @@ import random
 
 import numpy as np
 
-from oracles import (det_int, det_poly, matrix_rank, poly_diagonal,
+from oracles import (det_int, det_poly, divides, matrix_rank, poly_diagonal,
                      smith_normal_form_poly)
 from twisthom.alexander import alexander_data, make_acyclic_fibered, uct_dims
 from twisthom.complexes import catalog_complex
@@ -64,7 +64,7 @@ def test_criterion_2_fibered_pipeline():
     td = alexander_data(catalog_complex("trefoil_exterior").complex, [1, 1])
     (poly,) = td.torsion_polys[1]
     target = Laurent({2: 1, 1: -1, 0: 1})
-    ok = ok and poly.divides(target) and target.divides(poly)
+    ok = ok and divides(poly, target) and divides(target, poly)
     _report(2, "fibered acyclification pipeline", ok)
     assert ok
 
@@ -147,7 +147,7 @@ def test_criterion_7_kernel_algebra():
         diag = invariant_factors_poly(m)
         ok = ok and diag == poly_diagonal(d)
         nonzero = [x for x in diag if x]
-        ok = ok and all(nonzero[i].divides(nonzero[i + 1])
+        ok = ok and all(divides(nonzero[i], nonzero[i + 1])
                         for i in range(len(nonzero) - 1))
     # 500 cyclotomic ranks against the float oracle at threshold 1e-8
     for _ in range(500):

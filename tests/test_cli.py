@@ -12,9 +12,8 @@ from twisthom.complexes import MAX_GENUS, MAX_LENS_ORDER, catalog_complex
 from twisthom.groups import PermAction, GroupPresentation
 from twisthom.jsonio import (MAX_CONDUCTOR, MAX_DIM, InputError, complex_from_json,
                              complex_to_json, cyclo_from_json, cyclo_to_json,
-                             laurent_from_json, laurent_to_json, rep_from_json,
-                             rep_to_json, action_to_json)
-from twisthom.numbers import Cyclo, Laurent, euler_phi
+                             rep_from_json, rep_to_json, action_to_json)
+from twisthom.numbers import Cyclo, euler_phi
 from twisthom.reps import explicit_rep, permutation_rep, torsion_characters
 
 
@@ -174,12 +173,8 @@ def test_rep_json_round_trip(tmp_path):
 def test_scalar_json_round_trips():
     x = Cyclo.root_of_unity(12, 7) + Cyclo.from_rational(3)
     assert cyclo_from_json(cyclo_to_json(x)) == x
-    p = Laurent({-2: 3, 5: -1})
-    assert laurent_from_json(laurent_to_json(p)) == p
     with pytest.raises(InputError):
         cyclo_from_json({"conductor": 4, "coeffs": ["1"]})
-    with pytest.raises(InputError):
-        laurent_from_json({"terms": {"x": "1"}})
 
 
 def test_action_json():
@@ -337,8 +332,8 @@ def test_largest_laurent_span_is_admitted(tmp_path):
     """The grading (1024, 1, 0) of t3 specializes entries of span exactly
     MAX_LAURENT_SPAN, and the certificate still comes out."""
     mats = laurent_specialize(catalog_complex("t3").complex, [MAX_LAURENT_SPAN, 1, 0])
-    assert max(x.degree() - x.valuation()
-               for m in mats for row in m.entries for x in row if x) == MAX_LAURENT_SPAN
+    assert max(len(x[1]) - 1 for m in mats for row in m.entries for x in row if x) \
+        == MAX_LAURENT_SPAN
     code, data = run_cli(tmp_path, "acyclify", "--catalog", "t3", "--phi",
                          f"{MAX_LAURENT_SPAN},1,0")
     assert code == 0 and data["verified"] and data["dims"] == [0, 0, 0, 0]

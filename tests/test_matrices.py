@@ -2,12 +2,17 @@
 independent references in ``oracles``."""
 
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from oracles import (det_int, det_poly, kernel_basis_poly, matrix_rank,
-                     poly_diagonal, smith_normal_form_poly)
+from oracles import (Poly, det_int, det_poly, divides, kernel_basis_poly,
+                     matrix_rank, poly_diagonal, smith_normal_form_poly)
+from twisthom import matrices
+from twisthom.alexander import alexander_data
+from twisthom.complexes import catalog_complex
 from twisthom.matrices import (Matrix, fast_rank, int_diagonal,
                                integer_kernel_basis, invariant_factors_poly,
                                smith_normal_form_int)
@@ -101,8 +106,8 @@ def test_snf_int_random_500():
 
 
 def test_snf_poly_examples():
-    t = Laurent.t_power(1)
-    one = Laurent.const(1)
+    t = Poly({1: 1})
+    one = Poly({0: 1})
     m = Matrix(2, 2, [[t - 1, Laurent()], [Laurent(), t - 1]])
     _, d, _ = smith_normal_form_poly(m)
     assert invariant_factors_poly(m) == poly_diagonal(d) == [t - 1, t - 1]
@@ -116,7 +121,7 @@ def test_snf_poly_examples():
 
 
 def _random_laurent(rng, max_degree=3):
-    return Laurent({rng.randint(-1, max_degree): rng.randint(-3, 3)
+    return Poly({rng.randint(-1, max_degree): rng.randint(-3, 3)
                     for _ in range(rng.randint(0, 3))})
 
 
@@ -135,7 +140,7 @@ def _check_poly_snf(m: Matrix):
     nonzero = [x for x in got if x]
     assert [bool(x) for x in got] == [True] * len(nonzero) + [False] * (len(got) - len(nonzero))
     for i in range(len(nonzero) - 1):
-        assert nonzero[i].divides(nonzero[i + 1])
+        assert divides(nonzero[i], nonzero[i + 1])
 
 
 def test_snf_poly_random_200():
@@ -146,6 +151,16 @@ def test_snf_poly_random_200():
         m = Matrix(rows, cols, [[_random_laurent(rng) for _ in range(cols)]
                                 for _ in range(rows)])
         _check_poly_snf(m)
+
+
+def test_snf_poly_without_progress_raises(monkeypatch):
+    """With a divisibility test that always fails, every pivot takes in an
+    offending row forever; the progress guard raises instead, at once."""
+    monkeypatch.setattr(matrices, "_divides", lambda b, a: False)
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError, match="no progress in the Smith elimination"):
+        alexander_data(catalog_complex("t3").complex, [1, 0, 0])
+    assert time.perf_counter() - start < 5
 
 
 def test_snf_poly_rational_entries():
@@ -167,8 +182,8 @@ def test_snf_poly_rational_entries():
 
 
 def test_kernel_basis_examples():
-    t = Laurent.t_power(1)
-    one = Laurent.const(1)
+    t = Poly({1: 1})
+    one = Poly({0: 1})
     k = kernel_basis_poly(Matrix(2, 2, [[one, Laurent()], [Laurent(), one]]))
     assert k.cols == 0
     k = kernel_basis_poly(Matrix(1, 3, [[Laurent()] * 3]))

@@ -3,9 +3,9 @@
 The reference presents each H_i = ker d_i / im d_{i+1} directly: a free
 kernel basis K of d_i, the image of d_{i+1} solved in that basis through the
 Smith form of K, and the Smith form of the resulting relation matrix, all
-by the transform-tracking elimination of ``oracles``.  The library instead
-reads H_i off the invariant factors of the boundaries alone, by its own
-diagonal-only elimination.
+by the transform-tracking elimination of ``oracles`` on ``decode_laurent``
+of the integer boundaries.  The library instead reads H_i off the invariant
+factors of the boundaries alone, by its own diagonal-only elimination.
 """
 
 import math
@@ -14,12 +14,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import kernel_basis_poly, poly_diagonal, smith_normal_form_poly
+from oracles import (Poly, decode_laurent, exact_div, kernel_basis_poly,
+                     poly_diagonal, smith_normal_form_poly)
 
 from twisthom.alexander import TorsionData, laurent_specialize, torsion_invariants
 from twisthom.complexes import catalog_complex, cover_complex
 from twisthom.groups import reidemeister_schreier, transitive_actions
-from twisthom.matrices import Matrix
+from twisthom.matrices import Matrix, _laurent_int_rows
 from twisthom.numbers import Laurent
 
 
@@ -31,15 +32,16 @@ def _solve(k: Matrix, b: Matrix) -> Matrix:
     diag = poly_diagonal(d)
     assert len(diag) == k.cols and all(diag), "kernel basis is not of full column rank"
     assert not any(x for row in ub.entries[k.cols:] for x in row), "B is not in the span"
-    y = [[ub[i, j].exact_div(diag[i]) for j in range(b.cols)] for i in range(k.cols)]
+    y = [[exact_div(ub[i, j], diag[i]) for j in range(b.cols)] for i in range(k.cols)]
     return v @ Matrix(k.cols, b.cols, y)
 
 
 def reference_torsion(mats, ranks) -> TorsionData:
+    """TorsionData of the Laurent matrices mats, by the route above."""
     free_ranks, torsion = [], []
     for i, rank in enumerate(ranks):
         if i == 0:
-            kernel = Matrix.identity(rank, Laurent.const(1), Laurent())
+            kernel = Matrix.identity(rank, Poly({0: 1}), Poly())
         else:
             kernel = kernel_basis_poly(mats[i - 1])
         image = mats[i] if i < len(mats) else None
@@ -55,8 +57,9 @@ def reference_torsion(mats, ranks) -> TorsionData:
 
 
 def _assert_same(mats, ranks):
+    """mats in the integer form of laurent_specialize."""
     got = torsion_invariants(mats, ranks)
-    want = reference_torsion(mats, ranks)
+    want = reference_torsion([decode_laurent(m) for m in mats], ranks)
     assert (got.free_ranks, got.torsion_polys) == (want.free_ranks, want.torsion_polys)
     return got
 
@@ -97,15 +100,19 @@ def test_catalog_entries_match_reference(name, phi):
     _assert_same(laurent_specialize(cx, phi), cx.ranks)
 
 
-_FACTORS = (Laurent.const(1), Laurent({0: -1, 1: 1}), Laurent({0: 1, 1: 1}),
-            Laurent({0: 1, 1: 1, 2: 1}), Laurent({0: 2, 1: 1}))
+def _encoded(mats) -> list[Matrix]:
+    return [Matrix(m.rows, m.cols, _laurent_int_rows(m)) for m in mats]
+
+
+_FACTORS = (Poly({0: 1}), Poly({0: -1, 1: 1}), Poly({0: 1, 1: 1}),
+            Poly({0: 1, 1: 1, 2: 1}), Poly({0: 2, 1: 1}))
 
 
 @st.composite
 def _laurent(draw):
     if not draw(st.integers(0, 2)):
-        return Laurent()
-    return Laurent({draw(st.integers(-1, 2)): draw(st.integers(-2, 2))
+        return Poly()
+    return Poly({draw(st.integers(-1, 2)): draw(st.integers(-2, 2))
                     for _ in range(draw(st.integers(1, 2)))})
 
 
@@ -119,8 +126,8 @@ def _complexes(draw):
     k = kernel_basis_poly(d1)
     g = draw(st.sampled_from(_FACTORS))
     m = Matrix(k.cols, r2, [[g * draw(_laurent()) for _ in range(r2)] for _ in range(k.cols)])
-    d2 = k @ m if k.cols else Matrix(r1, r2, [[Laurent()] * r2 for _ in range(r1)])
-    return [d1, d2], [r0, r1, r2]
+    d2 = k @ m if k.cols else Matrix(r1, r2, [[Poly()] * r2 for _ in range(r1)])
+    return _encoded([d1, d2]), [r0, r1, r2]
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -134,9 +141,9 @@ def test_non_cyclic_torsion():
     """Both routes find H_1 = (Q[t, t^-1]/(t - 1))^2 and a free C_0 killed by d_1."""
     t1 = Laurent({0: -1, 1: 1})
     zero = Laurent()
-    d1 = Matrix(1, 3, [[zero, zero, Laurent.const(1)]])
+    d1 = Matrix(1, 3, [[zero, zero, Laurent({0: 1})]])
     d2 = Matrix(3, 2, [[t1, zero], [zero, t1], [zero, zero]])
-    td = _assert_same([d1, d2], [1, 3, 2])
+    td = _assert_same(_encoded([d1, d2]), [1, 3, 2])
     assert td.torsion_polys == ((), (t1, t1), ())
     assert td.free_ranks == (0, 0, 0)
 
@@ -147,6 +154,6 @@ def test_torsion_that_needs_the_divisibility_step():
     the elimination reaches."""
     zero = Laurent()
     d1 = Matrix(2, 2, [[Laurent({0: -1, 1: 1}), zero], [zero, Laurent({0: -2, 1: 1})]])
-    td = _assert_same([d1], [2, 2])
+    td = _assert_same(_encoded([d1]), [2, 2])
     assert td.torsion_polys == ((Laurent({0: 2, 1: -3, 2: 1}),), ())
     assert td.free_ranks == (0, 0)
