@@ -136,6 +136,16 @@ def _int_coeffs(p: Laurent) -> tuple[int, ...]:
     return _laurent_int_rows(Matrix(1, 1, [[p]]))[0][0][1]
 
 
+def _is_int_laurent(x) -> bool:
+    """x is None or (v, c): an int and a tuple of ints whose first and last
+    are nonzero."""
+    if x is None:
+        return True
+    return (type(x) is tuple and len(x) == 2 and type(x[0]) is int
+            and type(x[1]) is tuple and bool(x[1]) and bool(x[1][0]) and bool(x[1][-1])
+            and all(type(q) is int for q in x[1]))
+
+
 def _composes_to_zero(a: list[list], b: list[list]) -> bool:
     """a @ b == 0 exactly for integer Laurent rows a and b, summing only the
     products of nonzero entries."""
@@ -161,9 +171,10 @@ def torsion_invariants(mats: list[Matrix], ranks) -> TorsionData:
     only, gives everything: the torsion polynomials of H_i are the
     non-unit invariant factors of d_{i+1}, and the free rank is
     c_i - rank d_i - rank d_{i+1}, each rank being the number of nonzero
-    factors.  Shapes and d.d = 0 are checked exactly here (ValueError).
-    Both run on the integer entries; only the torsion polynomials become
-    monic ``Laurent`` values.
+    factors.  Entries, shapes and d.d = 0 are checked exactly here
+    (ValueError).  The check of d.d = 0 and the elimination run on the
+    integer entries; only the torsion polynomials become monic ``Laurent``
+    values.
     """
     ranks = [int(r) for r in ranks]
     if len(mats) != max(0, len(ranks) - 1):
@@ -172,6 +183,10 @@ def torsion_invariants(mats: list[Matrix], ranks) -> TorsionData:
         if (m.rows, m.cols) != (ranks[i], ranks[i + 1]):
             raise ValueError(f"d{i + 1} is {m.rows}x{m.cols}, "
                              f"expected {ranks[i]}x{ranks[i + 1]}")
+        bad = next((x for row in m.entries for x in row if not _is_int_laurent(x)), None)
+        if bad is not None:
+            raise ValueError(f"d{i + 1} has an entry that is not an integer Laurent "
+                             f"polynomial (None or (v, c)): {type(bad).__name__} {bad!r}")
     ints = [[list(row) for row in m.entries] for m in mats]  # _snf_poly works in place
     for t in range(len(mats) - 1):
         if not _composes_to_zero(ints[t], ints[t + 1]):

@@ -9,11 +9,13 @@ inverse is its conjugate transpose.  The homology of an invariant subspace
 W is read off the specialized complex of V itself (``subquotient_dims``).
 
 Word images are products of these, cached by prefix (``reps._word_images``).
-Each boundary is accumulated as an integer array [R, C, n] and reduced
-modulo Phi_n once; consecutive reduced boundaries must multiply to exactly
-zero in Z[zeta_n], and a failure is a hard BoundaryError.  Ranks come from
-the certified split-prime routine ``matrices.certified_rank``.  Arrays hold
-Python ints wherever a magnitude bound would leave int64, so no value wraps.
+Each boundary is accumulated as an integer array [R, C, n], its numerator
+over Z[x]/(x^n - 1), and kept in that assembled form.  Their reductions
+modulo Phi_n must multiply to exactly zero in Z[zeta_n], and a failure is a
+hard BoundaryError.  Ranks come from the certified split-prime routine
+``matrices.certified_rank``, which takes the assembled arrays and does its
+own reduction.  Arrays hold Python ints wherever a magnitude bound would
+leave int64, so no value wraps.
 """
 
 from __future__ import annotations
@@ -75,28 +77,27 @@ class HomologyReport:
 class BlockComplex:
     """The complex C_* tensor V: dims per degree plus specialized boundaries.
 
-    ``boundaries[k]`` maps degree k+1 to degree k.  It is an integer array
-    [rows, cols, phi(n)] of coefficients in the power basis of zeta_n, where n
-    is ``conductor``, and the boundary is that array over ``denominators[k]``.
-    ``lifts[k]`` is the same numerator as assembled over Z[x]/(x^n - 1),
-    before the reduction; its smaller norms tighten the rank certificate.
+    ``boundaries[k]`` maps degree k+1 to degree k.  It is the assembled
+    numerator, an integer array [rows, cols, n] over Z[x]/(x^n - 1) with n
+    the ``conductor`` (x -> zeta_n), not reduced modulo Phi_n; the boundary
+    is that array over ``denominators[k]``.
     """
 
-    __slots__ = ("dims", "boundaries", "conductor", "denominators", "lifts")
+    __slots__ = ("dims", "boundaries", "conductor", "denominators")
 
-    def __init__(self, dims, boundaries, conductor: int, denominators, lifts):
+    def __init__(self, dims, boundaries, conductor: int, denominators):
         object.__setattr__(self, "dims", tuple(int(d) for d in dims))
         object.__setattr__(self, "boundaries", tuple(boundaries))
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "denominators", tuple(denominators))
-        object.__setattr__(self, "lifts", tuple(lifts))
 
     def __setattr__(self, *a):
         raise AttributeError("BlockComplex is immutable")
 
     def boundary_matrix(self, k: int) -> Matrix:
         """Boundary from degree k+1 to degree k as an exact cyclotomic Matrix."""
-        a, den, n = self.boundaries[k], self.denominators[k], self.conductor
+        n, den = self.conductor, self.denominators[k]
+        a = reduce_cyclotomic(self.boundaries[k], n)
         return Matrix(a.shape[0], a.shape[1],
                       [[Cyclo(n, [Fraction(int(c), den) for c in e]) for e in row]
                        for row in a.tolist()])
@@ -122,14 +123,13 @@ def specialize(c: EquivariantComplex, r: UnitaryRep) -> BlockComplex:
     for t in range(len(reduced) - 1):
         if reduce_cyclotomic(ring_matmul(reduced[t], reduced[t + 1], n), n).any():
             raise BoundaryError(f"d{t + 1}.d{t + 2} != 0 under this representation")
-    return BlockComplex([rank * imgs.dim for rank in c.ranks], reduced, n,
-                        [den for _, den in assembled], [a for a, _ in assembled])
+    return BlockComplex([rank * imgs.dim for rank in c.ranks], [a for a, _ in assembled], n,
+                        [den for _, den in assembled])
 
 
 def homology_dims(b: BlockComplex) -> HomologyReport:
     """dims[i] = dim C_i - rank d_i - rank d_{i+1} (field coefficients)."""
-    ranks = [0] + [certified_rank(a, b.conductor, lift)
-                   for a, lift in zip(b.boundaries, b.lifts)] + [0]
+    ranks = [0] + [certified_rank(a, b.conductor) for a in b.boundaries] + [0]
     return HomologyReport([b.dims[i] - ranks[i] - ranks[i + 1]
                            for i in range(len(b.dims))])
 
@@ -159,8 +159,7 @@ def coinvariants_h0(p: GroupPresentation, r: UnitaryRep) -> int:
     if not verify_rep(r):
         raise ValueError("representation fails verification")
     blocks, n = alpha_minus_one_blocks(r)
-    side = np.concatenate(blocks, axis=1)
-    return r.dim - certified_rank(reduce_cyclotomic(side, n), n, side)
+    return r.dim - certified_rank(np.concatenate(blocks, axis=1), n)
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +191,15 @@ def _subspace_ranks(b: BlockComplex, basis: np.ndarray) -> list[int]:
     """rank of d_k (I tensor B) for every boundary d_k of ``b`` = C tensor V,
     where B = ``basis`` is an integer array [dim V, w, n] over
     Z[x]/(x^n - 1), n the conductor of ``b``: B multiplies each cell's
-    column block of the lifts."""
+    column block of the boundaries."""
     dim, w, n = basis.shape
     ranks = []
-    for lift in b.lifts:
-        rows, cols = lift.shape[:2]
+    for a in b.boundaries:
+        rows, cols = a.shape[:2]
         cells = cols // dim
-        per_cell = lift.reshape(rows, cells, dim, n).swapaxes(0, 1)
+        per_cell = a.reshape(rows, cells, dim, n).swapaxes(0, 1)
         prod = ring_matmul(per_cell, basis, n).swapaxes(0, 1).reshape(rows, cells * w, n)
-        ranks.append(certified_rank(reduce_cyclotomic(prod, n), n, prod))
+        ranks.append(certified_rank(prod, n))
     return ranks
 
 
@@ -224,10 +223,9 @@ def subquotient_dims(c: EquivariantComplex, r: UnitaryRep, s: SplitData) \
     if np.ndim(basis) != 3 or np.shape(basis)[::2] != (r.dim, n):
         raise ValueError(f"split W basis must be an integer array [{r.dim}, w, {n}]")
     w = basis.shape[1]
-    if certified_rank(reduce_cyclotomic(basis, n), n, basis) != w:
+    if certified_rank(basis, n) != w:
         raise ValueError("split W basis is degenerate")
-    span = np.concatenate([basis] + blocks, axis=1)
-    if certified_rank(reduce_cyclotomic(span, n), n, span) != w:
+    if certified_rank(np.concatenate([basis] + blocks, axis=1), n) != w:
         raise ValueError("split W does not span the coinvariant directions")
 
     b = specialize(c, r)

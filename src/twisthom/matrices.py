@@ -5,11 +5,13 @@ Laurent or integer Laurent polynomials).  Everything here is exact, with one
 elimination per ring:
 
 - ranks and column bases over Q and Q(zeta_n): ``certified_pivots``, and
-  ``certified_rank``, their count.  It takes integer coefficient arrays over
-  Z[x]/(x^n - 1), eliminates them over F_p for split primes p = 1 (mod n),
-  and certifies the result with a Hadamard bound on the norms of the minors.
-  It has no fallback: when the interval of split primes cannot supply the
-  certified count, it raises ValueError;
+  ``certified_rank``, their count.  It takes an integer array over
+  Z[x]/(x^n - 1) as its caller assembled it, reduces it modulo Phi_n itself,
+  eliminates it over F_p for split primes p = 1 (mod n), and certifies the
+  result with a Hadamard bound on the norms of the minors, each entry
+  bounded by the smaller L1 norm of its two representatives.  It has no
+  fallback: when the interval of split primes cannot supply the certified
+  count, it raises ValueError;
 - Smith normal form over Z: ``smith_normal_form_int``, with U and V;
 - Smith normal form over Q[t, t^-1]: ``_snf_poly``, the diagonal alone, on
   integer Laurent polynomials (below): Python ints only, with exact integer
@@ -134,13 +136,20 @@ def _reduction(n: int) -> np.ndarray:
     return np.array(rows, dtype=int_dtype(max(abs(c) for row in rows for c in row)))
 
 
+@functools.cache
+def _growth(n: int, m: int) -> int:
+    """The largest L1 norm of a column of the first m reduction rows: reducing
+    a[..., m] grows no coefficient by more than this factor."""
+    return int(np.abs(_reduction(n)[:m]).sum(axis=0).max())
+
+
 def reduce_cyclotomic(a: np.ndarray, n: int) -> np.ndarray:
     """Reduce a[..., m] (m <= n) modulo Phi_n: coefficients [..., phi(n)] in the
     power basis 1, zeta_n, ..., zeta_n^(phi(n)-1)."""
     red = _reduction(n)[:a.shape[-1]]
     if red.shape == (1, 1):
         return a
-    dtype = int_dtype(max_abs(a) * int(np.abs(red).sum(axis=0).max()))
+    dtype = int_dtype(max_abs(a) * _growth(n, a.shape[-1]))
     return a.astype(dtype, copy=False) @ red.astype(dtype, copy=False)
 
 
@@ -160,15 +169,6 @@ def lift_cyclo(entries, n: int) -> tuple[np.ndarray, int]:
             out[i, j, :len(x.coeffs) * (n // x.conductor):n // x.conductor] = \
                 [c.numerator * (den // c.denominator) for c in x.coeffs]
     return out.astype(int_dtype(max_abs(out))), den
-
-
-def cyclo_array(m: Matrix) -> tuple[np.ndarray, int]:
-    """(a, n): Phi_n-reduced integer coefficients a[R, C, phi(n)] of a matrix over
-    Q(zeta_n) with at least one row, each row scaled by the lcm of its
-    denominators (which keeps the rank)."""
-    n = math.lcm(1, *(getattr(x, "conductor", 1) for row in m.entries for x in row))
-    a = np.concatenate([lift_cyclo([row], n)[0].astype(object) for row in m.entries])
-    return reduce_cyclotomic(a.astype(int_dtype(max_abs(a))), n), n
 
 
 def _is_prime(p: int) -> bool:
@@ -259,6 +259,14 @@ def _l1_norms(a: np.ndarray) -> np.ndarray:
     return np.abs(a).sum(axis=-1, dtype=np.float64)
 
 
+def _entry_bounds(a: np.ndarray, red: np.ndarray) -> np.ndarray:
+    """Per-entry bounds [R, C]: the smaller L1 norm of each entry's two
+    representatives, a[R, C, m] as given and red, its reduction modulo Phi_n."""
+    if red is a:  # one coefficient at n <= 2 is its own reduction
+        return _l1_norms(a)
+    return np.minimum(_l1_norms(red), _l1_norms(a))
+
+
 def _hadamard_bits(l1: np.ndarray) -> float:
     """log2 of H = prod over nonzero rows of ||row of l1||_2 for entry bounds
     l1[R, C]: |sigma(M)| <= H for every minor M by Hadamard's inequality."""
@@ -268,10 +276,11 @@ def _hadamard_bits(l1: np.ndarray) -> float:
     return float(0.5 * np.log2(sq[sq > 0]).sum())
 
 
-def certified_pivots(a: np.ndarray, n: int, lift: np.ndarray | None = None) -> list[int]:
-    """Columns of the integer array a[R, C, m] that form a basis of its column
-    span over Q(zeta_n); entry (i, j) is sum_k a[i, j, k] zeta_n^k (any m;
-    Phi_n-reduced arrays have m = phi(n)).  Their count is the exact rank.
+def certified_pivots(a: np.ndarray, n: int) -> list[int]:
+    """Columns of the integer array a[R, C, m] over Z[x]/(x^n - 1) (m <= n) that
+    form a basis of its column span over Q(zeta_n), where entry (i, j) is
+    sum_k a[i, j, k] zeta_n^k.  Their count is the exact rank.  Callers pass
+    the array as they assembled it; the reduction modulo Phi_n happens here.
 
     Each split prime p = 1 (mod n) maps Z[zeta_n] onto F_p by zeta_n -> r, so
     the rank over F_p never exceeds the true rank.  A nonzero minor M keeps
@@ -283,29 +292,29 @@ def certified_pivots(a: np.ndarray, n: int, lift: np.ndarray | None = None) -> l
     Raises ValueError when 2^30 < p < 2^31 holds fewer than the certified
     count of split primes (about 4 * 10^4 exist for every n <= 1024).
 
+    H bounds each entry by the smaller L1 norm of its two representatives,
+    as given and reduced modulo Phi_n.  Either side can be the smaller: for
+    prime n, reducing one term zeta_n^(n-1) spreads it over n - 1
+    coefficients, while 1 + x + ... + x^(n-1) reduces to 0.
+
     The pivots come from the first prime that reaches the maximum.  Columns
     independent over F_p have a minor that is nonzero mod p, hence nonzero:
     they are independent over Q(zeta_n), and there are rank of them.
-
-    ``lift`` may give the same matrix as an array over Z[x]/(x^n - 1) before
-    its reduction to ``a``.  H then uses the smaller L1 norm of each entry:
-    for prime n, reducing one term zeta_n^(n-1) spreads it over n - 1
-    coefficients, which would inflate H and the prime count.
     """
     rows, cols = a.shape[:2]
-    if rows == 0 or cols == 0 or not a.any():
+    if rows == 0 or cols == 0:
         return []
-    l1 = _l1_norms(a)
-    if lift is not None and lift is not a:  # for n = 1 the reduction is a itself
-        l1 = np.minimum(l1, _l1_norms(lift))
-    need = int(euler_phi(n) * _hadamard_bits(l1) / 30 * (1 + 1e-9)) + 1
+    red = reduce_cyclotomic(a, n)
+    if not red.any():
+        return []
+    need = int(euler_phi(n) * _hadamard_bits(_entry_bounds(a, red)) / 30 * (1 + 1e-9)) + 1
     primes = split_primes(n, need)
     if len(primes) < need:
         raise ValueError(f"the rank certificate needs {need} split primes for "
                          f"conductor {n}; only {len(primes)} exist below 2^31")
     best, full = [], min(rows, cols)
     for p, r in primes:
-        pivots = _rank_mod_p(_evaluate_mod_p(a, p, r), p)
+        pivots = _rank_mod_p(_evaluate_mod_p(red, p, r), p)
         if len(pivots) > len(best):
             best = pivots
         if len(best) == full:
@@ -313,19 +322,19 @@ def certified_pivots(a: np.ndarray, n: int, lift: np.ndarray | None = None) -> l
     return best
 
 
-def certified_rank(a: np.ndarray, n: int, lift: np.ndarray | None = None) -> int:
-    """Exact rank over Q(zeta_n) of the integer array a[R, C, m]: the count of
-    ``certified_pivots``."""
-    return len(certified_pivots(a, n, lift))
+def certified_rank(a: np.ndarray, n: int) -> int:
+    """Exact rank over Q(zeta_n) of the integer array a[R, C, m] over
+    Z[x]/(x^n - 1): the count of ``certified_pivots``."""
+    return len(certified_pivots(a, n))
 
 
 def fast_rank(m: Matrix) -> int:
     """Exact rank of a Matrix over Q or Q(zeta_n) (Fraction/int or Cyclo
-    entries) by ``certified_rank``."""
+    entries) by ``certified_rank`` of its lift to Z[x]/(x^n - 1)."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    a, n = cyclo_array(m)
-    return certified_rank(a, n)
+    n = math.lcm(1, *(getattr(x, "conductor", 1) for row in m.entries for x in row))
+    return certified_rank(lift_cyclo(m.entries, n)[0], n)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Rationals are plain ``fractions.Fraction`` (already canonical: gcd 1, positive
 denominator).  ``Cyclo`` represents elements of Q(zeta_n) reduced modulo the
-n-th cyclotomic polynomial.  ``Laurent`` holds elements of Q[t, t^-1] as
-values; their arithmetic runs on integers, in ``matrices``.  Floats never
-appear here; numeric cross-checks live in the test suite.
+n-th cyclotomic polynomial, by the integer rows x^k mod Phi_n that
+``matrices`` reduces its arrays with.  ``Laurent`` holds elements of
+Q[t, t^-1] as values; their arithmetic runs on integers, in ``matrices``.
+Floats never appear here; numeric cross-checks live in the test suite.
 """
 
 from __future__ import annotations
@@ -26,43 +27,17 @@ def as_fraction(x) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# dense Q[x] helpers (coefficient lists, index = exponent, no trailing zeros)
+# dense Q[x] helpers (coefficient lists, index = exponent)
 # ---------------------------------------------------------------------------
 
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [ZERO] * (len(a) + len(b) - 1)
+    out = [ZERO] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 if bj:
                     out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(r) >= len(b):
-        c = r[-1] * inv_lead
-        d = len(r) - len(b)
-        if c:
-            q[d] = c
-            for i, bi in enumerate(b):
-                r[d + i] -= c * bi
-        assert r[-1] == 0
-        r.pop()
-    return _poly_trim(q), _poly_trim(r)
+    return out
 
 
 @functools.cache
@@ -95,11 +70,6 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
                     q[m + i] -= q[m + len(b) - 1] * c
             q = q[len(b) - 1:]
     return tuple(q)
-
-
-@functools.cache
-def _cyclotomic_coeffs(n: int) -> tuple[Fraction, ...]:
-    return tuple(map(Fraction, cyclotomic_coeffs(n)))
 
 
 @functools.cache
@@ -273,11 +243,16 @@ class Cyclo:
 
 
 def _reduce_mod_cyclotomic(poly: list[Fraction], n: int) -> list[Fraction]:
-    phi = euler_phi(n)
-    poly = _poly_trim(list(poly))
-    if len(poly) > phi:
-        _, poly = _poly_divmod(poly, list(_cyclotomic_coeffs(n)))
-    return poly + [ZERO] * (phi - len(poly))
+    """poly modulo Phi_n, by the integer rows of ``cyclotomic_reduction_rows``
+    (x^k for k >= n is x^(k mod n))."""
+    rows, phi = cyclotomic_reduction_rows(n), euler_phi(n)
+    out = list(poly[:phi]) + [ZERO] * (phi - len(poly))
+    for k in range(phi, len(poly)):
+        if poly[k]:
+            for i, r in enumerate(rows[k % n]):
+                if r:
+                    out[i] += poly[k] * r
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,17 @@ def test_torsion_invariants_rejects_wrong_shape():
         torsion_invariants([row, Matrix(1, 1, [[(0, (1,))]])], [1, 2, 1])
 
 
+def test_torsion_invariants_rejects_malformed_entries():
+    """Entries are None or (int, tuple of ints with nonzero ends); anything
+    else is a ValueError naming its boundary, not a failure deep inside the
+    elimination."""
+    good = Matrix(1, 1, [[(0, (1,))]])
+    for bad in (Laurent({0: 1}), (0, (1, 0)), (0, (0, 1)), (0, ()), (0, (Fraction(1, 2),)),
+                (0.5, (1,)), 1, (0, [1])):
+        with pytest.raises(ValueError, match="d2 has an entry that is not an integer Laurent"):
+            torsion_invariants([good, Matrix(1, 1, [[bad]])], [1, 1, 1])
+
+
 def test_torus2d_is_acyclifiable():
     """T^2 along (1, 0): H_1 is (t-1)-torsion, so z = -1 certifies acyclicity.
 

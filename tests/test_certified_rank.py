@@ -13,8 +13,8 @@ from twisthom.groups import GroupRingElt, PermAction, reidemeister_schreier
 from twisthom import matrices
 from twisthom.homology import BoundaryError, specialize, subquotient_dims
 from twisthom.matrices import (Matrix, _evaluate_mod_p, _rank_mod_p,
-                               certified_rank, cyclo_array, fast_rank,
-                               split_primes)
+                               certified_rank, fast_rank, lift_cyclo,
+                               reduce_cyclotomic, split_primes)
 from twisthom.numbers import Cyclo, euler_phi
 from twisthom.reps import (explicit_rep, induce_rep, invariant_coinvariant_split,
                            permutation_rep, torsion_characters)
@@ -82,17 +82,47 @@ def test_prime_count_is_certified(n):
     if n == 1:  # zeta - r is 0 for n = 1: use the primes themselves instead
         entry = Cyclo.from_rational(primes[0][0] * primes[1][0] * primes[2][0])
     m = Matrix(2, 2, [[entry, Cyclo.zero()], [Cyclo.zero(), entry]])
-    a, conductor = cyclo_array(m)
-    assert conductor == n
+    a, den = lift_cyclo(m.entries, n)
+    assert den == 1
     for p, r in primes:
         assert _rank_mod_p(_evaluate_mod_p(a, p, r), p) == []
     assert certified_rank(a, n) == matrix_rank(m) == 2
 
 
+def test_prime_count_follows_the_smaller_norm(monkeypatch):
+    """The certificate bounds each entry by the smaller L1 norm of the array
+    as given and of its reduction modulo Phi_n, whichever that is.  At the
+    prime n = 31, x^30 reduces to -(1 + x + ... + x^29), of norm 30, and
+    1 + x + ... + x^30 + x (norm 32) reduces to x.  A 2 x 2 array of one
+    such entry then has H = 2 (two rows of norm sqrt(2)) and asks for 2
+    primes, where the larger norm would ask for 11 or 12."""
+    n = 31
+    counts = []
+    original = split_primes
+
+    def recorded(n, count):
+        counts.append(count)
+        return original(n, count)
+
+    monkeypatch.setattr(matrices, "split_primes", recorded)
+    power = np.zeros(n, dtype=np.int64)
+    power[n - 1] = 1
+    geometric = np.ones(n, dtype=np.int64)
+    geometric[1] += 1
+    for entry, reduced_norm, given_norm in ((power, n - 1, 1), (geometric, 1, n + 1)):
+        a = np.broadcast_to(entry, (2, 2, n))  # rank 1
+        red = reduce_cyclotomic(a, n)
+        assert np.abs(red[0, 0]).sum() == reduced_norm and np.abs(a[0, 0]).sum() == given_norm
+        counts.clear()
+        assert certified_rank(a, n) == 1
+        assert counts == [2]
+        assert certified_rank(red, n) == 1
+
+
 def test_rank_of_huge_entries_uses_python_ints():
     big = 2 ** 70 + 1
     m = Matrix(2, 2, [[big, big + 1], [big - 1, big]])
-    a, _ = cyclo_array(m)
+    a, _ = lift_cyclo(m.entries, 1)
     assert a.dtype == object
     assert fast_rank(m) == matrix_rank(m) == 2
 
@@ -139,6 +169,6 @@ def test_too_few_split_primes_raise(monkeypatch):
     original = split_primes
     monkeypatch.setattr(matrices, "split_primes", lambda n, count: original(n, 1))
     big = Cyclo.from_rational(2 ** 40)  # the certificate needs 11 primes
-    a, n = cyclo_array(Matrix(2, 2, [[Cyclo.root_of_unity(5), big], [big, big]]))
+    a, _ = lift_cyclo([[Cyclo.root_of_unity(5), big], [big, big]], 5)
     with pytest.raises(ValueError, match="split primes"):
-        certified_rank(a, n)
+        certified_rank(a, 5)

@@ -3,16 +3,30 @@ and names the fast checks that must fail under it.
 
 Every check must also pass unpatched, so none of them is vacuous.  A check
 fails by an assertion (``pytest.raises`` included) or, where the row says
-so, by the error a guard raises.
+so, by the error a guard raises.  A check that takes pytest fixtures gets
+them by name.
 """
+
+import functools
+import inspect
 
 import pytest
 
 import test_alexander
+import test_certified_rank
+import test_cli
+import test_suites
 import test_torsion_reference
-from twisthom import alexander, groups, matrices
+from twisthom import alexander, groups, homology, matrices
 
 ASSERTED = (AssertionError, pytest.fail.Exception)
+_SUBSPACE_RANKS = homology._subspace_ranks
+
+
+def _one_short(b, basis):
+    """Every rank of d_V (I tensor B) one short, as far as it goes."""
+    return [max(r - 1, 0) for r in _SUBSPACE_RANKS(b, basis)]
+
 
 # (probe, module, attribute, replacement, how a check dies, killing checks)
 MUTANTS = [
@@ -28,15 +42,35 @@ MUTANTS = [
      lambda phi, w: groups.grading_weight(phi, w) + bool(w), ASSERTED,
      [test_alexander.test_laurent_specialize_circle,
       test_alexander.test_torsion_invariants_trefoil]),
+    ("rank norm bound from the reduced array only", matrices, "_entry_bounds",
+     lambda a, red: matrices._l1_norms(red), ASSERTED,
+     [test_cli.test_large_prime_conductor_uses_split_primes,
+      test_certified_rank.test_prime_count_follows_the_smaller_norm]),
+    ("rank norm bound from the assembled array only", matrices, "_entry_bounds",
+     lambda a, red: matrices._l1_norms(a), ASSERTED,
+     [test_certified_rank.test_prime_count_follows_the_smaller_norm]),
+    ("one split prime: Hadamard bound of 0 bits", matrices, "_hadamard_bits",
+     lambda l1: 0.0, ASSERTED,
+     [functools.partial(test_certified_rank.test_prime_count_is_certified, n)
+      for n in (1, 5, 12)]),
+    ("_subspace_ranks one short", homology, "_subspace_ranks", _one_short, ASSERTED,
+     [test_suites.test_les_suite_sees_every_subspace_rank_off_by_one]),
 ]
+
+
+def _run(check, request):
+    """Call a check, with the pytest fixtures its signature names."""
+    names = inspect.signature(check).parameters
+    return check(**{name: request.getfixturevalue(name) for name in names})
 
 
 @pytest.mark.parametrize("probe, module, name, mutant, dies_by, checks", MUTANTS,
                          ids=[row[0] for row in MUTANTS])
-def test_mutant_is_killed(monkeypatch, probe, module, name, mutant, dies_by, checks):
+def test_mutant_is_killed(request, monkeypatch, probe, module, name, mutant, dies_by,
+                          checks):
     for check in checks:
-        check()
+        _run(check, request)
     monkeypatch.setattr(module, name, mutant)
     for check in checks:
         with pytest.raises(dies_by):
-            check()
+            _run(check, request)

@@ -52,33 +52,32 @@ def test_seeded_induced_reps_are_valid():
 def test_suite_fails_under_random_ranks(monkeypatch, suite_results, name):
     """Every lemma suite must be able to fail: with a rank layer that answers
     at random (seeded), it reports failures over its usual number of checks.
-    freeproduct is left out for its runtime (about 10 s per run)."""
+    The stub replaces ``certified_rank`` in every module that binds it, so
+    the split's ranks in ``reps`` are random too.  freeproduct is left out
+    for its runtime (about 10 s per run)."""
     import random
-    from twisthom import homology, matrices
+    from twisthom import homology, matrices, reps
 
     rng = random.Random(0)
 
-    def random_rank(a, n, lift=None):
+    def random_rank(a, n):
         return rng.randint(0, min(a.shape[:2]))
 
-    monkeypatch.setattr(matrices, "certified_rank", random_rank)
-    monkeypatch.setattr(homology, "certified_rank", random_rank)
+    for module in (matrices, homology, reps):
+        monkeypatch.setattr(module, "certified_rank", random_rank)
     report = SUITES[name](0)
     (real,) = [s for s in suite_results["suites"] if s["suite"] == name]
     assert report.passed + report.failed == real["pass"] + real["fail"]
     assert report.failed > 0
 
 
-def test_les_suite_sees_every_subspace_rank_off_by_one(monkeypatch):
+def test_les_suite_sees_every_subspace_rank_off_by_one():
     """Every rank of d_V (I tensor B) one short raises dims_w in a pattern
     that keeps the Euler characteristic and the upper bound; the lower bounds
-    of the long exact sequence must still catch it."""
-    from twisthom import homology
+    of the long exact sequence must still catch it.  This is the killing
+    check of the "_subspace_ranks one short" row of ``test_mutants.py``:
+    all 100 checks pass here, and under that mutant some fail."""
     from twisthom.suites import les_suite
 
-    real = homology._subspace_ranks
-    monkeypatch.setattr(homology, "_subspace_ranks",
-                        lambda b, basis: [max(r - 1, 0) for r in real(b, basis)])
     report = les_suite(0)
-    assert report.passed + report.failed == 100
-    assert report.failed > 0
+    assert (report.passed, report.failed) == (100, 0)
