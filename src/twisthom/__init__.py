@@ -11,7 +11,7 @@ from .alexander import (AcyclicityCertificate, FreeRankObstruction,
                         GradingError, TorsionData, alexander_data,
                         laurent_specialize, make_acyclic_fibered,
                         select_root_of_unity, torsion_invariants, uct_dims)
-from .complexes import (CatalogEntry, EquivariantComplex, catalog_complex,
+from .complexes import (Boundary, CatalogEntry, EquivariantComplex, catalog_complex,
                         catalog_entry_from_string, circle_product,
                         cover_complex, fox_derivative, presentation_complex)
 from .groups import (GroupPresentation, GroupRingElt, PermAction, Word,

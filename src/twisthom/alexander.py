@@ -91,7 +91,7 @@ MAX_LAURENT_SPAN = 1024
 
 def laurent_specialize(c: EquivariantComplex, phi) -> list[Matrix]:
     """Boundary matrices over Q[t, t^-1] under the ring map g -> t^phi(g), read
-    from ``c.terms`` with one grading weight per distinct word.
+    from the boundaries' terms with one grading weight per distinct word.
 
     Entries are integer Laurent polynomials, the form of ``matrices``: None
     for zero, or (v, c) for t^v (c[0] + c[1] t + ... + c[d] t^d), c a tuple
@@ -102,15 +102,15 @@ def laurent_specialize(c: EquivariantComplex, phi) -> list[Matrix]:
     """
     if not verify_grading(c.group, phi):
         raise GradingError("grading does not vanish on all relators")
-    weight = {w: grading_weight(phi, w) for w in {w for t in c.terms for w in t[3]}}
+    words = {w for b in c.boundaries for w in b.terms[3]}
+    weight = {w: grading_weight(phi, w) for w in words}
     mats = []
-    for k, (rows, cols, coeffs, words, _) in enumerate(c.terms):
-        shape = c.ranks[k], c.ranks[k + 1]
-        sums: list[list[dict]] = [[{} for _ in range(shape[1])] for _ in range(shape[0])]
-        for i, j, q, w in zip(rows, cols, coeffs, words):
+    for b in c.boundaries:
+        sums: list[list[dict]] = [[{} for _ in range(b.cols)] for _ in range(b.rows)]
+        for (i, j, w), q in b.items():
             e = weight[w]
             sums[i][j][e] = sums[i][j].get(e, 0) + q
-        mats.append(Matrix(*shape, [[_int_laurent(x) for x in row] for row in sums]))
+        mats.append(Matrix(b.rows, b.cols, [[_int_laurent(x) for x in row] for row in sums]))
     return mats
 
 

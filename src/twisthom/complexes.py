@@ -6,70 +6,106 @@ so the stored entry for a classical left-coordinate coefficient c is bar(c)
 (words inverted).  With this convention a representation specializes an entry
 by substituting alpha(word) directly and consecutive boundaries multiply to
 zero for every representation, commutative or not.
+
+Each boundary is stored once, sparse: a ``Boundary`` is its list of terms
+coeff * word at (row, col).  Every builder here writes terms, and every
+specialization reads them; an entry is a ``GroupRingElt`` made on access.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left, bisect_right
+from itertools import groupby
 
 from .groups import (EMPTY_WORD, GroupPresentation, GroupRingElt, PermAction,
                      Word, abelianization, free_reduce, reidemeister_schreier,
-                     word_inverse, word_mul, word_power)
-from .matrices import Matrix
-
-GR_ONE = GroupRingElt.one()
+                     word_mul, word_power)
 
 
-def _gr(terms) -> GroupRingElt:
-    return GroupRingElt(terms)
+class Boundary:
+    """A rows x cols matrix over Z[pi], stored as its nonzero terms.
+
+    Built from ((i, j, word), coeff) pairs: words are freely reduced, like
+    terms added up and zero sums dropped.  ``terms`` is the form every
+    specialization reads: parallel tuples (rows, cols, coeffs, words) with
+    one item per term in (row, col, word) order, then the largest sum of
+    |coeff| in one entry.  ``b[i, j]`` is entry (i, j) as a GroupRingElt.
+    """
+
+    __slots__ = ("rows", "cols", "terms")
+
+    def __init__(self, rows: int, cols: int, cells=()):
+        acc: dict[tuple[int, int, Word], int] = {}
+        for (i, j, w), c in cells:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"term at ({i}, {j}) is outside a {rows}x{cols} boundary")
+            key = (i, j, free_reduce(w))
+            acc[key] = acc.get(key, 0) + operator.index(c)
+        keys = sorted(k for k, c in acc.items() if c)
+        bound = max((sum(abs(acc[k]) for k in entry)
+                     for _, entry in groupby(keys, key=lambda k: k[:2])), default=0)
+        i, j, w = zip(*keys) if keys else ((), (), ())
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "terms", (i, j, tuple(acc[k] for k in keys), w, bound))
+
+    def __setattr__(self, *a):
+        raise AttributeError("Boundary is immutable")
+
+    def items(self):
+        """The terms as ((i, j, word), coeff) pairs, in (row, col, word) order."""
+        rows, cols, coeffs, words, _ = self.terms
+        return zip(zip(rows, cols, words), coeffs)
+
+    def __getitem__(self, ij) -> GroupRingElt:
+        i, j = ij
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"({i}, {j}) is outside a {self.rows}x{self.cols} boundary")
+        rows, cols, coeffs, words, _ = self.terms
+        lo, hi = bisect_left(rows, i), bisect_right(rows, i)  # row i, then col j in it
+        lo, hi = bisect_left(cols, j, lo, hi), bisect_right(cols, j, lo, hi)
+        return GroupRingElt(zip(words[lo:hi], coeffs[lo:hi]))
+
+    def __eq__(self, other):
+        if not isinstance(other, Boundary):
+            return NotImplemented
+        return (self.rows, self.cols, self.terms) == (other.rows, other.cols, other.terms)
 
 
-def _gen_minus_one_bar(gen: int) -> GroupRingElt:
-    """Stored form of the classical edge boundary (x - 1): here x^-1 - 1."""
-    return _gr([(((gen, -1),), 1), (EMPTY_WORD, -1)])
+def _edge(i: int, j: int, gen: int, sign: int = 1) -> list:
+    """Cell (i, j) of sign * (x^-1 - 1), the stored form of the classical
+    edge boundary (x - 1), x the generator gen."""
+    return [((i, j, ((gen, -1),)), sign), ((i, j, EMPTY_WORD), -sign)]
 
 
 class EquivariantComplex:
     """Finite free Z[pi]-chain complex given by boundary matrices.
 
-    ``boundaries[k]`` is the boundary C_{k+1} -> C_k, of shape
-    ranks[k] x ranks[k+1], with GroupRingElt entries in stored (right-module)
-    coordinates.  The d.d = 0 identity holds under every specialization; it is
-    checked there, not symbolically.  ``terms[k]`` holds boundary k in the form
-    every specialization reads: parallel tuples (rows, cols, coeffs, words)
-    with one item per term, then the largest sum of |coeff| in one entry.
+    ``boundaries[k]`` is the ``Boundary`` C_{k+1} -> C_k, of shape
+    ranks[k] x ranks[k+1], in stored (right-module) coordinates.  The d.d = 0
+    identity holds under every specialization; it is checked there, not
+    symbolically.
     """
 
-    __slots__ = ("group", "ranks", "boundaries", "terms")
+    __slots__ = ("group", "ranks", "boundaries")
 
     def __init__(self, group: GroupPresentation, ranks, boundaries):
-        ranks = tuple(int(r) for r in ranks)
+        ranks = tuple(operator.index(r) for r in ranks)
         boundaries = tuple(boundaries)
         if any(r < 0 for r in ranks):
             raise ValueError("ranks must be non-negative")
         if len(boundaries) != max(0, len(ranks) - 1):
             raise ValueError("need one boundary matrix per adjacent degree pair")
-        terms = []
         for k, b in enumerate(boundaries):
-            if not isinstance(b, Matrix) or (b.rows, b.cols) != (ranks[k], ranks[k + 1]):
-                raise ValueError(f"boundary {k + 1} must be {ranks[k]}x{ranks[k + 1]}")
-            rows, cols, coeffs, words, bound = [], [], [], [], 0
-            for i, row in enumerate(b.entries):
-                for j, e in enumerate(row):
-                    if not isinstance(e, GroupRingElt):
-                        raise ValueError("boundary entries must be GroupRingElt")
-                    if any(g >= group.num_generators for w in e.terms for g, _ in w):
-                        raise ValueError("boundary word uses an unknown generator")
-                    rows += [i] * len(e.terms)
-                    cols += [j] * len(e.terms)
-                    coeffs += e.terms.values()
-                    words += e.terms
-                    bound = max(bound, sum(map(abs, e.terms.values())))
-            terms.append((tuple(rows), tuple(cols), tuple(coeffs), tuple(words), bound))
+            if not isinstance(b, Boundary) or (b.rows, b.cols) != (ranks[k], ranks[k + 1]):
+                raise ValueError(f"boundary {k + 1} must be a {ranks[k]}x{ranks[k + 1]} Boundary")
+            if any(g >= group.num_generators for w in set(b.terms[3]) for g, _ in w):
+                raise ValueError("boundary word uses an unknown generator")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "boundaries", boundaries)
-        object.__setattr__(self, "terms", tuple(terms))
 
     def __setattr__(self, *a):
         raise AttributeError("EquivariantComplex is immutable")
@@ -100,7 +136,7 @@ def fox_derivative(w: Word, gen: int) -> GroupRingElt:
             else:
                 terms.append((word_mul(prefix, ((g, -1),)), -1))
         prefix = word_mul(prefix, ((g, e),))
-    return _gr(terms)
+    return GroupRingElt(terms)
 
 
 def presentation_complex(p: GroupPresentation) -> EquivariantComplex:
@@ -110,9 +146,9 @@ def presentation_complex(p: GroupPresentation) -> EquivariantComplex:
     matrices carry their bar-involutes (right-module coordinates).
     """
     g, r = p.num_generators, len(p.relators)
-    d1 = Matrix(1, g, [[_gen_minus_one_bar(i) for i in range(g)]])
-    d2 = Matrix(g, r, [[fox_derivative(p.relators[j], i).bar() for j in range(r)]
-                       for i in range(g)])
+    d1 = Boundary(1, g, [t for i in range(g) for t in _edge(0, i, i)])
+    d2 = Boundary(g, r, [((i, j, w), c) for i in range(g) for j in range(r)
+                         for w, c in fox_derivative(p.relators[j], i).bar().terms.items()])
     if r == 0:
         return EquivariantComplex(p, (1, g), (d1,))
     return EquivariantComplex(p, (1, g, r), (d1, d2))
@@ -128,6 +164,8 @@ def circle_product(c: EquivariantComplex) -> EquivariantComplex:
     The new generator t is central (commutator relators with every old
     generator); the connecting blocks are (-1)^deg (t^-1 - 1) in stored
     coordinates, the Koszul sign making consecutive boundaries anticommute.
+    The boundary C'_k -> C'_{k-1} is [[d_k, D_{k-1}], [0, d_{k-1}]], the
+    columns of C_k first, the rows of C_{k-1} first.
     """
     p = c.group
     t = p.num_generators
@@ -135,41 +173,24 @@ def circle_product(c: EquivariantComplex) -> EquivariantComplex:
                    for i in range(p.num_generators)]
     new_group = GroupPresentation(t + 1, list(p.relators) + commutators)
 
-    n = list(c.ranks)
+    n = list(c.ranks) + [0]
     top = c.top
     new_ranks = [n[0]] + [n[k] + n[k - 1] for k in range(1, top + 1)] + [n[top]]
 
-    def old_boundary(k: int) -> Matrix | None:
-        # d_k: C_k -> C_{k-1}, or None when out of range
-        if 1 <= k <= top:
-            return c.boundaries[k - 1]
-        return None
-
-    t_block = _gr([(((t, -1),), 1), (EMPTY_WORD, -1)])  # t^-1 - 1
-
     new_boundaries = []
     for k in range(1, top + 2):
-        rows = new_ranks[k - 1]
-        cols = new_ranks[k]
-        top_rows = n[k - 1] if k - 1 <= top else 0
-        left_cols = n[k] if k <= top else 0
-        entries = [[GroupRingElt() for _ in range(cols)] for _ in range(rows)]
-        mk = old_boundary(k)
-        if mk is not None:
-            for i in range(mk.rows):
-                for j in range(mk.cols):
-                    entries[i][j] = mk[i, j]
+        left = n[k]  # columns of C_k
+        cells = []
+        if k <= top:  # d_k: C_k -> C_{k-1}
+            cells += c.boundaries[k - 1].items()
         # connecting block D_{k-1} = (-1)^(k-1) (t^-1 - 1) I on the C_{k-1} summand
         sign = -1 if (k - 1) % 2 else 1
-        d_entry = t_block * sign
         for i in range(n[k - 1]):
-            entries[i][left_cols + i] = d_entry
-        mk1 = old_boundary(k - 1)
-        if mk1 is not None:
-            for i in range(mk1.rows):
-                for j in range(mk1.cols):
-                    entries[top_rows + i][left_cols + j] = mk1[i, j]
-        new_boundaries.append(Matrix(rows, cols, entries))
+            cells += _edge(i, left + i, t, sign)
+        if k >= 2:  # d_{k-1}: C_{k-1} -> C_{k-2}
+            cells += [((n[k - 1] + i, left + j, w), q)
+                      for (i, j, w), q in c.boundaries[k - 2].items()]
+        new_boundaries.append(Boundary(new_ranks[k - 1], new_ranks[k], cells))
     return EquivariantComplex(new_group, new_ranks, new_boundaries)
 
 
@@ -180,36 +201,26 @@ def circle_product(c: EquivariantComplex) -> EquivariantComplex:
 def cover_complex(c: EquivariantComplex, action: PermAction) -> EquivariantComplex:
     """The same complex over the basepoint-stabilizer subgroup of a finite cover.
 
-    Each free rank multiplies by the degree; a stored entry word w contributes
-    rewrite(T[j]^-1 w T[i]) from lift (cell, i) to lift (cell, j) where
+    Each free rank multiplies by the degree; a stored term q w contributes
+    q rewrite(T[j]^-1 w T[i]) from lift (cell, i) to lift (cell, j) where
     j = w(i).  Lifts are indexed cell-major: index = cell*degree + coset.
+    Each distinct word is walked once from every coset (``SchreierData.walk``).
     """
     if action.presentation != c.group:
         raise ValueError("action is not an action of the complex's group")
     sub, data = reidemeister_schreier(c.group, action)
     d = action.degree
-    new_ranks = [r * d for r in c.ranks]
+    lifts = {w: [data.walk(w, i) for i in range(d)]
+             for w in {w for b in c.boundaries for w in b.terms[3]}}
     new_boundaries = []
     for b in c.boundaries:
-        acc: dict[tuple[int, int], dict[Word, int]] = {}
-        for f in range(b.rows):
-            for e in range(b.cols):
-                entry = b[f, e]
-                if not entry:
-                    continue
-                for w, coeff in entry.terms.items():
-                    for i in range(d):
-                        j = action.apply_word(w, i)
-                        h = data.rewrite(word_mul(
-                            word_inverse(data.transversal[j]), w, data.transversal[i]))
-                        cell = acc.setdefault((f * d + j, e * d + i), {})
-                        cell[h] = cell.get(h, 0) + coeff
-        rows, cols = b.rows * d, b.cols * d
-        entries = [[GroupRingElt() for _ in range(cols)] for _ in range(rows)]
-        for (i, j), terms in acc.items():
-            entries[i][j] = _gr(terms)
-        new_boundaries.append(Matrix(rows, cols, entries))
-    return EquivariantComplex(sub, new_ranks, new_boundaries)
+        acc: dict[tuple[int, int, Word], int] = {}
+        for (f, e, w), q in b.items():
+            for i, (j, h) in enumerate(lifts[w]):
+                key = (f * d + j, e * d + i, h)
+                acc[key] = acc.get(key, 0) + q
+        new_boundaries.append(Boundary(b.rows * d, b.cols * d, acc.items()))
+    return EquivariantComplex(sub, [r * d for r in c.ranks], new_boundaries)
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +319,7 @@ class CatalogEntry:
 
 
 def _sphere_complex() -> EquivariantComplex:
-    triv = GroupPresentation(0)
-    d1 = Matrix(1, 0, [[]])
-    d2 = Matrix(0, 1, [])
-    return EquivariantComplex(triv, (1, 0, 1), (d1, d2))
+    return EquivariantComplex(GroupPresentation(0), (1, 0, 1), (Boundary(1, 0), Boundary(0, 1)))
 
 
 def _point_complex() -> EquivariantComplex:
@@ -325,10 +333,10 @@ def _circle_complex() -> EquivariantComplex:
 def _lens_complex(p: int, q: int) -> EquivariantComplex:
     qbar = pow(q % p, -1, p) if p > 1 else 0
     group = cyclic_group(p)
-    d1 = Matrix(1, 1, [[_gen_minus_one_bar(0)]])
+    d1 = Boundary(1, 1, _edge(0, 0, 0))
     # bar(1 + x + ... + x^(p-1)) = sum of x^-i
-    d2 = Matrix(1, 1, [[_gr([(word_power(0, -i), 1) for i in range(p)])]])
-    d3 = Matrix(1, 1, [[_gr([(word_power(0, -qbar), 1), (EMPTY_WORD, -1)])]])
+    d2 = Boundary(1, 1, [((0, 0, word_power(0, -i)), 1) for i in range(p)])
+    d3 = Boundary(1, 1, [((0, 0, word_power(0, -qbar)), 1), ((0, 0, EMPTY_WORD), -1)])
     return EquivariantComplex(group, (1, 1, 1, 1), (d1, d2, d3))
 
 
@@ -342,16 +350,11 @@ def _quaternion_complex() -> EquivariantComplex:
     """
     p = quaternion_presentation()
     x, y = 0, 1
-    d1 = Matrix(1, 2, [[_gen_minus_one_bar(x), _gen_minus_one_bar(y)]])
-    d2 = Matrix(2, 2, [
-        [fox_derivative(p.relators[0], x).bar(), fox_derivative(p.relators[1], x).bar()],
-        [fox_derivative(p.relators[0], y).bar(), fox_derivative(p.relators[1], y).bar()],
-    ])
+    d1 = Boundary(1, 2, _edge(0, 0, x) + _edge(0, 1, y))
+    d2 = presentation_complex(p).boundaries[1]
     # bar(x - 1) = x^-1 - 1 and bar(1 - xy) = 1 - y^-1 x^-1
-    d3 = Matrix(2, 1, [
-        [_gr([(((x, -1),), 1), (EMPTY_WORD, -1)])],
-        [_gr([(EMPTY_WORD, 1), (free_reduce([(y, -1), (x, -1)]), -1)])],
-    ])
+    d3 = Boundary(2, 1, _edge(0, 0, x) + [((1, 0, EMPTY_WORD), 1),
+                                          ((1, 0, ((y, -1), (x, -1))), -1)])
     return EquivariantComplex(p, (1, 2, 2, 1), (d1, d2, d3))
 
 

@@ -70,7 +70,11 @@ def word_power(g: int, k: int) -> Word:
 # ---------------------------------------------------------------------------
 
 class GroupRingElt:
-    """Integer combination of freely reduced words; zero coefficients dropped."""
+    """Integer combination of freely reduced words; zero coefficients dropped.
+
+    A value: an entry of a ``complexes.Boundary``, made on access.  It has no
+    ring arithmetic, only construction, equality, hashing and ``bar``.
+    """
 
     __slots__ = ("terms",)
 
@@ -92,43 +96,6 @@ class GroupRingElt:
     def __setattr__(self, *a):
         raise AttributeError("GroupRingElt is immutable")
 
-    @staticmethod
-    def one() -> "GroupRingElt":
-        return GroupRingElt([(EMPTY_WORD, 1)])
-
-    def __add__(self, other):
-        if not isinstance(other, GroupRingElt):
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return GroupRingElt(out)
-
-    def __neg__(self):
-        return GroupRingElt({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, GroupRingElt):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GroupRingElt({w: c * other for w, c in self.terms.items()})
-        if not isinstance(other, GroupRingElt):
-            return NotImplemented
-        out: dict[Word, int] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = word_mul(w1, w2)
-                out[w] = out.get(w, 0) + c1 * c2
-        return GroupRingElt(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -144,16 +111,10 @@ class GroupRingElt:
         """The involution sum n_g g  |->  sum n_g g^-1."""
         return GroupRingElt({word_inverse(w): c for w, c in self.terms.items()})
 
-    def augmentation(self) -> int:
-        return sum(self.terms.values())
-
     def __repr__(self):
         if not self.terms:
             return "0"
         return " + ".join(f"{c}*{word_to_ints(w)}" for w, c in self.terms.items())
-
-
-GR_ZERO = GroupRingElt()
 
 
 # ---------------------------------------------------------------------------
@@ -372,27 +333,31 @@ class SchreierData:
         return word_mul(word_inverse(self.transversal[target]),
                         ((gen, 1),), self.transversal[coset])
 
-    def rewrite(self, w: Word) -> Word:
-        """Express a word stabilizing the basepoint in Schreier generators."""
-        action = self.action
+    def walk(self, w: Word, start: int) -> tuple[int, Word]:
+        """(end, h): the word w read as a path from coset ``start``, letters
+        right to left, ends at coset ``end`` = w(start), and h is the reduced
+        word of its Schreier generators.  As transversal paths run on the
+        spanning tree, h = rewrite(T[end]^-1 w T[start])."""
+        action, pair_index = self.action, self.pair_index
         out_reversed = []
-        c = 0
+        c = start
         for g, e in reversed(w):
             if e == 1:
-                idx = self.pair_index[(c, g)]
-                c2 = action.apply_letter(c, g, 1)
-                if idx is not None:
-                    out_reversed.append((idx, 1))
-                c = c2
+                idx = pair_index[(c, g)]
+                c = action.apply_letter(c, g, 1)
             else:
-                c2 = action.apply_letter(c, g, -1)
-                idx = self.pair_index[(c2, g)]
-                if idx is not None:
-                    out_reversed.append((idx, -1))
-                c = c2
-        if c != 0:
+                c = action.apply_letter(c, g, -1)
+                idx = pair_index[(c, g)]
+            if idx is not None:
+                out_reversed.append((idx, e))
+        return c, free_reduce(reversed(out_reversed))
+
+    def rewrite(self, w: Word) -> Word:
+        """Express a word stabilizing the basepoint in Schreier generators."""
+        end, h = self.walk(w, 0)
+        if end != 0:
             raise ValueError("word does not lie in the basepoint stabilizer")
-        return free_reduce(reversed(out_reversed))
+        return h
 
 
 def reidemeister_schreier(p: GroupPresentation, action: PermAction) -> tuple[GroupPresentation, SchreierData]:

@@ -115,10 +115,9 @@ def specialize(c: EquivariantComplex, r: UnitaryRep) -> BlockComplex:
     if not verify_rep(r):
         raise ValueError("representation fails verification")
     imgs = r.compiled
-    images = _word_images(imgs, {w for t in c.terms for w in t[3]})
+    images = _word_images(imgs, {w for b in c.boundaries for w in b.terms[3]})
     n = imgs.n
-    assembled = [imgs.assemble(t, (b.rows, b.cols), images)
-                 for b, t in zip(c.boundaries, c.terms)]
+    assembled = [imgs.assemble(b, images) for b in c.boundaries]
     reduced = [reduce_cyclotomic(a, n) for a, _ in assembled]
     for t in range(len(reduced) - 1):
         if reduce_cyclotomic(ring_matmul(reduced[t], reduced[t + 1], n), n).any():

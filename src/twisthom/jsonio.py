@@ -12,9 +12,8 @@ import math
 from fractions import Fraction
 
 from .alexander import AcyclicityCertificate, TorsionData
-from .complexes import EquivariantComplex
-from .groups import (GroupPresentation, GroupRingElt, PermAction,
-                     word_from_ints, word_to_ints)
+from .complexes import Boundary, EquivariantComplex
+from .groups import GroupPresentation, PermAction, Word, word_from_ints, word_to_ints
 from .homology import HomologyReport
 from .matrices import Matrix
 from .numbers import Cyclo, Laurent
@@ -45,6 +44,27 @@ def check_dim(k: int) -> int:
     if not 1 <= k <= MAX_DIM:
         raise InputError(f"representation dimension must be between 1 and {MAX_DIM}, got {k}")
     return k
+
+
+# Words in input files are capped before any image is built: word images are
+# cached by prefix, so a word of L letters costs O(L^2).  lens:1024,1 has a
+# relator of exactly this length.
+MAX_WORD_LENGTH = 1024
+
+
+def _json_int(x, what: str) -> int:
+    """x itself if it is a JSON integer: bools, floats and strings are refused."""
+    if type(x) is not int:
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _word_from_json(obj) -> Word:
+    """A word from a list of at most MAX_WORD_LENGTH signed generator numbers."""
+    if len(obj) > MAX_WORD_LENGTH:
+        raise InputError(f"a word has {len(obj)} letters; at most {MAX_WORD_LENGTH} "
+                         "are admitted")
+    return word_from_ints(_json_int(v, "a letter") for v in obj)
 
 
 def fraction_to_str(x: Fraction) -> str:
@@ -84,37 +104,42 @@ def presentation_to_json(p: GroupPresentation) -> dict:
 
 def presentation_from_json(obj) -> GroupPresentation:
     try:
-        return GroupPresentation(int(obj["num_generators"]),
-                                 [word_from_ints(r) for r in obj["relators"]])
+        return GroupPresentation(_json_int(obj["num_generators"], "num_generators"),
+                                 [_word_from_json(r) for r in obj["relators"]])
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad group presentation: {e}") from None
 
 
-def _entry_to_json(e: GroupRingElt) -> list:
-    return [[c, word_to_ints(w)] for w, c in e.terms.items()]
-
-
-def _entry_from_json(obj) -> GroupRingElt:
-    return GroupRingElt([(word_from_ints(w), int(c)) for c, w in obj])
+def _boundary_to_json(b: Boundary) -> list:
+    """Rows of entries, each entry a list of [coeff, word] terms."""
+    out = [[[] for _ in range(b.cols)] for _ in range(b.rows)]
+    for (i, j, w), c in b.items():
+        out[i][j].append([c, word_to_ints(w)])
+    return out
 
 
 def complex_to_json(c: EquivariantComplex) -> dict:
     return {
         "group": presentation_to_json(c.group),
         "ranks": list(c.ranks),
-        "boundaries": [[[_entry_to_json(b[i, j]) for j in range(b.cols)]
-                        for i in range(b.rows)] for b in c.boundaries],
+        "boundaries": [_boundary_to_json(b) for b in c.boundaries],
     }
+
+
+def _boundary_from_json(obj, rows: int, cols: int) -> Boundary:
+    if len(obj) != rows or any(len(row) != cols for row in obj):
+        raise InputError(f"a boundary must be {rows} rows of {cols} entries")
+    return Boundary(rows, cols, [((i, j, _word_from_json(w)), _json_int(c, "a coefficient"))
+                                 for i, row in enumerate(obj) for j, entry in enumerate(row)
+                                 for c, w in entry])
 
 
 def complex_from_json(obj) -> EquivariantComplex:
     try:
         group = presentation_from_json(obj["group"])
-        ranks = [int(r) for r in obj["ranks"]]
-        boundaries = []
-        for k, rows in enumerate(obj["boundaries"]):
-            entries = [[_entry_from_json(e) for e in row] for row in rows]
-            boundaries.append(Matrix(ranks[k], ranks[k + 1], entries))
+        ranks = [_json_int(r, "a rank") for r in obj["ranks"]]
+        boundaries = [_boundary_from_json(b, ranks[k], ranks[k + 1])
+                      for k, b in enumerate(obj["boundaries"])]
         return EquivariantComplex(group, ranks, boundaries)
     except InputError:
         raise

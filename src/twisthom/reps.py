@@ -104,10 +104,10 @@ class _Monomial:
         out[list(perm), np.arange(self.dim), list(exps)] = 1
         return out, 1
 
-    def assemble(self, terms, shape, images):
-        rows, cols, coeffs, words, bound = terms
+    def assemble(self, b, images):
+        rows, cols, coeffs, words, bound = b.terms
         d = self.dim
-        out = np.zeros((shape[0] * d, shape[1] * d, self.n), dtype=int_dtype(bound))
+        out = np.zeros((b.rows * d, b.cols * d, self.n), dtype=int_dtype(bound))
         if words:
             perms = np.array([images[w][0] for w in words], dtype=np.int64).reshape(-1, d)
             exps = np.array([images[w][1] for w in words], dtype=np.int64).reshape(-1, d)
@@ -160,8 +160,8 @@ class _Blocks:
             out[row * k:(row + 1) * k, i * k:(i + 1) * k, :blocks.shape[-1]] = blocks[i]
         return out, den
 
-    def assemble(self, terms, shape, images):
-        rows, cols, coeffs, words, _ = terms
+    def assemble(self, b, images):
+        rows, cols, coeffs, words, _ = b.terms
         den = math.lcm(1, *(images[w][2] for w in words))
         dense, sums = {}, {}
         for i, j, c, w in zip(rows, cols, coeffs, words):
@@ -170,7 +170,7 @@ class _Blocks:
             sums[i, j] = sums.get((i, j), 0) + \
                 abs(c) * (den // images[w][2]) * max_abs(dense[w])
         dim = self.dim
-        out = np.zeros((shape[0] * dim, shape[1] * dim, self.n),
+        out = np.zeros((b.rows * dim, b.cols * dim, self.n),
                        dtype=int_dtype(max(sums.values(), default=0)))
         for i, j, c, w in zip(rows, cols, coeffs, words):
             out[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] += \

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import random
 
-from .complexes import (CatalogEntry, EquivariantComplex, catalog_complex,
+from .complexes import (Boundary, CatalogEntry, EquivariantComplex, catalog_complex,
                         presentation_complex, trefoil_group)
 from .groups import (GroupPresentation, PermAction, free_product, free_reduce,
                      reidemeister_schreier, transitive_actions_up_to)
@@ -176,9 +176,8 @@ def euler_suite(seed: int, corrupt: bool = False) -> SuiteReport:
 
 def _corrupted_entry(entry: CatalogEntry) -> CatalogEntry:
     """Append a phantom degree to the ranks: breaks the closed-chi invariant."""
-    from .groups import GroupRingElt
     c = entry.complex
-    extra = Matrix(c.ranks[-1], 1, [[GroupRingElt()] for _ in range(c.ranks[-1])])
+    extra = Boundary(c.ranks[-1], 1)
     bad = EquivariantComplex(c.group, c.ranks + (1,), c.boundaries + (extra,))
     return CatalogEntry(entry.name + "~corrupt", entry.parameters, bad,
                         entry.expected_trivial_dims, entry.notes, entry.closed)

@@ -4,11 +4,16 @@ The library has one elimination per ring: the split-prime ``certified_rank``
 over Q and Q(zeta_n), ``smith_normal_form_int`` over Z and the diagonal-only
 ``invariant_factors_poly`` over Q[t, t^-1].  The routines here reach the same
 answers by other eliminations and use only ``Matrix`` and the scalar types
-``Cyclo`` and ``Laurent`` of the library.  ``Laurent`` has no arithmetic, so
-the ring operations and the division of Q[t, t^-1] live here:
+``Cyclo`` and ``Laurent`` of the library.  ``Laurent`` and ``GroupRingElt``
+have no arithmetic, so the ring operations of Q[t, t^-1] and Z[pi] and the
+division of Q[t, t^-1] live here:
 
 - ``Poly``: a ``Laurent`` with +, - and *; ``poly_divmod`` and ``divides``
   by long division over Fraction;
+- ``Ring``: a ``GroupRingElt`` with +, -, *, ``bar`` and ``augmentation``;
+- ``cover_complex_reference``: the boundaries of a finite cover, cell by
+  cell over ``GroupRingElt`` matrices, one rewrite of T[j]^-1 w T[i] per
+  term and coset;
 - ``matrix_rank``: fraction-free (Bareiss) elimination over Fraction/int,
   Cyclo or Laurent entries, with the exact division ``cyclo_div`` over
   Q(zeta_n);
@@ -29,6 +34,8 @@ the ring operations and the division of Q[t, t^-1] live here:
 import math
 from fractions import Fraction
 
+from twisthom.groups import (GroupRingElt, reidemeister_schreier, word_inverse,
+                             word_mul)
 from twisthom.matrices import Matrix
 from twisthom.numbers import Cyclo, Laurent, euler_phi
 from twisthom.reps import ImageClosureError
@@ -68,6 +75,67 @@ def _laurent(x) -> Poly:
     if isinstance(x, Poly):
         return x
     return Poly(x.terms if isinstance(x, Laurent) else {0: x})
+
+
+class Ring(GroupRingElt):
+    """A ``GroupRingElt`` with the ring operations of Z[pi]; the other
+    operand may be a ``GroupRingElt`` or, for *, an int."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            out[w] = out.get(w, 0) + c
+        return Ring(out)
+
+    def __neg__(self):
+        return Ring({w: -c for w, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -Ring(other.terms)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return Ring({w: c * other for w, c in self.terms.items()})
+        out = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                w = word_mul(w1, w2)
+                out[w] = out.get(w, 0) + c1 * c2
+        return Ring(out)
+
+    __rmul__ = __mul__
+
+    def bar(self):
+        return Ring(GroupRingElt.bar(self).terms)
+
+    def augmentation(self) -> int:
+        return sum(self.terms.values())
+
+
+def cover_complex_reference(c, action):
+    """(group, ranks, boundaries) of the cover of c under a transitive
+    action, each boundary a list of rows of ``GroupRingElt``: every term q w
+    of stored entry (f, e) adds q rewrite(T[j]^-1 w T[i]) to entry
+    (f d + j, e d + i), where j = w(i) and d is the degree."""
+    sub, data = reidemeister_schreier(c.group, action)
+    d = action.degree
+    out = []
+    for b in c.boundaries:
+        acc = {}
+        for f in range(b.rows):
+            for e in range(b.cols):
+                for w, coeff in b[f, e].terms.items():
+                    for i in range(d):
+                        j = action.apply_word(w, i)
+                        h = data.rewrite(word_mul(
+                            word_inverse(data.transversal[j]), w, data.transversal[i]))
+                        cell = acc.setdefault((f * d + j, e * d + i), {})
+                        cell[h] = cell.get(h, 0) + coeff
+        out.append([[GroupRingElt(acc.get((i, j))) for j in range(b.cols * d)]
+                    for i in range(b.rows * d)])
+    return sub, [r * d for r in c.ranks], out
 
 
 def poly_divmod(a, b) -> tuple[Poly, Poly]:

@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import matrix_rank
-from twisthom.complexes import catalog_complex
-from twisthom.groups import GroupRingElt, PermAction, reidemeister_schreier
+from twisthom.complexes import Boundary, catalog_complex
+from twisthom.groups import PermAction, reidemeister_schreier
 from twisthom import matrices
 from twisthom.homology import BoundaryError, specialize, subquotient_dims
 from twisthom.matrices import (Matrix, _evaluate_mod_p, _rank_mod_p,
@@ -130,10 +130,8 @@ def test_rank_of_huge_entries_uses_python_ints():
 def _broken(cx, k):
     """The complex with one extra identity term in entry (0, 0) of d_k."""
     b = cx.boundaries[k]
-    entries = [row[:] for row in b.entries]
-    entries[0][0] = GroupRingElt(list(entries[0][0].terms.items()) + [((), 1)])
-    return type(cx)(cx.group, cx.ranks, cx.boundaries[:k] + (Matrix(b.rows, b.cols, entries),)
-                    + cx.boundaries[k + 1:])
+    broken = Boundary(b.rows, b.cols, list(b.items()) + [((0, 0, ()), 1)])
+    return type(cx)(cx.group, cx.ranks, cx.boundaries[:k] + (broken,) + cx.boundaries[k + 1:])
 
 
 def test_broken_boundary_raises_on_every_path():

@@ -10,9 +10,9 @@ from twisthom.alexander import MAX_LAURENT_SPAN, laurent_specialize
 from twisthom.cli import main
 from twisthom.complexes import MAX_GENUS, MAX_LENS_ORDER, catalog_complex
 from twisthom.groups import PermAction, GroupPresentation
-from twisthom.jsonio import (MAX_CONDUCTOR, MAX_DIM, InputError, complex_from_json,
-                             complex_to_json, cyclo_from_json, cyclo_to_json,
-                             rep_from_json, rep_to_json, action_to_json)
+from twisthom.jsonio import (MAX_CONDUCTOR, MAX_DIM, MAX_WORD_LENGTH, InputError,
+                             complex_from_json, complex_to_json, cyclo_from_json,
+                             cyclo_to_json, rep_from_json, rep_to_json, action_to_json)
 from twisthom.numbers import Cyclo, euler_phi
 from twisthom.reps import explicit_rep, permutation_rep, torsion_characters
 
@@ -348,4 +348,78 @@ def test_oversized_laurent_span_is_refused(tmp_path, capsys, weight):
     assert code == 1 and data is None
     assert capsys.readouterr().err.startswith(
         f"error: a specialized entry spans {weight} powers of t")
+    assert time.perf_counter() - start < 5
+
+
+def _lens3_json():
+    return complex_to_json(catalog_complex("lens", [3, 1]).complex)
+
+
+def _set(path, value):
+    def edit(obj):
+        *head, last = path
+        for key in head:
+            obj = obj[key]
+        obj[last] = value
+    return edit
+
+
+# Each edit used to be truncated through int() into a different complex that
+# was answered with exit 0: the coefficient 2.9 was read as 2, the letter 1.7
+# as generator 1 and the ranks "1111" as four ranks.
+NON_INTEGERS = {
+    "float coefficient": _set(["boundaries", 0, 0, 0, 0, 0], 2.9),
+    "bool coefficient": _set(["boundaries", 0, 0, 0, 0, 0], True),
+    "string coefficient": _set(["boundaries", 0, 0, 0, 0, 0], "1"),
+    "float letter": _set(["boundaries", 0, 0, 0, 0, 1], [1.7]),
+    "float relator letter": _set(["group", "relators", 0, 0], 1.9),
+    "string ranks": _set(["ranks"], "1111"),
+    "float rank": _set(["ranks", 0], 1.0),
+    "float num_generators": _set(["group", "num_generators"], 1.0),
+    "bool num_generators": _set(["group", "num_generators"], True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGERS))
+def test_complex_json_must_hold_integers(tmp_path, capsys, case):
+    blob = _lens3_json()
+    NON_INTEGERS[case](blob)
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps(blob))
+    code, data = run_cli(tmp_path, "homology", "--complex", str(path), "--character", "3:1")
+    assert code == 1 and data is None
+    assert capsys.readouterr().err.startswith("error: ")
+    path.write_text(json.dumps(_lens3_json()))
+    assert run_cli(tmp_path, "homology", "--complex", str(path), "--character", "3:1")[0] == 0
+
+
+def test_longest_catalog_words_load_from_a_file(tmp_path):
+    """lens:1024,1 has a relator of MAX_WORD_LENGTH letters and boundary
+    words of up to 1023; its catalog complex loads through --complex."""
+    cx = catalog_complex("lens", [MAX_LENS_ORDER, 1]).complex
+    assert max(len(w) for b in cx.boundaries for w in b.terms[3]) == MAX_WORD_LENGTH - 1
+    assert max(len(r) for r in cx.group.relators) == MAX_WORD_LENGTH
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps(complex_to_json(cx)))
+    code, data = run_cli(tmp_path, "homology", "--complex", str(path), "--trivial", "1")
+    assert code == 0 and data["dims"] == [1, 0, 0, 1]
+
+
+@pytest.mark.parametrize("where", ["relator", "boundary"])
+@pytest.mark.parametrize("length", [MAX_WORD_LENGTH + 1, 200_000])
+def test_overlong_words_are_refused(tmp_path, capsys, where, length):
+    """Word images cost O(length^2), so longer words are refused on input."""
+    word = [1] * length
+    if where == "relator":
+        blob = {"group": {"num_generators": 1, "relators": [word]},
+                "ranks": [1], "boundaries": []}
+    else:
+        blob = {"group": {"num_generators": 1, "relators": []},
+                "ranks": [1, 1], "boundaries": [[[[[1, word]]]]]}
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps(blob))
+    start = time.perf_counter()
+    code, data = run_cli(tmp_path, "homology", "--complex", str(path), "--trivial", "1")
+    assert code == 1 and data is None
+    assert f"a word has {length} letters; at most {MAX_WORD_LENGTH}" in capsys.readouterr().err
     assert time.perf_counter() - start < 5

@@ -5,16 +5,24 @@ classical formulas), so the stored lens entries are x^-1 - 1 and so on; the
 homology dimensions pinned here are convention-independent.
 """
 
-import pytest
+import hashlib
+import json
 
-from twisthom.complexes import (catalog_complex, catalog_entry_from_string,
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from oracles import Ring, cover_complex_reference
+from twisthom.complexes import (Boundary, catalog_complex, catalog_entry_from_string,
                                 circle_product, cover_complex, fox_derivative,
                                 presentation_complex, quaternion_presentation,
                                 quaternion_regular_action, trefoil_group)
 from twisthom.groups import (EMPTY_WORD, GroupPresentation, GroupRingElt,
                              PermAction, abelianization, free_reduce,
+                             transitive_actions, transitive_actions_up_to,
                              word_from_ints, word_power)
 from twisthom.homology import twisted_homology, validate_complex
+from twisthom.jsonio import complex_to_json
 from twisthom.matrices import Matrix, int_diagonal, smith_normal_form_int
 from twisthom.reps import (permutation_rep, torsion_characters, trivial_rep,
                            quaternion_left_rep)
@@ -45,10 +53,10 @@ def test_fox_fundamental_identity():
     # sum_x (dr/dx) (x - 1) = r - 1 in the free group ring
     p = trefoil_group()
     for rel in p.relators:
-        total = GroupRingElt()
+        total = Ring()
         for g in range(p.num_generators):
-            x_minus_1 = GroupRingElt([(((g, 1),), 1), (EMPTY_WORD, -1)])
-            total = total + fox_derivative(rel, g) * x_minus_1
+            x_minus_1 = Ring([(((g, 1),), 1), (EMPTY_WORD, -1)])
+            total = total + Ring(fox_derivative(rel, g).terms) * x_minus_1
         assert total == GroupRingElt([(rel, 1), (EMPTY_WORD, -1)])
 
 
@@ -90,7 +98,7 @@ def test_circle_product_sphere():
     from twisthom.complexes import _sphere_complex
     s1xs2 = circle_product(_sphere_complex())
     assert s1xs2.ranks == (1, 1, 1, 1)
-    assert s1xs2.boundaries[1].is_zero()
+    assert s1xs2.boundaries[1] == Boundary(1, 1)
     assert twisted_homology(s1xs2, trivial_rep(s1xs2.group, 1)).dims == (1, 1, 1, 1)
 
 
@@ -158,7 +166,7 @@ def test_quaternion_gates():
     assert twisted_homology(cx, trivial_rep(cx.group, 1)).dims == (1, 0, 0, 1)
     # gate 3: integral H1 invariant factors (2,2)
     assert abelianization(quaternion_presentation()) == (0, [2, 2])
-    aug = [[cx.boundaries[1][i, j].augmentation() for j in range(2)]
+    aug = [[Ring(cx.boundaries[1][i, j].terms).augmentation() for j in range(2)]
            for i in range(2)]
     _, d, _ = smith_normal_form_int(Matrix(2, 2, aug))
     assert int_diagonal(d) == [2, 2]
@@ -225,9 +233,110 @@ def test_cover_euler_multiplicativity():
 def test_validate_complex_negative_control():
     cx = catalog_complex("lens", [5, 1]).complex
     corrupt = type(cx)(cx.group, cx.ranks,
-                       (cx.boundaries[0],
-                        Matrix(1, 1, [[GroupRingElt([(EMPTY_WORD, 1)])]]),
+                       (cx.boundaries[0], Boundary(1, 1, [((0, 0, EMPTY_WORD), 1)]),
                         cx.boundaries[2]))
     ch = torsion_characters(cx.group)[1]
     assert validate_complex(cx, ch)
     assert not validate_complex(corrupt, ch)
+
+
+def test_boundary_is_its_sorted_merged_terms():
+    """Words are freely reduced, like terms merged, zeros dropped, and the
+    terms kept in (row, col, word) order; an entry reads back as a
+    GroupRingElt."""
+    x, y = ((0, 1),), ((1, 1),)
+    b = Boundary(2, 3, [((1, 2, y), 2), ((0, 1, x + ((1, 1), (1, -1))), 3),
+                        ((0, 1, ()), 4), ((1, 2, y), -2), ((0, 1, x), -1), ((1, 0, ()), 5)])
+    assert b.terms == ((0, 0, 1), (1, 1, 0), (4, 2, 5), ((), x, ()), 6)
+    assert list(b.items()) == [((0, 1, ()), 4), ((0, 1, x), 2), ((1, 0, ()), 5)]
+    assert b[0, 1] == GroupRingElt([((), 4), (x, 2)])
+    assert b[1, 2] == GroupRingElt() and b[0, 0] == GroupRingElt()
+    assert b == Boundary(2, 3, [((1, 0, ()), 5), ((0, 1, x), 2), ((0, 1, ()), 4)])
+    for bad in ([((2, 0, ()), 1)], [((0, 3, ()), 1)], [((0, 0, ()), 1.5)]):
+        with pytest.raises((ValueError, TypeError)):
+            Boundary(2, 3, bad)
+    with pytest.raises(IndexError):
+        b[2, 0]
+
+
+def test_complex_takes_only_boundaries():
+    cx = catalog_complex("lens", [5, 1]).complex
+    with pytest.raises(ValueError, match="Boundary"):
+        type(cx)(cx.group, cx.ranks, (cx.boundaries[0], Matrix(1, 1, [[GroupRingElt()]]),
+                                      cx.boundaries[2]))
+    with pytest.raises(ValueError, match="unknown generator"):
+        type(cx)(cx.group, (1, 1), (Boundary(1, 1, [((0, 0, ((1, 1),)), 1)]),))
+
+
+# The sha256 of each catalog complex's JSON (sort_keys), first 16 hex digits:
+# the wire format is pinned while the stored form of a boundary may change.
+CATALOG_DIGESTS = [
+    ("lens:5,1", "47f6bdb500edee42"),
+    ("lens:5,2", "a101c286b5173baa"),
+    ("lens:1024,1", "63bb561613f26db5"),
+    ("s1xs2", "c7478e654d6ffefc"),
+    ("t3", "0bb6a3b3d0e3da8f"),
+    ("s1x_sigma:2", "48dd6956a3348246"),
+    ("quaternion_q8", "70a6937c5720110f"),
+    ("trefoil_exterior", "bdb371ede2ffe38a"),
+    ("handlebody:0", "318d0037d6e59869"),
+    ("handlebody:2", "6303ab99d06787ca"),
+    ("torus2d", "b5a964e875eb3f03"),
+    ("free_product_of:lens:5,1,t3", "4ca90a58a1c6659d"),
+    ("free_product_of:t3,t3", "1f911c89c588056a"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", CATALOG_DIGESTS)
+def test_catalog_complex_json_is_pinned(spec, digest):
+    blob = json.dumps(complex_to_json(catalog_entry_from_string(spec).complex), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
+
+
+def _assert_cover_matches_reference(c, action):
+    cover = cover_complex(c, action)
+    group, ranks, boundaries = cover_complex_reference(c, action)
+    assert cover.group == group and list(cover.ranks) == ranks
+    for b, ref in zip(cover.boundaries, boundaries, strict=True):
+        assert len(ref) == b.rows and all(len(row) == b.cols for row in ref)
+        for i, row in enumerate(ref):
+            for j, entry in enumerate(row):
+                assert b[i, j] == entry, (i, j)
+
+
+def _cover_cases():
+    def catalog(spec):
+        return catalog_entry_from_string(spec).complex
+    tre, t3, s1x = catalog("trefoil_exterior"), catalog("t3"), catalog("s1x_sigma:2")
+    q8 = catalog("quaternion_q8")
+    return ([(tre, a) for a in transitive_actions_up_to(tre.group, 5)]
+            + [(t3, a) for a in transitive_actions_up_to(t3.group, 3)]
+            + [(s1x, a) for a in transitive_actions(s1x.group, 2)]
+            + [(q8, quaternion_regular_action())])
+
+
+def test_cover_complex_matches_cell_walking_reference():
+    """Every cell of every cover equals the cell-by-cell reference: the
+    trefoil up to degree 5, t3 up to 3, s1x_sigma:2 at 2, and Q8's regular
+    action (the universal cover)."""
+    for c, action in _cover_cases():
+        _assert_cover_matches_reference(c, action)
+
+
+@st.composite
+def _presentation_and_action(draw):
+    gens = draw(st.integers(1, 3))
+    letters = st.tuples(st.integers(0, gens - 1), st.sampled_from((1, -1)))
+    words = st.lists(letters, min_size=1, max_size=6).map(free_reduce).filter(bool)
+    p = GroupPresentation(gens, draw(st.lists(words, max_size=3)))
+    actions = transitive_actions(p, draw(st.integers(1, 3)))
+    if not actions:
+        actions = transitive_actions(p, 1)
+    return p, draw(st.sampled_from(actions))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_presentation_and_action())
+def test_cover_complex_matches_reference_on_random_presentations(case):
+    p, action = case
+    _assert_cover_matches_reference(presentation_complex(p), action)

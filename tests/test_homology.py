@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from oracles import decode_basis, matrix_rank
 from twisthom.cli import main
-from twisthom.complexes import (EquivariantComplex, catalog_complex,
+from twisthom.complexes import (Boundary, EquivariantComplex, catalog_complex,
                                 catalog_entry_from_string,
                                 presentation_complex, trefoil_group)
-from twisthom.groups import (GroupPresentation, GroupRingElt, PermAction,
+from twisthom.groups import (GroupPresentation, PermAction,
                              free_product, reidemeister_schreier,
                              trivial_action, word_power)
 from twisthom.homology import (BoundaryError, GroupMismatchError,
@@ -70,9 +70,7 @@ def test_specialize_group_mismatch():
 def test_specialize_dd_hard_error():
     cx = catalog_complex("lens", [5, 1]).complex
     corrupt = type(cx)(cx.group, cx.ranks,
-                       (cx.boundaries[0],
-                        Matrix(1, 1, [[GroupRingElt([((), 1)])]]),
-                        cx.boundaries[2]))
+                       (cx.boundaries[0], Boundary(1, 1, [((0, 0, ()), 1)]), cx.boundaries[2]))
     with pytest.raises(BoundaryError):
         specialize(corrupt, torsion_characters(cx.group)[1])
 
@@ -470,11 +468,11 @@ def test_specialize_has_no_int64_wraparound():
     """4 * 2^62 is 0 in int64: the magnitude guard keeps the entry nonzero."""
     p = GroupPresentation(1)
     x = ((0, 1),)
-    entry = GroupRingElt([(x * k, 2 ** 62) for k in range(1, 5)])
-    cx = EquivariantComplex(p, (1, 1), (Matrix(1, 1, [[entry]]),))
+    cx = EquivariantComplex(p, (1, 1), (Boundary(1, 1, [((0, 0, x * k), 2 ** 62)
+                                                        for k in range(1, 5)]),))
     assert twisted_homology(cx, trivial_rep(p, 1)).dims == (0, 0)
     assert twisted_homology(cx, character_from_grading(p, [1], 4, 1)).dims == (1, 1)
     # d1.d2 = 2^64 != 0 must not wrap to a passing d.d = 0 check
-    big = Matrix(1, 1, [[GroupRingElt([((), 2 ** 32)])]])
+    big = Boundary(1, 1, [((0, 0, ()), 2 ** 32)])
     with pytest.raises(BoundaryError):
         specialize(EquivariantComplex(p, (1, 1, 1), (big, big)), trivial_rep(p, 1))

@@ -15,12 +15,15 @@ import pytest
 import test_alexander
 import test_certified_rank
 import test_cli
+import test_complexes
+import test_homology
 import test_suites
 import test_torsion_reference
 from twisthom import alexander, groups, homology, matrices
 
 ASSERTED = (AssertionError, pytest.fail.Exception)
 _SUBSPACE_RANKS = homology._subspace_ranks
+_WALK = groups.SchreierData.walk
 
 
 def _one_short(b, basis):
@@ -55,6 +58,14 @@ MUTANTS = [
       for n in (1, 5, 12)]),
     ("_subspace_ranks one short", homology, "_subspace_ranks", _one_short, ASSERTED,
      [test_suites.test_les_suite_sees_every_subspace_rank_off_by_one]),
+    ("d.d = 0 check in specialize always passes: homology's ring_matmul gives 0",
+     homology, "ring_matmul",
+     lambda a, b, n: 0 * matrices.ring_matmul(a, b, n), ASSERTED,
+     [test_homology.test_specialize_dd_hard_error,
+      test_complexes.test_validate_complex_negative_control]),
+    ("cover term walk starts every word at the basepoint", groups.SchreierData, "walk",
+     lambda self, w, start: _WALK(self, w, 0), ASSERTED,
+     [test_complexes.test_cover_complex_matches_cell_walking_reference]),
 ]
 
 

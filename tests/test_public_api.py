@@ -8,7 +8,7 @@ import types
 import twisthom
 
 PUBLIC = [
-    "AcyclicityCertificate", "BlockComplex", "BoundaryError", "CatalogEntry",
+    "AcyclicityCertificate", "BlockComplex", "Boundary", "BoundaryError", "CatalogEntry",
     "Cyclo", "EquivariantComplex", "FreeRankObstruction", "GradingError",
     "GroupMismatchError", "GroupPresentation", "GroupRingElt", "HomologyReport",
     "Laurent", "Matrix", "PermAction", "SplitData", "TorsionData", "UnitaryRep",
