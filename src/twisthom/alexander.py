@@ -5,8 +5,10 @@ Q[t, t^-1] matrices, present each homology module over that PID (free ranks
 plus torsion polynomials), pick the smallest root of unity avoiding every
 middle-degree torsion polynomial, and certify acyclicity of the resulting
 character both directly and through the universal-coefficient dimension count.
-Every step up to the tests Phi_n | p runs on the integer Laurent polynomials
-of ``matrices``; only the torsion polynomials of ``TorsionData`` are monic
+Every step, the tests Phi_n | p included, runs on the integer Laurent
+polynomials of ``matrices``: ``TorsionData`` stores each torsion polynomial
+as the primitive integer coefficients the Smith elimination returns, and
+only its ``torsion_polys`` view, for JSON and the public API, is monic
 ``Laurent`` values.
 
 The homology modules are read off the boundaries one at a time.  Over the PID
@@ -19,13 +21,14 @@ argument needs d.d = 0, which ``torsion_invariants`` checks exactly.
 
 from __future__ import annotations
 
+import functools
 import math
+from fractions import Fraction
 
 from .complexes import EquivariantComplex
 from .groups import grading_weight, verify_grading
 from .homology import CrossCheckError, HomologyReport, twisted_homology
-from .matrices import (Matrix, _divides, _laurent_int_rows, _monic_laurent,
-                       _scale_sub, _snf_poly)
+from .matrices import Matrix, _divides, _primitive_part, _scale_sub, _snf_poly
 from .numbers import Laurent, cyclotomic_coeffs, euler_phi
 from .reps import UnitaryRep, character_from_grading
 
@@ -49,30 +52,40 @@ class FreeRankObstruction(ValueError):
 class TorsionData:
     """Free ranks and torsion polynomials of H_*(-; Q[t, t^-1]) per degree.
 
-    Torsion polynomials are monic with nonzero constant term and non-unit.
-    Data computed by torsion_invariants additionally lists them in
-    divisibility order (Smith normal form); hand-built instances may not.
+    ``torsion[i]`` holds the torsion polynomials of degree i as the integers
+    the Smith elimination returns: tuples of coefficients, constant term
+    first, each primitive (gcd 1) with a nonzero constant term, a positive
+    leading coefficient and degree >= 1.  The constructor accepts exactly
+    that form and raises ValueError on anything else.  ``torsion_polys`` is
+    the view of the same polynomials as monic ``Laurent`` values.  Data
+    computed by torsion_invariants additionally lists them in divisibility
+    order (Smith normal form); hand-built instances may not.
     """
 
-    __slots__ = ("free_ranks", "torsion_polys")
+    __slots__ = ("free_ranks", "torsion")
 
-    def __init__(self, free_ranks, torsion_polys):
+    def __init__(self, free_ranks, torsion):
         free_ranks = tuple(int(x) for x in free_ranks)
-        torsion_polys = tuple(tuple(ps) for ps in torsion_polys)
-        if len(free_ranks) != len(torsion_polys):
-            raise ValueError("free_ranks and torsion_polys must align per degree")
-        for ps in torsion_polys:
-            for p in ps:
-                if not p or p.is_unit():
-                    raise ValueError("torsion polynomials must be non-unit and nonzero")
-                if p.valuation() != 0 or p.leading_coeff() != 1:
-                    raise ValueError("torsion polynomials must be unit-normalized")
+        torsion = tuple(tuple(ps) for ps in torsion)
+        if len(free_ranks) != len(torsion):
+            raise ValueError("free_ranks and torsion must align per degree")
+        for p in (p for ps in torsion for p in ps):
+            if not (type(p) is tuple and len(p) > 1 and all(type(q) is int for q in p)
+                    and p[0] and p[-1] > 0 and math.gcd(*p) == 1):
+                raise ValueError("a torsion polynomial must be a tuple of at least two "
+                                 "coprime ints, constant term nonzero and leading one "
+                                 f"positive; got {p!r}")
         object.__setattr__(self, "free_ranks", free_ranks)
-        object.__setattr__(self, "torsion_polys", torsion_polys)
+        object.__setattr__(self, "torsion", torsion)
+
+    @property
+    def torsion_polys(self) -> tuple[tuple[Laurent, ...], ...]:
+        """The torsion polynomials as monic ``Laurent`` values, made on access."""
+        return tuple(tuple(_monic_laurent(p) for p in ps) for ps in self.torsion)
 
     def in_divisibility_order(self) -> bool:
-        return all(_divides(_int_coeffs(ps[i]), _int_coeffs(ps[i + 1]))
-                   for ps in self.torsion_polys for i in range(len(ps) - 1))
+        return all(_divides(ps[i], ps[i + 1])
+                   for ps in self.torsion for i in range(len(ps) - 1))
 
     def __setattr__(self, *a):
         raise AttributeError("TorsionData is immutable")
@@ -82,6 +95,19 @@ class TorsionData:
 
     def __repr__(self):
         return f"TorsionData(free={self.free_ranks}, torsion={self.torsion_polys})"
+
+
+@functools.lru_cache(maxsize=1024)
+def _ratio(p: int, q: int) -> Fraction:
+    """Fraction(p, q), one shared object per recent value: torsion
+    polynomials repeat across complexes, and callers may keep many."""
+    return Fraction(p, q)
+
+
+def _monic_laurent(c: tuple) -> Laurent:
+    """The monic associate of the polynomial with coefficients c, constant
+    term first, as a ``Laurent`` value."""
+    return Laurent._of({e: _ratio(q, c[-1]) for e, q in enumerate(c)})
 
 
 # The torsion elimination is linear in the degree span of the entries, which
@@ -129,13 +155,6 @@ def _int_laurent(terms: dict):
     return v, tuple(c)
 
 
-def _int_coeffs(p: Laurent) -> tuple[int, ...]:
-    """The coefficients of a torsion polynomial (valuation 0, so constant
-    term first) times the lcm of their denominators: a primitive integer
-    polynomial with the same divisors in Q[t]."""
-    return _laurent_int_rows(Matrix(1, 1, [[p]]))[0][0][1]
-
-
 def _is_int_laurent(x) -> bool:
     """x is None or (v, c): an int and a tuple of ints whose first and last
     are nonzero."""
@@ -173,8 +192,8 @@ def torsion_invariants(mats: list[Matrix], ranks) -> TorsionData:
     c_i - rank d_i - rank d_{i+1}, each rank being the number of nonzero
     factors.  Entries, shapes and d.d = 0 are checked exactly here
     (ValueError).  The check of d.d = 0 and the elimination run on the
-    integer entries; only the torsion polynomials become monic ``Laurent``
-    values.
+    integer entries, and each torsion polynomial is the diagonal entry
+    divided by its signed content (``_primitive_part``).
     """
     ranks = [int(r) for r in ranks]
     if len(mats) != max(0, len(ranks) - 1):
@@ -194,7 +213,7 @@ def torsion_invariants(mats: list[Matrix], ranks) -> TorsionData:
     factors = [[x for x in _snf_poly(a) if x] for a in ints] + [[]]
     free_ranks = [c - len(factors[i]) - (len(factors[i - 1]) if i else 0)
                   for i, c in enumerate(ranks)]
-    torsion = [tuple(_monic_laurent(x) for x in fs if len(x[1]) > 1)
+    torsion = [tuple(_primitive_part(x[1]) for x in fs if len(x[1]) > 1)
                for fs in factors[:len(ranks)]]
     return TorsionData(free_ranks, torsion)
 
@@ -213,8 +232,7 @@ def select_root_of_unity(td: TorsionData) -> tuple[int, int]:
     for degree, fr in enumerate(td.free_ranks):
         if fr:
             raise FreeRankObstruction(degree, fr)
-    polys = [_int_coeffs(p) for degree in range(1, td.degrees())
-             for p in td.torsion_polys[degree]]
+    polys = [p for ps in td.torsion[1:] for p in ps]
     max_deg = max((len(a) - 1 for a in polys), default=0)
     n = 2
     while euler_phi(n) <= max_deg and any(_divides(cyclotomic_coeffs(n), a) for a in polys):
@@ -236,7 +254,7 @@ def uct_dims(td: TorsionData, n: int) -> list[int]:
     def hits(degree: int) -> int:
         if degree < 0:
             return 0
-        return sum(1 for p in td.torsion_polys[degree] if _divides(phi_n, _int_coeffs(p)))
+        return sum(1 for p in td.torsion[degree] if _divides(phi_n, p))
 
     return [td.free_ranks[i] + hits(i) + hits(i - 1) for i in range(td.degrees())]
 
@@ -253,9 +271,9 @@ class AcyclicityCertificate:
         if z_order < 2:
             raise ValueError("certificate requires z != 1 (order >= 2)")
         phi_n = cyclotomic_coeffs(z_order)
-        for ps in torsion.torsion_polys[1:]:
+        for ps in torsion.torsion[1:]:
             for p in ps:
-                if _divides(phi_n, _int_coeffs(p)):
+                if _divides(phi_n, p):
                     raise ValueError("certificate root divides a torsion polynomial")
         object.__setattr__(self, "z_order", z_order)
         object.__setattr__(self, "z_power", z_power)

@@ -9,6 +9,7 @@ through representations or rewritings.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 
 import numpy as np
@@ -73,7 +74,8 @@ class GroupRingElt:
     """Integer combination of freely reduced words; zero coefficients dropped.
 
     A value: an entry of a ``complexes.Boundary``, made on access.  It has no
-    ring arithmetic, only construction, equality, hashing and ``bar``.
+    ring arithmetic, only construction, equality, hashing and ``bar``.  A
+    coefficient that is not an integer (``operator.index``) raises TypeError.
     """
 
     __slots__ = ("terms",)
@@ -84,7 +86,7 @@ class GroupRingElt:
             items = terms.items() if isinstance(terms, dict) else terms
             for w, c in items:
                 w = free_reduce(w)
-                c = int(c)
+                c = operator.index(c)
                 if c:
                     c0 = clean.get(w, 0) + c
                     if c0:

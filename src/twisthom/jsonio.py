@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .alexander import AcyclicityCertificate, TorsionData
 from .complexes import Boundary, EquivariantComplex
-from .groups import GroupPresentation, PermAction, Word, word_from_ints, word_to_ints
+from .groups import GroupPresentation, Word, word_from_ints, word_to_ints
 from .homology import HomologyReport
 from .matrices import Matrix
 from .numbers import Cyclo, Laurent
@@ -86,7 +86,7 @@ def cyclo_to_json(x: Cyclo) -> dict:
 
 def cyclo_from_json(obj) -> Cyclo:
     try:
-        n = check_conductor(int(obj["conductor"]))
+        n = check_conductor(_json_int(obj["conductor"], "a conductor"))
         coeffs = [fraction_from_str(c) for c in obj["coeffs"]]
         return Cyclo(n, coeffs)
     except (KeyError, TypeError, ValueError) as e:
@@ -147,10 +147,6 @@ def complex_from_json(obj) -> EquivariantComplex:
         raise InputError(f"bad complex: {e}") from None
 
 
-def action_to_json(a: PermAction) -> list:
-    return [list(img) for img in a.generator_images]
-
-
 def rep_to_json(r: UnitaryRep) -> dict:
     return {
         "dim": r.dim,
@@ -164,12 +160,13 @@ def rep_to_json(r: UnitaryRep) -> dict:
 def rep_from_json(obj, group: GroupPresentation) -> UnitaryRep:
     """Bind a serialized representation to the group of the paired complex."""
     try:
-        dim = check_dim(int(obj["dim"]))
+        dim = check_dim(_json_int(obj["dim"], "dim"))
         mats = []
         for rows in obj["generators"]:
             entries = [[cyclo_from_json(x) for x in row] for row in rows]
             mats.append(Matrix(len(rows), len(rows[0]) if rows else 0, entries))
-        declared = check_conductor(int(obj["conductor"])) if "conductor" in obj else None
+        declared = (check_conductor(_json_int(obj["conductor"], "the conductor"))
+                    if "conductor" in obj else None)
         conductor = check_conductor(math.lcm(1, *(x.conductor for m in mats
                                                   for row in m.entries for x in row)))
         if declared not in (None, conductor):

@@ -1,8 +1,8 @@
 """Dense exact matrices and the normal-form kernels built on them.
 
-A ``Matrix`` stores one scalar domain per instance (Fraction/int, Cyclo,
-Laurent or integer Laurent polynomials).  Everything here is exact, with one
-elimination per ring:
+A ``Matrix`` stores one scalar domain per instance (Fraction/int, Cyclo or
+integer Laurent polynomials).  Everything here is exact, and the kernels run
+on integers, with one elimination per ring:
 
 - ranks and column bases over Q and Q(zeta_n): ``certified_pivots``, and
   ``certified_rank``, their count.  It takes an integer array over
@@ -15,23 +15,22 @@ elimination per ring:
 - Smith normal form over Z: ``smith_normal_form_int``, with U and V;
 - Smith normal form over Q[t, t^-1]: ``_snf_poly``, the diagonal alone, on
   integer Laurent polynomials (below): Python ints only, with exact integer
-  pseudo-division and no Fraction.  ``alexander`` feeds it integer rows
-  directly; ``invariant_factors_poly`` is its entry from a ``Laurent``
-  matrix.
+  pseudo-division and no Fraction.  ``alexander`` feeds it the rows of
+  ``laurent_specialize`` and keeps the ``_primitive_part`` of each non-unit
+  diagonal entry as a torsion polynomial.
 
-Degenerate shapes (0 rows or columns) are legal everywhere and have rank 0.
+``Cyclo`` is the one scalar type read here, by ``lift_cyclo``.  Degenerate
+shapes (0 rows or columns) are legal everywhere and have rank 0.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 import numpy as np
 
-from .numbers import (Cyclo, Laurent, as_fraction, cyclotomic_reduction_rows,
-                      euler_phi)
+from .numbers import Cyclo, as_fraction, cyclotomic_reduction_rows, euler_phi
 
 class Matrix:
     """Immutable dense matrix over a single exact scalar domain."""
@@ -450,41 +449,6 @@ def integer_kernel_basis(m: Matrix) -> list[list[int]]:
 # c[d] nonzero; d is its degree span.  Every nonzero rational is a unit of
 # Q[t, t^-1], so a matrix scaled to integers keeps its invariant factors.
 
-def _laurent_int_rows(m: Matrix) -> list[list]:
-    """The entries of a matrix over Q[t, t^-1] (Laurent, Fraction or int) times
-    the lcm of their denominators, as integer Laurent polynomials.  One scalar
-    for the whole matrix keeps products of such matrices exact up to a
-    nonzero constant."""
-    terms = [[x.terms if isinstance(x, Laurent) else {0: as_fraction(x)} if x else {}
-              for x in row] for row in m.entries]
-    den = math.lcm(1, *(c.denominator for row in terms for x in row for c in x.values()))
-
-    def entry(x: dict):
-        if not x:
-            return None
-        v = min(x)
-        c = [0] * (max(x) - v + 1)
-        for e, q in x.items():
-            c[e - v] = q.numerator * (den // q.denominator)
-        return v, tuple(c)
-
-    return [[entry(x) for x in row] for row in terms]
-
-
-@functools.lru_cache(maxsize=1024)
-def _ratio(p: int, q: int) -> Fraction:
-    """Fraction(p, q), one shared object per recent value: torsion
-    polynomials repeat across complexes, and callers may keep many."""
-    return Fraction(p, q)
-
-
-def _monic_laurent(x) -> Laurent:
-    """The associate of a nonzero integer Laurent polynomial that is monic
-    with nonzero constant term."""
-    c = x[1]
-    return Laurent._of({e: _ratio(q, c[-1]) for e, q in enumerate(c)})
-
-
 def _primitive(xs: list) -> list:
     """xs divided by the gcd of all their coefficients (a positive integer, so
     signs stay) and by t^v, v the least valuation among them."""
@@ -550,19 +514,18 @@ def _pseudo_quotient(x, y) -> tuple[int, tuple]:
     return s, (vx - vy + first, tuple(q[first:]))
 
 
+def _primitive_part(c: tuple) -> tuple:
+    """The coefficient tuple c divided by its signed content: coprime
+    coefficients and a positive leading one."""
+    g = math.gcd(*c) if c[-1] > 0 else -math.gcd(*c)
+    return c if g == 1 else tuple(q // g for q in c)
+
+
 def _divides(b: tuple, a: tuple) -> bool:
     """Whether b divides a in Q[t], for coefficient tuples with nonzero constant
     terms and b primitive: by Gauss's lemma the quotient is then integral."""
     div = _divide(a, b)
     return div is not None and not any(div[1])
-
-
-def invariant_factors_poly(m: Matrix) -> list[Laurent]:
-    """The diagonal of the Smith normal form of m over Q[t, t^-1]: the nonzero
-    entries come first, each monic with nonzero constant term and dividing
-    the next; their count is the rank."""
-    return [_monic_laurent(x) if x else Laurent()
-            for x in _snf_poly(_laurent_int_rows(m))]
 
 
 def _snf_poly(a: list[list]) -> list:
@@ -629,8 +592,7 @@ def _snf_poly(a: list[list]) -> list:
                 col_op(j, *_pseudo_quotient(a[k][j], a[k][k]), k)
         head = a[k][k][1]
         if len(head) > 1:  # a unit divides everything
-            g = math.gcd(*head)
-            head = tuple(q // g for q in head)
+            head = _primitive_part(head)
             offender = next((i for i in range(k + 1, nr) for j in range(k + 1, nc)
                              if a[i][j] and not _divides(head, a[i][j][1])), None)
             if offender is not None:

@@ -104,19 +104,25 @@ def seeded_character(p: GroupPresentation, rng: random.Random) -> UnitaryRep:
     return chars[0]
 
 
+def _diagonal_images(chars: list[UnitaryRep], num_generators: int) -> list[Matrix]:
+    """The generator images of the direct sum of the characters chars: one
+    diagonal matrix per generator."""
+    zero, dim = Cyclo.zero(), len(chars)
+    mats = []
+    for g in range(num_generators):
+        entries = [[zero] * dim for _ in range(dim)]
+        for i, c in enumerate(chars):
+            entries[i][i] = c.generator_images[g][0, 0]
+        mats.append(Matrix(dim, dim, entries))
+    return mats
+
+
 def seeded_sub_character_matrices(sub: GroupPresentation, rng: random.Random,
                                   sub_dim: int) -> list[Matrix]:
     """Diagonal unitary matrices on Schreier generators: a direct sum of
     sub_dim seeded characters of the subgroup presentation."""
-    diag_images = [seeded_character(sub, rng).generator_images for _ in range(sub_dim)]
-    mats = []
-    for s in range(sub.num_generators):
-        zero = Cyclo.zero()
-        entries = [[zero] * sub_dim for _ in range(sub_dim)]
-        for i, images in enumerate(diag_images):
-            entries[i][i] = images[s][0, 0]
-        mats.append(Matrix(sub_dim, sub_dim, entries))
-    return mats
+    return _diagonal_images([seeded_character(sub, rng) for _ in range(sub_dim)],
+                            sub.num_generators)
 
 
 def seeded_induced_reps(p: GroupPresentation, rng: random.Random, count: int,
@@ -267,21 +273,9 @@ def shapiro_suite(seed: int) -> SuiteReport:
 
 def _seeded_diag_rep(p: GroupPresentation, rng: random.Random, dim: int) -> UnitaryRep:
     """Direct sum of seeded characters (some trivial), as one unitary rep."""
-    chars = []
-    for _ in range(dim):
-        if rng.random() < 0.4:
-            chars.append(trivial_rep(p, 1))
-        else:
-            chars.append(seeded_character(p, rng))
-    images = [c.generator_images for c in chars]
-    mats = []
-    zero = Cyclo.zero()
-    for g in range(p.num_generators):
-        entries = [[zero] * dim for _ in range(dim)]
-        for i, imgs in enumerate(images):
-            entries[i][i] = imgs[g][0, 0]
-        mats.append(entries)
-    return explicit_rep(p, mats, dim=dim)
+    chars = [trivial_rep(p, 1) if rng.random() < 0.4 else seeded_character(p, rng)
+             for _ in range(dim)]
+    return explicit_rep(p, _diagonal_images(chars, p.num_generators), dim=dim)
 
 
 def les_suite(seed: int, count: int = 100) -> SuiteReport:

@@ -2,11 +2,11 @@
 
 The library has one elimination per ring: the split-prime ``certified_rank``
 over Q and Q(zeta_n), ``smith_normal_form_int`` over Z and the diagonal-only
-``invariant_factors_poly`` over Q[t, t^-1].  The routines here reach the same
-answers by other eliminations and use only ``Matrix`` and the scalar types
-``Cyclo`` and ``Laurent`` of the library.  ``Laurent`` and ``GroupRingElt``
-have no arithmetic, so the ring operations of Q[t, t^-1] and Z[pi] and the
-division of Q[t, t^-1] live here:
+``_snf_poly`` over Q[t, t^-1].  The routines here reach the same answers by
+other eliminations and use only ``Matrix``, ``TorsionData`` and the scalar
+types ``Cyclo`` and ``Laurent`` of the library.  ``Laurent`` and
+``GroupRingElt`` have no arithmetic, so the ring operations of Q[t, t^-1]
+and Z[pi] and the division of Q[t, t^-1] live here:
 
 - ``Poly``: a ``Laurent`` with +, - and *; ``poly_divmod`` and ``divides``
   by long division over Fraction;
@@ -28,12 +28,18 @@ division of Q[t, t^-1] live here:
 - ``decode_basis``: an integer array over Z[x]/(x^n - 1) as a ``Matrix``
   of ``Cyclo`` sums of ``Cyclo.root_of_unity``;
 - ``decode_laurent``: a matrix of integer Laurent polynomials, as
-  ``laurent_specialize`` writes them, as a ``Matrix`` of ``Poly``.
+  ``laurent_specialize`` writes them, as a ``Matrix`` of ``Poly``;
+- ``encode_laurent``: its inverse up to a nonzero constant, from ``Laurent``,
+  Fraction or int entries: the integer rows that the tests feed
+  ``torsion_invariants`` and ``_snf_poly``;
+- ``torsion_data``: a hand-built ``TorsionData`` from monic ``Laurent``
+  torsion polynomials, each stored as its ``encode_laurent`` coefficients.
 """
 
 import math
 from fractions import Fraction
 
+from twisthom.alexander import TorsionData
 from twisthom.groups import (GroupRingElt, reidemeister_schreier, word_inverse,
                              word_mul)
 from twisthom.matrices import Matrix
@@ -422,3 +428,31 @@ def decode_laurent(m: Matrix) -> Matrix:
     t^v (c[0] + c[1] t + ...)) as a Matrix of Poly."""
     return Matrix(m.rows, m.cols, [[Poly({x[0] + i: q for i, q in enumerate(x[1])} if x else None)
                                     for x in row] for row in m.entries])
+
+
+def encode_laurent(m: Matrix) -> Matrix:
+    """The entries of a matrix over Q[t, t^-1] (Laurent, Fraction or int) times
+    the lcm of their denominators, as the integer Laurent polynomials that
+    ``torsion_invariants`` reads.  One scalar for the whole matrix keeps
+    products of such matrices exact up to a nonzero constant."""
+    terms = [[x.terms if isinstance(x, Laurent) else {0: Fraction(x)} if x else {}
+              for x in row] for row in m.entries]
+    den = math.lcm(1, *(c.denominator for row in terms for x in row for c in x.values()))
+
+    def entry(x: dict):
+        if not x:
+            return None
+        v = min(x)
+        c = [0] * (max(x) - v + 1)
+        for e, q in x.items():
+            c[e - v] = q.numerator * (den // q.denominator)
+        return v, tuple(c)
+
+    return Matrix(m.rows, m.cols, [[entry(x) for x in row] for row in terms])
+
+
+def torsion_data(free_ranks, polys) -> TorsionData:
+    """``TorsionData`` of monic torsion polynomials with nonzero constant
+    term, each stored as its ``encode_laurent`` coefficients."""
+    return TorsionData(free_ranks, [[encode_laurent(Matrix(1, 1, [[p]]))[0, 0][1] for p in ps]
+                                    for ps in polys])

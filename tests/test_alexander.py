@@ -8,27 +8,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import Poly, decode_laurent, divides
+from oracles import Poly, decode_laurent, divides, encode_laurent, torsion_data
 
 from twisthom.alexander import (AcyclicityCertificate, FreeRankObstruction,
-                                GradingError, TorsionData, alexander_data,
-                                laurent_specialize, make_acyclic_fibered,
-                                select_root_of_unity, torsion_invariants,
-                                uct_dims)
+                                GradingError, TorsionData, _monic_laurent,
+                                alexander_data, laurent_specialize,
+                                make_acyclic_fibered, select_root_of_unity,
+                                torsion_invariants, uct_dims)
 from twisthom.complexes import catalog_complex, cover_complex
 from twisthom.groups import reidemeister_schreier, transitive_actions
 from twisthom.homology import twisted_homology
-from twisthom.matrices import Matrix, _laurent_int_rows, _monic_laurent
+from twisthom.matrices import Matrix
 from twisthom.numbers import Laurent, cyclotomic_polynomial
 from twisthom.reps import character_from_grading
 
 T = Poly({1: 1})
 ONE = Poly({0: 1})
-
-
-def _encoded(m: Matrix) -> Matrix:
-    """A Laurent matrix in the integer form that torsion_invariants reads."""
-    return Matrix(m.rows, m.cols, _laurent_int_rows(m))
 
 
 def test_laurent_specialize_circle():
@@ -37,7 +32,7 @@ def test_laurent_specialize_circle():
     mats = laurent_specialize(circle, [1])
     # stored coordinates: the boundary is t^-1 - 1, a unit multiple of t - 1
     assert mats[0][0, 0] == (-1, (1, -1))
-    assert _monic_laurent(mats[0][0, 0]) == T - 1
+    assert _monic_laurent(mats[0][0, 0][1]) == T - 1
 
 
 def test_laurent_specialize_t3():
@@ -52,7 +47,7 @@ def test_laurent_specialize_trefoil_validates():
     mats = laurent_specialize(tre, [1, 1])
     assert (decode_laurent(mats[0]) @ decode_laurent(mats[1])).is_zero()
     # the Alexander column is proportional to (p, -p) with p ~ t^2 - t + 1
-    p = _monic_laurent(mats[1][0, 0])
+    p = _monic_laurent(mats[1][0, 0][1])
     assert p == Laurent({2: 1, 1: -1, 0: 1})
 
 
@@ -82,17 +77,46 @@ def test_torsion_invariants_t3():
     assert td.free_ranks == (0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("poly", [
+    Laurent({0: -1, 1: 1}),  # a Laurent value, not its integer coefficients
+    (3,),  # a unit
+    (0, 1),  # zero constant term
+    (2, 4),  # content 2
+    (1, -1),  # negative leading coefficient
+    (1.0, 1),  # a float coefficient
+], ids=["laurent", "unit", "zero-constant", "content-2", "negative-lead", "float"])
+def test_torsion_data_takes_only_primitive_integer_tuples(poly):
+    with pytest.raises(ValueError, match="torsion polynomial"):
+        TorsionData([0, 0], [[], [poly]])
+
+
+def test_torsion_polys_is_the_monic_view_of_the_stored_integers():
+    """The stored tuples are primitive with a positive lead, and the view is
+    monic with valuation 0 and encodes back to them."""
+    for name, params, phi in (("trefoil_exterior", [], [1, 1]), ("t3", [], [1, 0, 0]),
+                              ("s1x_sigma", [2], [0, 0, 0, 0, 1]), ("s1xs2", [], [1])):
+        td = alexander_data(catalog_complex(name, params).complex, phi)
+        assert any(td.torsion)
+        for stored, view in zip(td.torsion, td.torsion_polys):
+            assert len(stored) == len(view)
+            for c, q in zip(stored, view):
+                assert math.gcd(*c) == 1 and c[0] and c[-1] > 0
+                assert q.valuation() == 0 and q.leading_coeff() == 1
+                assert encode_laurent(Matrix(1, 1, [[q]]))[0, 0] == (0, c)
+    assert torsion_data(td.free_ranks, td.torsion_polys).torsion == td.torsion
+
+
 def test_select_examples():
-    td = TorsionData([0, 0], [[], [T - 1, Laurent({2: 1, 1: 1, 0: 1})]])
+    td = torsion_data([0, 0], [[], [T - 1, Laurent({2: 1, 1: 1, 0: 1})]])
     assert select_root_of_unity(td) == (2, 1)
-    td = TorsionData([0, 0], [[], [T + 1]])
+    td = torsion_data([0, 0], [[], [T + 1]])
     assert select_root_of_unity(td) == (3, 1)
-    td = TorsionData([0, 0, 0, 0], [[T - 1], [], [T - 1], []])
+    td = torsion_data([0, 0, 0, 0], [[T - 1], [], [T - 1], []])
     assert select_root_of_unity(td) == (2, 1)
 
 
 def test_select_obstruction():
-    td = TorsionData([0, 1, 0], [[T - 1], [], []])
+    td = torsion_data([0, 1, 0], [[T - 1], [], []])
     with pytest.raises(FreeRankObstruction) as e:
         select_root_of_unity(td)
     assert e.value.degree == 1
@@ -190,7 +214,7 @@ def test_free_rank_obstruction_handlebody():
 
 
 def test_certificate_invariants_enforced():
-    td = TorsionData([0, 0], [[], [T + 1]])
+    td = torsion_data([0, 0], [[], [T + 1]])
     s = catalog_complex("s1xs2").complex
     ch = character_from_grading(s.group, [1], 2, 1)
     report = twisted_homology(s, ch)
@@ -198,7 +222,7 @@ def test_certificate_invariants_enforced():
         AcyclicityCertificate(2, 1, ch, report, td)  # Phi_2 divides t + 1
     with pytest.raises(ValueError):
         AcyclicityCertificate(1, 1, ch, report,
-                              TorsionData([0, 0], [[], []]))  # z = 1
+                              torsion_data([0, 0], [[], []]))  # z = 1
 
 
 def test_torsion_invariants_rejects_mismatched_input():
@@ -215,7 +239,7 @@ def test_torsion_invariants_rejects_non_complex():
     tre = catalog_complex("trefoil_exterior").complex
     mats = laurent_specialize(tre, [1, 1])
     d2 = decode_laurent(mats[1])
-    broken = _encoded(Matrix(d2.rows, d2.cols, [[x + ONE for x in row] for row in d2.entries]))
+    broken = encode_laurent(Matrix(d2.rows, d2.cols, [[x + ONE for x in row] for row in d2.entries]))
     with pytest.raises(ValueError, match="d1.d2 != 0"):
         torsion_invariants([mats[0], broken], tre.ranks)
 
@@ -343,7 +367,7 @@ def test_composition_check_can_fail(case):
     broken[t].entries[i][j] = broken[t].entries[i][j] + extra
     products = [broken[s] @ broken[s + 1] for s in range(max(0, t - 1), min(t + 1, len(broken) - 1))]
     if all(p.is_zero() for p in products):
-        torsion_invariants([_encoded(m) for m in broken], cx.ranks)
+        torsion_invariants([encode_laurent(m) for m in broken], cx.ranks)
     else:
         with pytest.raises(ValueError, match=r"d\d\.d\d != 0"):
-            torsion_invariants([_encoded(m) for m in broken], cx.ranks)
+            torsion_invariants([encode_laurent(m) for m in broken], cx.ranks)

@@ -12,7 +12,7 @@ from twisthom.complexes import MAX_GENUS, MAX_LENS_ORDER, catalog_complex
 from twisthom.groups import PermAction, GroupPresentation
 from twisthom.jsonio import (MAX_CONDUCTOR, MAX_DIM, MAX_WORD_LENGTH, InputError,
                              complex_from_json, complex_to_json, cyclo_from_json,
-                             cyclo_to_json, rep_from_json, rep_to_json, action_to_json)
+                             cyclo_to_json, rep_from_json, rep_to_json)
 from twisthom.numbers import Cyclo, euler_phi
 from twisthom.reps import explicit_rep, permutation_rep, torsion_characters
 
@@ -175,12 +175,6 @@ def test_scalar_json_round_trips():
     assert cyclo_from_json(cyclo_to_json(x)) == x
     with pytest.raises(InputError):
         cyclo_from_json({"conductor": 4, "coeffs": ["1"]})
-
-
-def test_action_json():
-    p = GroupPresentation(2)
-    a = PermAction(p, [(1, 0), (0, 1)])
-    assert action_to_json(a) == [[1, 0], [0, 1]]
 
 
 def test_rep_file_group_mismatch(tmp_path):
@@ -391,6 +385,38 @@ def test_complex_json_must_hold_integers(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("error: ")
     path.write_text(json.dumps(_lens3_json()))
     assert run_cli(tmp_path, "homology", "--complex", str(path), "--character", "3:1")[0] == 0
+
+
+def _lens3_character_json():
+    return rep_to_json(torsion_characters(catalog_complex("lens", [3, 1]).complex.group)[1])
+
+
+# Each edit used to be truncated through int() into the same character,
+# answered with exit 0: dim 1.9 was read as 1 and either conductor 3.9 as 3.
+NON_INTEGER_REPS = {
+    "float dim": _set(["dim"], 1.9),
+    "bool dim": _set(["dim"], True),
+    "float rep conductor": _set(["conductor"], 3.9),
+    "string rep conductor": _set(["conductor"], "3"),
+    "float entry conductor": _set(["generators", 0, 0, 0, "conductor"], 3.9),
+    "string entry conductor": _set(["generators", 0, 0, 0, "conductor"], "3"),
+    "bool entry conductor": _set(["generators", 0, 0, 0, "conductor"], True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_REPS))
+def test_rep_json_must_hold_integers(tmp_path, capsys, case):
+    cx = tmp_path / "cx.json"
+    cx.write_text(json.dumps(_lens3_json()))
+    blob = _lens3_character_json()
+    NON_INTEGER_REPS[case](blob)
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps(blob))
+    code, data = run_cli(tmp_path, "homology", "--complex", str(cx), "--rep", str(rep))
+    assert code == 1 and data is None
+    assert capsys.readouterr().err.startswith("error: ")
+    rep.write_text(json.dumps(_lens3_character_json()))
+    assert run_cli(tmp_path, "homology", "--complex", str(cx), "--rep", str(rep))[0] == 0
 
 
 def test_longest_catalog_words_load_from_a_file(tmp_path):

@@ -65,6 +65,14 @@ def test_group_ring_axioms_random():
         assert (x * y).augmentation() == x.augmentation() * y.augmentation()
 
 
+@pytest.mark.parametrize("coeff", [2.9, "7", 2.0])
+def test_group_ring_coefficients_must_be_integers(coeff):
+    """Coefficients used to go through int(): 2.9 was read as 2 and '7' as 7."""
+    with pytest.raises(TypeError):
+        GroupRingElt([((), coeff)])
+    assert GroupRingElt([(((0, 1),), 7), (((0, 1),), -2)]).terms == {((0, 1),): 5}
+
+
 def test_abelianization_examples():
     assert abelianization(GroupPresentation(1, [word_power(0, 5)])) == (0, [5])
     t3 = GroupPresentation(3, [

@@ -8,14 +8,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import (Poly, det_int, det_poly, divides, kernel_basis_poly,
-                     matrix_rank, poly_diagonal, smith_normal_form_poly)
+from oracles import (Poly, det_int, det_poly, divides, encode_laurent,
+                     kernel_basis_poly, matrix_rank, poly_diagonal,
+                     smith_normal_form_poly)
 from twisthom import matrices
-from twisthom.alexander import alexander_data
+from twisthom.alexander import _monic_laurent, alexander_data
 from twisthom.complexes import catalog_complex
 from twisthom.matrices import (Matrix, fast_rank, int_diagonal,
-                               integer_kernel_basis, invariant_factors_poly,
-                               smith_normal_form_int)
+                               integer_kernel_basis, smith_normal_form_int)
 from twisthom.numbers import Cyclo, Laurent, euler_phi
 
 
@@ -105,18 +105,25 @@ def test_snf_int_random_500():
         _check_int_snf(m)
 
 
+def invariant_factors(m: Matrix) -> list[Laurent]:
+    """The diagonal of the library's ``_snf_poly`` on ``encode_laurent(m)``:
+    each nonzero entry as its monic associate, then Laurent() per zero."""
+    rows = [list(row) for row in encode_laurent(m).entries]
+    return [_monic_laurent(x[1]) if x else Laurent() for x in matrices._snf_poly(rows)]
+
+
 def test_snf_poly_examples():
     t = Poly({1: 1})
     one = Poly({0: 1})
     m = Matrix(2, 2, [[t - 1, Laurent()], [Laurent(), t - 1]])
     _, d, _ = smith_normal_form_poly(m)
-    assert invariant_factors_poly(m) == poly_diagonal(d) == [t - 1, t - 1]
+    assert invariant_factors(m) == poly_diagonal(d) == [t - 1, t - 1]
     m = Matrix(1, 1, [[Laurent({1: 2})]])
     _, d, _ = smith_normal_form_poly(m)
-    assert invariant_factors_poly(m) == poly_diagonal(d) == [one]
+    assert invariant_factors(m) == poly_diagonal(d) == [one]
     m = Matrix(2, 2, [[t - 1, one], [Laurent(), t - 1]])
     u, d, v = smith_normal_form_poly(m)
-    assert invariant_factors_poly(m) == poly_diagonal(d) == [one, (t - 1) * (t - 1)]
+    assert invariant_factors(m) == poly_diagonal(d) == [one, (t - 1) * (t - 1)]
     assert (u @ m @ v) == d
 
 
@@ -132,7 +139,7 @@ def _check_poly_snf(m: Matrix):
     assert (u @ m @ v) == d
     assert det_poly(u).is_unit()
     assert det_poly(v).is_unit()
-    got = invariant_factors_poly(m)
+    got = invariant_factors(m)
     assert got == poly_diagonal(d)
     for x in got:
         if x:
@@ -206,7 +213,7 @@ def test_kernel_basis_random():
         # rank over the fraction field + kernel columns = total columns, with
         # the rank from Bareiss and from the library's invariant factors
         assert k.cols == cols - matrix_rank(m)
-        assert k.cols == cols - sum(1 for x in invariant_factors_poly(m) if x)
+        assert k.cols == cols - sum(1 for x in invariant_factors(m) if x)
 
 
 def test_integer_kernel_basis():

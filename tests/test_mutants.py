@@ -5,6 +5,14 @@ Every check must also pass unpatched, so none of them is vacuous.  A check
 fails by an assertion (``pytest.raises`` included) or, where the row says
 so, by the error a guard raises.  A check that takes pytest fixtures gets
 them by name.
+
+Equivalent mutants, listed here because no check can kill them:
+
+- rounding the integer quotient in ``matrices._divide`` instead of refusing
+  an inexact one.  ``_pseudo_quotient`` pre-scales by a power of the lead of
+  the divisor, which makes every step of its division exact, and in
+  ``_divides`` the remainder a - q b is zero exactly when b divides a,
+  whatever q is.
 """
 
 import functools
@@ -17,9 +25,10 @@ import test_certified_rank
 import test_cli
 import test_complexes
 import test_homology
+import test_reps
 import test_suites
 import test_torsion_reference
-from twisthom import alexander, groups, homology, matrices
+from twisthom import alexander, groups, homology, matrices, reps
 
 ASSERTED = (AssertionError, pytest.fail.Exception)
 _SUBSPACE_RANKS = homology._subspace_ranks
@@ -29,6 +38,15 @@ _WALK = groups.SchreierData.walk
 def _one_short(b, basis):
     """Every rank of d_V (I tensor B) one short, as far as it goes."""
     return [max(r - 1, 0) for r in _SUBSPACE_RANKS(b, basis)]
+
+
+def _fixed_point_free_matches_reference_capped(fixed_point_battery):
+    """test_fixed_point_free_matches_reference with every element cap at most
+    100.  Each finite image of the battery has at most 12 elements, so the
+    answers stay; a closure that never ends stops after 100 elements instead
+    of 10 000 (5 s)."""
+    test_reps.test_fixed_point_free_matches_reference(
+        [(label, rep, min(cap, 100), want) for label, rep, cap, want in fixed_point_battery])
 
 
 # (probe, module, attribute, replacement, how a check dies, killing checks)
@@ -66,6 +84,14 @@ MUTANTS = [
     ("cover term walk starts every word at the basepoint", groups.SchreierData, "walk",
      lambda self, w, start: _WALK(self, w, 0), ASSERTED,
      [test_complexes.test_cover_complex_matches_cell_walking_reference]),
+    ("torsion polynomial not made primitive", alexander, "_primitive_part", lambda c: c,
+     ValueError, [test_alexander.test_torsion_invariants_s1xs2]),
+    ("ranks of d_V in place of d_V (I tensor B)", homology, "_subspace_ranks",
+     lambda b, basis: [matrices.certified_rank(a, basis.shape[-1]) for a in b.boundaries],
+     ASSERTED, [functools.partial(test_homology.test_subspace_dims_match_summands, base)
+                for base in ("lens:3,1", "trefoil_exterior")]),
+    ("_Blocks.reduced without its reduction", reps._Blocks, "reduced",
+     lambda self, img: img, ASSERTED, [_fixed_point_free_matches_reference_capped]),
 ]
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import Poly, cyclo_div, divides, exact_div, poly_divmod
-from twisthom.matrices import _monic_laurent
+from twisthom.alexander import _monic_laurent
 from twisthom.numbers import Cyclo, Laurent, cyclotomic_polynomial, euler_phi
 
 
@@ -122,10 +122,10 @@ def test_laurent_units_and_normalization():
     p = Laurent({3: 2, 1: -2})  # 2t^3 - 2t = 2t(t^2 - 1)
     assert not p.is_unit()
     assert Laurent({5: Fraction(-7, 3)}).is_unit()
-    # the monic associate of the integer form of -2t + 2t^3
-    assert _monic_laurent((1, (-2, 0, 2))) == Laurent({2: 1, 0: -1})
-    assert _monic_laurent((-3, (3, 1))) == Laurent({0: 3, 1: 1})
-    assert _monic_laurent((0, (4, 6))) == Laurent({0: Fraction(2, 3), 1: 1})
+    # the monic associate of the coefficients of -2 + 2t^2 (of -2t + 2t^3 / t)
+    assert _monic_laurent((-2, 0, 2)) == Laurent({2: 1, 0: -1})
+    assert _monic_laurent((3, 1)) == Laurent({0: 3, 1: 1})
+    assert _monic_laurent((4, 6)) == Laurent({0: Fraction(2, 3), 1: 1})
 
 
 def test_laurent_divmod_random():

@@ -14,13 +14,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import (Poly, decode_laurent, exact_div, kernel_basis_poly,
-                     poly_diagonal, smith_normal_form_poly)
+from oracles import (Poly, decode_laurent, encode_laurent, exact_div,
+                     kernel_basis_poly, poly_diagonal, smith_normal_form_poly,
+                     torsion_data)
 
 from twisthom.alexander import TorsionData, laurent_specialize, torsion_invariants
 from twisthom.complexes import catalog_complex, cover_complex
 from twisthom.groups import reidemeister_schreier, transitive_actions
-from twisthom.matrices import Matrix, _laurent_int_rows
+from twisthom.matrices import Matrix
 from twisthom.numbers import Laurent
 
 
@@ -53,14 +54,14 @@ def reference_torsion(mats, ranks) -> TorsionData:
         nonzero = [x for x in poly_diagonal(d) if x]
         free_ranks.append(kernel.cols - len(nonzero))
         torsion.append(tuple(x for x in nonzero if not x.is_unit()))
-    return TorsionData(free_ranks, torsion)
+    return torsion_data(free_ranks, torsion)
 
 
 def _assert_same(mats, ranks):
     """mats in the integer form of laurent_specialize."""
     got = torsion_invariants(mats, ranks)
     want = reference_torsion([decode_laurent(m) for m in mats], ranks)
-    assert (got.free_ranks, got.torsion_polys) == (want.free_ranks, want.torsion_polys)
+    assert (got.free_ranks, got.torsion) == (want.free_ranks, want.torsion)
     return got
 
 
@@ -100,10 +101,6 @@ def test_catalog_entries_match_reference(name, phi):
     _assert_same(laurent_specialize(cx, phi), cx.ranks)
 
 
-def _encoded(mats) -> list[Matrix]:
-    return [Matrix(m.rows, m.cols, _laurent_int_rows(m)) for m in mats]
-
-
 _FACTORS = (Poly({0: 1}), Poly({0: -1, 1: 1}), Poly({0: 1, 1: 1}),
             Poly({0: 1, 1: 1, 2: 1}), Poly({0: 2, 1: 1}))
 
@@ -127,7 +124,7 @@ def _complexes(draw):
     g = draw(st.sampled_from(_FACTORS))
     m = Matrix(k.cols, r2, [[g * draw(_laurent()) for _ in range(r2)] for _ in range(k.cols)])
     d2 = k @ m if k.cols else Matrix(r1, r2, [[Poly()] * r2 for _ in range(r1)])
-    return _encoded([d1, d2]), [r0, r1, r2]
+    return [encode_laurent(d1), encode_laurent(d2)], [r0, r1, r2]
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -143,7 +140,7 @@ def test_non_cyclic_torsion():
     zero = Laurent()
     d1 = Matrix(1, 3, [[zero, zero, Laurent({0: 1})]])
     d2 = Matrix(3, 2, [[t1, zero], [zero, t1], [zero, zero]])
-    td = _assert_same(_encoded([d1, d2]), [1, 3, 2])
+    td = _assert_same([encode_laurent(d1), encode_laurent(d2)], [1, 3, 2])
     assert td.torsion_polys == ((), (t1, t1), ())
     assert td.free_ranks == (0, 0, 0)
 
@@ -154,6 +151,6 @@ def test_torsion_that_needs_the_divisibility_step():
     the elimination reaches."""
     zero = Laurent()
     d1 = Matrix(2, 2, [[Laurent({0: -1, 1: 1}), zero], [zero, Laurent({0: -2, 1: 1})]])
-    td = _assert_same(_encoded([d1]), [2, 2])
+    td = _assert_same([encode_laurent(d1)], [2, 2])
     assert td.torsion_polys == ((Laurent({0: 2, 1: -3, 2: 1}),), ())
     assert td.free_ranks == (0, 0)
