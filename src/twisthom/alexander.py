@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from .complexes import EquivariantComplex
@@ -56,8 +57,10 @@ class TorsionData:
     the Smith elimination returns: tuples of coefficients, constant term
     first, each primitive (gcd 1) with a nonzero constant term, a positive
     leading coefficient and degree >= 1.  The constructor accepts exactly
-    that form and raises ValueError on anything else.  ``torsion_polys`` is
-    the view of the same polynomials as monic ``Laurent`` values.  Data
+    that form and raises ValueError on anything else; ``free_ranks`` are read
+    through ``operator.index``, so a float or a string there is a TypeError.
+    ``torsion_polys`` is the view of the same polynomials as monic
+    ``Laurent`` values.  Data
     computed by torsion_invariants additionally lists them in divisibility
     order (Smith normal form); hand-built instances may not.
     """
@@ -65,7 +68,7 @@ class TorsionData:
     __slots__ = ("free_ranks", "torsion")
 
     def __init__(self, free_ranks, torsion):
-        free_ranks = tuple(int(x) for x in free_ranks)
+        free_ranks = tuple(operator.index(x) for x in free_ranks)
         torsion = tuple(tuple(ps) for ps in torsion)
         if len(free_ranks) != len(torsion):
             raise ValueError("free_ranks and torsion must align per degree")
@@ -191,11 +194,12 @@ def torsion_invariants(mats: list[Matrix], ranks) -> TorsionData:
     non-unit invariant factors of d_{i+1}, and the free rank is
     c_i - rank d_i - rank d_{i+1}, each rank being the number of nonzero
     factors.  Entries, shapes and d.d = 0 are checked exactly here
-    (ValueError).  The check of d.d = 0 and the elimination run on the
+    (ValueError), and ``ranks`` are read through ``operator.index``
+    (TypeError).  The check of d.d = 0 and the elimination run on the
     integer entries, and each torsion polynomial is the diagonal entry
     divided by its signed content (``_primitive_part``).
     """
-    ranks = [int(r) for r in ranks]
+    ranks = [operator.index(r) for r in ranks]
     if len(mats) != max(0, len(ranks) - 1):
         raise ValueError("need one matrix per adjacent degree pair")
     for i, m in enumerate(mats):

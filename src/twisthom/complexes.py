@@ -10,6 +10,9 @@ zero for every representation, commutative or not.
 Each boundary is stored once, sparse: a ``Boundary`` is its list of terms
 coeff * word at (row, col).  Every builder here writes terms, and every
 specialization reads them; an entry is a ``GroupRingElt`` made on access.
+What specializing needs of a complex alone, the prefix trie of its words and
+the index arrays of its terms, is compiled once per complex and kept on it
+(``specialization_plan``).
 """
 
 from __future__ import annotations
@@ -19,9 +22,12 @@ import operator
 from bisect import bisect_left, bisect_right
 from itertools import groupby
 
+import numpy as np
+
 from .groups import (EMPTY_WORD, GroupPresentation, GroupRingElt, PermAction,
                      Word, abelianization, free_reduce, reidemeister_schreier,
                      word_mul, word_power)
+from .matrices import int_dtype
 
 
 class Boundary:
@@ -86,10 +92,11 @@ class EquivariantComplex:
     ``boundaries[k]`` is the ``Boundary`` C_{k+1} -> C_k, of shape
     ranks[k] x ranks[k+1], in stored (right-module) coordinates.  The d.d = 0
     identity holds under every specialization; it is checked there, not
-    symbolically.
+    symbolically.  ``_plan`` is the complex's ``SpecializationPlan``, derived
+    on its first specialization.
     """
 
-    __slots__ = ("group", "ranks", "boundaries")
+    __slots__ = ("group", "ranks", "boundaries", "_plan")
 
     def __init__(self, group: GroupPresentation, ranks, boundaries):
         ranks = tuple(operator.index(r) for r in ranks)
@@ -106,6 +113,7 @@ class EquivariantComplex:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "boundaries", boundaries)
+        object.__setattr__(self, "_plan", None)
 
     def __setattr__(self, *a):
         raise AttributeError("EquivariantComplex is immutable")
@@ -119,6 +127,72 @@ class EquivariantComplex:
 
     def __repr__(self):
         return f"EquivariantComplex(ranks={self.ranks}, group={self.group!r})"
+
+
+# ---------------------------------------------------------------------------
+# specialization plan
+# ---------------------------------------------------------------------------
+
+def prefix_trie(words) -> tuple[tuple, tuple, list[int]]:
+    """The prefix closure of ``words`` as a trie, and the node of each word.
+
+    Node 0 is the empty word; node k >= 1 is the word of node ``parents[k]``
+    followed by the letter ``letters[k]`` (both None at node 0), so every
+    parent precedes its children.  Evaluating the nodes in order takes one
+    product per node (``reps._node_images``).
+    """
+    parents, letters, children, of_word, found = [None], [None], {}, {}, []
+    for w in words:
+        k = of_word.get(w)
+        if k is None:
+            k = 0
+            for letter in w:
+                child = children.get((k, letter))
+                if child is None:
+                    child = children[k, letter] = len(parents)
+                    parents.append(k)
+                    letters.append(letter)
+                k = child
+            of_word[w] = k
+        found.append(k)
+    return tuple(parents), tuple(letters), found
+
+
+class SpecializationPlan:
+    """What specializing a complex needs of the complex alone.
+
+    ``parents`` and ``letters`` are the prefix trie of all boundary words
+    (``prefix_trie``).  ``boundaries[k]`` is (rows, cols, index, coeffs) for
+    boundary k: its shape, an int array [3, terms] holding the trie node of
+    each term's word, its row and its column, and the terms' coefficients
+    (int64, or Python ints where the boundary's entry bound leaves int64).
+    """
+
+    __slots__ = ("parents", "letters", "boundaries")
+
+    def __init__(self, c: EquivariantComplex):
+        parents, letters, found = prefix_trie(w for b in c.boundaries for w in b.terms[3])
+        boundaries, start = [], 0
+        for b in c.boundaries:
+            rows, cols, coeffs, words, bound = b.terms
+            stop = start + len(words)
+            index = np.array([found[start:stop], rows, cols], dtype=np.int64)
+            boundaries.append((b.rows, b.cols, index, np.array(coeffs, dtype=int_dtype(bound))))
+            start = stop
+        object.__setattr__(self, "parents", parents)
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "boundaries", tuple(boundaries))
+
+    def __setattr__(self, *a):
+        raise AttributeError("SpecializationPlan is immutable")
+
+
+def specialization_plan(c: EquivariantComplex) -> SpecializationPlan:
+    """The plan of ``c``, compiled on first use and kept on the complex, so it
+    lives and dies with it."""
+    if c._plan is None:
+        object.__setattr__(c, "_plan", SpecializationPlan(c))
+    return c._plan
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,18 @@ integer k x k blocks over a denominator.  Every image is unitary, so its
 inverse is its conjugate transpose.  The homology of an invariant subspace
 W is read off the specialized complex of V itself (``subquotient_dims``).
 
-Word images are products of these, cached by prefix (``reps._word_images``).
-Each boundary is accumulated as an integer array [R, C, n], its numerator
-over Z[x]/(x^n - 1), and kept in that assembled form.  Their reductions
-modulo Phi_n must multiply to exactly zero in Z[zeta_n], and a failure is a
-hard BoundaryError.  Ranks come from the certified split-prime routine
-``matrices.certified_rank``, which takes the assembled arrays and does its
-own reduction.  Arrays hold Python ints wherever a magnitude bound would
-leave int64, so no value wraps.
+What specializing needs of the complex alone is compiled once per complex
+and kept on it (``complexes.specialization_plan``): the prefix trie of all
+boundary words, and per boundary the int arrays (node, row, col, coeff) of
+its terms.  A specialization takes one product per trie node
+(``reps._node_images``) and accumulates each boundary from those node
+images as an integer array [R, C, n], its numerator over Z[x]/(x^n - 1),
+kept in that assembled form.  Their reductions modulo Phi_n must multiply
+to exactly zero in Z[zeta_n], and a failure is a hard BoundaryError.  Ranks
+come from the certified split-prime routine ``matrices.certified_rank``,
+which takes the assembled arrays and does its own reduction.  Arrays hold
+Python ints wherever a magnitude bound would leave int64, so no value
+wraps.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import CatalogEntry, EquivariantComplex, presentation_complex
+from .complexes import (CatalogEntry, EquivariantComplex, presentation_complex,
+                        specialization_plan)
 from .groups import GroupPresentation, PermAction, free_product
 from .matrices import Matrix, certified_rank, reduce_cyclotomic, ring_matmul
 from .numbers import Cyclo
-from .reps import (SplitData, UnitaryRep, _word_images, alpha_minus_one_blocks,
+from .reps import (SplitData, UnitaryRep, _node_images, alpha_minus_one_blocks,
                    explicit_rep, extend_by_identity, induce_rep, trivial_rep,
                    verify_rep)
 
@@ -114,10 +119,9 @@ def specialize(c: EquivariantComplex, r: UnitaryRep) -> BlockComplex:
         raise GroupMismatchError("representation group differs from complex group")
     if not verify_rep(r):
         raise ValueError("representation fails verification")
-    imgs = r.compiled
-    images = _word_images(imgs, {w for b in c.boundaries for w in b.terms[3]})
+    imgs, plan = r.compiled, specialization_plan(c)
     n = imgs.n
-    assembled = [imgs.assemble(b, images) for b in c.boundaries]
+    assembled = imgs.assemble(plan, _node_images(imgs, plan.parents, plan.letters))
     reduced = [reduce_cyclotomic(a, n) for a, _ in assembled]
     for t in range(len(reduced) - 1):
         if reduce_cyclotomic(ring_matmul(reduced[t], reduced[t + 1], n), n).any():

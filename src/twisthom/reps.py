@@ -15,7 +15,9 @@ constructor compiles its images by one rule (``_compile``):
 Every image is unitary, so its inverse is always its conjugate transpose
 (``_dagger``; for monomials, the inverse permutation with negated exponents).
 Word images (``evaluate_word``), verification and specialization all multiply
-through ``_word_images``; the split and the fixed-point-free test rank the
+along a prefix trie of their words (``complexes.prefix_trie``), one product
+per node (``_node_images``); a permutation rep takes its images and their
+inverses from the action.  The split and the fixed-point-free test rank the
 same integers (``alpha_minus_one_blocks``).  ``Cyclo`` is a codec only: no
 Cyclo arithmetic happens here, and Cyclo matrices are a view on demand.
 """
@@ -30,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import quaternion_presentation
+from .complexes import prefix_trie, quaternion_presentation
 from .groups import (GroupPresentation, PermAction, Word,
                      abelianization_change_of_basis, reidemeister_schreier,
                      verify_grading)
@@ -84,12 +86,24 @@ class _Monomial:
             self.images[gen, 1] = (stored(perm), stored(e // g for e in exps))
             self.images[gen, -1] = (stored(inv_perm), stored(inv_exps))
 
+    @classmethod
+    def of_permutations(cls, dim: int, perms, inverses):
+        """0/1 images (n = 1) of permutations given with their inverses."""
+        imgs = cls.__new__(cls)
+        imgs.n, imgs.dim, imgs.images = 1, dim, {}
+        zeros = (0,) * dim
+        for gen, (perm, inv) in enumerate(zip(perms, inverses)):
+            imgs.images[gen, 1], imgs.images[gen, -1] = (perm, zeros), (inv, zeros)
+        return imgs
+
     @property
     def identity(self):
         return tuple(range(self.dim)), (0,) * self.dim
 
     def mul(self, a, b):
         (pa, ea), (pb, eb), n = a, b, self.n
+        if n == 1:  # every exponent is 0
+            return tuple([pa[j] for j in pb]), ea
         return tuple([pa[j] for j in pb]), tuple([(ea[j] + e) % n for j, e in zip(pb, eb)])
 
     def is_identity(self, img) -> bool:
@@ -104,17 +118,19 @@ class _Monomial:
         out[list(perm), np.arange(self.dim), list(exps)] = 1
         return out, 1
 
-    def assemble(self, b, images):
-        rows, cols, coeffs, words, bound = b.terms
-        d = self.dim
-        out = np.zeros((b.rows * d, b.cols * d, self.n), dtype=int_dtype(bound))
-        if words:
-            perms = np.array([images[w][0] for w in words], dtype=np.int64).reshape(-1, d)
-            exps = np.array([images[w][1] for w in words], dtype=np.int64).reshape(-1, d)
-            np.add.at(out, (np.array(rows)[:, None] * d + perms,
-                            np.array(cols)[:, None] * d + np.arange(d), exps),
-                      np.array(coeffs, dtype=out.dtype)[:, None])
-        return out, 1
+    def assemble(self, plan, images) -> list:
+        """Each boundary of a ``complexes.SpecializationPlan`` under the node
+        ``images``, by one scatter of the terms' stacked images; den 1."""
+        d, n = self.dim, self.n
+        perms = np.array([p for p, _ in images], dtype=np.int64).reshape(len(images), d)
+        exps = np.array([e for _, e in images], dtype=np.int64).reshape(len(images), d)
+        out = []
+        for rows, cols, (nodes, i, j), coeffs in plan.boundaries:
+            a = np.zeros((rows * d, cols * d, n), dtype=coeffs.dtype)
+            np.add.at(a, (i[:, None] * d + perms[nodes], j[:, None] * d + np.arange(d),
+                          exps[nodes]), coeffs[:, None])
+            out.append((a, 1))
+        return out
 
 
 class _Blocks:
@@ -160,22 +176,27 @@ class _Blocks:
             out[row * k:(row + 1) * k, i * k:(i + 1) * k, :blocks.shape[-1]] = blocks[i]
         return out, den
 
-    def assemble(self, b, images):
-        rows, cols, coeffs, words, _ = b.terms
-        den = math.lcm(1, *(images[w][2] for w in words))
-        dense, sums = {}, {}
-        for i, j, c, w in zip(rows, cols, coeffs, words):
-            if w not in dense:
-                dense[w] = self.dense(images[w])[0]
-            sums[i, j] = sums.get((i, j), 0) + \
-                abs(c) * (den // images[w][2]) * max_abs(dense[w])
-        dim = self.dim
-        out = np.zeros((b.rows * dim, b.cols * dim, self.n),
-                       dtype=int_dtype(max(sums.values(), default=0)))
-        for i, j, c, w in zip(rows, cols, coeffs, words):
-            out[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] += \
-                dense[w].astype(out.dtype) * (c * (den // images[w][2]))
-        return out, den
+    def assemble(self, plan, images) -> list:
+        """Each boundary of a ``complexes.SpecializationPlan`` under the node
+        ``images``, over the lcm of the terms' denominators."""
+        dense, out = {}, []
+        for rows, cols, index, coeffs in plan.boundaries:
+            terms = list(zip(*index.tolist(), coeffs.tolist()))  # (node, i, j, coeff)
+            den = math.lcm(1, *(images[w][2] for w, *_ in terms))
+            sums = {}
+            for w, i, j, c in terms:
+                if w not in dense:
+                    dense[w] = self.dense(images[w])[0]
+                sums[i, j] = sums.get((i, j), 0) + \
+                    abs(c) * (den // images[w][2]) * max_abs(dense[w])
+            dim = self.dim
+            a = np.zeros((rows * dim, cols * dim, self.n),
+                         dtype=int_dtype(max(sums.values(), default=0)))
+            for w, i, j, c in terms:
+                a[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] += \
+                    dense[w].astype(a.dtype) * (c * (den // images[w][2]))
+            out.append((a, den))
+        return out
 
 
 def _dagger(img, n: int):
@@ -223,18 +244,14 @@ def _compile(dim: int, gens):
     return _lift_blocks(gens)
 
 
-def _word_images(imgs, words) -> dict:
-    """Images of the words and of all their prefixes, one product per letter."""
-    cache = {(): imgs.identity}
-    for w in words:
-        i = len(w)
-        while w[:i] not in cache:
-            i -= 1
-        img = cache[w[:i]]
-        for t in range(i, len(w)):
-            img = imgs.mul(img, imgs.images[w[t]])
-            cache[w[:t + 1]] = img
-    return cache
+def _node_images(imgs, parents, letters) -> list:
+    """The image of every node of a prefix trie (``complexes.prefix_trie``),
+    node 0 the identity: one product per node, its parent's image times the
+    image of its letter."""
+    images, gens = [imgs.identity], imgs.images
+    for parent, letter in zip(parents[1:], letters[1:]):
+        images.append(imgs.mul(images[parent], gens[letter]))
+    return images
 
 
 def _as_matrix(a: np.ndarray, den: int, c: int) -> Matrix:
@@ -303,7 +320,9 @@ def evaluate_word(r: UnitaryRep, w: Word) -> Matrix:
     for g, _ in w:
         if g < 0 or g >= r.group.num_generators:
             raise ValueError(f"generator index {g} out of range")
-    return _as_matrix(*r.compiled.dense(_word_images(r.compiled, [w])[w]), r.conductor)
+    parents, letters, (node,) = prefix_trie([w])
+    image = _node_images(r.compiled, parents, letters)[node]
+    return _as_matrix(*r.compiled.dense(image), r.conductor)
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +381,11 @@ def permutation_rep(p: GroupPresentation, action: PermAction) -> UnitaryRep:
     """0/1 permutation matrices of the action; unitary by construction."""
     if action.presentation != p:
         raise ValueError("action does not belong to this presentation")
-    zeros = [0] * action.degree
-    gens = [(img, zeros) for img in action.generator_images]
     # relators were checked on the permutations, unitarity is structural
     return UnitaryRep(p, action.degree, 1, "permutation",
-                      _Monomial(1, action.degree, gens), verified=True)
+                      _Monomial.of_permutations(action.degree, action.generator_images,
+                                                action._inverses),
+                      verified=True)
 
 
 def induce_rep(p: GroupPresentation, action: PermAction, sub_matrices,
@@ -462,8 +481,9 @@ def _verify_rep_uncached(r: UnitaryRep) -> bool:
     if not all(imgs.is_identity(imgs.mul(imgs.images[g, 1], imgs.images[g, -1]))
                for g in range(r.group.num_generators)):
         return False
-    words = _word_images(imgs, r.group.relators)
-    return all(imgs.is_identity(words[rel]) for rel in r.group.relators)
+    parents, letters, nodes = prefix_trie(r.group.relators)
+    images = _node_images(imgs, parents, letters)
+    return all(imgs.is_identity(images[k]) for k in nodes)
 
 
 # ---------------------------------------------------------------------------

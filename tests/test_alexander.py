@@ -90,6 +90,19 @@ def test_torsion_data_takes_only_primitive_integer_tuples(poly):
         TorsionData([0, 0], [[], [poly]])
 
 
+@pytest.mark.parametrize("rank", [1.9, "2"], ids=["float", "string"])
+def test_torsion_data_takes_only_integer_free_ranks(rank):
+    """A free rank is an integer, not something int() would truncate or parse."""
+    with pytest.raises(TypeError):
+        TorsionData([rank, 0], [[], []])
+
+
+@pytest.mark.parametrize("rank", [1.9, "2"], ids=["float", "string"])
+def test_torsion_invariants_takes_only_integer_ranks(rank):
+    with pytest.raises(TypeError):
+        torsion_invariants([Matrix(1, 1, [[(0, (-1, 1))]])], [1, rank])
+
+
 def test_torsion_polys_is_the_monic_view_of_the_stored_integers():
     """The stored tuples are primitive with a positive lead, and the view is
     monic with valuation 0 and encodes back to them."""

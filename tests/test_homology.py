@@ -1,6 +1,7 @@
 """Twisted homology: specialization, dims, coinvariants, covers, splits, sums."""
 
 import functools
+import gc
 import json
 import random
 from fractions import Fraction
@@ -12,12 +13,13 @@ from hypothesis import strategies as st
 
 from oracles import decode_basis, matrix_rank
 from twisthom.cli import main
-from twisthom.complexes import (Boundary, EquivariantComplex, catalog_complex,
-                                catalog_entry_from_string,
-                                presentation_complex, trefoil_group)
+from twisthom.complexes import (Boundary, EquivariantComplex, SpecializationPlan,
+                                catalog_complex, catalog_entry_from_string,
+                                cover_complex, presentation_complex,
+                                specialization_plan, trefoil_group)
 from twisthom.groups import (GroupPresentation, PermAction,
                              free_product, reidemeister_schreier,
-                             trivial_action, word_power)
+                             transitive_actions, trivial_action, word_power)
 from twisthom.homology import (BoundaryError, GroupMismatchError,
                                _subspace_ranks, coinvariants_h0,
                                connected_sum_dims, homology_dims,
@@ -410,30 +412,70 @@ def _block_diagonal(m: Matrix, copies: int) -> Matrix:
                     for j in range(copies * m.cols)] for i in range(copies * m.rows)])
 
 
+@functools.cache
+def _assembly_cases():
+    """(complex label, complex, rep label, rep): t3 under the backend reps,
+    the presentation complex of pi1(T^3) * pi1(T^3), whose words share
+    prefixes of length up to 3, and lens:7,2, whose words are chains of up
+    to 6 letters; each under a permutation rep, a character and a rep with
+    dense rotated blocks."""
+    backend = _backend_reps()
+    t3 = catalog_complex("t3").complex
+    cases = [("t3", t3, name, backend[name]) for name in ("permutation", "induced 2x2", "dense")]
+    z5, z7 = (lambda e: Cyclo.root_of_unity(5, e)), (lambda e: Cyclo.root_of_unity(7, e))
+    fp = presentation_complex(free_product(t3.group, t3.group))
+    cycle, swap, fixed = (1, 2, 0), (1, 0, 2), (0, 1, 2)
+    cases += [
+        ("t3 * t3", fp, "permutation", permutation_rep(
+            fp.group, PermAction(fp.group, [cycle, cycle, fixed, swap, fixed, swap]))),
+        ("t3 * t3", fp, "character", character_from_grading(fp.group, [1, 2, 0, 1, 0, 3], 5, 1)),
+        ("t3 * t3", fp, "dense", explicit_rep(fp.group, _rotated(
+            [_diagonal([z5(a), z5(b)])
+             for a, b in ((1, 0), (0, 2), (1, 2), (3, 3), (0, 4), (2, 0))], 2)))]
+    lens = catalog_complex("lens", [7, 2]).complex
+    cases += [
+        ("lens:7,2", lens, "permutation",
+         permutation_rep(lens.group, PermAction(lens.group, [(1, 2, 3, 4, 5, 6, 0)]))),
+        ("lens:7,2", lens, "character", torsion_characters(lens.group)[3]),
+        ("lens:7,2", lens, "dense", explicit_rep(lens.group, _rotated(
+            [_diagonal([z7(1), z7(2)])], 2)))]
+    return cases
+
+
 def test_boundaries_match_independent_assembly(word_reference):
     """Every compiled form (monomial, k x k blocks with denominators, dense)
     gives the boundaries and ranks of a straight Cyclo assembly from reference
-    word images and Bareiss ranks; so do the ranks of the invariant subspace
-    W, read off the dense rep's complex as d_V (I tensor B)."""
-    t3 = catalog_complex("t3").complex
-    reps = _backend_reps()
+    word images and Bareiss ranks, on complexes whose words are single
+    letters, share prefixes or are long chains; so do the ranks of the
+    invariant subspace W, read off the dense rep's complex as
+    d_V (I tensor B)."""
     kinds = {}
-    for name in ("permutation", "induced 2x2", "dense"):
-        r = reps[name]
-        b, dim = specialize(t3, r), r.dim
-        expected = _assembled(t3, dim, lambda w: word_reference(r, w))
+    for label, c, name, r in _assembly_cases():
+        b, dim = specialize(c, r), r.dim
+        expected = _assembled(c, dim, lambda w: word_reference(r, w))
         assert len(b.boundaries) == len(expected)
         ranks = [0]
         for k, m in enumerate(expected):
-            assert b.boundary_matrix(k) == m, (name, k)
+            assert b.boundary_matrix(k) == m, (label, name, k)
             ranks.append(matrix_rank(m))
-            assert certified_rank(b.boundaries[k], b.conductor) == ranks[-1], (name, k)
+            assert certified_rank(b.boundaries[k], b.conductor) == ranks[-1], (label, name, k)
         ranks.append(0)
-        want = [dim * cells - ranks[i] - ranks[i + 1] for i, cells in enumerate(t3.ranks)]
-        assert homology_dims(b).dims == tuple(want), name
-        kinds[name] = (b.conductor, max(b.denominators))
-    assert kinds == {"permutation": (1, 1), "induced 2x2": (4, 25), "dense": (12, 25)}
+        want = [dim * cells - ranks[i] - ranks[i + 1] for i, cells in enumerate(c.ranks)]
+        assert homology_dims(b).dims == tuple(want), (label, name)
+        kinds[label, name] = (type(r.compiled).__name__, b.conductor, max(b.denominators))
+    assert kinds == {
+        ("t3", "permutation"): ("_Monomial", 1, 1),
+        ("t3", "induced 2x2"): ("_Blocks", 4, 25),
+        ("t3", "dense"): ("_Blocks", 12, 25),
+        ("t3 * t3", "permutation"): ("_Monomial", 1, 1),
+        ("t3 * t3", "character"): ("_Monomial", 5, 1),
+        ("t3 * t3", "dense"): ("_Blocks", 5, 25 ** 4),  # dens multiply along a word
+        ("lens:7,2", "permutation"): ("_Monomial", 1, 1),
+        ("lens:7,2", "character"): ("_Monomial", 7, 1),
+        ("lens:7,2", "dense"): ("_Blocks", 7, 25 ** 6)}
 
+    t3 = catalog_complex("t3").complex
+    reps = _backend_reps()
     dense = reps["dense"]
     split = invariant_coinvariant_split(dense)
     assert split.w_basis.shape == (3, 2, 12)
@@ -445,6 +487,27 @@ def test_boundaries_match_independent_assembly(word_reference):
     ranks = [0] + ranks + [0]
     want = [2 * cells - ranks[i] - ranks[i + 1] for i, cells in enumerate(t3.ranks)]
     assert subquotient_dims(t3, dense, split)[0].dims == tuple(want)
+
+
+def test_specialization_plans_live_and_die_with_their_complexes():
+    """A complex compiles its plan once and is the only holder of it: after
+    200 freshly built covers are specialized and dropped, no complex and no
+    plan outlives them, as one would under a plan cache at module level."""
+    base = catalog_complex("trefoil_exterior").complex
+    actions = transitive_actions(base.group, 3)
+
+    def live():
+        gc.collect()
+        return sum(isinstance(o, (EquivariantComplex, SpecializationPlan))
+                   for o in gc.get_objects())
+
+    before = live()
+    for k in range(200):
+        cover = cover_complex(base, actions[k % len(actions)])
+        specialize(cover, trivial_rep(cover.group, 1))
+        assert specialization_plan(cover) is specialization_plan(cover)
+    del cover
+    assert live() <= before
 
 
 @st.composite

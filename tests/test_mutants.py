@@ -6,6 +6,10 @@ fails by an assertion (``pytest.raises`` included) or, where the row says
 so, by the error a guard raises.  A check that takes pytest fixtures gets
 them by name.
 
+A row whose attribute is ``__code__`` edits the source of one function
+(``_edited``) and swaps in the compiled result, so every caller sees the
+mutant, whatever name it imported the function under.
+
 Equivalent mutants, listed here because no check can kill them:
 
 - rounding the integer quotient in ``matrices._divide`` instead of refusing
@@ -15,8 +19,10 @@ Equivalent mutants, listed here because no check can kill them:
   whatever q is.
 """
 
+import __future__
 import functools
 import inspect
+import textwrap
 
 import pytest
 
@@ -31,6 +37,20 @@ import test_torsion_reference
 from twisthom import alexander, groups, homology, matrices, reps
 
 ASSERTED = (AssertionError, pytest.fail.Exception)
+
+
+def _edited(func, old, new):
+    """The code of ``func`` with the one occurrence of ``old`` in its source
+    replaced by ``new``, compiled at the same file and line numbers."""
+    lines, first = inspect.getsourcelines(func)
+    source = textwrap.dedent("".join(lines))
+    assert source.count(old) == 1, (func.__qualname__, old)
+    code = compile("\n" * (first - 1) + source.replace(old, new),
+                   inspect.getsourcefile(func), "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    namespace = dict(func.__globals__)
+    exec(code, namespace)
+    return namespace[func.__name__].__code__
 _SUBSPACE_RANKS = homology._subspace_ranks
 _WALK = groups.SchreierData.walk
 
@@ -92,6 +112,21 @@ MUTANTS = [
                 for base in ("lens:3,1", "trefoil_exterior")]),
     ("_Blocks.reduced without its reduction", reps._Blocks, "reduced",
      lambda self, img: img, ASSERTED, [_fixed_point_free_matches_reference_capped]),
+    ("every trie node multiplies from node 0", reps._node_images, "__code__",
+     _edited(reps._node_images, "images[parent]", "images[0]"), homology.BoundaryError,
+     [test_homology.test_boundaries_match_independent_assembly]),
+    ("block width dim for w in subquotient_dims", homology.subquotient_dims, "__code__",
+     _edited(homology.subquotient_dims, "cells * w - ranks[i]", "cells * r.dim - ranks[i]"),
+     ASSERTED, [functools.partial(test_homology.test_subspace_dims_match_summands, "lens:3,1")]),
+    ("split check rank T = dim W dropped", reps.invariant_coinvariant_split, "__code__",
+     _edited(reps.invariant_coinvariant_split, "if certified_rank(tall, n) != w:", "if False:"),
+     ASSERTED, [functools.partial(test_reps.test_split_refuses_non_unitary_reps,
+                                  *test_reps.NON_UNITARY_SPLITS[1])]),
+    ("split check rank T B = dim W dropped", reps.invariant_coinvariant_split, "__code__",
+     _edited(reps.invariant_coinvariant_split,
+             "if certified_rank(ring_matmul(tall, basis, n), n) != w:", "if False:"),
+     ASSERTED, [functools.partial(test_reps.test_split_refuses_non_unitary_reps,
+                                  *test_reps.NON_UNITARY_SPLITS[0])]),
 ]
 
 

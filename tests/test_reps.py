@@ -227,12 +227,15 @@ def test_split_dimensions_random():
         assert matrix_rank(basis) == matrix_rank(both) == s.w_basis.shape[1]
 
 
-@pytest.mark.parametrize("mats, message", [
+NON_UNITARY_SPLITS = [
     # W = V^G = the first axis
     ([[[1, 1], [0, 1]]], "W meets the invariant vectors"),
     # W is the second axis, but only 0 is invariant
     ([[[1, 0], [1, 1]], [[1, 0], [0, 2]]], "do not have dimension"),
-])
+]
+
+
+@pytest.mark.parametrize("mats, message", NON_UNITARY_SPLITS)
 def test_split_refuses_non_unitary_reps(mats, message):
     """V = W + V^G can fail without unitarity; each rep breaks one of the two
     rank checks of the split and passes the other."""
