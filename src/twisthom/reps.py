@@ -1,19 +1,21 @@
 """Unitary representations with cyclotomic entries, in one exact image format.
 
 A representation stores its generator images, and their inverses, once, as
-integers over Z[x]/(x^n - 1), which maps onto Z[zeta_n] by x -> zeta_n.  An
-image is a permutation of column blocks plus one block per column, and every
-constructor compiles its images by one rule (``_compile``):
+integers over Z[x]/(x^n - 1), which maps onto Z[zeta_n] by x -> zeta_n.
+``explicit_rep`` and ``induce_rep`` hand one Cyclo matrix per generator to
+one rule (``_compile``), which reads the form off the matrices themselves:
 
-* when every block is a 1x1 root of unity (characters, trivial, permutation
-  and induced reps of characters), an image is a permutation plus one
-  exponent of x per column, composed in plain Python ints (``_Monomial``);
-* otherwise it is a permutation plus k x k blocks, an integer array
-  [d, k, k, n] over a common denominator (``_Blocks``; a dense rep is one
-  block).
+* when each column holds one nonzero entry, a root of unity, in rows that
+  form a permutation (sums of characters, signed permutations, reps induced
+  from those), an image is a permutation plus one exponent of x per column,
+  composed in plain Python ints (``_Monomial``);
+* otherwise it is one integer array [dim, dim, n] over a denominator
+  (``_Dense``).
 
+Characters, trivial and permutation reps are monomial by construction.
 Every image is unitary, so its inverse is always its conjugate transpose
-(``_dagger``; for monomials, the inverse permutation with negated exponents).
+(x^u -> x^-u, transposed; for monomials, the inverse permutation with
+negated exponents).
 Word images (``evaluate_word``), verification and specialization all multiply
 along a prefix trie of their words (``complexes.prefix_trie``), one product
 per node (``_node_images``); a permutation rep takes its images and their
@@ -133,115 +135,99 @@ class _Monomial:
         return out
 
 
-class _Blocks:
-    """Images (perm, blocks, den): column block i holds blocks[i] / den in row
-    block perm[i]; blocks is an integer array [d, k, k, n]."""
+class _Dense:
+    """Images (a, den): the matrix a / den, a an integer array [dim, dim, n]
+    (``reduced`` keeps only the phi(n) powers of the basis of Z[zeta_n])."""
 
-    __slots__ = ("n", "k", "dim", "images")
+    __slots__ = ("n", "dim", "images")
 
-    def __init__(self, n: int, k: int, dim: int, images: dict):
-        self.n, self.k, self.dim, self.images = n, k, dim, images
+    def __init__(self, n: int, dim: int, images: dict):
+        self.n, self.dim, self.images = n, dim, images
 
     @property
     def identity(self):
-        d, k = self.dim // self.k, self.k
-        eye = np.zeros((d, k, k, self.n), dtype=np.int64)
-        eye[:, np.arange(k), np.arange(k), 0] = 1
-        return tuple(range(d)), eye, 1
+        eye = np.zeros((self.dim, self.dim, self.n), dtype=np.int64)
+        eye[np.arange(self.dim), np.arange(self.dim), 0] = 1
+        return eye, 1
 
     def mul(self, a, b):
-        (pa, ba, da), (pb, bb, db) = a, b
-        return tuple([pa[j] for j in pb]), ring_matmul(ba[list(pb)], bb, self.n), da * db
+        return ring_matmul(a[0], b[0], self.n), a[1] * b[1]
 
     def reduced(self, img):
-        """Blocks modulo Phi_n, blocks and den over their gcd: one per matrix."""
-        perm, blocks, den = img
-        red = reduce_cyclotomic(blocks, self.n)
+        """The array modulo Phi_n, array and den over their gcd: one per matrix."""
+        a, den = img
+        red = reduce_cyclotomic(a, self.n)
         g = math.gcd(den, *np.unique(red).tolist())
-        return perm, red // g, den // g
+        return red // g, den // g
 
     def is_identity(self, img) -> bool:
-        """perm is the identity and blocks = den * I modulo Phi_n."""
-        perm, blocks, den = img
-        red = reduce_cyclotomic(blocks, self.n)
+        """a = den * I modulo Phi_n."""
+        a, den = img
+        red = reduce_cyclotomic(a, self.n)
         want = np.zeros(red.shape, dtype=object)
-        want[:, np.arange(self.k), np.arange(self.k), 0] = den
-        return perm == tuple(range(len(perm))) and np.array_equal(red, want)
+        want[np.arange(self.dim), np.arange(self.dim), 0] = den
+        return np.array_equal(red, want)
 
     def dense(self, img) -> tuple[np.ndarray, int]:
-        perm, blocks, den = img
-        k = self.k
-        out = np.zeros((self.dim, self.dim, self.n), dtype=blocks.dtype)
-        for i, row in enumerate(perm):
-            out[row * k:(row + 1) * k, i * k:(i + 1) * k, :blocks.shape[-1]] = blocks[i]
-        return out, den
+        return img
 
     def assemble(self, plan, images) -> list:
         """Each boundary of a ``complexes.SpecializationPlan`` under the node
         ``images``, over the lcm of the terms' denominators."""
-        dense, out = {}, []
+        out, dim = [], self.dim
         for rows, cols, index, coeffs in plan.boundaries:
             terms = list(zip(*index.tolist(), coeffs.tolist()))  # (node, i, j, coeff)
-            den = math.lcm(1, *(images[w][2] for w, *_ in terms))
+            den = math.lcm(1, *(images[w][1] for w, *_ in terms))
             sums = {}
             for w, i, j, c in terms:
-                if w not in dense:
-                    dense[w] = self.dense(images[w])[0]
                 sums[i, j] = sums.get((i, j), 0) + \
-                    abs(c) * (den // images[w][2]) * max_abs(dense[w])
-            dim = self.dim
+                    abs(c) * (den // images[w][1]) * max_abs(images[w][0])
             a = np.zeros((rows * dim, cols * dim, self.n),
                          dtype=int_dtype(max(sums.values(), default=0)))
             for w, i, j, c in terms:
                 a[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] += \
-                    dense[w].astype(a.dtype) * (c * (den // images[w][2]))
+                    images[w][0].astype(a.dtype) * (c * (den // images[w][1]))
             out.append((a, den))
         return out
 
 
-def _dagger(img, n: int):
-    """Conjugate transpose: x^u -> x^-u on every entry, blocks transposed."""
-    perm, blocks, den = img
-    q = [0] * len(perm)
-    for i, row in enumerate(perm):
-        q[row] = i
-    conj = blocks[..., -np.arange(n) % n]
-    return tuple(q), np.swapaxes(conj[q], -3, -2), den
+def _monomial_columns(mats):
+    """(perm, entries) per matrix (rows) when each column holds one nonzero
+    entry and those rows form a permutation, else None."""
+    out = []
+    for rows in mats:
+        nonzero = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*rows)]
+        if any(len(col) != 1 for col in nonzero):
+            return None
+        perm = [col[0][0] for col in nonzero]
+        if len(set(perm)) != len(perm):
+            return None
+        out.append((perm, [col[0][1] for col in nonzero]))
+    return out
 
 
-def _lift_blocks(gens) -> _Blocks:
-    """Compile (perm, blocks of Cyclo entries) per generator; the images are
-    unitary, so their inverses are conjugate transposes."""
-    n = math.lcm(1, *(getattr(x, "conductor", 1) for _, blocks in gens
-                      for block in blocks for row in block for x in row))
-    d, k = len(gens[0][0]), len(gens[0][1][0])
-
-    def lift(perm, blocks):
-        a, den = lift_cyclo([row for block in blocks for row in block], n)
-        return tuple(perm), a.reshape(d, k, k, n), den
-
-    images = {}
-    for g, image in enumerate(gens):
-        images[g, 1] = lift(*image)
-        images[g, -1] = _dagger(images[g, 1], n)
-    return _Blocks(n, k, d * k, images)
-
-
-def _compile(dim: int, gens):
-    """The one image format, from (perm, Cyclo blocks by column) per generator:
-    1x1 roots of unity become exponents of x, anything else integer blocks."""
-    if not gens:
-        return _Monomial(1, dim, [])
-    if len(gens[0][1][0]) == 1:
-        # one lookup per distinct block: hashing Fraction coefficients is slow
-        entries = {id(b): b[0][0] for _, blocks in gens for b in blocks}
+def _compile(dim: int, mats):
+    """The one image rule, from one Cyclo matrix (rows) per generator: a
+    ``_Monomial`` when every column of every image holds one nonzero entry, a
+    root of unity, in rows that form a permutation; otherwise one integer
+    array [dim, dim, n] over a denominator per image (``_Dense``), whose
+    inverse is its conjugate transpose (x^u -> x^-u, transposed)."""
+    gens = _monomial_columns(mats)
+    if gens is not None:
+        # one lookup per distinct entry: hashing Fraction coefficients is slow
+        entries = {id(x): x for _, xs in gens for x in xs}
         root = {i: _roots_of_unity(x.conductor).get(x.coeffs) for i, x in entries.items()}
         if None not in root.values():
             n = math.lcm(*(m for m, _ in root.values()))
             exps = {i: e * (n // m) for i, (m, e) in root.items()}
-            return _Monomial(n, dim, [(perm, [exps[id(b)] for b in blocks])
-                                      for perm, blocks in gens])
-    return _lift_blocks(gens)
+            return _Monomial(n, dim, [(perm, [exps[id(x)] for x in xs]) for perm, xs in gens])
+    n = math.lcm(1, *(x.conductor for rows in mats for row in rows for x in row))
+    images = {}
+    for g, rows in enumerate(mats):
+        a, den = lift_cyclo(rows, n)
+        images[g, 1] = a, den
+        images[g, -1] = a[..., -np.arange(n) % n].transpose(1, 0, 2), den
+    return _Dense(n, dim, images)
 
 
 def _node_images(imgs, parents, letters) -> list:
@@ -405,16 +391,20 @@ def induce_rep(p: GroupPresentation, action: PermAction, sub_matrices,
     sub_rep = explicit_rep(sub, mats, dim=sub_dim)
     if not verify_rep(sub_rep):
         raise ValueError("sub-representation is not unitary or fails a rewritten relator")
-    identity = Matrix.identity(sub_dim, Cyclo.one(), Cyclo.zero()).entries
-    gens = []
+    zero, dim = Cyclo.zero(), action.degree * sub_dim
+    identity = Matrix.identity(sub_dim, Cyclo.one(), zero).entries
+    images = []
     for g in range(p.num_generators):
-        idxs = [data.pair_index[(i, g)] for i in range(action.degree)]
-        gens.append((action.generator_images[g],
-                     [identity if idx is None else mats[idx].entries for idx in idxs]))
+        rows = [[zero] * dim for _ in range(dim)]
+        for i, target in enumerate(action.generator_images[g]):
+            idx = data.pair_index[(i, g)]
+            for a, row in enumerate(identity if idx is None else mats[idx].entries):
+                rows[target * sub_dim + a][i * sub_dim:(i + 1) * sub_dim] = row
+        images.append(rows)
     # induction preserves unitarity and relator identities (checked
     # exhaustively in the test suite)
-    return UnitaryRep(p, action.degree * sub_dim, sub_rep.conductor, "induced",
-                      _compile(action.degree * sub_dim, gens), verified=True)
+    return UnitaryRep(p, dim, sub_rep.conductor, "induced", _compile(dim, images),
+                      verified=True)
 
 
 def explicit_rep(p: GroupPresentation, matrices, provenance: str = "explicit",
@@ -434,7 +424,7 @@ def explicit_rep(p: GroupPresentation, matrices, provenance: str = "explicit",
         raise ValueError("dim is required when the group has no generators")
     conductor = math.lcm(1, *(x.conductor for m in mats for row in m.entries for x in row))
     return UnitaryRep(p, dim, conductor, provenance,
-                      _compile(dim, [((0,), (m.entries,)) for m in mats]))
+                      _compile(dim, [m.entries for m in mats]))
 
 
 def quaternion_left_rep() -> UnitaryRep:

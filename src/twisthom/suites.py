@@ -24,6 +24,9 @@ from .reps import (UnitaryRep, explicit_rep, induce_rep,
                    torsion_characters, trivial_rep)
 
 MAX_FAILURE_DETAILS = 8
+H0_PAIRS = 200  # random presentations in the h0 suite
+LES_SPLITS = 100  # seeded splits in the les suite
+FREEPRODUCT_INDUCED = 50  # seeded induced reps in the freeproduct suite
 
 
 class SuiteReport:
@@ -108,11 +111,12 @@ def _diagonal_images(chars: list[UnitaryRep], num_generators: int) -> list[Matri
     """The generator images of the direct sum of the characters chars: one
     diagonal matrix per generator."""
     zero, dim = Cyclo.zero(), len(chars)
+    images = [c.generator_images for c in chars]  # each access rebuilds the matrices
     mats = []
     for g in range(num_generators):
         entries = [[zero] * dim for _ in range(dim)]
-        for i, c in enumerate(chars):
-            entries[i][i] = c.generator_images[g][0, 0]
+        for i, image in enumerate(images):
+            entries[i][i] = image[g][0, 0]
         mats.append(Matrix(dim, dim, entries))
     return mats
 
@@ -219,11 +223,11 @@ def _random_presentation(rng: random.Random) -> GroupPresentation:
     return GroupPresentation(gens, relators)
 
 
-def h0_suite(seed: int, count: int = 200) -> SuiteReport:
+def h0_suite(seed: int) -> SuiteReport:
     """Coinvariants model of H0 against the chain-level degree-0 homology."""
     rng = random.Random(seed)
     report = SuiteReport("h0")
-    for i in range(count):
+    for i in range(H0_PAIRS):
         p = _random_presentation(rng)
         rep = seeded_character(p, rng)
         cx = presentation_complex(p)
@@ -278,7 +282,7 @@ def _seeded_diag_rep(p: GroupPresentation, rng: random.Random, dim: int) -> Unit
     return explicit_rep(p, _diagonal_images(chars, p.num_generators), dim=dim)
 
 
-def les_suite(seed: int, count: int = 100) -> SuiteReport:
+def les_suite(seed: int) -> SuiteReport:
     """Euler additivity and exactness bounds across 0 -> W -> V -> V/W -> 0."""
     rng = random.Random(seed)
     report = SuiteReport("les")
@@ -286,7 +290,7 @@ def les_suite(seed: int, count: int = 100) -> SuiteReport:
     pool = [_circle_complex(), catalog_complex("torus2d").complex,
             catalog_complex("lens", [3, 1]).complex,
             presentation_complex(trefoil_group())]
-    for i in range(count):
+    for i in range(LES_SPLITS):
         cx = pool[i % len(pool)]
         rep = _seeded_diag_rep(cx.group, rng, rng.randint(1, 4))
 
@@ -329,7 +333,7 @@ def _free_product_t3_t3() -> EquivariantComplex:
     return presentation_complex(free_product(t3, t3))
 
 
-def freeproduct_suite(seed: int, induced_count: int = 50) -> SuiteReport:
+def freeproduct_suite(seed: int) -> SuiteReport:
     """(dims[0], dims[1]) never (0, 0) for the double 3-torus free product.
 
     Battery: all torsion characters (the trivial one only, since H1 is free),
@@ -351,7 +355,7 @@ def freeproduct_suite(seed: int, induced_count: int = 50) -> SuiteReport:
         run_rep(ch, f"character{i}")
     for i, action in enumerate(_cached_actions(p, 4)):
         run_rep(permutation_rep(p, action), f"perm{i}-deg{action.degree}")
-    for i, rep in enumerate(seeded_induced_reps(p, rng, induced_count)):
+    for i, rep in enumerate(seeded_induced_reps(p, rng, FREEPRODUCT_INDUCED)):
         run_rep(rep, f"induced{i}-dim{rep.dim}")
     return report
 

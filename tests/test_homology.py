@@ -386,22 +386,26 @@ def _assembled(c, dim, image):
 
 @functools.cache
 def _backend_reps():
-    """A permutation rep, an induced rep with rotated 2x2 blocks and a rotated
-    dense rep of pi1(T^3), and a 1x1 unitary non-root (3 + 4i)/5 of Z."""
+    """Reps of pi1(T^3): a permutation rep, an explicit diagonal rep, reps
+    induced from 2x2 diagonal and rotated blocks and a rotated dense rep;
+    and a 1x1 unitary non-root (3 + 4i)/5 of Z."""
     t3 = catalog_complex("t3").complex
     z4, z3 = (lambda e: Cyclo.root_of_unity(4, e)), (lambda e: Cyclo.root_of_unity(3, e))
     perm = permutation_rep(t3.group, PermAction(t3.group, [(1, 2, 0), (2, 0, 1), (0, 1, 2)]))
     action = PermAction(t3.group, [(1, 0), (0, 1), (1, 0)])
     sub, _ = reidemeister_schreier(t3.group, action)
     phis = integer_kernel_basis(sub.exponent_matrix().transpose())
-    blocks = _rotated([_diagonal([z4(phis[0][s]), z4(phis[1][s] + 2 * phis[2][s])])
-                       for s in range(sub.num_generators)], 2)
-    induced = induce_rep(t3.group, action, blocks, 2)
+    diagonals = [_diagonal([z4(phis[0][s]), z4(phis[1][s] + 2 * phis[2][s])])
+                 for s in range(sub.num_generators)]
+    induced = induce_rep(t3.group, action, _rotated(diagonals, 2), 2)
+    diagonal = explicit_rep(t3.group, [_diagonal([z4(a), -z3(b)])
+                                       for a, b in ((1, 0), (0, 1), (3, 2))])
     dense = explicit_rep(t3.group, _rotated(
         [_diagonal([z4(a), z3(b), Cyclo.one()]) for a, b in ((1, 0), (0, 1), (1, 2))], 3))
     non_root = explicit_rep(GroupPresentation(1), [[[Cyclo(4, [Fraction(3, 5), Fraction(4, 5)])]]])
-    return {"permutation": perm, "induced 2x2": induced, "dense": dense,
-            "non-root": non_root}
+    return {"permutation": perm, "diagonal": diagonal,
+            "induced diagonal": induce_rep(t3.group, action, diagonals, 2),
+            "induced 2x2": induced, "dense": dense, "non-root": non_root}
 
 
 def _block_diagonal(m: Matrix, copies: int) -> Matrix:
@@ -421,7 +425,10 @@ def _assembly_cases():
     dense rotated blocks."""
     backend = _backend_reps()
     t3 = catalog_complex("t3").complex
-    cases = [("t3", t3, name, backend[name]) for name in ("permutation", "induced 2x2", "dense")]
+    cases = [("t3", t3, name, backend[name])
+             for name in ("permutation", "diagonal", "induced diagonal", "induced 2x2", "dense")]
+    q8 = catalog_complex("quaternion_q8").complex
+    cases.append(("quaternion_q8", q8, "left", quaternion_left_rep()))
     z5, z7 = (lambda e: Cyclo.root_of_unity(5, e)), (lambda e: Cyclo.root_of_unity(7, e))
     fp = presentation_complex(free_product(t3.group, t3.group))
     cycle, swap, fixed = (1, 2, 0), (1, 0, 2), (0, 1, 2)
@@ -443,8 +450,7 @@ def _assembly_cases():
 
 
 def test_boundaries_match_independent_assembly(word_reference):
-    """Every compiled form (monomial, k x k blocks with denominators, dense)
-    gives the boundaries and ranks of a straight Cyclo assembly from reference
+    """Every compiled form (monomial, dense with denominators) gives the boundaries and ranks of a straight Cyclo assembly from reference
     word images and Bareiss ranks, on complexes whose words are single
     letters, share prefixes or are long chains; so do the ranks of the
     invariant subspace W, read off the dense rep's complex as
@@ -465,14 +471,17 @@ def test_boundaries_match_independent_assembly(word_reference):
         kinds[label, name] = (type(r.compiled).__name__, b.conductor, max(b.denominators))
     assert kinds == {
         ("t3", "permutation"): ("_Monomial", 1, 1),
-        ("t3", "induced 2x2"): ("_Blocks", 4, 25),
-        ("t3", "dense"): ("_Blocks", 12, 25),
+        ("t3", "diagonal"): ("_Monomial", 12, 1),
+        ("t3", "induced diagonal"): ("_Monomial", 4, 1),
+        ("t3", "induced 2x2"): ("_Dense", 4, 25),
+        ("t3", "dense"): ("_Dense", 12, 25),
+        ("quaternion_q8", "left"): ("_Monomial", 2, 1),
         ("t3 * t3", "permutation"): ("_Monomial", 1, 1),
         ("t3 * t3", "character"): ("_Monomial", 5, 1),
-        ("t3 * t3", "dense"): ("_Blocks", 5, 25 ** 4),  # dens multiply along a word
+        ("t3 * t3", "dense"): ("_Dense", 5, 25 ** 4),  # dens multiply along a word
         ("lens:7,2", "permutation"): ("_Monomial", 1, 1),
         ("lens:7,2", "character"): ("_Monomial", 7, 1),
-        ("lens:7,2", "dense"): ("_Blocks", 7, 25 ** 6)}
+        ("lens:7,2", "dense"): ("_Dense", 7, 25 ** 6)}
 
     t3 = catalog_complex("t3").complex
     reps = _backend_reps()
@@ -521,7 +530,7 @@ def _rep_and_word(draw):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_rep_and_word())
 def test_evaluate_word_matches_reference(word_reference, case):
-    """Compiled word images (monomial and block forms, with denominators and
+    """Compiled word images (monomial and dense forms, with denominators and
     non-root entries) equal plain Cyclo matrix products."""
     name, rep, w = case
     assert evaluate_word(rep, w) == word_reference(rep, w), (name, w)

@@ -110,8 +110,11 @@ MUTANTS = [
      lambda b, basis: [matrices.certified_rank(a, basis.shape[-1]) for a in b.boundaries],
      ASSERTED, [functools.partial(test_homology.test_subspace_dims_match_summands, base)
                 for base in ("lens:3,1", "trefoil_exterior")]),
-    ("_Blocks.reduced without its reduction", reps._Blocks, "reduced",
+    ("_Dense.reduced without its reduction", reps._Dense, "reduced",
      lambda self, img: img, ASSERTED, [_fixed_point_free_matches_reference_capped]),
+    ("monomial test keeps the first nonzero of a column", reps._monomial_columns, "__code__",
+     _edited(reps._monomial_columns, "if any(len(col) != 1 for col in nonzero):",
+             "if not all(nonzero):"), ASSERTED, [test_reps.test_verify_rep_examples]),
     ("every trie node multiplies from node 0", reps._node_images, "__code__",
      _edited(reps._node_images, "images[parent]", "images[0]"), homology.BoundaryError,
      [test_homology.test_boundaries_match_independent_assembly]),

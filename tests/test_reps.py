@@ -156,10 +156,12 @@ def test_verify_rep_examples():
     bad2 = explicit_rep(GroupPresentation(1, [word_power(0, 2)]),
                         [[[Cyclo.root_of_unity(3)]]])
     assert not verify_rep(bad2)
+    # two nonzeros in the first column: never read as a monomial image
+    assert not verify_rep(explicit_rep(GroupPresentation(1), [[[1, 0], [1, 1]]]))
 
 
 def test_verify_rep_rejects_on_both_image_forms():
-    """Non-unitary images and relator failures, on monomial and block images.
+    """Non-unitary images and relator failures, on monomial and dense images.
     (Monomial images are unitary by construction: roots of unity.)"""
     z = GroupPresentation(1)
     z3 = GroupPresentation(1, [word_power(0, 3)])
@@ -172,7 +174,8 @@ def test_verify_rep_rejects_on_both_image_forms():
     assert not _verify_rep_uncached(explicit_rep(z3, [rotation]))
     assert not _verify_rep_uncached(explicit_rep(z3, [[[Cyclo.root_of_unity(4)]]]))
     assert _verify_rep_uncached(explicit_rep(z3, [[[Cyclo.root_of_unity(3)]]]))
-    # a 2-cycle with identity blocks: only the permutation breaks x^3 = 1
+    # a 2-cycle, as an action and induced with identity blocks (both monomial):
+    # only the permutation breaks x^3 = 1
     swap = PermAction(z, [(1, 0)])
     one = Matrix.identity(2, Cyclo.one(), Cyclo.zero())
     for rep in (permutation_rep(z, swap), induce_rep(z, swap, [one], 2)):
@@ -191,9 +194,9 @@ def test_split_examples():
     s = invariant_coinvariant_split(torsion_characters(p5)[2])
     assert s.w_basis.shape == (1, 1, 5)
     assert decode_basis(s.w_basis)[0, 0] == Cyclo.root_of_unity(5, 2) - 1
-    d = explicit_rep(z, [[[1, 0], [0, -1]]])
+    d = explicit_rep(z, [[[1, 0], [0, -1]]])  # monomial at n = 2: x -> -1
     s = invariant_coinvariant_split(d)
-    assert s.w_basis.shape == (2, 1, 1)
+    assert s.w_basis.shape == (2, 1, 2)
     w = decode_basis(s.w_basis)
     assert not w[0, 0] and w[1, 0]  # W is the second axis
 
@@ -262,7 +265,7 @@ def test_fixed_point_free_cap():
 
 def test_fixed_point_free_matches_reference(fixed_point_battery):
     """The check on the compiled images equals the Cyclo BFS reference on
-    characters of Z/n (n <= 12), Q8's left and regular reps, dense block
+    characters of Z/n (n <= 12), Q8's left and regular reps, dense
     images (one fixed-point free generator whose square is not), an image
     of infinite order and an element cap."""
     for label, rep, cap, expected in fixed_point_battery:
