@@ -29,7 +29,7 @@ from fractions import Fraction
 from .complexes import EquivariantComplex
 from .groups import grading_weight, verify_grading
 from .homology import CrossCheckError, HomologyReport, twisted_homology
-from .matrices import Matrix, _divides, _primitive_part, _scale_sub, _snf_poly
+from .matrices import Matrix, _divides, _primitive_part, _snf_poly
 from .numbers import Laurent, cyclotomic_coeffs, euler_phi
 from .reps import UnitaryRep, character_from_grading
 
@@ -169,17 +169,21 @@ def _is_int_laurent(x) -> bool:
 
 
 def _composes_to_zero(a: list[list], b: list[list]) -> bool:
-    """a @ b == 0 exactly for integer Laurent rows a and b, summing only the
-    products of nonzero entries."""
-    cols = [[(k, y) for k, y in enumerate(col) if y] for col in zip(*b)]
+    """a @ b == 0 exactly for integer Laurent rows a and b, by sparse rows:
+    each nonzero a[i][k] times the nonzero entries of row k of b, its
+    coefficients summed per column and power of t of row i of the product."""
+    nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     for row in a:
-        for col in cols:
-            acc = None  # minus the entry of a @ b
-            for k, y in col:
-                if row[k]:
-                    acc = _scale_sub(1, acc, row[k], y)
-            if acc:
-                return False
+        acc = {}  # (column, power of t): coefficient, in this row of a @ b
+        for x, terms in zip(row, nonzero):
+            if x:
+                vx, cx = x
+                for j, (vy, cy) in terms:
+                    for e, p in enumerate(cx, vx + vy):
+                        for f, q in enumerate(cy, e):
+                            acc[j, f] = acc.get((j, f), 0) + p * q
+        if any(acc.values()):
+            return False
     return True
 
 

@@ -162,25 +162,31 @@ class SpecializationPlan:
     """What specializing a complex needs of the complex alone.
 
     ``parents`` and ``letters`` are the prefix trie of all boundary words
-    (``prefix_trie``).  ``boundaries[k]`` is (rows, cols, index, coeffs) for
-    boundary k: its shape, an int array [3, terms] holding the trie node of
-    each term's word, its row and its column, and the terms' coefficients
-    (int64, or Python ints where the boundary's entry bound leaves int64).
+    (``prefix_trie``), and ``ends`` the nodes that end a word, ascending:
+    the words' images are those nodes' images, in that order.
+    ``boundaries[k]`` is (rows, cols, index, coeffs) for boundary k: its
+    shape, an int array [3, terms] holding the position in ``ends`` of each
+    term's word, its row and its column, and the terms' coefficients (int64,
+    or Python ints where the boundary's entry bound leaves int64).
     """
 
-    __slots__ = ("parents", "letters", "boundaries")
+    __slots__ = ("parents", "letters", "ends", "boundaries")
 
     def __init__(self, c: EquivariantComplex):
         parents, letters, found = prefix_trie(w for b in c.boundaries for w in b.terms[3])
+        ends = tuple(sorted(set(found)))
+        position = {node: p for p, node in enumerate(ends)}
         boundaries, start = [], 0
         for b in c.boundaries:
             rows, cols, coeffs, words, bound = b.terms
             stop = start + len(words)
-            index = np.array([found[start:stop], rows, cols], dtype=np.int64)
+            index = np.array([[position[k] for k in found[start:stop]], rows, cols],
+                             dtype=np.int64)
             boundaries.append((b.rows, b.cols, index, np.array(coeffs, dtype=int_dtype(bound))))
             start = stop
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "ends", ends)
         object.__setattr__(self, "boundaries", tuple(boundaries))
 
     def __setattr__(self, *a):

@@ -10,10 +10,11 @@ the specialized complex of V itself (``subquotient_dims``).
 
 What specializing needs of the complex alone is compiled once per complex
 and kept on it (``complexes.specialization_plan``): the prefix trie of all
-boundary words, and per boundary the int arrays (node, row, col, coeff) of
-its terms.  A specialization takes one product per trie node
-(``reps._node_images``) and accumulates each boundary from those node
-images as an integer array [R, C, n], its numerator over Z[x]/(x^n - 1),
+boundary words with the nodes that end a word, and per boundary the int
+arrays (word, row, col, coeff) of its terms.  A specialization takes one
+product per trie node (``reps._node_images``) and accumulates each boundary
+from the images of the word-end nodes alone as an integer array [R, C, n],
+its numerator over Z[x]/(x^n - 1),
 kept in that assembled form.  Their reductions modulo Phi_n must multiply
 to exactly zero in Z[zeta_n], and a failure is a hard BoundaryError.  Ranks
 come from the certified split-prime routine ``matrices.certified_rank``,
@@ -23,6 +24,8 @@ wraps.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -48,12 +51,15 @@ class CrossCheckError(AssertionError):
 
 
 class HomologyReport:
-    """Per-degree twisted homology dimensions with the derived Euler number."""
+    """Per-degree twisted homology dimensions with the derived Euler number.
+
+    ``dims`` are read through ``operator.index``, so a float or a string
+    there is a TypeError."""
 
     __slots__ = ("dims", "euler", "acyclic")
 
     def __init__(self, dims):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(operator.index(d) for d in dims)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "euler", sum((-1) ** i * d for i, d in enumerate(dims)))
         object.__setattr__(self, "acyclic", all(d == 0 for d in dims))
@@ -82,13 +88,14 @@ class BlockComplex:
     ``boundaries[k]`` maps degree k+1 to degree k.  It is the assembled
     numerator, an integer array [rows, cols, n] over Z[x]/(x^n - 1) with n
     the ``conductor`` (x -> zeta_n), not reduced modulo Phi_n; the boundary
-    is that array over ``denominators[k]``.
+    is that array over ``denominators[k]``.  ``dims`` are read through
+    ``operator.index`` (TypeError for a float or a string).
     """
 
     __slots__ = ("dims", "boundaries", "conductor", "denominators")
 
     def __init__(self, dims, boundaries, conductor: int, denominators):
-        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
+        object.__setattr__(self, "dims", tuple(operator.index(d) for d in dims))
         object.__setattr__(self, "boundaries", tuple(boundaries))
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "denominators", tuple(denominators))
@@ -114,7 +121,8 @@ def specialize(c: EquivariantComplex, r: UnitaryRep) -> BlockComplex:
         raise ValueError("representation fails verification")
     imgs, plan = r.compiled, specialization_plan(c)
     n = imgs.n
-    assembled = imgs.assemble(plan, _node_images(imgs, plan.parents, plan.letters))
+    nodes = _node_images(imgs, plan.parents, plan.letters)
+    assembled = imgs.assemble(plan, [nodes[k] for k in plan.ends])
     reduced = [reduce_cyclotomic(a, n) for a, _ in assembled]
     for t in range(len(reduced) - 1):
         if reduce_cyclotomic(ring_matmul(reduced[t], reduced[t + 1], n), n).any():

@@ -15,7 +15,10 @@ on integers, with one elimination per ring:
 - Smith normal form over Z: ``smith_normal_form_int``, with U and V;
 - Smith normal form over Q[t, t^-1]: ``_snf_poly``, the diagonal alone, on
   integer Laurent polynomials (below): Python ints only, with exact integer
-  pseudo-division and no Fraction.  ``alexander`` feeds it the rows of
+  pseudo-division and no Fraction.  A unit pivot c t^v, the common case on
+  cover boundaries, clears its column by row operations and then drops its
+  row: no column operation is needed, since with the column clear it would
+  change that row alone.  ``alexander`` feeds it the rows of
   ``laurent_specialize`` and keeps the ``_primitive_part`` of each non-unit
   diagonal entry as a torsion polynomial.
 
@@ -462,10 +465,15 @@ def _primitive(xs: list) -> list:
     return [x and (x[0] - v, x[1] if g == 1 else tuple(q // g for q in x[1])) for x in xs]
 
 
+def _scaled(s: int, x):
+    """s x for an integer s and an integer Laurent polynomial x."""
+    return x if s == 1 or x is None else (x[0], tuple(s * a for a in x[1]))
+
+
 def _scale_sub(s: int, x, q, y):
     """s x - q y for an integer s and integer Laurent polynomials x, q, y."""
     if y is None:
-        return x if s == 1 or x is None else (x[0], tuple(s * a for a in x[1]))
+        return _scaled(s, x)
     (vq, cq), (vy, cy) = q, y
     p = [0] * (len(cq) + len(cy) - 1)
     for i, a in enumerate(cq):
@@ -535,18 +543,29 @@ def _snf_poly(a: list[list]) -> list:
     Every row and column is kept primitive: after each operation it is
     divided by the gcd of its coefficients and by the least power of t in it.
     Pivoting picks the entry of least degree span (ties by row, then column).
-    Entries of the pivot cross are reduced one at a time by pseudo-division
-    (the primitive polynomial remainder sequence: Knuth, TAOCP vol. 2, 4.6.1;
-    Brown, JACM 18, 1971), so all arithmetic is on Python ints.
 
-    A pivot that fails to divide its block takes in the row it fails on, and
-    the next pivot has a lower span: more such fix-ups at one position than
-    the span of its first pivot raise ArithmeticError instead of looping.
+    A unit pivot c t^v (span 1; cover boundaries are full of them) is found
+    by a row-major scan that stops at the first unit, which is that least
+    entry.  It clears its column with one row operation per nonzero entry
+    below it, and then its row is dropped: column k is zero below the pivot,
+    so clearing row k by column operations would change row k alone, and
+    the unit divides everything, so the diagonal entry stays.
+
+    Any other pivot reduces the entries of its cross one at a time by
+    pseudo-division (the primitive polynomial remainder sequence: Knuth,
+    TAOCP vol. 2, 4.6.1; Brown, JACM 18, 1971), so all arithmetic is on
+    Python ints.  It divides only while it is the least entry of its cross:
+    a smaller one is swapped in first, and the cross that comes with it is
+    read again before the next division.  A pivot that fails to divide its
+    block takes in the row it fails on, and the next pivot has a lower span:
+    more such fix-ups at one position than the span of its first pivot raise
+    ArithmeticError instead of looping.
     """
     nr, nc = len(a), len(a[0]) if a else 0
 
     def row_op(i, s, q, k):  # row i = s * row i - q * row k, made primitive
-        a[i] = _primitive([_scale_sub(s, x, q, y) for x, y in zip(a[i], a[k])])
+        a[i] = _primitive([_scale_sub(s, x, q, y) if y else _scaled(s, x)
+                           for x, y in zip(a[i], a[k])])
 
     def col_op(j, s, q, k):  # col j = s * col j - q * col k, made primitive
         for row, x in zip(a, _primitive([_scale_sub(s, row[j], q, row[k]) for row in a])):
@@ -561,6 +580,19 @@ def _snf_poly(a: list[list]) -> list:
 
     k, budget = 0, None
     while True:
+        unit = next(((i, j) for i in range(k, nr) for j, x in enumerate(a[i][k:], k)
+                     if x and len(x[1]) == 1), None)
+        if unit is not None:  # the least entry: clear its column, drop its row
+            i, j = unit
+            a[k], a[i] = a[i], a[k]
+            swap_cols(k, j)
+            head = a[k][k]
+            for i in range(k + 1, nr):
+                if a[i][k]:
+                    row_op(i, *_pseudo_quotient(a[i][k], head), k)
+            a[k][k + 1:] = [None] * (nc - k - 1)
+            k, budget = k + 1, None
+            continue
         block = [(len(a[i][j][1]), i, j) for i in range(k, nr) for j in range(k, nc) if a[i][j]]
         if not block:
             break
@@ -579,11 +611,12 @@ def _snf_poly(a: list[list]) -> list:
             if not cross:
                 break
             span, in_col, idx = min(cross)
-            if span < len(a[k][k][1]):
+            if span < len(a[k][k][1]):  # a new cross comes with the new pivot
                 if in_col:
                     swap_cols(k, idx)
                 else:
                     a[k], a[idx] = a[idx], a[k]
+                continue
             i = next((i for i in range(k + 1, nr) if a[i][k]), None)
             if i is not None:
                 row_op(i, *_pseudo_quotient(a[i][k], a[k][k]), k)

@@ -121,16 +121,20 @@ class _Monomial:
         return out, 1
 
     def assemble(self, plan, images) -> list:
-        """Each boundary of a ``complexes.SpecializationPlan`` under the node
-        ``images``, by one scatter of the terms' stacked images; den 1."""
+        """Each boundary of a ``complexes.SpecializationPlan`` under the
+        ``images`` of its words (one per ``plan.ends``), by one scatter of the
+        terms' stacked images; den 1."""
         d, n = self.dim, self.n
         perms = np.array([p for p, _ in images], dtype=np.int64).reshape(len(images), d)
-        exps = np.array([e for _, e in images], dtype=np.int64).reshape(len(images), d)
+        if n == 1:  # every exponent is 0
+            exps = np.zeros(perms.shape, dtype=np.int64)
+        else:
+            exps = np.array([e for _, e in images], dtype=np.int64).reshape(len(images), d)
         out = []
-        for rows, cols, (nodes, i, j), coeffs in plan.boundaries:
+        for rows, cols, (words, i, j), coeffs in plan.boundaries:
             a = np.zeros((rows * d, cols * d, n), dtype=coeffs.dtype)
-            np.add.at(a, (i[:, None] * d + perms[nodes], j[:, None] * d + np.arange(d),
-                          exps[nodes]), coeffs[:, None])
+            np.add.at(a, (i[:, None] * d + perms[words], j[:, None] * d + np.arange(d),
+                          exps[words]), coeffs[:, None])
             out.append((a, 1))
         return out
 
@@ -172,11 +176,12 @@ class _Dense:
         return img
 
     def assemble(self, plan, images) -> list:
-        """Each boundary of a ``complexes.SpecializationPlan`` under the node
-        ``images``, over the lcm of the terms' denominators."""
+        """Each boundary of a ``complexes.SpecializationPlan`` under the
+        ``images`` of its words (one per ``plan.ends``), over the lcm of the
+        terms' denominators."""
         out, dim = [], self.dim
         for rows, cols, index, coeffs in plan.boundaries:
-            terms = list(zip(*index.tolist(), coeffs.tolist()))  # (node, i, j, coeff)
+            terms = list(zip(*index.tolist(), coeffs.tolist()))  # (word, i, j, coeff)
             den = math.lcm(1, *(images[w][1] for w, *_ in terms))
             sums = {}
             for w, i, j, c in terms:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from oracles import Poly, decode_laurent, divides, encode_laurent, torsion_data
 
 from twisthom.alexander import (AcyclicityCertificate, FreeRankObstruction,
-                                GradingError, TorsionData, _monic_laurent,
-                                alexander_data, laurent_specialize,
+                                GradingError, TorsionData, _composes_to_zero,
+                                _monic_laurent, alexander_data, laurent_specialize,
                                 make_acyclic_fibered, select_root_of_unity,
                                 torsion_invariants, uct_dims)
 from twisthom.complexes import catalog_complex, cover_complex
@@ -384,3 +385,49 @@ def test_composition_check_can_fail(case):
     else:
         with pytest.raises(ValueError, match=r"d\d\.d\d != 0"):
             torsion_invariants([encode_laurent(m) for m in broken], cx.ranks)
+
+
+def _sparse_laurent(rng, rows, cols, density=0.4):
+    return Matrix(rows, cols, [[Poly({rng.randint(-2, 2): rng.choice((-2, -1, 1, 3))
+                                      for _ in range(rng.randint(1, 3))})
+                                if rng.random() < density else Poly()
+                                for _ in range(cols)] for _ in range(rows)])
+
+
+def _composes(a: Matrix, b: Matrix) -> bool:
+    return _composes_to_zero(encode_laurent(a).entries, encode_laurent(b).entries)
+
+
+def test_composes_to_zero_matches_the_matrix_product():
+    """The sparse d.d = 0 check against the oracle's Matrix product: on random
+    sparse pairs; on pairs a = [A, A M] and b = [M C; -C], whose product
+    vanishes only by cancellation across several k; and on those pairs with
+    one more column of a, holding one nonzero u in row i, and one more row
+    of b, holding one nonzero v in column j, so that the product is u v in
+    entry (i, j) alone."""
+    rng = random.Random(43)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        r, m, c = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        a, b = _sparse_laurent(rng, r, m), _sparse_laurent(rng, m, c, 0.3)
+        got = _composes(a, b)
+        assert got == (a @ b).is_zero()
+        seen[got] += 1
+    assert min(seen.values()) >= 10
+    for _ in range(60):
+        r, m, k, c = (rng.randint(1, 5) for _ in range(4))
+        a0, mm, cc = _sparse_laurent(rng, r, m, 0.6), _sparse_laurent(rng, m, k), \
+            _sparse_laurent(rng, k, c, 0.6)
+        am, mc = a0 @ mm, mm @ cc
+        a = Matrix(r, m + k, [ra + rb for ra, rb in zip(a0.entries, am.entries)])
+        b = Matrix(m + k, c, mc.entries + [[Poly() - x for x in row] for row in cc.entries])
+        assert (a @ b).is_zero()
+        assert _composes(a, b)
+        i, j = rng.randrange(r), rng.randrange(c)
+        u, v = _sparse_laurent(rng, 1, 1, 1)[0, 0], _sparse_laurent(rng, 1, 1, 1)[0, 0]
+        a1 = Matrix(r, m + k + 1, [row + [u if s == i else Poly()]
+                                   for s, row in enumerate(a.entries)])
+        b1 = Matrix(m + k + 1, c, b.entries + [[v if s == j else Poly() for s in range(c)]])
+        product = a1 @ b1
+        assert [(s, t) for s in range(r) for t in range(c) if product[s, t]] == [(i, j)]
+        assert not _composes(a1, b1)

@@ -20,8 +20,8 @@ from twisthom.complexes import (Boundary, EquivariantComplex, SpecializationPlan
 from twisthom.groups import (GroupPresentation, PermAction,
                              free_product, reidemeister_schreier,
                              transitive_actions, trivial_action, word_power)
-from twisthom.homology import (BoundaryError, GroupMismatchError,
-                               _subspace_ranks, coinvariants_h0,
+from twisthom.homology import (BlockComplex, BoundaryError, GroupMismatchError,
+                               HomologyReport, _subspace_ranks, coinvariants_h0,
                                connected_sum_dims, homology_dims,
                                shapiro_compare, specialize, subquotient_dims,
                                twisted_homology)
@@ -94,6 +94,21 @@ def test_homology_report_invariants():
     h = twisted_homology(lens, trivial_rep(lens.group, 2))
     assert h.euler == sum((-1) ** i * d for i, d in enumerate(h.dims))
     assert not h.acyclic
+
+
+@pytest.mark.parametrize("dim", [1.9, "2", 2.0], ids=["float", "string", "integral float"])
+def test_reported_dims_must_be_integers(dim):
+    """A dimension is an integer, not something int() would truncate or parse."""
+    with pytest.raises(TypeError):
+        HomologyReport([0, dim])
+    with pytest.raises(TypeError):
+        BlockComplex([dim], [], 1, [])
+
+
+def test_reported_dims_take_integer_types():
+    assert HomologyReport([np.int64(2), 0, True]).dims == (2, 0, 1)
+    assert type(HomologyReport([np.int64(2)]).dims[0]) is int
+    assert BlockComplex([np.int64(3), 1], [], 1, []).dims == (3, 1)
 
 
 def test_coinvariants_examples():

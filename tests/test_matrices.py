@@ -160,6 +160,80 @@ def test_snf_poly_random_200():
         _check_poly_snf(m)
 
 
+def _monomial(rng):
+    return Poly({rng.randint(-2, 2): rng.choice((-2, -1, 1, 2))})
+
+
+def _unit_rich(rng) -> Matrix:
+    """A 5x5 to 8x8 matrix shaped like a cover boundary: about half its
+    entries monomials +-c t^k, and a core of one to three binomials or
+    trinomials on the diagonal of its last rows, mixed into the rest by a few
+    elementary row and column operations by monomials; sometimes one row is
+    a monomial times another.  Its elimination runs a chain of unit steps,
+    then non-unit pivots, often with offender fix-ups."""
+    rows, cols = rng.randint(5, 8), rng.randint(5, 8)
+    t = Poly({1: 1})
+    core = rng.sample([t - 1, t + 1, t - 2, t * 2 - 1, t * t + 1, t * t - t + 1], rng.randint(1, 3))
+    a = [[_monomial(rng) if rng.random() < 0.5 else Poly() for _ in range(cols)]
+         for _ in range(rows)]
+    for i, p in enumerate(core):
+        a[rows - 1 - i] = [Poly()] * cols
+        a[rows - 1 - i][cols - 1 - i] = p
+    for _ in range(rng.randint(2, 5)):
+        i, j = rng.sample(range(rows), 2)
+        q = _monomial(rng)
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        i, j = rng.sample(range(cols), 2)
+        q = _monomial(rng)
+        for row in a:
+            row[i] = row[i] + q * row[j]
+    if rng.random() < 0.3:
+        i, j = rng.sample(range(rows), 2)
+        q = _monomial(rng)
+        a[i] = [q * y for y in a[j]]
+    rng.shuffle(a)
+    return Matrix(rows, cols, a)
+
+
+def test_snf_poly_unit_rich(monkeypatch):
+    """Cover boundaries reach 15x15 and are full of units; these matrices
+    take the unit step many times before the non-unit pivots and fix-ups,
+    and must still give the oracle's invariant factors."""
+    fixups = []
+    divides_poly = matrices._divides
+
+    def counting(b, a):
+        fixups.append(not divides_poly(b, a))
+        return not fixups[-1]
+
+    monkeypatch.setattr(matrices, "_divides", counting)
+    rng = random.Random(41)
+    factors = []
+    for _ in range(40):
+        m = _unit_rich(rng)
+        _check_poly_snf(m)
+        factors.append(invariant_factors(m))
+    assert any(fixups)
+    assert sum(any(not x for x in fs) for fs in factors) >= 5  # rank deficient
+    assert sum(any(x and x.degree() > 0 for x in fs) for fs in factors) >= 20  # torsion
+
+
+def test_snf_poly_pivot_stays_least_in_its_new_cross():
+    """When a column swap brings in a smaller entry of the cross, the elimination
+    re-chooses the pivot before it divides: it used to divide by the larger pivot
+    and fail with StopIteration."""
+    t = Poly({1: 1})
+    one = Poly({0: 1})
+    _check_poly_snf(Matrix(3, 3, [
+        [t - 1, Poly(), t * t * 2 - t * 2 - 1],
+        [t * t * t - t * 2 + 2, t * t + t - 1, Poly()],
+        [t - 1, Poly(), t * t * 2 - t * 2 + 1]]))
+    _check_poly_snf(Matrix(3, 3, [
+        [-one, t * t * t - t * t - t - 2, -(t * t * t - t * t - t - 2)],
+        [one, Poly(), Poly()],
+        [one, Poly(), one]]))
+
+
 def test_snf_poly_without_progress_raises(monkeypatch):
     """With a divisibility test that always fails, every pivot takes in an
     offending row forever; the progress guard raises instead, at once."""

@@ -17,6 +17,9 @@ Equivalent mutants, listed here because no check can kill them:
   the divisor, which makes every step of its division exact, and in
   ``_divides`` the remainder a - q b is zero exactly when b divides a,
   whatever q is.
+- dropping the pseudo-division remainder in the unit step of
+  ``matrices._snf_poly``: a unit divides every entry, so that remainder is
+  always zero.  (Dropped after a non-unit pivot, it is a row below.)
 """
 
 import __future__
@@ -31,6 +34,7 @@ import test_certified_rank
 import test_cli
 import test_complexes
 import test_homology
+import test_matrices
 import test_reps
 import test_suites
 import test_torsion_reference
@@ -69,12 +73,28 @@ def _fixed_point_free_matches_reference_capped(fixed_point_battery):
         [(label, rep, min(cap, 100), want) for label, rep, cap, want in fixed_point_battery])
 
 
+def _trefoil_covers_match_reference():
+    """test_covers_match_reference on the covers of the trefoil exterior
+    alone (degrees 2 to 7, ten covers), the first of its cases."""
+    for name, cx, phi in test_torsion_reference._covers():
+        if name.startswith("trefoil_exterior:"):
+            test_torsion_reference._assert_same(alexander.laurent_specialize(cx, phi), cx.ranks)
+
+
 # (probe, module, attribute, replacement, how a check dies, killing checks)
 MUTANTS = [
     ("no offender fix-up", matrices, "_divides", lambda b, a: True, ASSERTED,
      [test_torsion_reference.test_torsion_that_needs_the_divisibility_step]),
     ("_divides always False", matrices, "_divides", lambda b, a: False, ArithmeticError,
      [test_alexander.test_torsion_invariants_t3]),
+    ("unit pivot clears only the first row below it", matrices._snf_poly, "__code__",
+     _edited(matrices._snf_poly, "row_op(i, *_pseudo_quotient(a[i][k], head), k)",
+             "row_op(i, *_pseudo_quotient(a[i][k], head), k); break"), ASSERTED,
+     [test_matrices.test_snf_poly_random_200, _trefoil_covers_match_reference]),
+    ("pseudo-division remainder dropped", matrices._snf_poly, "__code__",
+     _edited(matrices._snf_poly, "row_op(i, *_pseudo_quotient(a[i][k], a[k][k]), k)",
+             "row_op(i, *_pseudo_quotient(a[i][k], a[k][k]), k); a[i][k] = None"),
+     ASSERTED, [test_matrices.test_snf_poly_random_200, _trefoil_covers_match_reference]),
     ("d.d = 0 check always passes", alexander, "_composes_to_zero", lambda a, b: True,
      ASSERTED, [test_alexander.test_torsion_invariants_rejects_non_complex]),
     ("Phi_n never divides in the root choice", alexander, "_divides",
