@@ -467,6 +467,9 @@ def transitive_actions(p: GroupPresentation, degree: int) -> list[PermAction]:
         ok = np.ones(len(sym), dtype=bool)
         for r in by_max.get(k, ()):
             ok &= kills(images, r)
+        if len(stab) == 1:  # a trivial stabilizer: every orbit is one point
+            stack.extend((images + [x], stab) for x in reversed(ok.nonzero()[0].tolist()))
+            continue
         seen = np.zeros(len(sym), dtype=bool)
         rows_stab, inv_stab = stab[:, None], inv[stab]
         children = []

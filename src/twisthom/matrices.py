@@ -14,13 +14,10 @@ on integers, with one elimination per ring:
   count, it raises ValueError;
 - Smith normal form over Z: ``smith_normal_form_int``, with U and V;
 - Smith normal form over Q[t, t^-1]: ``_snf_poly``, the diagonal alone, on
-  integer Laurent polynomials (below): Python ints only, with exact integer
-  pseudo-division and no Fraction.  A unit pivot c t^v, the common case on
-  cover boundaries, clears its column by row operations and then drops its
-  row: no column operation is needed, since with the column clear it would
-  change that row alone.  ``alexander`` feeds it the rows of
-  ``laurent_specialize`` and keeps the ``_primitive_part`` of each non-unit
-  diagonal entry as a torsion polynomial.
+  integer Laurent polynomials (below), in Python ints with exact integer
+  pseudo-division; a unit pivot c t^v clears its column and drops its row.
+  ``alexander`` keeps the ``_primitive_part`` of each non-unit diagonal
+  entry of ``laurent_specialize``'s rows as a torsion polynomial.
 
 ``Cyclo`` is the one scalar type read here, by ``lift_cyclo``.  Degenerate
 shapes (0 rows or columns) are legal everywhere and have rank 0.
@@ -221,27 +218,27 @@ def split_primes(n: int, count: int) -> list[tuple[int, int]]:
 
 
 def _rank_mod_p(m: np.ndarray, p: int) -> list[int]:
-    """Pivot columns over F_p, by elimination in place on the int64 residues
-    m; their count is the rank.  A row is cleared as pivot * row - head *
-    pivot_row, so no inverse is needed."""
-    rows, cols = m.shape
-    pivots: list[int] = []
-    for j in range(cols):
-        rank = len(pivots)
-        if rank == rows:
+    """Pivot columns over F_p of the int64 residues m (left unchanged), the
+    leads of an echelon basis {lead: rest of its row, scaled to lead 1}: the
+    first independent columns.  Each row, a dict {col: residue}, is reduced
+    by the basis, its lead dropped each step, until its lead is new or it is 0."""
+    basis: dict[int, dict[int, int]] = {}
+    for row in m.tolist():
+        v = {j: x for j, x in enumerate(row) if x}
+        while v:
+            lead = min(v)
+            f = v.pop(lead)
+            if lead not in basis:
+                inv = pow(f, -1, p)
+                basis[lead] = {j: x * inv % p for j, x in v.items()}
+                break
+            for j, x in basis[lead].items():  # v -= f * basis row, zeros dropped
+                v[j] = (v.get(j, 0) - f * x) % p
+                if not v[j]:
+                    del v[j]
+        if len(basis) == m.shape[1]:
             break
-        nz = m[rank:, j].nonzero()[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        # the swap moved a zero of column j to row piv, so one scan serves both
-        below = rank + nz[1:]
-        if below.size:
-            m[below, j:] = (m[below, j:] * m[rank, j] - m[below, j, None] * m[rank, j:]) % p
-        pivots.append(j)
-    return pivots
+    return sorted(basis)
 
 
 def _evaluate_mod_p(a: np.ndarray, p: int, r: int) -> np.ndarray:
@@ -546,10 +543,10 @@ def _snf_poly(a: list[list]) -> list:
 
     A unit pivot c t^v (span 1; cover boundaries are full of them) is found
     by a row-major scan that stops at the first unit, which is that least
-    entry.  It clears its column with one row operation per nonzero entry
-    below it, and then its row is dropped: column k is zero below the pivot,
-    so clearing row k by column operations would change row k alone, and
-    the unit divides everything, so the diagonal entry stays.
+    entry.  It clears its column with one exact row operation per nonzero
+    entry below it, and then its row is dropped: column k is zero below the
+    pivot, so clearing row k by column operations would change row k alone,
+    and the unit divides everything, so the diagonal entry stays.
 
     Any other pivot reduces the entries of its cross one at a time by
     pseudo-division (the primitive polynomial remainder sequence: Knuth,
@@ -586,10 +583,10 @@ def _snf_poly(a: list[list]) -> list:
             i, j = unit
             a[k], a[i] = a[i], a[k]
             swap_cols(k, j)
-            head = a[k][k]
+            v, (c,) = a[k][k]
             for i in range(k + 1, nr):
-                if a[i][k]:
-                    row_op(i, *_pseudo_quotient(a[i][k], head), k)
+                if x := a[i][k]:  # c x - (x t^-v) (c t^v) = 0
+                    row_op(i, c, (x[0] - v, x[1]), k)
             a[k][k + 1:] = [None] * (nc - k - 1)
             k, budget = k + 1, None
             continue

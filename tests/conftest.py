@@ -51,7 +51,7 @@ def fixed_point_battery():
     """(label, rep, element_cap, expected) for the fixed-point-free test;
     expected is True, False or ImageClosureError."""
     from twisthom.complexes import quaternion_presentation, quaternion_regular_action
-    from twisthom.groups import GroupPresentation, word_power
+    from twisthom.groups import GroupPresentation, word_from_ints, word_power
     from twisthom.matrices import Matrix
     from twisthom.numbers import Cyclo
     from twisthom.reps import (ImageClosureError, character_from_grading,
@@ -76,6 +76,13 @@ def fixed_point_battery():
     z5 = GroupPresentation(1, [word_power(0, 5)])
     g5 = Matrix(2, 2, [[Cyclo.root_of_unity(5, 1), zero], [zero, Cyclo.root_of_unity(5, 2)]])
     cases.append(("rotated diag(zeta_5, zeta_5^2) on Z/5", _rotated_copy(z5, [g5]), 10000, True))
+    # Z^2 by diag(zeta_3, zeta_3^2) and diag(zeta_3, zeta_3): both generators
+    # and their inverses fix nothing, their product fixes the second axis
+    z2 = GroupPresentation(2, [word_from_ints([1, 2, -1, -2])])
+    diagonal = [Matrix(2, 2, [[Cyclo.root_of_unity(3, 1), zero],
+                              [zero, Cyclo.root_of_unity(3, b)]]) for b in (2, 1)]
+    cases.append(("diag(zeta_3, zeta_3^2), diag(zeta_3, zeta_3) on Z^2",
+                  explicit_rep(z2, diagonal), 10000, False))
     # a rotation by an angle that is no rational multiple of pi
     z = GroupPresentation(1)
     rotation = explicit_rep(z, [[[Fraction(3, 5), Fraction(-4, 5)],

@@ -17,6 +17,9 @@ and Z[pi] and the division of Q[t, t^-1] live here:
 - ``matrix_rank``: fraction-free (Bareiss) elimination over Fraction/int,
   Cyclo or Laurent entries, with the exact division ``cyclo_div`` over
   Q(zeta_n);
+- ``rank_mod_p_reference``: pivot columns over F_p of an int64 residue
+  matrix by dense column-by-column numpy elimination without inverses, the
+  reference for the sparse ``matrices._rank_mod_p``;
 - ``det_int`` (Bareiss) and ``det_poly`` (cofactor expansion);
 - ``smith_normal_form_poly``: U A V = D over Q[t, t^-1] with both
   transforms, by elimination on A bordered with identities, and its own
@@ -38,6 +41,8 @@ and Z[pi] and the division of Q[t, t^-1] live here:
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from twisthom.alexander import TorsionData
 from twisthom.groups import (GroupRingElt, reidemeister_schreier, word_inverse,
@@ -230,6 +235,31 @@ def matrix_rank(m: Matrix) -> int:
         prev = p
         rank += 1
     return rank
+
+
+def rank_mod_p_reference(m: np.ndarray, p: int) -> list[int]:
+    """Pivot columns over F_p of the int64 residues m, by elimination on a
+    copy.  A row is cleared as pivot * row - head * pivot_row, so no inverse
+    is needed."""
+    m = m.copy()
+    rows, cols = m.shape
+    pivots: list[int] = []
+    for j in range(cols):
+        rank = len(pivots)
+        if rank == rows:
+            break
+        nz = m[rank:, j].nonzero()[0]
+        if nz.size == 0:
+            continue
+        piv = rank + int(nz[0])
+        if piv != rank:
+            m[[rank, piv]] = m[[piv, rank]]
+        # the swap moved a zero of column j to row piv, so one scan serves both
+        below = rank + nz[1:]
+        if below.size:
+            m[below, j:] = (m[below, j:] * m[rank, j] - m[below, j, None] * m[rank, j:]) % p
+        pivots.append(j)
+    return pivots
 
 
 def det_int(m: Matrix) -> int:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import matrix_rank
+from oracles import matrix_rank, rank_mod_p_reference
 from twisthom.complexes import Boundary, catalog_complex
 from twisthom.groups import PermAction, reidemeister_schreier
 from twisthom import matrices
@@ -117,6 +117,51 @@ def test_prime_count_follows_the_smaller_norm(monkeypatch):
         assert certified_rank(a, n) == 1
         assert counts == [2]
         assert certified_rank(red, n) == 1
+
+
+# the first split prime of n = 1 and of n = 12
+RESIDUE_PRIMES = (split_primes(1, 1)[0][0], split_primes(12, 1)[0][0])
+
+
+def _residue_matrix(rng, p: int, rows: int, cols: int, density: float,
+                    inner: int | None, small: bool) -> np.ndarray:
+    """A seeded int64 matrix of residues mod p: nonzero with probability
+    density, from {+-1, +-2} or from all of F_p; for an ``inner`` size, the
+    product mod p of two such factors, of rank at most inner.  About one row
+    and one column in five are then zeroed."""
+    def factor(r, c):
+        values = (rng.choice([1, 2, p - 2, p - 1], (r, c)) if small
+                  else rng.integers(1, p, (r, c)))
+        return np.where(rng.random((r, c)) < density, values, 0).astype(np.int64)
+
+    if inner is None:
+        m = factor(rows, cols)
+    else:  # in Python ints: a sum of products of residues overflows int64
+        m = (factor(rows, inner).astype(object) @ factor(inner, cols).astype(object)
+             % p).astype(np.int64)
+    m[rng.random(rows) < 0.2] = 0
+    m[:, rng.random(cols) < 0.2] = 0
+    return m
+
+
+def _assert_kernel_matches_reference(m: np.ndarray, p: int):
+    before = m.copy()
+    assert matrices._rank_mod_p(m, p) == rank_mod_p_reference(m, p)
+    assert np.array_equal(m, before), "the kernel changed its input"
+
+
+@SETTINGS
+@given(st.sampled_from(RESIDUE_PRIMES), st.integers(0, 30), st.integers(0, 30),
+       st.sampled_from((0.05, 0.25, 1.0)), st.booleans(), st.booleans(),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_rank_mod_p_matches_reference_loop(p, rows, cols, density, small, low_rank,
+                                           seed, data):
+    """The sparse echelon kernel finds the pivots of the dense column loop on
+    sparse, dense and low-rank residue matrices up to 30 x 30, with zero
+    rows and columns, and leaves its input as it was."""
+    inner = data.draw(st.integers(0, min(rows, cols))) if low_rank else None
+    m = _residue_matrix(np.random.default_rng(seed), p, rows, cols, density, inner, small)
+    _assert_kernel_matches_reference(m, p)
 
 
 def test_rank_of_huge_entries_uses_python_ints():

@@ -17,9 +17,6 @@ Equivalent mutants, listed here because no check can kill them:
   the divisor, which makes every step of its division exact, and in
   ``_divides`` the remainder a - q b is zero exactly when b divides a,
   whatever q is.
-- dropping the pseudo-division remainder in the unit step of
-  ``matrices._snf_poly``: a unit divides every entry, so that remainder is
-  always zero.  (Dropped after a non-unit pivot, it is a row below.)
 """
 
 import __future__
@@ -27,6 +24,7 @@ import functools
 import inspect
 import textwrap
 
+import numpy as np
 import pytest
 
 import test_alexander
@@ -81,6 +79,18 @@ def _trefoil_covers_match_reference():
             test_torsion_reference._assert_same(alexander.laurent_specialize(cx, phi), cx.ranks)
 
 
+def _rank_mod_p_matches_reference_seeded():
+    """test_rank_mod_p_matches_reference_loop on 120 fixed seeded matrices:
+    a mutant fails it at once, with no shrinking."""
+    rng = np.random.default_rng(0)
+    for i in range(120):
+        p = test_certified_rank.RESIDUE_PRIMES[i % 2]
+        rows, cols = (int(x) for x in rng.integers(1, 31, 2))
+        inner = int(rng.integers(0, min(rows, cols) + 1)) if i % 3 == 0 else None
+        test_certified_rank._assert_kernel_matches_reference(test_certified_rank._residue_matrix(
+            rng, p, rows, cols, (0.05, 0.25, 1.0)[i // 3 % 3], inner, i % 4 == 1), p)
+
+
 # (probe, module, attribute, replacement, how a check dies, killing checks)
 MUTANTS = [
     ("no offender fix-up", matrices, "_divides", lambda b, a: True, ASSERTED,
@@ -88,8 +98,8 @@ MUTANTS = [
     ("_divides always False", matrices, "_divides", lambda b, a: False, ArithmeticError,
      [test_alexander.test_torsion_invariants_t3]),
     ("unit pivot clears only the first row below it", matrices._snf_poly, "__code__",
-     _edited(matrices._snf_poly, "row_op(i, *_pseudo_quotient(a[i][k], head), k)",
-             "row_op(i, *_pseudo_quotient(a[i][k], head), k); break"), ASSERTED,
+     _edited(matrices._snf_poly, "row_op(i, c, (x[0] - v, x[1]), k)",
+             "row_op(i, c, (x[0] - v, x[1]), k); break"), ASSERTED,
      [test_matrices.test_snf_poly_random_200, _trefoil_covers_match_reference]),
     ("pseudo-division remainder dropped", matrices._snf_poly, "__code__",
      _edited(matrices._snf_poly, "row_op(i, *_pseudo_quotient(a[i][k], a[k][k]), k)",
@@ -141,6 +151,13 @@ MUTANTS = [
     ("block width dim for w in subquotient_dims", homology.subquotient_dims, "__code__",
      _edited(homology.subquotient_dims, "cells * w - ranks[i]", "cells * r.dim - ranks[i]"),
      ASSERTED, [functools.partial(test_homology.test_subspace_dims_match_summands, "lens:3,1")]),
+    ("fixed-point check ranks only the generators' images", reps.fixed_point_free_check,
+     "__code__", _edited(reps.fixed_point_free_check, "list(seen.values())[1:]",
+                         "[imgs.images[g, 1] for g in range(r.group.num_generators)]"),
+     ASSERTED, [_fixed_point_free_matches_reference_capped]),
+    ("echelon basis rows not scaled to lead 1", matrices._rank_mod_p, "__code__",
+     _edited(matrices._rank_mod_p, "x * inv % p", "x"), ASSERTED,
+     [_rank_mod_p_matches_reference_seeded]),
     ("split check rank T = dim W dropped", reps.invariant_coinvariant_split, "__code__",
      _edited(reps.invariant_coinvariant_split, "if certified_rank(tall, n) != w:", "if False:"),
      ASSERTED, [functools.partial(test_reps.test_split_refuses_non_unitary_reps,

@@ -266,8 +266,9 @@ def test_fixed_point_free_cap():
 def test_fixed_point_free_matches_reference(fixed_point_battery):
     """The check on the compiled images equals the Cyclo BFS reference on
     characters of Z/n (n <= 12), Q8's left and regular reps, dense
-    images (one fixed-point free generator whose square is not), an image
-    of infinite order and an element cap."""
+    images (one fixed-point free generator whose square is not), two
+    fixed-point free generators whose product is not, an image of infinite
+    order and an element cap."""
     for label, rep, cap, expected in fixed_point_battery:
         answers = []
         for check in (fixed_point_free_check, fixed_point_free_reference):
