@@ -426,10 +426,14 @@ def transitive_actions(p: GroupPresentation, degree: int) -> list[PermAction]:
     S_d is one array ``sym[d!, d]`` in lexicographic order, and perms are its
     row indices.  A relator is evaluated on all d! candidates for its largest
     generator at once, one gather per letter; as it is checked exactly there,
-    the leaves need no second check.
+    the leaves need no second check.  Within one call, each relator's mask is
+    computed once per tuple of the other images it reads, and each orbit
+    split once per (stabilizer, candidate mask).
     """
     if degree < 1:
         return []
+    if p.num_generators == 0:
+        return [PermAction._trusted(p, 1, (), ())] if degree == 1 else []
     perm_tuples = list(itertools.permutations(range(degree)))
     sym = np.array(perm_tuples, dtype=np.intp)
     inv = np.argsort(sym, axis=1)
@@ -440,11 +444,13 @@ def transitive_actions(p: GroupPresentation, degree: int) -> list[PermAction]:
     start = np.broadcast_to(identity, sym.shape)
     rows = np.arange(len(sym))[:, None]
     perms = {1: sym, -1: inv}
-    by_max: dict[int, list[Word]] = {}
+    # per level k: (relator, the generators below k that it reads)
+    by_max: dict[int, list[tuple[Word, tuple[int, ...]]]] = {}
     for r in p.relators:
-        by_max.setdefault(max(g for g, _ in r), []).append(r)
-
-    out: list[PermAction] = []
+        k = max(g for g, _ in r)
+        by_max.setdefault(k, []).append((r, tuple(sorted({g for g, _ in r} - {k}))))
+    masks: dict[tuple, np.ndarray] = {}
+    splits: dict[tuple[bytes, bytes], list] = {}
 
     def kills(images: list[int], r: Word) -> np.ndarray:
         k, cur = len(images), start
@@ -452,35 +458,50 @@ def transitive_actions(p: GroupPresentation, degree: int) -> list[PermAction]:
             cur = cur[rows, perms[e]] if g == k else cur[..., perms[e][images[g]]]
         return (cur == identity).all(axis=1)
 
+    out: list[PermAction] = []
+    last = p.num_generators - 1
     # depth first with an explicit stack (children pushed in reverse keep the
     # order); a self-calling closure would leave a reference cycle behind
     stack = [([], np.arange(len(sym)))]
     while stack:
         images, stab = stack.pop()
         k = len(images)
-        if k == p.num_generators:
-            gens = tuple([perm_tuples[i] for i in images])
-            if _transitive(gens, degree):
-                out.append(PermAction._trusted(
-                    p, degree, gens, tuple([perm_tuples[inverse[i]] for i in images])))
-            continue
         ok = np.ones(len(sym), dtype=bool)
-        for r in by_max.get(k, ()):
-            ok &= kills(images, r)
+        for r, others in by_max.get(k, ()):
+            key = (r, tuple([images[g] for g in others]))
+            mask = masks.get(key)
+            if mask is None:
+                mask = masks[key] = kills(images, r)
+            ok &= mask
         if len(stab) == 1:  # a trivial stabilizer: every orbit is one point
-            stack.extend((images + [x], stab) for x in reversed(ok.nonzero()[0].tolist()))
+            children = [(x, stab) for x in ok.nonzero()[0].tolist()]
+        else:
+            # (least x of each stab-orbit of the candidates, its stabilizer)
+            key = (stab.tobytes(), ok.tobytes())
+            children = splits.get(key)
+            if children is None:
+                children = splits[key] = []
+                seen = np.zeros(len(sym), dtype=bool)
+                rows_stab, inv_stab = stab[:, None], inv[stab]
+                for x in ok.nonzero()[0].tolist():
+                    if seen[x]:
+                        continue
+                    # the conjugates g x g^-1 over the stabilizer, as row indices
+                    orbit = keys.searchsorted(sym[rows_stab, sym[x][inv_stab]] @ weights)
+                    seen[orbit] = True
+                    children.append((x, stab[orbit == x]))
+        if k < last:
+            stack.extend((images + [x], s) for x, s in reversed(children))
             continue
-        seen = np.zeros(len(sym), dtype=bool)
-        rows_stab, inv_stab = stab[:, None], inv[stab]
-        children = []
-        for x in ok.nonzero()[0].tolist():
-            if seen[x]:
-                continue
-            # the conjugates g x g^-1 over the stabilizer, as row indices
-            orbit = keys.searchsorted(sym[rows_stab, sym[x][inv_stab]] @ weights)
-            seen[orbit] = True
-            children.append((images + [x], stab[orbit == x]))
-        stack.extend(reversed(children))
+        # the last generator: its children are the leaves, in order
+        gens = tuple([perm_tuples[i] for i in images])
+        invs = tuple([perm_tuples[inverse[i]] for i in images])
+        transitive = _transitive(gens, degree)
+        for x, _ in children:
+            images_x = gens + (perm_tuples[x],)
+            if transitive or _transitive(images_x, degree):
+                out.append(PermAction._trusted(
+                    p, degree, images_x, invs + (perm_tuples[inverse[x]],)))
     return out
 
 

@@ -270,6 +270,10 @@ def test_transitive_actions_match_brute_force():
     _assert_matches_oracle(GroupPresentation(1, [word_power(0, 6)]), 4)
     _assert_matches_oracle(catalog_complex("trefoil_exterior").complex.group, 4)
     _assert_matches_oracle(catalog_complex("t3").complex.group, 3)
+    # a relator that reads two images besides the one being chosen
+    _assert_matches_oracle(GroupPresentation(3, [word_from_ints([1, 2, 3, -1, -2, -3])]), 4)
+    # the same mask (the involutions) meets the full S_d and smaller stabilizers
+    _assert_matches_oracle(GroupPresentation(3, [word_power(g, 2) for g in range(3)]), 4)
 
 
 @st.composite

@@ -31,6 +31,7 @@ import test_alexander
 import test_certified_rank
 import test_cli
 import test_complexes
+import test_groups
 import test_homology
 import test_matrices
 import test_reps
@@ -131,6 +132,13 @@ MUTANTS = [
      lambda a, b, n: 0 * matrices.ring_matmul(a, b, n), ASSERTED,
      [test_homology.test_specialize_dd_hard_error,
       test_complexes.test_validate_complex_negative_control]),
+    ("relator mask memoized by the relator alone", groups.transitive_actions, "__code__",
+     _edited(groups.transitive_actions, "key = (r, tuple([images[g] for g in others]))",
+             "key = (r,)"), ASSERTED, [test_groups.test_transitive_actions_match_brute_force]),
+    ("orbit split memoized without its stabilizer", groups.transitive_actions, "__code__",
+     _edited(groups.transitive_actions, "key = (stab.tobytes(), ok.tobytes())",
+             "key = ok.tobytes()"), ASSERTED,
+     [test_groups.test_transitive_actions_match_brute_force]),
     ("cover term walk starts every word at the basepoint", groups.SchreierData, "walk",
      lambda self, w, start: _WALK(self, w, 0), ASSERTED,
      [test_complexes.test_cover_complex_matches_cell_walking_reference]),
