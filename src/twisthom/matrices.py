@@ -117,15 +117,37 @@ def max_abs(a: np.ndarray) -> int:
 
 def ring_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Matrix products over Z[x]/(x^n - 1), batched over leading axes:
-    a[..., i, k, m] @ b[..., k, j, m'] (m, m' <= n) -> [..., i, j, n], as one
-    integer matmul per power x^s that occurs in a, added in at x^s times."""
+    a[..., i, k, m] @ b[..., k, j, m'] (m, m' <= n) -> [..., i, j, n].
+
+    Only the powers x^s with a nonzero coefficient somewhere in a are
+    multiplied, one integer matmul each.  The product's m' coefficients go
+    to x^s .. x^(s+m'-1) as one contiguous slice, and those past x^(n-1)
+    wrap round to x^0 as a second slice.  A first product at x^0 with m' = n
+    is the output itself, so a single-coefficient a over n = 1 is one matmul.
+    An all-zero a multiplies nothing: a boundary that specializes to 0 (d1
+    of t3 under a trivial rep of dim 1024) would otherwise cost a full
+    [1024, 3072] @ [3072, 3072] integer product."""
     (k, j), m = b.shape[-3:-1], b.shape[-1]
-    dtype = int_dtype(max_abs(a) * max_abs(b) * k * n)
+    sizes = np.abs(a.reshape(-1, a.shape[-1])).max(axis=0, initial=0).tolist()
+    powers = [s for s, x in enumerate(sizes) if x]
+    if not powers:
+        return np.zeros(np.broadcast_shapes(a.shape[:-3], b.shape[:-3]) + (a.shape[-3], j, n),
+                        np.int64)
+    dtype = int_dtype(max(sizes) * max_abs(b) * k * n)
     a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
     flat = b.reshape(b.shape[:-2] + (j * m,))
-    out = np.zeros(np.broadcast_shapes(a.shape[:-3], b.shape[:-3]) + (a.shape[-3], j, n), dtype)
-    for s in np.flatnonzero(a.reshape(-1, a.shape[-1]).any(axis=0)):
-        out[..., (s + np.arange(m)) % n] += (a[..., s] @ flat).reshape(out.shape[:-1] + (m,))
+    out = None
+    for s in powers:
+        prod = a[..., s] @ flat
+        prod = prod.reshape(prod.shape[:-1] + (j, m))
+        if out is None:
+            if s == 0 and m == n:
+                out = prod
+                continue
+            out = np.zeros(prod.shape[:-1] + (n,), dtype)
+        out[..., s:s + m] += prod[..., :n - s]
+        if s + m > n:
+            out[..., :s + m - n] += prod[..., n - s:]
     return out
 
 
@@ -220,21 +242,34 @@ def split_primes(n: int, count: int) -> list[tuple[int, int]]:
 def _rank_mod_p(m: np.ndarray, p: int) -> list[int]:
     """Pivot columns over F_p of the int64 residues m (left unchanged), the
     leads of an echelon basis {lead: rest of its row, scaled to lead 1}: the
-    first independent columns.  Each row, a dict {col: residue}, is reduced
-    by the basis, its lead dropped each step, until its lead is new or it is 0."""
+    first independent columns.
+
+    The rows are dicts {col: residue} built from the nonzero entries of m
+    alone, in row order; zero rows are never built.  Each row is reduced by
+    the basis, its lead dropped each step, until its lead is new or it is 0.
+    A row whose new lead is already 1 is stored as it stands, with no
+    inverse taken and no entry rescaled.  Each updated entry's residue is
+    computed once, and dropped when it is 0."""
+    rows: dict[int, dict[int, int]] = {}
+    r, c = m.nonzero()
+    for i, j, x in zip(r.tolist(), c.tolist(), m[r, c].tolist()):
+        rows.setdefault(i, {})[j] = x
     basis: dict[int, dict[int, int]] = {}
-    for row in m.tolist():
-        v = {j: x for j, x in enumerate(row) if x}
+    for v in rows.values():
         while v:
             lead = min(v)
             f = v.pop(lead)
             if lead not in basis:
-                inv = pow(f, -1, p)
-                basis[lead] = {j: x * inv % p for j, x in v.items()}
+                if f != 1:
+                    inv = pow(f, -1, p)
+                    v = {j: x * inv % p for j, x in v.items()}
+                basis[lead] = v
                 break
             for j, x in basis[lead].items():  # v -= f * basis row, zeros dropped
-                v[j] = (v.get(j, 0) - f * x) % p
-                if not v[j]:
+                y = (v.get(j, 0) - f * x) % p
+                if y:
+                    v[j] = y
+                else:
                     del v[j]
         if len(basis) == m.shape[1]:
             break
@@ -243,9 +278,9 @@ def _rank_mod_p(m: np.ndarray, p: int) -> list[int]:
 
 def _evaluate_mod_p(a: np.ndarray, p: int, r: int) -> np.ndarray:
     """The image of a[R, C, m] under zeta_n -> r in F_p, as an int64 matrix."""
-    a = (a % p).astype(np.int64)
     if a.shape[-1] == 1:
-        return a[..., 0]
+        return (a[..., 0] % p).astype(np.int64, copy=False)
+    a = (a % p).astype(np.int64)
     powers = np.array([pow(r, i, p) for i in range(a.shape[-1])], dtype=np.int64)
     return (a * powers % p).sum(axis=-1) % p
 
@@ -268,11 +303,15 @@ def _entry_bounds(a: np.ndarray, red: np.ndarray) -> np.ndarray:
 
 def _hadamard_bits(l1: np.ndarray) -> float:
     """log2 of H = prod over nonzero rows of ||row of l1||_2 for entry bounds
-    l1[R, C]: |sigma(M)| <= H for every minor M by Hadamard's inequality."""
+    l1[R, C]: |sigma(M)| <= H for every minor M by Hadamard's inequality.
+
+    Each bound is the L1 norm of an integer vector, so a nonzero one is at
+    least 1 and so is the squared norm of a nonzero row.  Taking log2 of
+    max(squared norm, 1) therefore adds exactly 0 for each zero row and
+    leaves every other term as it was, with no filtering of the rows."""
     if l1.dtype == object:
         return sum(0.5 * math.log2(s) for s in (sum(x * x for x in row) for row in l1.tolist()) if s)
-    sq = (l1 * l1).sum(axis=1)
-    return float(0.5 * np.log2(sq[sq > 0]).sum())
+    return float(0.5 * np.log2(np.maximum(np.einsum("ij,ij->i", l1, l1), 1)).sum())
 
 
 def certified_pivots(a: np.ndarray, n: int) -> list[int]:

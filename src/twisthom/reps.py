@@ -31,6 +31,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -104,8 +105,8 @@ class _Monomial:
 
     def mul(self, a, b):
         (pa, ea), (pb, eb), n = a, b, self.n
-        if n == 1:  # every exponent is 0
-            return tuple([pa[j] for j in pb]), ea
+        if n == 1:  # every exponent is 0; below dim 2 pa is the only permutation
+            return (itemgetter(*pb)(pa) if self.dim > 1 else pa), ea
         return tuple([pa[j] for j in pb]), tuple([(ea[j] + e) % n for j, e in zip(pb, eb)])
 
     def is_identity(self, img) -> bool:

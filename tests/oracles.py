@@ -20,6 +20,9 @@ and Z[pi] and the division of Q[t, t^-1] live here:
 - ``rank_mod_p_reference``: pivot columns over F_p of an int64 residue
   matrix by dense column-by-column numpy elimination without inverses, the
   reference for the sparse ``matrices._rank_mod_p``;
+- ``ring_matmul_reference``: matrix products over Z[x]/(x^n - 1) as explicit
+  cyclic convolutions in Python ints, the reference for
+  ``matrices.ring_matmul``;
 - ``det_int`` (Bareiss) and ``det_poly`` (cofactor expansion);
 - ``smith_normal_form_poly``: U A V = D over Q[t, t^-1] with both
   transforms, by elimination on A bordered with identities, and its own
@@ -260,6 +263,26 @@ def rank_mod_p_reference(m: np.ndarray, p: int) -> list[int]:
             m[below, j:] = (m[below, j:] * m[rank, j] - m[below, j, None] * m[rank, j:]) % p
         pivots.append(j)
     return pivots
+
+
+def ring_matmul_reference(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """a[..., i, k, m] @ b[..., k, j, m'] over Z[x]/(x^n - 1) as an object
+    array [..., i, j, n]: entry (i, j) is the sum over k, s and t of
+    a[i, k, s] b[k, j, t] x^((s + t) mod n), in Python ints, with the
+    leading axes broadcast against each other."""
+    lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
+    a = np.broadcast_to(a, lead + a.shape[-3:])
+    b = np.broadcast_to(b, lead + b.shape[-3:])
+    out = np.zeros(lead + (a.shape[-3], b.shape[-2], n), dtype=object)
+    for index in np.ndindex(*out.shape[:-1]):
+        *batch, i, j = index
+        acc = [0] * n
+        for k in range(a.shape[-2]):
+            for s, x in enumerate(a[(*batch, i, k)].tolist()):
+                for t, y in enumerate(b[(*batch, k, j)].tolist()):
+                    acc[(s + t) % n] += x * y
+        out[index] = acc
+    return out
 
 
 def det_int(m: Matrix) -> int:

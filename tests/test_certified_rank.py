@@ -144,6 +144,21 @@ def _residue_matrix(rng, p: int, rows: int, cols: int, density: float,
     return m
 
 
+def _perm_block_residues(rng, p: int, block_rows: int, block_cols: int, d: int = 4):
+    """A seeded residue matrix of d x d blocks, each 0 or I - P for a random
+    permutation matrix P (entries 1 and p - 1): the shape of the boundaries
+    of pi1(T^3) * pi1(T^3) under its permutation reps of degree 4, 4 x 24
+    for d1 and 24 x 24 for d2."""
+    m = np.zeros((block_rows * d, block_cols * d), dtype=np.int64)
+    for i in range(block_rows):
+        for j in range(block_cols):
+            if rng.random() < 0.5:
+                block = np.eye(d, dtype=np.int64)
+                block[np.arange(d), rng.permutation(d)] -= 1
+                m[i * d:(i + 1) * d, j * d:(j + 1) * d] = block % p
+    return m
+
+
 def _assert_kernel_matches_reference(m: np.ndarray, p: int):
     before = m.copy()
     assert matrices._rank_mod_p(m, p) == rank_mod_p_reference(m, p)
@@ -158,9 +173,15 @@ def test_rank_mod_p_matches_reference_loop(p, rows, cols, density, small, low_ra
                                            seed, data):
     """The sparse echelon kernel finds the pivots of the dense column loop on
     sparse, dense and low-rank residue matrices up to 30 x 30, with zero
-    rows and columns, and leaves its input as it was."""
-    inner = data.draw(st.integers(0, min(rows, cols))) if low_rank else None
-    m = _residue_matrix(np.random.default_rng(seed), p, rows, cols, density, inner, small)
+    rows and columns, and on sparse +-1 matrices of blocks I - P, 4 x 24 and
+    24 x 24, and leaves its input as it was."""
+    rng = np.random.default_rng(seed)
+    blocks = data.draw(st.sampled_from((None, (1, 6), (6, 6))))
+    if blocks is not None:
+        m = _perm_block_residues(rng, p, *blocks)
+    else:
+        inner = data.draw(st.integers(0, min(rows, cols))) if low_rank else None
+        m = _residue_matrix(rng, p, rows, cols, density, inner, small)
     _assert_kernel_matches_reference(m, p)
 
 

@@ -296,8 +296,12 @@ def test_rep_file_conductor_must_match_entries(tmp_path, capsys):
 
 
 def test_largest_trivial_dimension_is_admitted(tmp_path):
+    """d1 of t3 specializes to 0 under a trivial rep, so its d.d = 0 product
+    must cost nothing; multiplying the zero block out takes minutes."""
+    start = time.perf_counter()
     code, data = run_cli(tmp_path, "homology", "--catalog", "t3", "--trivial", str(MAX_DIM))
     assert code == 0 and data["dims"] == [MAX_DIM, 3 * MAX_DIM, 3 * MAX_DIM, MAX_DIM]
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("source", ["trivial", "rep file"])

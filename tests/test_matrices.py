@@ -1,5 +1,5 @@
-"""Matrix kernels: exact ranks and Smith normal forms, against the
-independent references in ``oracles``."""
+"""Matrix kernels: the ring product over Z[x]/(x^n - 1), exact ranks and
+Smith normal forms, against the independent references in ``oracles``."""
 
 import random
 import time
@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (Poly, det_int, det_poly, divides, encode_laurent,
                      kernel_basis_poly, matrix_rank, poly_diagonal,
-                     smith_normal_form_poly)
+                     ring_matmul_reference, smith_normal_form_poly)
 from twisthom import matrices
 from twisthom.alexander import _monic_laurent, alexander_data
 from twisthom.complexes import catalog_complex
@@ -29,6 +31,53 @@ def float_rank_cyclo(m: Matrix) -> int:
         return 0
     a = np.array([[cyclo_to_complex(x) for x in row] for row in m.entries])
     return int(np.linalg.matrix_rank(a, tol=1e-8))
+
+
+# leading axes of (a, b): none, on either side alone, and on both, broadcast
+RING_BATCHES = (((), ()), ((2,), ()), ((), (2,)), ((3, 1), (2,)))
+RING_CONDUCTORS = (1, 2, 3, 4, 6, 12)
+
+
+def _ring_operands(rng, ma: int, mb: int, batch, zero_a: bool, big: bool):
+    """Seeded a[*lead_a, i, k, ma] and b[*lead_b, k, j, mb] with i, k, j < 4,
+    each coefficient nonzero with probability 1/2: from -3..3, or within 8
+    of +-2^62 when ``big`` (a then of object dtype); a all zero when
+    ``zero_a``."""
+    i, k, j = (int(x) for x in rng.integers(0, 4, 3))
+
+    def operand(shape):
+        if big:
+            values = rng.integers(2 ** 62 - 8, 2 ** 62, shape) * rng.choice([-1, 1], shape)
+        else:
+            values = rng.integers(-3, 4, shape)
+        return np.where(rng.random(shape) < 0.5, values, 0)
+
+    a, b = operand(batch[0] + (i, k, ma)), operand(batch[1] + (k, j, mb))
+    if zero_a:
+        a = np.zeros_like(a)
+    return (a.astype(object) if big else a), b
+
+
+def _assert_ring_matmul_matches_reference(a, b, n: int):
+    before = a.copy(), b.copy()
+    got = matrices.ring_matmul(a, b, n)
+    want = ring_matmul_reference(a, b, n)
+    assert got.shape == want.shape and np.array_equal(got.astype(object), want)
+    assert np.array_equal(a, before[0]) and np.array_equal(b, before[1]), "inputs changed"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(RING_CONDUCTORS), st.sampled_from(RING_BATCHES), st.booleans(),
+       st.booleans(), st.integers(0, 2 ** 32 - 1), st.data())
+def test_ring_matmul_matches_cyclic_convolution(n, batch, zero_a, big, seed, data):
+    """ring_matmul against explicit cyclic convolutions: a of one coefficient
+    or up to n, b of up to n (at m = n every power past x^0 wraps round), an
+    all-zero a, a leading axis broadcast on either side, and coefficients
+    near 2^62, whose products need Python ints."""
+    ma = data.draw(st.sampled_from((1, n)) | st.integers(1, n))
+    mb = data.draw(st.integers(1, n))
+    a, b = _ring_operands(np.random.default_rng(seed), ma, mb, batch, zero_a, big)
+    _assert_ring_matmul_matches_reference(a, b, n)
 
 
 def test_rank_degenerate():

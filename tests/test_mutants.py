@@ -81,8 +81,8 @@ def _trefoil_covers_match_reference():
 
 
 def _rank_mod_p_matches_reference_seeded():
-    """test_rank_mod_p_matches_reference_loop on 120 fixed seeded matrices:
-    a mutant fails it at once, with no shrinking."""
+    """test_rank_mod_p_matches_reference_loop on 120 fixed seeded matrices
+    and 20 of blocks I - P: a mutant fails it at once, with no shrinking."""
     rng = np.random.default_rng(0)
     for i in range(120):
         p = test_certified_rank.RESIDUE_PRIMES[i % 2]
@@ -90,6 +90,21 @@ def _rank_mod_p_matches_reference_seeded():
         inner = int(rng.integers(0, min(rows, cols) + 1)) if i % 3 == 0 else None
         test_certified_rank._assert_kernel_matches_reference(test_certified_rank._residue_matrix(
             rng, p, rows, cols, (0.05, 0.25, 1.0)[i // 3 % 3], inner, i % 4 == 1), p)
+    for i in range(20):
+        p = test_certified_rank.RESIDUE_PRIMES[i % 2]
+        test_certified_rank._assert_kernel_matches_reference(
+            test_certified_rank._perm_block_residues(rng, p, (1, 6)[i % 2], 6), p)
+
+
+def _ring_matmul_matches_reference_seeded():
+    """test_ring_matmul_matches_cyclic_convolution on 48 fixed seeded cases,
+    every conductor under every batching, without shrinking."""
+    rng = np.random.default_rng(0)
+    for i in range(48):
+        n = test_matrices.RING_CONDUCTORS[i % 6]
+        ma, mb = (int(x) for x in rng.integers(1, n + 1, 2))
+        test_matrices._assert_ring_matmul_matches_reference(*test_matrices._ring_operands(
+            rng, ma, mb, test_matrices.RING_BATCHES[i // 6 % 4], i % 7 == 0, i % 5 == 1), n)
 
 
 # (probe, module, attribute, replacement, how a check dies, killing checks)
@@ -166,6 +181,12 @@ MUTANTS = [
     ("echelon basis rows not scaled to lead 1", matrices._rank_mod_p, "__code__",
      _edited(matrices._rank_mod_p, "x * inv % p", "x"), ASSERTED,
      [_rank_mod_p_matches_reference_seeded]),
+    ("a lead residue of p - 1 is stored unscaled", matrices._rank_mod_p, "__code__",
+     _edited(matrices._rank_mod_p, "if f != 1:", "if f not in (1, p - 1):"), ASSERTED,
+     [_rank_mod_p_matches_reference_seeded]),
+    ("ring_matmul adds a wrapped power into a slice", matrices.ring_matmul, "__code__",
+     _edited(matrices.ring_matmul, "if s + m > n:", "if False:"), ASSERTED,
+     [_ring_matmul_matches_reference_seeded]),
     ("split check rank T = dim W dropped", reps.invariant_coinvariant_split, "__code__",
      _edited(reps.invariant_coinvariant_split, "if certified_rank(tall, n) != w:", "if False:"),
      ASSERTED, [functools.partial(test_reps.test_split_refuses_non_unitary_reps,
