@@ -9,9 +9,11 @@ on integers, with one elimination per ring:
   Z[x]/(x^n - 1) as its caller assembled it, reduces it modulo Phi_n itself,
   eliminates it over F_p for split primes p = 1 (mod n), and certifies the
   result with a Hadamard bound on the norms of the minors, each entry
-  bounded by the smaller L1 norm of its two representatives.  It has no
-  fallback: when the interval of split primes cannot supply the certified
-  count, it raises ValueError;
+  bounded by the smaller L1 norm of its two representatives.  The
+  elimination holds signed residues in (-p, p) and reduces a value mod p
+  only when it leaves [-p//2, p//2], so the +-1 of a boundary stays a small
+  Python int.  It has no fallback: when the interval of split primes cannot
+  supply the certified count, it raises ValueError;
 - Smith normal form over Z: ``smith_normal_form_int``, with U and V;
 - Smith normal form over Q[t, t^-1]: ``_snf_poly``, the diagonal alone, on
   integer Laurent polynomials (below), in Python ints with exact integer
@@ -226,8 +228,10 @@ def split_primes(n: int, count: int) -> list[tuple[int, int]]:
     """Up to ``count`` pairs (p, r): the largest primes 2^30 < p < 2^31 with
     p = 1 (mod n), descending, and r a primitive n-th root of unity mod p.
 
-    Residues below 2^31 keep every product inside int64.  Fewer pairs come
-    back only when the interval runs out of such primes.
+    Residues below 2^31 keep every product inside int64 where
+    ``_evaluate_mod_p`` evaluates an array of more than one coefficient; the
+    elimination itself runs on Python ints.  Fewer pairs come back only when
+    the interval runs out of such primes.
     """
     got = _SPLIT_PRIMES.setdefault(n, [])
     step = n if n % 2 == 0 else 2 * n
@@ -240,33 +244,42 @@ def split_primes(n: int, count: int) -> list[tuple[int, int]]:
 
 
 def _rank_mod_p(m: np.ndarray, p: int) -> list[int]:
-    """Pivot columns over F_p of the int64 residues m (left unchanged), the
-    leads of an echelon basis {lead: rest of its row, scaled to lead 1}: the
-    first independent columns.
+    """Pivot columns over F_p of the int64 matrix m (left unchanged), whose
+    entries are residues in (-p, p): the leads of an echelon basis {lead:
+    rest of its row, scaled to lead 1}, the first independent columns,
+    whatever representatives the elimination holds.
 
     The rows are dicts {col: residue} built from the nonzero entries of m
     alone, in row order; zero rows are never built.  Each row is reduced by
     the basis, its lead dropped each step, until its lead is new or it is 0.
-    A row whose new lead is already 1 is stored as it stands, with no
-    inverse taken and no entry rescaled.  Each updated entry's residue is
-    computed once, and dropped when it is 0."""
+    An updated entry is computed over Z and reduced mod p only when it
+    leaves [-p//2, p//2], so every entry stays in (-p, p) and is 0 mod p
+    exactly when it is 0, which drops it.  The +-1 of a boundary and the
+    small values they combine into stay small Python ints.  A row
+    whose new lead is 1 is stored as it stands and one whose lead is -1 is
+    negated, with no inverse taken; any other lead is scaled by its inverse."""
     rows: dict[int, dict[int, int]] = {}
     r, c = m.nonzero()
     for i, j, x in zip(r.tolist(), c.tolist(), m[r, c].tolist()):
         rows.setdefault(i, {})[j] = x
+    h = p // 2
     basis: dict[int, dict[int, int]] = {}
     for v in rows.values():
         while v:
             lead = min(v)
             f = v.pop(lead)
             if lead not in basis:
-                if f != 1:
+                if f == -1:
+                    v = {j: -x for j, x in v.items()}
+                elif f != 1:
                     inv = pow(f, -1, p)
                     v = {j: x * inv % p for j, x in v.items()}
                 basis[lead] = v
                 break
             for j, x in basis[lead].items():  # v -= f * basis row, zeros dropped
-                y = (v.get(j, 0) - f * x) % p
+                y = v.get(j, 0) - f * x
+                if not -h <= y <= h:
+                    y %= p
                 if y:
                     v[j] = y
                 else:
@@ -277,9 +290,17 @@ def _rank_mod_p(m: np.ndarray, p: int) -> list[int]:
 
 
 def _evaluate_mod_p(a: np.ndarray, p: int, r: int) -> np.ndarray:
-    """The image of a[R, C, m] under zeta_n -> r in F_p, as an int64 matrix."""
+    """The image of a[R, C, m] under zeta_n -> r in F_p, as an int64 matrix
+    of residues in (-p, p) for ``_rank_mod_p``.  A single-coefficient int64
+    array whose entries all lie in [-p//2, p//2] is its own image, returned
+    as the view a[..., 0] with no copy; any other array is reduced to [0, p).
+    Balancing residues of more than one coefficient would cost more numpy
+    work than their elimination saves."""
     if a.shape[-1] == 1:
-        return (a[..., 0] % p).astype(np.int64, copy=False)
+        a = a[..., 0]
+        if a.dtype == np.int64 and max_abs(a) <= p // 2:
+            return a
+        return (a % p).astype(np.int64, copy=False)
     a = (a % p).astype(np.int64)
     powers = np.array([pow(r, i, p) for i in range(a.shape[-1])], dtype=np.int64)
     return (a * powers % p).sum(axis=-1) % p
@@ -290,6 +311,8 @@ def _l1_norms(a: np.ndarray) -> np.ndarray:
     embedding sigma of Z[zeta_n], whichever representative x is."""
     if a.dtype == object:
         return np.abs(a).sum(axis=-1)
+    if a.shape[-1] == 1:  # the same floats as the sum, without its reduction
+        return np.abs(a[..., 0]).astype(np.float64)
     return np.abs(a).sum(axis=-1, dtype=np.float64)
 
 

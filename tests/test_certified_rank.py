@@ -11,7 +11,7 @@ from oracles import matrix_rank, rank_mod_p_reference
 from twisthom.complexes import Boundary, catalog_complex
 from twisthom.groups import PermAction, reidemeister_schreier
 from twisthom import matrices
-from twisthom.homology import BoundaryError, specialize, subquotient_dims
+from twisthom.homology import BoundaryError, homology_dims, specialize, subquotient_dims
 from twisthom.matrices import (Matrix, _evaluate_mod_p, _rank_mod_p,
                                certified_rank, fast_rank, lift_cyclo,
                                reduce_cyclotomic, split_primes)
@@ -159,16 +159,54 @@ def _perm_block_residues(rng, p: int, block_rows: int, block_cols: int, d: int =
     return m
 
 
+def _signed_representatives(rng, m: np.ndarray, p: int) -> np.ndarray:
+    """Representatives in (-p, p) of a seeded row scaling of the residues m,
+    which keeps m's pivots.  About one nonzero row in three is scaled to the
+    lead p - 1, written -1, and one in five so that one of its entries is
+    p//2 or p//2 + 1.  Each other nonzero residue x is then kept or shifted
+    to x - p at random, so those two appear as +-(p//2) and +-(p//2 + 1),
+    the two sides of the range the kernel keeps unreduced."""
+    h = p // 2
+    s, leads = m.copy(), []
+    for i, row in enumerate(m):
+        nonzero, u = row.nonzero()[0], rng.random()
+        if not nonzero.size or u >= 1 / 3 + 1 / 5:
+            continue
+        if u < 1 / 3:
+            j, target = nonzero[0], p - 1
+            leads.append((i, j))
+        else:
+            j, target = rng.choice(nonzero), int(rng.choice([h, h + 1]))
+        s[i] = row * (target * pow(int(row[j]), -1, p) % p) % p  # below 2^62
+    s = np.where((s != 0) & (rng.random(s.shape) < 0.5), s - p, s)
+    for i, j in leads:
+        s[i, j] = -1
+    return s
+
+
 def _assert_kernel_matches_reference(m: np.ndarray, p: int):
+    """The kernel's pivots of m, residues in (-p, p), are the reference's of
+    their [0, p) form, and m is left as it was."""
     before = m.copy()
-    assert matrices._rank_mod_p(m, p) == rank_mod_p_reference(m, p)
+    assert matrices._rank_mod_p(m, p) == rank_mod_p_reference(m % p, p)
     assert np.array_equal(m, before), "the kernel changed its input"
 
 
+def _drawn_residues(p, rows, cols, density, small, low_rank, rng, data) -> np.ndarray:
+    blocks = data.draw(st.sampled_from((None, (1, 6), (6, 6))))
+    if blocks is not None:
+        return _perm_block_residues(rng, p, *blocks)
+    inner = data.draw(st.integers(0, min(rows, cols))) if low_rank else None
+    return _residue_matrix(rng, p, rows, cols, density, inner, small)
+
+
+RESIDUE_MATRICES = (st.sampled_from(RESIDUE_PRIMES), st.integers(0, 30), st.integers(0, 30),
+                    st.sampled_from((0.05, 0.25, 1.0)), st.booleans(), st.booleans(),
+                    st.integers(0, 2 ** 32 - 1), st.data())
+
+
 @SETTINGS
-@given(st.sampled_from(RESIDUE_PRIMES), st.integers(0, 30), st.integers(0, 30),
-       st.sampled_from((0.05, 0.25, 1.0)), st.booleans(), st.booleans(),
-       st.integers(0, 2 ** 32 - 1), st.data())
+@given(*RESIDUE_MATRICES)
 def test_rank_mod_p_matches_reference_loop(p, rows, cols, density, small, low_rank,
                                            seed, data):
     """The sparse echelon kernel finds the pivots of the dense column loop on
@@ -176,13 +214,65 @@ def test_rank_mod_p_matches_reference_loop(p, rows, cols, density, small, low_ra
     rows and columns, and on sparse +-1 matrices of blocks I - P, 4 x 24 and
     24 x 24, and leaves its input as it was."""
     rng = np.random.default_rng(seed)
-    blocks = data.draw(st.sampled_from((None, (1, 6), (6, 6))))
-    if blocks is not None:
-        m = _perm_block_residues(rng, p, *blocks)
-    else:
-        inner = data.draw(st.integers(0, min(rows, cols))) if low_rank else None
-        m = _residue_matrix(rng, p, rows, cols, density, inner, small)
-    _assert_kernel_matches_reference(m, p)
+    _assert_kernel_matches_reference(
+        _drawn_residues(p, rows, cols, density, small, low_rank, rng, data), p)
+
+
+@SETTINGS
+@given(*RESIDUE_MATRICES)
+def test_rank_mod_p_takes_signed_residues(p, rows, cols, density, small, low_rank,
+                                          seed, data):
+    """The same matrices, their rows rescaled and their representatives
+    shifted into (-p, p) at random, with entries at +-(p//2) and
+    +-(p//2 + 1) and rows led by -1: the kernel finds the reference's
+    pivots of the [0, p) form."""
+    rng = np.random.default_rng(seed)
+    m = _drawn_residues(p, rows, cols, density, small, low_rank, rng, data)
+    _assert_kernel_matches_reference(_signed_representatives(rng, m, p), p)
+
+
+@pytest.mark.parametrize("p", RESIDUE_PRIMES)
+def test_evaluate_mod_p_passes_small_single_coefficients_through(p):
+    """Single-coefficient int64 entries up to |a| = p//2 come back as they
+    are, as a view; p//2 + 1, object arrays and several coefficients are
+    reduced.  Every image is the right residue and lies in (-p, p)."""
+    h = p // 2
+    small = np.array([[0, 1, -1], [h, -h, 2]], dtype=np.int64)[..., None]
+    out = _evaluate_mod_p(small, p, 1)
+    assert np.shares_memory(out, small) and np.array_equal(out, small[..., 0])
+    r = split_primes(12, 1)[0][1] if p == RESIDUE_PRIMES[1] else 1
+    past_half = small + np.array([[0, 0, 0], [1, -1, 0]])[..., None]  # +-(p//2 + 1)
+    two_coefficients = np.array([[[3, -h - 1], [h + 1, 0]], [[-1, 1], [2 ** 40, -5]]])
+    cases = [(past_half, [1]), (small.astype(object), [1]),
+             (small.astype(object) * 2 ** 70, [1]), (two_coefficients, [1, r])]
+    for a, powers in cases:
+        out = _evaluate_mod_p(a, p, r)
+        assert out.dtype == np.int64 and not np.shares_memory(out, a)
+        assert np.all(np.abs(out) < p)
+        want = sum(a[..., i].astype(object) * x for i, x in enumerate(powers))
+        assert np.all((out.astype(object) - want) % p == 0)
+
+
+def test_rank_leaves_specialized_boundaries_unchanged():
+    """At n <= 2 the kernel reads a view of each single-coefficient boundary:
+    ``homology_dims`` and ``certified_pivots`` leave them bitwise as they were."""
+    t3 = catalog_complex("t3").complex
+    g = t3.group
+    perm = permutation_rep(g, PermAction(g, [(1, 2, 0), (2, 0, 1), (0, 1, 2)]))
+    lens = catalog_complex("lens", [4, 1]).complex
+    blocks = [specialize(t3, perm)] + [specialize(lens, ch)
+                                       for ch in torsion_characters(lens.group)]
+    signs = np.array([[[1], [-1]], [[-1], [1]]], dtype=np.int64)
+    for b in blocks:
+        before = [a.copy() for a in b.boundaries]
+        homology_dims(b)
+        for a in b.boundaries:
+            matrices.certified_pivots(a, b.conductor)
+        assert all(a.dtype == c.dtype and a.tobytes() == c.tobytes()
+                   for a, c in zip(b.boundaries, before))
+    before = signs.copy()
+    assert matrices.certified_pivots(signs, 2) == [0]
+    assert signs.tobytes() == before.tobytes()
 
 
 def test_rank_of_huge_entries_uses_python_ints():

@@ -81,19 +81,26 @@ def _trefoil_covers_match_reference():
 
 
 def _rank_mod_p_matches_reference_seeded():
-    """test_rank_mod_p_matches_reference_loop on 120 fixed seeded matrices
-    and 20 of blocks I - P: a mutant fails it at once, with no shrinking."""
+    """test_rank_mod_p_matches_reference_loop and
+    test_rank_mod_p_takes_signed_residues on 120 fixed seeded matrices and
+    20 of blocks I - P, every other one as residues in [0, p) and the rest
+    with signed representatives: a mutant fails it at once, with no
+    shrinking."""
+    tcr = test_certified_rank
     rng = np.random.default_rng(0)
+    cases = []
     for i in range(120):
-        p = test_certified_rank.RESIDUE_PRIMES[i % 2]
+        p = tcr.RESIDUE_PRIMES[i % 2]
         rows, cols = (int(x) for x in rng.integers(1, 31, 2))
         inner = int(rng.integers(0, min(rows, cols) + 1)) if i % 3 == 0 else None
-        test_certified_rank._assert_kernel_matches_reference(test_certified_rank._residue_matrix(
-            rng, p, rows, cols, (0.05, 0.25, 1.0)[i // 3 % 3], inner, i % 4 == 1), p)
+        cases.append((tcr._residue_matrix(rng, p, rows, cols, (0.05, 0.25, 1.0)[i // 3 % 3],
+                                          inner, i % 4 == 1), p))
     for i in range(20):
-        p = test_certified_rank.RESIDUE_PRIMES[i % 2]
-        test_certified_rank._assert_kernel_matches_reference(
-            test_certified_rank._perm_block_residues(rng, p, (1, 6)[i % 2], 6), p)
+        p = tcr.RESIDUE_PRIMES[i % 2]
+        cases.append((tcr._perm_block_residues(rng, p, (1, 6)[i % 2], 6), p))
+    for i, (m, p) in enumerate(cases):
+        tcr._assert_kernel_matches_reference(
+            tcr._signed_representatives(rng, m, p) if i % 2 else m, p)
 
 
 def _ring_matmul_matches_reference_seeded():
@@ -183,6 +190,13 @@ MUTANTS = [
      [_rank_mod_p_matches_reference_seeded]),
     ("a lead residue of p - 1 is stored unscaled", matrices._rank_mod_p, "__code__",
      _edited(matrices._rank_mod_p, "if f != 1:", "if f not in (1, p - 1):"), ASSERTED,
+     [_rank_mod_p_matches_reference_seeded]),
+    # an unreduced multiple of p is kept as a nonzero lead, and pow refuses to invert it
+    ("an out-of-range difference is kept unreduced", matrices._rank_mod_p, "__code__",
+     _edited(matrices._rank_mod_p, "y %= p", "pass"), ValueError,
+     [_rank_mod_p_matches_reference_seeded]),
+    ("a lead of -1 is stored without negation", matrices._rank_mod_p, "__code__",
+     _edited(matrices._rank_mod_p, "{j: -x for", "{j: x for"), ASSERTED,
      [_rank_mod_p_matches_reference_seeded]),
     ("ring_matmul adds a wrapped power into a slice", matrices.ring_matmul, "__code__",
      _edited(matrices.ring_matmul, "if s + m > n:", "if False:"), ASSERTED,
