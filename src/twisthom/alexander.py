@@ -86,10 +86,6 @@ class TorsionData:
         """The torsion polynomials as monic ``Laurent`` values, made on access."""
         return tuple(tuple(_monic_laurent(p) for p in ps) for ps in self.torsion)
 
-    def in_divisibility_order(self) -> bool:
-        return all(_divides(ps[i], ps[i + 1])
-                   for ps in self.torsion for i in range(len(ps) - 1))
-
     def __setattr__(self, *a):
         raise AttributeError("TorsionData is immutable")
 

@@ -19,9 +19,9 @@ from .homology import (BoundaryError, GroupMismatchError, twisted_homology)
 from .jsonio import (InputError, certificate_to_json, check_conductor,
                      check_dim, complex_from_json, complex_to_json,
                      rep_from_json, report_to_json)
-from .numbers import Cyclo, cyclotomic_reduction_rows
-from .reps import (UnitaryRep, explicit_rep, torsion_characters, trivial_rep,
-                   verify_rep)
+from .numbers import Cyclo
+from .reps import (UnitaryRep, character_exponents, explicit_rep, torsion_characters,
+                   trivial_rep, verify_rep)
 from .suites import SUITES, run_suites
 
 EXIT_OK = 0
@@ -156,17 +156,11 @@ def cmd_search(args) -> int:
         report = twisted_homology(cx, ch)
         if report.acyclic:
             found.append({"index": idx, "conductor": ch.conductor,
-                          "generator_exponents": _char_exponents(ch),
+                          "generator_exponents": character_exponents(ch),
                           "dims": list(report.dims)})
     payload = {"characters_tested": len(chars), "acyclifying": found}
     _emit(payload, args.out)
     return EXIT_OK if found else EXIT_NEGATIVE
-
-
-def _char_exponents(ch: UnitaryRep) -> list[int]:
-    """Exponent of zeta_conductor at each generator (characters only)."""
-    powers = cyclotomic_reduction_rows(ch.conductor)  # zeta^k in the power basis
-    return [powers.index(m[0, 0].embed(ch.conductor).coeffs) for m in ch.generator_images]
 
 
 def cmd_verify(args) -> int:

@@ -443,9 +443,12 @@ CATALOG_NAMES = ("lens", "s1xs2", "t3", "s1x_sigma", "quaternion_q8",
 
 # Size caps on catalog parameters.  On a 2-core machine lens:1009,1 and
 # s1x_sigma:60 build and check in about a second, lens:10007,1 and
-# s1x_sigma:200 in over 30 s.
+# s1x_sigma:200 in over 30 s.  A free product admits at most the generators
+# of its largest single part, s1x_sigma:MAX_GENUS (about 2 s to build); eight
+# such parts would take 85 s.
 MAX_LENS_ORDER = 1024
 MAX_GENUS = 64
+MAX_FREE_PRODUCT_GENERATORS = 2 * MAX_GENUS + 1
 
 
 def catalog_complex(name: str, params=()) -> CatalogEntry:
@@ -505,7 +508,14 @@ def catalog_complex(name: str, params=()) -> CatalogEntry:
     if name == "free_product_of":
         if not params:
             raise ValueError("free_product_of requires at least one entry name")
-        parts = [catalog_entry_from_string(str(s)) for s in params]
+        parts = []
+        for s in params:
+            if str(s).partition(":")[0].strip() == "free_product_of":
+                raise ValueError("a free_product_of part cannot be a free_product_of")
+            parts.append(catalog_entry_from_string(str(s)))
+            if sum(p.complex.group.num_generators for p in parts) > MAX_FREE_PRODUCT_GENERATORS:
+                raise ValueError(f"a free product has at most "
+                                 f"{MAX_FREE_PRODUCT_GENERATORS} generators")
         group = parts[0].complex.group
         from .groups import free_product as fp
         for part in parts[1:]:

@@ -4,9 +4,10 @@ There is one exact backend.  A representation carries its generator images
 and their inverses in the one image format of ``reps``: integers over
 Z[x]/(x^n - 1), which maps onto Z[zeta_n] by x -> zeta_n, either as a
 permutation plus one exponent of x per column or as one dense integer
-matrix over a denominator.  Every image is unitary, so its inverse is its
-conjugate transpose.  The homology of an invariant subspace W is read off
-the specialized complex of V itself (``subquotient_dims``).
+matrix over a denominator, in lowest terms modulo Phi_n.  Every image is
+unitary, so its inverse is its conjugate transpose.  The homology of an
+invariant subspace W is read off the specialized complex of V itself
+(``subquotient_dims``).
 
 What specializing needs of the complex alone is compiled once per complex
 and kept on it (``complexes.specialization_plan``): the prefix trie of all
@@ -32,8 +33,8 @@ import numpy as np
 from .complexes import (CatalogEntry, EquivariantComplex, presentation_complex,
                         specialization_plan)
 from .groups import GroupPresentation, PermAction, free_product
-from .matrices import Matrix, certified_rank, reduce_cyclotomic, ring_matmul
-from .reps import (SplitData, UnitaryRep, _as_matrix, _node_images,
+from .matrices import certified_rank, reduce_cyclotomic, ring_matmul
+from .reps import (SplitData, UnitaryRep, _node_images,
                    alpha_minus_one_blocks, explicit_rep, extend_by_identity,
                    induce_rep, trivial_rep, verify_rep)
 
@@ -102,10 +103,6 @@ class BlockComplex:
 
     def __setattr__(self, *a):
         raise AttributeError("BlockComplex is immutable")
-
-    def boundary_matrix(self, k: int) -> Matrix:
-        """Boundary from degree k+1 to degree k as an exact cyclotomic Matrix."""
-        return _as_matrix(self.boundaries[k], self.denominators[k], self.conductor)
 
 
 def specialize(c: EquivariantComplex, r: UnitaryRep) -> BlockComplex:

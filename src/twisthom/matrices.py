@@ -89,9 +89,6 @@ class Matrix:
         return Matrix(self.cols, self.rows,
                       [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
-    def is_zero(self) -> bool:
-        return all(not e for row in self.entries for e in row)
-
     def column(self, j: int) -> list:
         return [self.entries[i][j] for i in range(self.rows)]
 

@@ -212,16 +212,8 @@ class Cyclo:
     def __bool__(self):
         return any(self.coeffs)
 
-    def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
-
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -309,13 +301,6 @@ class Laurent:
         if not self.terms:
             raise ValueError("zero polynomial has no degree")
         return max(self.terms)
-
-    def leading_coeff(self) -> Fraction:
-        return self.terms[self.degree()]
-
-    def is_unit(self) -> bool:
-        """Units of Q[t, t^-1] are exactly the monomials c*t^k."""
-        return len(self.terms) == 1
 
     def __repr__(self):
         if not self.terms:

@@ -10,7 +10,10 @@ one rule (``_compile``), which reads the form off the matrices themselves:
   from those), an image is a permutation plus one exponent of x per column,
   composed in plain Python ints (``_Monomial``);
 * otherwise it is one integer array [dim, dim, n] over a denominator
-  (``_Dense``).
+  (``_Dense``), kept in lowest terms modulo Phi_n (``_lowest``): reduced to
+  the power basis 1, x, ..., x^(phi(n)-1), zeros past it, and the array and
+  its denominator divided by their gcd, after compiling and after every
+  product.  Equal matrices are equal images in either form.
 
 Characters, trivial and permutation reps are monomial by construction.
 Every image is unitary, so its inverse is always its conjugate transpose
@@ -39,8 +42,8 @@ from .complexes import prefix_trie, quaternion_presentation
 from .groups import (GroupPresentation, PermAction, Word,
                      abelianization_change_of_basis, reidemeister_schreier,
                      verify_grading)
-from .matrices import (Matrix, certified_pivots, certified_rank, int_dtype,
-                       lift_cyclo, max_abs, reduce_cyclotomic, ring_matmul)
+from .matrices import (Matrix, _growth, _reduction, certified_pivots, certified_rank,
+                       int_dtype, lift_cyclo, max_abs, ring_matmul)
 from .numbers import Cyclo, cyclotomic_reduction_rows
 
 # ---------------------------------------------------------------------------
@@ -112,9 +115,6 @@ class _Monomial:
     def is_identity(self, img) -> bool:
         return img == self.identity
 
-    def reduced(self, img):
-        return img  # exponents are kept modulo n, so equal matrices are equal images
-
     def dense(self, img) -> tuple[np.ndarray, int]:
         perm, exps = img
         out = np.zeros((self.dim, self.dim, self.n), dtype=np.int64)
@@ -142,7 +142,7 @@ class _Monomial:
 
 class _Dense:
     """Images (a, den): the matrix a / den, a an integer array [dim, dim, n]
-    (``reduced`` keeps only the phi(n) powers of the basis of Z[zeta_n])."""
+    in lowest terms modulo Phi_n (``_lowest``): one (a, den) per matrix."""
 
     __slots__ = ("n", "dim", "images")
 
@@ -156,22 +156,10 @@ class _Dense:
         return eye, 1
 
     def mul(self, a, b):
-        return ring_matmul(a[0], b[0], self.n), a[1] * b[1]
-
-    def reduced(self, img):
-        """The array modulo Phi_n, array and den over their gcd: one per matrix."""
-        a, den = img
-        red = reduce_cyclotomic(a, self.n)
-        g = math.gcd(den, *np.unique(red).tolist())
-        return red // g, den // g
+        return _lowest(ring_matmul(a[0], b[0], self.n), a[1] * b[1], self.n)
 
     def is_identity(self, img) -> bool:
-        """a = den * I modulo Phi_n."""
-        a, den = img
-        red = reduce_cyclotomic(a, self.n)
-        want = np.zeros(red.shape, dtype=object)
-        want[np.arange(self.dim), np.arange(self.dim), 0] = den
-        return np.array_equal(red, want)
+        return img[1] == 1 and np.array_equal(img[0], self.identity[0])
 
     def dense(self, img) -> tuple[np.ndarray, int]:
         return img
@@ -195,6 +183,26 @@ class _Dense:
                     images[w][0].astype(a.dtype) * (c * (den // images[w][1]))
             out.append((a, den))
         return out
+
+
+@functools.cache
+def _power_basis(n: int) -> np.ndarray:
+    """Row i: x^i (i < n) in the power basis of Z[zeta_n], at width n, so zero
+    past x^(phi(n)-1)."""
+    rows = _reduction(n)
+    return np.pad(rows, ((0, 0), (0, n - rows.shape[1])))
+
+
+def _lowest(a: np.ndarray, den: int, n: int) -> tuple[np.ndarray, int]:
+    """The one dense image form of a / den (a of width m <= n): a reduced
+    modulo Phi_n in the power basis, kept at width n, then array and den
+    divided by their gcd.  Equal matrices get equal (a, den)."""
+    m = a.shape[-1]
+    dtype = int_dtype(max_abs(a) * _growth(n, m))
+    red = a.astype(dtype, copy=False) @ _power_basis(n)[:m].astype(dtype, copy=False)
+    g = math.gcd(den, int(np.gcd.reduce(red, axis=None)))
+    red //= g
+    return (red.astype(int_dtype(max_abs(red))) if dtype is object else red), den // g
 
 
 def _monomial_columns(mats):
@@ -231,8 +239,8 @@ def _compile(dim: int, mats):
     images = {}
     for g, rows in enumerate(mats):
         a, den = lift_cyclo(rows, n)
-        images[g, 1] = a, den
-        images[g, -1] = a[..., -np.arange(n) % n].transpose(1, 0, 2), den
+        images[g, 1] = _lowest(a, den, n)
+        images[g, -1] = _lowest(a[..., -np.arange(n) % n].transpose(1, 0, 2), den, n)
     return _Dense(n, dim, images)
 
 
@@ -315,6 +323,15 @@ def evaluate_word(r: UnitaryRep, w: Word) -> Matrix:
     parents, letters, (node,) = prefix_trie([w])
     image = _node_images(r.compiled, parents, letters)[node]
     return _as_matrix(*r.compiled.dense(image), r.conductor)
+
+
+def character_exponents(r: UnitaryRep) -> list[int]:
+    """The exponent k of zeta_conductor^k at each generator of a character
+    built by ``torsion_characters`` or ``character_from_grading``, whose
+    compiled n divides the conductor: its exponent of x times conductor / n."""
+    imgs = r.compiled
+    return [imgs.images[g, 1][1][0] * (r.conductor // imgs.n)
+            for g in range(r.group.num_generators)]
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +488,9 @@ def verify_rep(r: UnitaryRep) -> bool:
 
 
 def _verify_rep_uncached(r: UnitaryRep) -> bool:
-    """B B^dagger = den^2 I modulo Phi_n for every generator image B, and every
-    relator's word image is the identity."""
+    """Each generator image times its inverse, the conjugate transpose, is the
+    identity, and so is every relator's word image: one image per matrix, so
+    the identity is (I, 1) exactly."""
     imgs = r.compiled
     if not all(imgs.is_identity(imgs.mul(imgs.images[g, 1], imgs.images[g, -1]))
                for g in range(r.group.num_generators)):
@@ -552,8 +570,8 @@ def fixed_point_free_check(r: UnitaryRep, element_cap: int = 10000) -> bool:
     fixes a vector, i.e. den (alpha - I) has full rank.
 
     Materializes the image group from the compiled images of the generators
-    and their inverses, each element ``reduced`` and keyed by den and its
-    dense array modulo Phi_n; raises ImageClosureError past element_cap
+    and their inverses, each element keyed by den and the values of its
+    dense array, unique per matrix; raises ImageClosureError past element_cap
     elements (image possibly infinite).  A generator mapping to the identity
     fails the check (a presumed-nontrivial element fixing everything); kernel
     elements hidden beyond the generators cannot be detected without a
@@ -568,11 +586,11 @@ def fixed_point_free_check(r: UnitaryRep, element_cap: int = 10000) -> bool:
     while todo:
         img = todo.pop()
         a, den = imgs.dense(img)
-        key = den, tuple(reduce_cyclotomic(a, n).ravel().tolist())
+        key = den, tuple(a.ravel().tolist())
         if key not in seen:
             if len(seen) >= element_cap:
                 raise ImageClosureError(f"image closure exceeded {element_cap} elements")
             seen[key] = img
-            todo += [imgs.reduced(imgs.mul(g, img)) for g in imgs.images.values()]
+            todo += [imgs.mul(g, img) for g in imgs.images.values()]
     blocks = [_minus_identity(imgs, img) for img in list(seen.values())[1:]]  # not I
     return all(certified_rank(b, n) == r.dim for b in blocks)

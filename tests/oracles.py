@@ -163,7 +163,7 @@ def poly_divmod(a, b) -> tuple[Poly, Poly]:
     r = {e - va: c for e, c in a.terms.items()}
     q = {}
     for m in range(max(r, default=top - 1) - top, -1, -1):
-        c = r.get(m + top, 0) / b.leading_coeff()
+        c = r.get(m + top, 0) / b.terms[b.degree()]
         if c:
             q[m + va - vb] = c
             for e, x in b.terms.items():
@@ -407,7 +407,7 @@ def smith_normal_form_poly(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         k += 1
     for i in range(min(r, c)):
         if b[i][i]:
-            scale_row(i, Poly({-b[i][i].valuation(): 1 / b[i][i].leading_coeff()}))
+            scale_row(i, Poly({-b[i][i].valuation(): 1 / b[i][i].terms[b[i][i].degree()]}))
     return (Matrix(r, r, [row[c:] for row in b[:r]]),
             Matrix(r, c, [row[:c] for row in b[:r]]),
             Matrix(c, c, [row[:c] for row in b[r:]]))
@@ -423,7 +423,7 @@ def kernel_basis_poly(m: Matrix) -> Matrix:
     for j in range(rank, m.cols):
         col = v.column(j)
         lead = next(x for x in col if x)
-        cols.append([x * Poly({-lead.valuation(): 1 / lead.leading_coeff()}) for x in col])
+        cols.append([x * Poly({-lead.valuation(): 1 / lead.terms[lead.degree()]}) for x in col])
     return Matrix(m.cols, len(cols), [list(row) for row in zip(*cols)] if cols
                   else [[] for _ in range(m.cols)])
 

@@ -40,13 +40,14 @@ def test_laurent_specialize_t3():
     t3 = catalog_complex("t3").complex
     mats = [decode_laurent(m) for m in laurent_specialize(t3, [1, 0, 0])]
     for a, b in zip(mats, mats[1:]):
-        assert (a @ b).is_zero()
+        assert not any(x for row in (a @ b).entries for x in row)
 
 
 def test_laurent_specialize_trefoil_validates():
     tre = catalog_complex("trefoil_exterior").complex
     mats = laurent_specialize(tre, [1, 1])
-    assert (decode_laurent(mats[0]) @ decode_laurent(mats[1])).is_zero()
+    product = decode_laurent(mats[0]) @ decode_laurent(mats[1])
+    assert not any(x for row in product.entries for x in row)
     # the Alexander column is proportional to (p, -p) with p ~ t^2 - t + 1
     p = _monic_laurent(mats[1][0, 0][1])
     assert p == Laurent({2: 1, 1: -1, 0: 1})
@@ -69,7 +70,7 @@ def test_torsion_invariants_trefoil():
     td = alexander_data(catalog_complex("trefoil_exterior").complex, [1, 1])
     assert td.free_ranks == (0, 0, 0)
     assert td.torsion_polys[1] == (Laurent({2: 1, 1: -1, 0: 1}),)
-    assert td.in_divisibility_order()
+    assert all(divides(p, q) for ps in td.torsion_polys for p, q in zip(ps, ps[1:]))
 
 
 def test_torsion_invariants_t3():
@@ -115,7 +116,7 @@ def test_torsion_polys_is_the_monic_view_of_the_stored_integers():
             assert len(stored) == len(view)
             for c, q in zip(stored, view):
                 assert math.gcd(*c) == 1 and c[0] and c[-1] > 0
-                assert q.valuation() == 0 and q.leading_coeff() == 1
+                assert q.valuation() == 0 and q.terms[q.degree()] == 1
                 assert encode_laurent(Matrix(1, 1, [[q]]))[0, 0] == (0, c)
     assert torsion_data(td.free_ranks, td.torsion_polys).torsion == td.torsion
 
@@ -380,7 +381,7 @@ def test_composition_check_can_fail(case):
     broken = [decode_laurent(m) for m in mats]
     broken[t].entries[i][j] = broken[t].entries[i][j] + extra
     products = [broken[s] @ broken[s + 1] for s in range(max(0, t - 1), min(t + 1, len(broken) - 1))]
-    if all(p.is_zero() for p in products):
+    if not any(x for p in products for row in p.entries for x in row):
         torsion_invariants([encode_laurent(m) for m in broken], cx.ranks)
     else:
         with pytest.raises(ValueError, match=r"d\d\.d\d != 0"):
@@ -411,7 +412,7 @@ def test_composes_to_zero_matches_the_matrix_product():
         r, m, c = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
         a, b = _sparse_laurent(rng, r, m), _sparse_laurent(rng, m, c, 0.3)
         got = _composes(a, b)
-        assert got == (a @ b).is_zero()
+        assert got == (not any(x for row in (a @ b).entries for x in row))
         seen[got] += 1
     assert min(seen.values()) >= 10
     for _ in range(60):
@@ -421,7 +422,7 @@ def test_composes_to_zero_matches_the_matrix_product():
         am, mc = a0 @ mm, mm @ cc
         a = Matrix(r, m + k, [ra + rb for ra, rb in zip(a0.entries, am.entries)])
         b = Matrix(m + k, c, mc.entries + [[Poly() - x for x in row] for row in cc.entries])
-        assert (a @ b).is_zero()
+        assert not any(x for row in (a @ b).entries for x in row)
         assert _composes(a, b)
         i, j = rng.randrange(r), rng.randrange(c)
         u, v = _sparse_laurent(rng, 1, 1, 1)[0, 0], _sparse_laurent(rng, 1, 1, 1)[0, 0]

@@ -8,13 +8,15 @@ import pytest
 from twisthom import matrices
 from twisthom.alexander import MAX_LAURENT_SPAN, laurent_specialize
 from twisthom.cli import main
-from twisthom.complexes import MAX_GENUS, MAX_LENS_ORDER, catalog_complex
+from twisthom.complexes import (MAX_FREE_PRODUCT_GENERATORS, MAX_GENUS, MAX_LENS_ORDER,
+                                catalog_complex, catalog_entry_from_string)
 from twisthom.groups import PermAction, GroupPresentation
 from twisthom.jsonio import (MAX_CONDUCTOR, MAX_DIM, MAX_WORD_LENGTH, InputError,
                              complex_from_json, complex_to_json, cyclo_from_json,
                              cyclo_to_json, rep_from_json, rep_to_json)
 from twisthom.numbers import Cyclo, euler_phi
-from twisthom.reps import explicit_rep, permutation_rep, torsion_characters
+from twisthom.reps import (evaluate_word, explicit_rep, permutation_rep,
+                           torsion_characters)
 
 
 def run_cli(tmp_path, *argv):
@@ -100,6 +102,28 @@ def test_search_quaternion(tmp_path):
     code, data = run_cli(tmp_path, "search", "--catalog", "quaternion_q8")
     assert code == 0
     assert len(data["acyclifying"]) == 3  # the nontrivial abelian characters
+
+
+@pytest.mark.parametrize("spec", ["lens:12,5", "quaternion_q8", "lens:4,1"])
+def test_search_exponents_decode_the_character(tmp_path, spec):
+    """Each reported exponent k is the one with zeta_conductor^k the
+    generator's image, decoded from the Cyclo word image.  On lens:4,1 the
+    character at index 2 compiles at n = 2 < conductor 4, so an exponent
+    left at the compiled n reads 1, not 2."""
+    code, data = run_cli(tmp_path, "search", "--catalog", spec)
+    assert code == 0 and data["acyclifying"]
+    chars = torsion_characters(catalog_entry_from_string(spec).complex.group)
+    for found in data["acyclifying"]:
+        ch, n = chars[found["index"]], found["conductor"]
+        assert n == ch.conductor
+        want = []
+        for g in range(ch.group.num_generators):
+            x = evaluate_word(ch, ((g, 1),))[0, 0]
+            want.append(next(k for k in range(n) if Cyclo.root_of_unity(n, k) == x))
+        assert found["generator_exponents"] == want, (spec, found["index"])
+    if spec == "lens:4,1":
+        assert chars[2].compiled.n == 2
+        assert [f["generator_exponents"] for f in data["acyclifying"]] == [[1], [2], [3]]
 
 
 def test_verify_single_suite(tmp_path):
@@ -200,11 +224,16 @@ def test_rep_file_conductor_zero(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("spec", ["lens:1031,1", "lens:10007,1", "s1x_sigma:65",
-                                  "s1x_sigma:200", "handlebody:65",
-                                  "free_product_of:t3,s1x_sigma:1000000"])
+@pytest.mark.parametrize("spec", [
+    "lens:1031,1", "lens:10007,1", "s1x_sigma:65", "s1x_sigma:200", "handlebody:65",
+    "free_product_of:t3,s1x_sigma:1000000",
+    f"free_product_of:handlebody:{MAX_GENUS},handlebody:{MAX_GENUS - 1},t3",
+    "free_product_of:t3,free_product_of:t3",
+    pytest.param("free_product_of:" * 600 + "t3", id="free_product_of nested 600 deep")])
 def test_oversized_catalog_specs_are_refused(tmp_path, capsys, spec):
-    """Each family with a size parameter refuses specs above its cap up front."""
+    """Each family with a size parameter refuses specs above its cap up front;
+    a free product refuses more generators than its largest single part,
+    s1x_sigma:MAX_GENUS, has, and refuses free products as parts."""
     code, data = run_cli(tmp_path, "homology", "--catalog", spec, "--trivial", "1")
     assert code == 1 and data is None
     assert capsys.readouterr().err.startswith("error: ")
@@ -221,6 +250,9 @@ def test_catalog_entries_without_parameters_refuse_them(tmp_path, capsys, spec):
 def test_catalog_caps_admit_their_largest_specs():
     assert catalog_complex("lens", [MAX_LENS_ORDER, 1]).expected_trivial_dims == (1, 0, 0, 1)
     assert catalog_complex("handlebody", [MAX_GENUS]).complex.group.num_generators == MAX_GENUS
+    spec = f"free_product_of:handlebody:{MAX_GENUS},handlebody:{MAX_GENUS - 2},t3"
+    assert catalog_entry_from_string(spec).complex.group.num_generators == \
+        MAX_FREE_PRODUCT_GENERATORS == 2 * MAX_GENUS + 1
 
 
 def _root_json(n: int) -> dict:

@@ -15,7 +15,7 @@ from oracles import decode_basis, matrix_rank
 from twisthom.cli import main
 from twisthom.complexes import (Boundary, EquivariantComplex, SpecializationPlan,
                                 catalog_complex, catalog_entry_from_string,
-                                cover_complex, presentation_complex,
+                                cover_complex, prefix_trie, presentation_complex,
                                 specialization_plan, trefoil_group)
 from twisthom.groups import (GroupPresentation, PermAction,
                              free_product, reidemeister_schreier,
@@ -28,9 +28,9 @@ from twisthom.homology import (BlockComplex, BoundaryError, GroupMismatchError,
 from twisthom.jsonio import rep_to_json
 from twisthom.matrices import Matrix, certified_rank, integer_kernel_basis
 from twisthom.numbers import Cyclo
-from twisthom.reps import (ImageClosureError, SplitData, character_from_grading,
-                           evaluate_word, explicit_rep, fixed_point_free_check,
-                           induce_rep, invariant_coinvariant_split,
+from twisthom.reps import (ImageClosureError, SplitData, _as_matrix, _node_images,
+                           character_from_grading, evaluate_word, explicit_rep,
+                           fixed_point_free_check, induce_rep, invariant_coinvariant_split,
                            permutation_rep, quaternion_left_rep,
                            torsion_characters, trivial_rep)
 
@@ -43,10 +43,11 @@ def _circle():
 def test_specialize_circle():
     circle = _circle()
     b = specialize(circle, trivial_rep(circle.group, 1))
-    assert b.boundary_matrix(0)[0, 0] == Cyclo.zero()
+    assert _as_matrix(b.boundaries[0], b.denominators[0], b.conductor)[0, 0] == Cyclo.zero()
     ch = character_from_grading(circle.group, [1], 2, 1)
     b = specialize(circle, ch)
-    assert b.boundary_matrix(0)[0, 0] == Cyclo.from_rational(-2)
+    d1 = _as_matrix(b.boundaries[0], b.denominators[0], b.conductor)
+    assert d1[0, 0] == Cyclo.from_rational(-2)
 
 
 def test_specialize_lens_values():
@@ -56,9 +57,11 @@ def test_specialize_lens_values():
     ch = torsion_characters(lens.group)[1]
     b = specialize(lens, ch)
     z_inv = Cyclo.root_of_unity(5, -1)
-    assert b.boundary_matrix(0)[0, 0] == z_inv - 1
-    assert b.boundary_matrix(1)[0, 0] == Cyclo.zero()  # geometric sum of all powers
-    assert b.boundary_matrix(2)[0, 0] == z_inv - 1
+    d1, d2, d3 = (_as_matrix(a, den, b.conductor)
+                  for a, den in zip(b.boundaries, b.denominators))
+    assert d1[0, 0] == z_inv - 1
+    assert d2[0, 0] == Cyclo.zero()  # geometric sum of all powers
+    assert d3[0, 0] == z_inv - 1
     assert homology_dims(b).dims == (0, 0, 0, 0)
 
 
@@ -477,7 +480,8 @@ def test_boundaries_match_independent_assembly(word_reference):
         assert len(b.boundaries) == len(expected)
         ranks = [0]
         for k, m in enumerate(expected):
-            assert b.boundary_matrix(k) == m, (label, name, k)
+            got = _as_matrix(b.boundaries[k], b.denominators[k], b.conductor)
+            assert got == m, (label, name, k)
             ranks.append(matrix_rank(m))
             assert certified_rank(b.boundaries[k], b.conductor) == ranks[-1], (label, name, k)
         ranks.append(0)
@@ -493,10 +497,10 @@ def test_boundaries_match_independent_assembly(word_reference):
         ("quaternion_q8", "left"): ("_Monomial", 2, 1),
         ("t3 * t3", "permutation"): ("_Monomial", 1, 1),
         ("t3 * t3", "character"): ("_Monomial", 5, 1),
-        ("t3 * t3", "dense"): ("_Dense", 5, 25 ** 4),  # dens multiply along a word
+        ("t3 * t3", "dense"): ("_Dense", 5, 25),  # every product in lowest terms
         ("lens:7,2", "permutation"): ("_Monomial", 1, 1),
         ("lens:7,2", "character"): ("_Monomial", 7, 1),
-        ("lens:7,2", "dense"): ("_Dense", 7, 25 ** 6)}
+        ("lens:7,2", "dense"): ("_Dense", 7, 25)}
 
     t3 = catalog_complex("t3").complex
     reps = _backend_reps()
@@ -511,6 +515,35 @@ def test_boundaries_match_independent_assembly(word_reference):
     ranks = [0] + ranks + [0]
     want = [2 * cells - ranks[i] - ranks[i + 1] for i, cells in enumerate(t3.ranks)]
     assert subquotient_dims(t3, dense, split)[0].dims == tuple(want)
+
+
+def test_rotated_lens_boundaries_stay_in_lowest_terms():
+    """Dense products are kept in lowest terms, so a word of length 16 under
+    a rep with denominator 25 keeps denominator 25, not 25^16: lens:17,1
+    under the rotated diag(zeta_17, zeta_17^2) specializes to int64
+    boundaries over 25."""
+    lens = catalog_complex("lens", [17, 1]).complex
+    r = explicit_rep(lens.group, _rotated(
+        [_diagonal([Cyclo.root_of_unity(17, 1), Cyclo.root_of_unity(17, 2)])], 2))
+    b = specialize(lens, r)
+    assert [a.dtype for a in b.boundaries] == [np.int64] * 3
+    assert b.denominators == (25, 25, 25)
+
+
+def test_dense_identities_are_the_identity_bitwise():
+    """Every g g^-1 product and every relator's word image of a dense rep is
+    the stored identity (I, 1) itself: same dtype, same bytes, den 1."""
+    dense = [r for *_, r in _assembly_cases() if type(r.compiled).__name__ == "_Dense"]
+    assert len(dense) == 4
+    for r in dense:
+        imgs = r.compiled
+        eye, one = imgs.identity
+        products = [imgs.mul(imgs.images[g, 1], imgs.images[g, -1])
+                    for g in range(r.group.num_generators)]
+        parents, letters, nodes = prefix_trie(r.group.relators)
+        images = _node_images(imgs, parents, letters)
+        for a, den in products + [images[k] for k in nodes]:
+            assert (den, a.dtype, a.tobytes()) == (one, eye.dtype, eye.tobytes())
 
 
 def test_specialization_plans_live_and_die_with_their_complexes():

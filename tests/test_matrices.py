@@ -186,13 +186,12 @@ def _check_poly_snf(m: Matrix):
     U A V = D, whose transforms are checked to be unimodular."""
     u, d, v = smith_normal_form_poly(m)
     assert (u @ m @ v) == d
-    assert det_poly(u).is_unit()
-    assert det_poly(v).is_unit()
+    assert len(det_poly(u).terms) == len(det_poly(v).terms) == 1
     got = invariant_factors(m)
     assert got == poly_diagonal(d)
     for x in got:
         if x:
-            assert x.valuation() == 0 and x.leading_coeff() == 1
+            assert x.valuation() == 0 and x.terms[x.degree()] == 1
     nonzero = [x for x in got if x]
     assert [bool(x) for x in got] == [True] * len(nonzero) + [False] * (len(got) - len(nonzero))
     for i in range(len(nonzero) - 1):
@@ -332,7 +331,7 @@ def test_kernel_basis_random():
                                 for _ in range(rows)])
         k = kernel_basis_poly(m)
         if k.cols:
-            assert (m @ k).is_zero()
+            assert not any(x for row in (m @ k).entries for x in row)
         # rank over the fraction field + kernel columns = total columns, with
         # the rank from Bareiss and from the library's invariant factors
         assert k.cols == cols - matrix_rank(m)

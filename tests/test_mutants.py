@@ -170,8 +170,12 @@ MUTANTS = [
      lambda b, basis: [matrices.certified_rank(a, basis.shape[-1]) for a in b.boundaries],
      ASSERTED, [functools.partial(test_homology.test_subspace_dims_match_summands, base)
                 for base in ("lens:3,1", "trefoil_exterior")]),
-    ("_Dense.reduced without its reduction", reps._Dense, "reduced",
-     lambda self, img: img, ASSERTED, [_fixed_point_free_matches_reference_capped]),
+    ("dense lowest terms without the gcd divided out", reps._lowest, "__code__",
+     _edited(reps._lowest, "g = math.gcd(den, int(np.gcd.reduce(red, axis=None)))", "g = 1"),
+     ASSERTED, [test_homology.test_dense_identities_are_the_identity_bitwise]),
+    ("dense lowest terms without the Phi_n reduction", reps._lowest, "__code__",
+     _edited(reps._lowest, "_power_basis(n)[:m]", "np.eye(n, dtype=np.int64)[:m]"),
+     ASSERTED, [test_homology.test_dense_identities_are_the_identity_bitwise]),
     ("monomial test keeps the first nonzero of a column", reps._monomial_columns, "__code__",
      _edited(reps._monomial_columns, "if any(len(col) != 1 for col in nonzero):",
              "if not all(nonzero):"), ASSERTED, [test_reps.test_verify_rep_examples]),

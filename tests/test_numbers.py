@@ -48,7 +48,7 @@ def test_cyclotomic_degrees():
     for n in range(1, 30):
         p = cyclotomic_polynomial(n)
         assert p.degree() == euler_phi(n)
-        assert p.leading_coeff() == 1
+        assert p.terms[p.degree()] == 1
         # product over divisors reconstructs t^n - 1
         prod = Poly({0: 1})
         for d in range(1, n + 1):
@@ -60,20 +60,20 @@ def test_cyclotomic_degrees():
 def test_embed_rational():
     three = Cyclo.from_rational(3)
     e = three.embed(4)
-    assert e.conductor == 4 and e.is_rational() and e.rational_value() == 3
+    assert e.conductor == 4 and e.is_rational() and e.coeffs[0] == 3
 
 
 def test_embed_zeta2():
     z2 = Cyclo.root_of_unity(2)
     e = z2.embed(4)
-    assert e.is_rational() and e.rational_value() == -1
+    assert e.is_rational() and e.coeffs[0] == -1
 
 
 def test_embed_zeta3_cube():
     z3 = Cyclo.root_of_unity(3)
     e = z3.embed(6)
     assert e.conductor == 6
-    assert (e * e * e).is_one()
+    assert e * e * e == Cyclo.one()
     assert e == z3  # equality embeds into the lcm
 
 
@@ -101,8 +101,8 @@ def test_field_axioms_random():
         assert (x * y).conjugate() == x.conjugate() * y.conjugate()
         assert x.conjugate().conjugate() == x
         if x:
-            assert (x * cyclo_div(Cyclo.one(n), x)).is_one()
-            assert cyclo_div(x, x).is_one()
+            assert x * cyclo_div(Cyclo.one(n), x) == Cyclo.one()
+            assert cyclo_div(x, x) == Cyclo.one()
 
 
 def test_cross_conductor_arithmetic():
@@ -120,8 +120,8 @@ def test_invert_zero_raises():
 
 def test_laurent_units_and_normalization():
     p = Laurent({3: 2, 1: -2})  # 2t^3 - 2t = 2t(t^2 - 1)
-    assert not p.is_unit()
-    assert Laurent({5: Fraction(-7, 3)}).is_unit()
+    assert len(p.terms) != 1  # units of Q[t, t^-1] are the monomials c t^k
+    assert len(Laurent({5: Fraction(-7, 3)}).terms) == 1
     # the monic associate of the coefficients of -2 + 2t^2 (of -2t + 2t^3 / t)
     assert _monic_laurent((-2, 0, 2)) == Laurent({2: 1, 0: -1})
     assert _monic_laurent((3, 1)) == Laurent({0: 3, 1: 1})

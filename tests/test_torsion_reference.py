@@ -53,7 +53,7 @@ def reference_torsion(mats, ranks) -> TorsionData:
         _, d, _ = smith_normal_form_poly(_solve(kernel, image))
         nonzero = [x for x in poly_diagonal(d) if x]
         free_ranks.append(kernel.cols - len(nonzero))
-        torsion.append(tuple(x for x in nonzero if not x.is_unit()))
+        torsion.append(tuple(x for x in nonzero if len(x.terms) != 1))
     return torsion_data(free_ranks, torsion)
 
 
