@@ -26,7 +26,7 @@ import numpy as np
 
 from .groups import (EMPTY_WORD, GroupPresentation, GroupRingElt, PermAction,
                      Word, abelianization, free_reduce, reidemeister_schreier,
-                     word_mul, word_power)
+                     word_power)
 from .matrices import int_dtype
 
 
@@ -170,7 +170,7 @@ class SpecializationPlan:
     or Python ints where the boundary's entry bound leaves int64).
     """
 
-    __slots__ = ("parents", "letters", "ends", "boundaries")
+    __slots__ = ("parents", "letters", "ends", "boundaries", "_scatter")
 
     def __init__(self, c: EquivariantComplex):
         parents, letters, found = prefix_trie(w for b in c.boundaries for w in b.terms[3])
@@ -188,9 +188,20 @@ class SpecializationPlan:
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "ends", ends)
         object.__setattr__(self, "boundaries", tuple(boundaries))
+        object.__setattr__(self, "_scatter", {})
 
     def __setattr__(self, *a):
         raise AttributeError("SpecializationPlan is immutable")
+
+    def scatter(self, d: int) -> tuple:
+        """Per boundary, the index arrays of ``reps._Monomial.assemble`` for
+        monomial images of dim d, built on the first use of d and kept."""
+        if d not in self._scatter:
+            self._scatter[d] = tuple(
+                (rows * d, cols * d, words, i[:, None] * d, j[:, None] * d + np.arange(d),
+                 coeffs[:, None], np.zeros((len(words), d), dtype=np.int64))
+                for rows, cols, (words, i, j), coeffs in self.boundaries)
+        return self._scatter[d]
 
 
 def specialization_plan(c: EquivariantComplex) -> SpecializationPlan:
@@ -206,17 +217,14 @@ def specialization_plan(c: EquivariantComplex) -> SpecializationPlan:
 # ---------------------------------------------------------------------------
 
 def fox_derivative(w: Word, gen: int) -> GroupRingElt:
-    """Free Fox derivative d(w)/d(gen) in classical left coordinates."""
-    terms: list[tuple[Word, int]] = []
-    prefix: Word = EMPTY_WORD
-    for g, e in w:
-        if g == gen:
-            if e == 1:
-                terms.append((prefix, 1))
-            else:
-                terms.append((word_mul(prefix, ((g, -1),)), -1))
-        prefix = word_mul(prefix, ((g, e),))
-    return GroupRingElt(terms)
+    """Free Fox derivative d(w)/d(gen) in classical left coordinates.
+
+    w is reduced once; then each letter gen at i contributes +w[:i] and each
+    gen^-1 at i contributes -w[:i+1], prefixes of a reduced word that are
+    reduced as they stand, so no product is reduced again."""
+    w = free_reduce(w)
+    return GroupRingElt([(w[:i], 1) if e == 1 else (w[:i + 1], -1)
+                         for i, (g, e) in enumerate(w) if g == gen])
 
 
 def presentation_complex(p: GroupPresentation) -> EquivariantComplex:

@@ -12,8 +12,9 @@ on integers, with one elimination per ring:
   bounded by the smaller L1 norm of its two representatives.  The
   elimination holds signed residues in (-p, p) and reduces a value mod p
   only when it leaves [-p//2, p//2], so the +-1 of a boundary stays a small
-  Python int.  It has no fallback: when the interval of split primes cannot
-  supply the certified count, it raises ValueError;
+  Python int.  An exact first elimination needs no bound.  It has no
+  fallback: when the interval of split primes cannot supply the certified
+  count, it raises ValueError;
 - Smith normal form over Z: ``smith_normal_form_int``, with U and V;
 - Smith normal form over Q[t, t^-1]: ``_snf_poly``, the diagonal alone, on
   integer Laurent polynomials (below), in Python ints with exact integer
@@ -240,11 +241,11 @@ def split_primes(n: int, count: int) -> list[tuple[int, int]]:
     return got[:count]
 
 
-def _rank_mod_p(m: np.ndarray, p: int) -> list[int]:
+def _rank_mod_p(m: np.ndarray, p: int) -> tuple[list[int], bool]:
     """Pivot columns over F_p of the int64 matrix m (left unchanged), whose
     entries are residues in (-p, p): the leads of an echelon basis {lead:
     rest of its row, scaled to lead 1}, the first independent columns,
-    whatever representatives the elimination holds.
+    whatever representatives the elimination holds; and whether it was exact.
 
     The rows are dicts {col: residue} built from the nonzero entries of m
     alone, in row order; zero rows are never built.  Each row is reduced by
@@ -254,12 +255,13 @@ def _rank_mod_p(m: np.ndarray, p: int) -> list[int]:
     exactly when it is 0, which drops it.  The +-1 of a boundary and the
     small values they combine into stay small Python ints.  A row
     whose new lead is 1 is stored as it stands and one whose lead is -1 is
-    negated, with no inverse taken; any other lead is scaled by its inverse."""
+    negated, with no inverse taken; any other lead is scaled by its inverse.
+    Exact means neither such an inverse nor a reduction mod p was taken."""
     rows: dict[int, dict[int, int]] = {}
     r, c = m.nonzero()
     for i, j, x in zip(r.tolist(), c.tolist(), m[r, c].tolist()):
         rows.setdefault(i, {})[j] = x
-    h = p // 2
+    h, exact = p // 2, True
     basis: dict[int, dict[int, int]] = {}
     for v in rows.values():
         while v:
@@ -269,21 +271,21 @@ def _rank_mod_p(m: np.ndarray, p: int) -> list[int]:
                 if f == -1:
                     v = {j: -x for j, x in v.items()}
                 elif f != 1:
-                    inv = pow(f, -1, p)
+                    inv, exact = pow(f, -1, p), False
                     v = {j: x * inv % p for j, x in v.items()}
                 basis[lead] = v
                 break
             for j, x in basis[lead].items():  # v -= f * basis row, zeros dropped
                 y = v.get(j, 0) - f * x
                 if not -h <= y <= h:
-                    y %= p
+                    y, exact = y % p, False
                 if y:
                     v[j] = y
                 else:
                     del v[j]
         if len(basis) == m.shape[1]:
             break
-    return sorted(basis)
+    return sorted(basis), exact
 
 
 def _evaluate_mod_p(a: np.ndarray, p: int, r: int) -> np.ndarray:
@@ -355,6 +357,12 @@ def certified_pivots(a: np.ndarray, n: int) -> list[int]:
     prime n, reducing one term zeta_n^(n-1) spreads it over n - 1
     coefficients, while 1 + x + ... + x^(n-1) reduces to 0.
 
+    The first prime runs before H.  If ``_evaluate_mod_p`` passes the
+    reduction through (n <= 2) and ``_rank_mod_p`` is exact, every step was
+    an integer row operation with a unit lead: its pivots are final, with no
+    H (early termination; von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, ch. 5).  Otherwise the loop reuses them.
+
     The pivots come from the first prime that reaches the maximum.  Columns
     independent over F_p have a minor that is nonzero mod p, hence nonzero:
     they are independent over Q(zeta_n), and there are rank of them.
@@ -365,18 +373,23 @@ def certified_pivots(a: np.ndarray, n: int) -> list[int]:
     red = reduce_cyclotomic(a, n)
     if not red.any():
         return []
+    best, full = [], min(rows, cols)
+    for p, r in split_primes(n, 1):  # the first prime; none for a huge n
+        m = _evaluate_mod_p(red, p, r)
+        best, exact = _rank_mod_p(m, p)
+        if exact and np.may_share_memory(m, red):  # a view: red passed through
+            return best
     need = int(euler_phi(n) * _hadamard_bits(_entry_bounds(a, red)) / 30 * (1 + 1e-9)) + 1
     primes = split_primes(n, need)
     if len(primes) < need:
         raise ValueError(f"the rank certificate needs {need} split primes for "
                          f"conductor {n}; only {len(primes)} exist below 2^31")
-    best, full = [], min(rows, cols)
-    for p, r in primes:
-        pivots = _rank_mod_p(_evaluate_mod_p(red, p, r), p)
-        if len(pivots) > len(best):
-            best = pivots
+    for p, r in primes[1:]:
         if len(best) == full:
             break
+        pivots, _ = _rank_mod_p(_evaluate_mod_p(red, p, r), p)
+        if len(pivots) > len(best):
+            best = pivots
     return best
 
 

@@ -29,7 +29,6 @@ Cyclo arithmetic happens here, and Cyclo matrices are a view on demand.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import math
@@ -71,36 +70,47 @@ class _Monomial:
 
     Exponents are written at n / gcd(n, exponents), the lcm of the orders of
     the roots; the inverse of an image is x^-e at the inverse permutation.
+    Images are kept as four tuples (perms, exps and the inverses' two), and
+    ``images`` builds their dict on access: a permutation rep holds its action's.
     """
 
-    __slots__ = ("n", "dim", "images")
+    __slots__ = ("n", "dim", "perms", "exps", "inverse_perms", "inverse_exps")
 
     def __init__(self, n: int, dim: int, gens):
         gens = [(tuple(perm), [e % n for e in exps]) for perm, exps in gens]
         g = math.gcd(n, *(e for _, exps in gens for e in exps))
-        self.n, self.dim, self.images = n // g, dim, {}
+        self.n, self.dim = n // g, dim
         shared = {}
 
-        def stored(t):  # equal tuples are kept once: reps are held by the thousand
+        def stored(t):  # equal tuples are kept once
             t = tuple(t)
             return shared.setdefault(t, t)
 
-        for gen, (perm, exps) in enumerate(gens):
+        columns = [], [], [], []
+        for perm, exps in gens:
             inv_perm, inv_exps = [0] * dim, [0] * dim
             for i, (row, e) in enumerate(zip(perm, exps)):
                 inv_perm[row], inv_exps[row] = i, -e // g % self.n
-            self.images[gen, 1] = (stored(perm), stored(e // g for e in exps))
-            self.images[gen, -1] = (stored(inv_perm), stored(inv_exps))
+            for column, t in zip(columns, (perm, (e // g for e in exps), inv_perm, inv_exps)):
+                column.append(stored(t))
+        self.perms, self.exps, self.inverse_perms, self.inverse_exps = map(tuple, columns)
 
     @classmethod
     def of_permutations(cls, dim: int, perms, inverses):
         """0/1 images (n = 1) of permutations given with their inverses."""
         imgs = cls.__new__(cls)
-        imgs.n, imgs.dim, imgs.images = 1, dim, {}
-        zeros = (0,) * dim
-        for gen, (perm, inv) in enumerate(zip(perms, inverses)):
-            imgs.images[gen, 1], imgs.images[gen, -1] = (perm, zeros), (inv, zeros)
+        imgs.n, imgs.dim, imgs.perms, imgs.inverse_perms = 1, dim, perms, inverses
+        imgs.exps = imgs.inverse_exps = ((0,) * dim,) * len(perms)
         return imgs
+
+    @property
+    def images(self) -> dict:
+        """{(gen, +-1): (perm, exps)}, made on each access."""
+        out = {}
+        for g, (perm, exps, inv_perm, inv_exps) in enumerate(zip(
+                self.perms, self.exps, self.inverse_perms, self.inverse_exps)):
+            out[g, 1], out[g, -1] = (perm, exps), (inv_perm, inv_exps)
+        return out
 
     @property
     def identity(self):
@@ -124,18 +134,15 @@ class _Monomial:
     def assemble(self, plan, images) -> list:
         """Each boundary of a ``complexes.SpecializationPlan`` under the
         ``images`` of its words (one per ``plan.ends``), by one scatter of the
-        terms' stacked images; den 1."""
+        terms' stacked images at the plan's indices for this dim; den 1."""
         d, n = self.dim, self.n
         perms = np.array([p for p, _ in images], dtype=np.int64).reshape(len(images), d)
-        if n == 1:  # every exponent is 0
-            exps = np.zeros(perms.shape, dtype=np.int64)
-        else:
+        if n > 1:  # at n = 1 every exponent is 0: the plan's zeros
             exps = np.array([e for _, e in images], dtype=np.int64).reshape(len(images), d)
         out = []
-        for rows, cols, (words, i, j), coeffs in plan.boundaries:
-            a = np.zeros((rows * d, cols * d, n), dtype=coeffs.dtype)
-            np.add.at(a, (i[:, None] * d + perms[words], j[:, None] * d + np.arange(d),
-                          exps[words]), coeffs[:, None])
+        for rows, cols, words, i, j, coeffs, zeros in plan.scatter(d):
+            a = np.zeros((rows, cols, n), dtype=coeffs.dtype)
+            np.add.at(a, (i + perms[words], j, zeros if n == 1 else exps[words]), coeffs)
             out.append((a, 1))
         return out
 
@@ -330,8 +337,7 @@ def character_exponents(r: UnitaryRep) -> list[int]:
     built by ``torsion_characters`` or ``character_from_grading``, whose
     compiled n divides the conductor: its exponent of x times conductor / n."""
     imgs = r.compiled
-    return [imgs.images[g, 1][1][0] * (r.conductor // imgs.n)
-            for g in range(r.group.num_generators)]
+    return [exps[0] * (r.conductor // imgs.n) for exps in imgs.exps]
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +472,11 @@ def extend_by_identity(r: UnitaryRep, big_group: GroupPresentation) -> UnitaryRe
     generators of ``big_group`` (the first generators must be r's)."""
     if big_group.num_generators < r.group.num_generators:
         raise ValueError("target group has fewer generators")
-    compiled = copy.copy(r.compiled)
-    ident = compiled.identity
-    compiled.images = {**compiled.images,
-                       **{(g, e): ident for e in (1, -1)
-                          for g in range(r.group.num_generators, big_group.num_generators)}}
+    imgs, ident = r.compiled, r.compiled.identity
+    extra = range(r.group.num_generators, big_group.num_generators)
+    compiled = (_Monomial(imgs.n, r.dim, list(zip(imgs.perms, imgs.exps)) + [ident] * len(extra))
+                if isinstance(imgs, _Monomial) else _Dense(imgs.n, r.dim, {
+                    **imgs.images, **{(g, e): ident for e in (1, -1) for g in extra}}))
     return UnitaryRep(big_group, r.dim, r.conductor, r.provenance, compiled)
 
 
@@ -491,8 +497,8 @@ def _verify_rep_uncached(r: UnitaryRep) -> bool:
     """Each generator image times its inverse, the conjugate transpose, is the
     identity, and so is every relator's word image: one image per matrix, so
     the identity is (I, 1) exactly."""
-    imgs = r.compiled
-    if not all(imgs.is_identity(imgs.mul(imgs.images[g, 1], imgs.images[g, -1]))
+    imgs, gens = r.compiled, r.compiled.images
+    if not all(imgs.is_identity(imgs.mul(gens[g, 1], gens[g, -1]))
                for g in range(r.group.num_generators)):
         return False
     parents, letters, nodes = prefix_trie(r.group.relators)
@@ -531,8 +537,8 @@ def _minus_identity(imgs, img) -> np.ndarray:
 def alpha_minus_one_blocks(r: UnitaryRep) -> tuple[list[np.ndarray], int]:
     """The integer blocks den_g (alpha(g) - I) over Z[x]/(x^n - 1), one per
     generator g (one zero block when there is none), and n."""
-    imgs = r.compiled
-    gens = [imgs.images[g, 1] for g in range(r.group.num_generators)] or [imgs.identity]
+    imgs, images = r.compiled, r.compiled.images
+    gens = [images[g, 1] for g in range(r.group.num_generators)] or [imgs.identity]
     return [_minus_identity(imgs, img) for img in gens], imgs.n
 
 
@@ -579,8 +585,8 @@ def fixed_point_free_check(r: UnitaryRep, element_cap: int = 10000) -> bool:
     """
     if not verify_rep(r):
         raise ValueError("representation fails verification")
-    imgs, n = r.compiled, r.compiled.n
-    if any(imgs.is_identity(imgs.images[g, 1]) for g in range(r.group.num_generators)):
+    imgs, n, gens = r.compiled, r.compiled.n, r.compiled.images
+    if any(imgs.is_identity(gens[g, 1]) for g in range(r.group.num_generators)):
         return False
     seen, todo = {}, [imgs.identity]
     while todo:
@@ -591,6 +597,6 @@ def fixed_point_free_check(r: UnitaryRep, element_cap: int = 10000) -> bool:
             if len(seen) >= element_cap:
                 raise ImageClosureError(f"image closure exceeded {element_cap} elements")
             seen[key] = img
-            todo += [imgs.mul(g, img) for g in imgs.images.values()]
+            todo += [imgs.mul(g, img) for g in gens.values()]
     blocks = [_minus_identity(imgs, img) for img in list(seen.values())[1:]]  # not I
     return all(certified_rank(b, n) == r.dim for b in blocks)

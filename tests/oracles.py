@@ -3,8 +3,9 @@
 The library has one elimination per ring: the split-prime ``certified_rank``
 over Q and Q(zeta_n), ``smith_normal_form_int`` over Z and the diagonal-only
 ``_snf_poly`` over Q[t, t^-1].  The routines here reach the same answers by
-other eliminations and use only ``Matrix``, ``TorsionData`` and the scalar
-types ``Cyclo`` and ``Laurent`` of the library.  ``Laurent`` and
+other eliminations and, but for ``certified_pivots_reference``, use only
+``Matrix``, ``TorsionData`` and the scalar types ``Cyclo`` and ``Laurent``
+of the library.  ``Laurent`` and
 ``GroupRingElt`` have no arithmetic, so the ring operations of Q[t, t^-1]
 and Z[pi] and the division of Q[t, t^-1] live here:
 
@@ -20,6 +21,15 @@ and Z[pi] and the division of Q[t, t^-1] live here:
 - ``rank_mod_p_reference``: pivot columns over F_p of an int64 residue
   matrix by dense column-by-column numpy elimination without inverses, the
   reference for the sparse ``matrices._rank_mod_p``;
+- ``certified_pivots_reference``: the certified pivots by the plain
+  multimodular loop, the Hadamard bound first and then every certified
+  split prime until the rank is full, eliminated by
+  ``rank_mod_p_reference``: the reference for the exact route of
+  ``matrices.certified_pivots``.  It reads the bound, the primes and the
+  evaluation from ``matrices``;
+- ``fox_derivative_reference``: the Fox derivative letter by letter, each
+  prefix reduced again by ``word_mul``, the reference for
+  ``complexes.fox_derivative``;
 - ``ring_matmul_reference``: matrix products over Z[x]/(x^n - 1) as explicit
   cyclic convolutions in Python ints, the reference for
   ``matrices.ring_matmul``;
@@ -47,9 +57,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from twisthom import matrices
 from twisthom.alexander import TorsionData
-from twisthom.groups import (GroupRingElt, reidemeister_schreier, word_inverse,
-                             word_mul)
+from twisthom.groups import (EMPTY_WORD, GroupRingElt, reidemeister_schreier,
+                             word_inverse, word_mul)
 from twisthom.matrices import Matrix
 from twisthom.numbers import Cyclo, Laurent, euler_phi
 from twisthom.reps import ImageClosureError
@@ -263,6 +274,43 @@ def rank_mod_p_reference(m: np.ndarray, p: int) -> list[int]:
             m[below, j:] = (m[below, j:] * m[rank, j] - m[below, j, None] * m[rank, j:]) % p
         pivots.append(j)
     return pivots
+
+
+def certified_pivots_reference(a: np.ndarray, n: int) -> list[int]:
+    """The pivots of ``matrices.certified_pivots`` by the loop with no exact
+    route: the bound on the norms of the minors first, then one elimination
+    per certified split prime, in order, until the rank is full; the pivots
+    of the first prime that reaches the maximum."""
+    rows, cols = a.shape[:2]
+    if rows == 0 or cols == 0:
+        return []
+    red = matrices.reduce_cyclotomic(a, n)
+    if not red.any():
+        return []
+    bits = matrices._hadamard_bits(matrices._entry_bounds(a, red))
+    need = int(euler_phi(n) * bits / 30 * (1 + 1e-9)) + 1
+    primes = matrices.split_primes(n, need)
+    assert len(primes) == need, "too few split primes"
+    best = []
+    for p, r in primes:
+        pivots = rank_mod_p_reference(matrices._evaluate_mod_p(red, p, r) % p, p)
+        if len(pivots) > len(best):
+            best = pivots
+        if len(best) == min(rows, cols):
+            break
+    return best
+
+
+def fox_derivative_reference(w, gen: int) -> GroupRingElt:
+    """d(w)/d(gen) letter by letter: the running prefix is multiplied by
+    each letter and reduced again, and a letter gen^-1 contributes
+    -(prefix gen^-1)."""
+    terms, prefix = [], EMPTY_WORD
+    for g, e in w:
+        if g == gen:
+            terms.append((prefix, 1) if e == 1 else (word_mul(prefix, ((g, -1),)), -1))
+        prefix = word_mul(prefix, ((g, e),))
+    return GroupRingElt(terms)
 
 
 def ring_matmul_reference(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:

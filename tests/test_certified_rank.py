@@ -7,13 +7,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import matrix_rank, rank_mod_p_reference
+from oracles import certified_pivots_reference, matrix_rank, rank_mod_p_reference
 from twisthom.complexes import Boundary, catalog_complex
 from twisthom.groups import PermAction, reidemeister_schreier
 from twisthom import matrices
 from twisthom.homology import BoundaryError, homology_dims, specialize, subquotient_dims
-from twisthom.matrices import (Matrix, _evaluate_mod_p, _rank_mod_p,
-                               certified_rank, fast_rank, lift_cyclo,
+from twisthom.matrices import (Matrix, _evaluate_mod_p, _rank_mod_p, certified_pivots,
+                               certified_rank, fast_rank, lift_cyclo, max_abs,
                                reduce_cyclotomic, split_primes)
 from twisthom.numbers import Cyclo, euler_phi
 from twisthom.reps import (explicit_rep, induce_rep, invariant_coinvariant_split,
@@ -72,7 +72,9 @@ def test_rank_of_stacked_copies(n, data):
 @pytest.mark.parametrize("n", [1, 5, 12])
 def test_prime_count_is_certified(n):
     """Entries prod (zeta_n - r_i) vanish modulo each of the first three split
-    primes; the certified rank still finds the true rank 2."""
+    primes; the certified rank still finds the true rank 2.  For n = 1 each
+    elimination is exact on a zero matrix, but it is not the integer matrix,
+    so the exact route must not take it."""
     primes = split_primes(n, 3)
     assert all((p - 1) % n == 0 and 2 ** 30 < p < 2 ** 31 for p, _ in primes)
     zeta = Cyclo.root_of_unity(n) if n > 1 else Cyclo.one()
@@ -85,7 +87,7 @@ def test_prime_count_is_certified(n):
     a, den = lift_cyclo(m.entries, n)
     assert den == 1
     for p, r in primes:
-        assert _rank_mod_p(_evaluate_mod_p(a, p, r), p) == []
+        assert _rank_mod_p(_evaluate_mod_p(a, p, r), p) == ([], True)
     assert certified_rank(a, n) == matrix_rank(m) == 2
 
 
@@ -95,7 +97,8 @@ def test_prime_count_follows_the_smaller_norm(monkeypatch):
     prime n = 31, x^30 reduces to -(1 + x + ... + x^29), of norm 30, and
     1 + x + ... + x^30 + x (norm 32) reduces to x.  A 2 x 2 array of one
     such entry then has H = 2 (two rows of norm sqrt(2)) and asks for 2
-    primes, where the larger norm would ask for 11 or 12."""
+    primes, where the larger norm would ask for 11 or 12.  The one prime
+    asked for first is the elimination that runs before the bound."""
     n = 31
     counts = []
     original = split_primes
@@ -115,7 +118,8 @@ def test_prime_count_follows_the_smaller_norm(monkeypatch):
         assert np.abs(red[0, 0]).sum() == reduced_norm and np.abs(a[0, 0]).sum() == given_norm
         counts.clear()
         assert certified_rank(a, n) == 1
-        assert counts == [2]
+        first, *certificate = counts
+        assert first == 1 and certificate == [2]
         assert certified_rank(red, n) == 1
 
 
@@ -186,10 +190,14 @@ def _signed_representatives(rng, m: np.ndarray, p: int) -> np.ndarray:
 
 def _assert_kernel_matches_reference(m: np.ndarray, p: int):
     """The kernel's pivots of m, residues in (-p, p), are the reference's of
-    their [0, p) form, and m is left as it was."""
+    their [0, p) form, and m is left as it was.  An elimination that reports
+    itself exact was an integer one, so its rank is that of m over Q."""
     before = m.copy()
-    assert matrices._rank_mod_p(m, p) == rank_mod_p_reference(m % p, p)
+    pivots, exact = matrices._rank_mod_p(m, p)
+    assert pivots == rank_mod_p_reference(m % p, p)
     assert np.array_equal(m, before), "the kernel changed its input"
+    if exact:
+        assert len(pivots) == matrix_rank(Matrix(*m.shape, m.tolist()))
 
 
 def _drawn_residues(p, rows, cols, density, small, low_rank, rng, data) -> np.ndarray:
@@ -326,3 +334,68 @@ def test_too_few_split_primes_raise(monkeypatch):
     a, _ = lift_cyclo([[Cyclo.root_of_unity(5), big], [big, big]], 5)
     with pytest.raises(ValueError, match="split primes"):
         certified_rank(a, 5)
+
+
+# Integer matrices of determinant P1 = 2^31 - 1, the first split prime of
+# n = 1 and of n = 2, with every entry in [-P1//2, P1//2]: the elimination
+# mod P1 loses one rank, after inverting the lead 4 (4 * 2^29 = 1 mod P1),
+# or after reducing differences that leave that range, the last entry of
+# the third row becoming P1 - 7 * 10^8 and then P1, which is 0 mod P1.
+P1 = RESIDUE_PRIMES[0]
+EXACT_ROUTE_TRAPS = {
+    "a non-unit lead": [[4, 1], [1, 2 ** 29]],
+    "a reduction mod p": [[1, 0, -7 * 10 ** 8], [0, 1, -7 * 10 ** 8],
+                          [1, 1, P1 - 14 * 10 ** 8]],
+}
+
+
+@pytest.mark.parametrize("trap", EXACT_ROUTE_TRAPS)
+def test_exact_route_needs_unit_leads_and_no_reduction(trap):
+    """The first prime's elimination of each trap passes it through as it
+    stands but is not exact, so the certificate takes more primes and finds
+    the full rank over Q, at n = 1 and n = 2."""
+    rows = EXACT_ROUTE_TRAPS[trap]
+    a = np.array(rows, dtype=np.int64)[..., None]
+    assert P1 == 2 ** 31 - 1 == split_primes(2, 1)[0][0] and max_abs(a) <= P1 // 2
+    assert np.shares_memory(_evaluate_mod_p(a, P1, 1), a)  # passed through
+    pivots, exact = _rank_mod_p(a[..., 0], P1)
+    assert len(pivots) == len(rows) - 1 and not exact
+    full = matrix_rank(Matrix(len(rows), len(rows), rows))
+    assert full == len(rows)
+    for n in (1, 2):
+        assert certified_rank(a, n) == full, n
+
+
+@st.composite
+def planted_integer_arrays(draw):
+    """A single-coefficient integer array a[R, C, 1] for n = 1 or 2, sparse,
+    with entries +-1 alone or from +-1 to 2^40 on both sides of P1//2, and
+    with one of the traps above planted at random rows (zero elsewhere) and
+    columns.  For n = 2 it may come as a[R, C, 2] = (a + s, s), which
+    reduces to a."""
+    n = draw(st.sampled_from((1, 2)))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    values = st.sampled_from(draw(st.sampled_from((
+        (0, 0, 1, -1), (0, 0, 0, 1, -1, 2, -3, P1 // 2, -(P1 // 2), P1 // 2 + 1, 2 ** 40)))))
+    a = np.array(draw(st.lists(values, min_size=rows * cols, max_size=rows * cols)),
+                 dtype=np.int64).reshape(rows, cols, 1)
+    trap = draw(st.sampled_from((None, *EXACT_ROUTE_TRAPS.values())))
+    if trap is not None and len(trap) <= min(rows, cols):
+        r = draw(st.permutations(range(rows)))[:len(trap)]
+        c = draw(st.permutations(range(cols)))[:len(trap)]
+        a[r] = 0
+        a[np.ix_(r, c, [0])] = np.array(trap)[..., None]
+    if n == 2 and draw(st.booleans()):
+        s = np.array(draw(st.lists(st.integers(-2, 2), min_size=rows * cols,
+                                   max_size=rows * cols))).reshape(rows, cols, 1)
+        a = np.concatenate([a + s, s], axis=-1)
+    return a, n
+
+
+@SETTINGS
+@given(planted_integer_arrays())
+def test_certified_pivots_match_the_all_primes_loop(case):
+    """The exact route changes no pivot: ``certified_pivots`` returns those of
+    the loop that computes the bound first and runs every certified prime."""
+    a, n = case
+    assert certified_pivots(a, n) == certified_pivots_reference(a, n)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import Ring, cover_complex_reference
+from oracles import Ring, cover_complex_reference, fox_derivative_reference
 from twisthom.complexes import (Boundary, catalog_complex, catalog_entry_from_string,
                                 circle_product, cover_complex, fox_derivative,
                                 presentation_complex, quaternion_presentation,
@@ -47,6 +47,17 @@ def test_fox_derivative_trefoil():
     assert da == gr([(1, []), (1, [1, 2]), (-1, [1, 2, 1, -2, -1])])
     db = fox_derivative(r, b)
     assert db == gr([(1, [1]), (-1, [1, 2, 1, -2]), (-1, [1, 2, 1, -2, -1, -2])])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))), max_size=16))
+def test_fox_derivative_matches_letter_by_letter_reference(letters):
+    """On unreduced words over three generators, full of cancelling pairs,
+    the derivative from prefixes of the reduced word is the reference's,
+    which reduces every prefix again."""
+    w = tuple(letters)
+    for gen in range(3):
+        assert fox_derivative(w, gen) == fox_derivative_reference(w, gen)
 
 
 def test_fox_fundamental_identity():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import decode_basis, matrix_rank
+from oracles import decode_basis, matrix_rank, ring_matmul_reference
 from twisthom.cli import main
 from twisthom.complexes import (Boundary, EquivariantComplex, SpecializationPlan,
                                 catalog_complex, catalog_entry_from_string,
@@ -503,6 +503,11 @@ def test_boundaries_match_independent_assembly(word_reference):
         ("lens:7,2", "dense"): ("_Dense", 7, 25)}
 
     t3 = catalog_complex("t3").complex
+    fp = next(c for label, c, *_ in _assembly_cases() if label == "t3 * t3")
+    for d in range(1, 5):
+        for n in (1, 3, 4):
+            _assert_monomial_boundaries_bitwise(fp, d, n)
+
     reps = _backend_reps()
     dense = reps["dense"]
     split = invariant_coinvariant_split(dense)
@@ -515,6 +520,79 @@ def test_boundaries_match_independent_assembly(word_reference):
     ranks = [0] + ranks + [0]
     want = [2 * cells - ranks[i] - ranks[i + 1] for i, cells in enumerate(t3.ranks)]
     assert subquotient_dims(t3, dense, split)[0].dims == tuple(want)
+
+
+def _monomial_power_images(d: int, n: int) -> list[np.ndarray]:
+    """Generator images of pi1(T^3) * pi1(T^3) as integer arrays [d, d, n]
+    over Z[x]/(x^n - 1): powers of one monomial matrix per factor, so each
+    factor's images commute.  M1 cycles the basis with x^(1 + i) in column
+    i, M2 reverses it with x^(2i - 1); every exponent is 0 at n = 1."""
+    def monomial(perm, exps):
+        m = np.zeros((d, d, n), dtype=object)
+        m[perm, np.arange(d), [e % n for e in exps]] = 1
+        return m
+
+    m1 = monomial([(i + 1) % d for i in range(d)], [1 + i for i in range(d)])
+    m2 = monomial([d - 1 - i for i in range(d)], [2 * i - 1 for i in range(d)])
+    eye = monomial(list(range(d)), [0] * d)
+    square = ring_matmul_reference(m1, m1, n)
+    cube = ring_matmul_reference(ring_matmul_reference(m2, m2, n), m2, n)
+    inverse = m1[..., -np.arange(n) % n].transpose(1, 0, 2)
+    return [m1, square, inverse, m2, eye, cube]
+
+
+def _monomial_power_rep(group, d: int, n: int):
+    """The explicit rep of ``_monomial_power_images``, with those images."""
+    def cyclo(coeffs):
+        return next((Cyclo.root_of_unity(n, e) for e, x in enumerate(coeffs) if x), Cyclo.zero())
+
+    images = _monomial_power_images(d, n)
+    return explicit_rep(group, [Matrix(d, d, [[cyclo(m[i, j]) for j in range(d)]
+                                              for i in range(d)]) for m in images]), images
+
+
+def _assert_monomial_boundaries_bitwise(c, d: int, n: int):
+    """``specialize`` of the t3 * t3 presentation complex under the explicit
+    rep of ``_monomial_power_images`` is bitwise the int64 sum, term by
+    term, of coefficient times word image, each word multiplied out letter
+    by letter with ``ring_matmul_reference``."""
+    r, images = _monomial_power_rep(c.group, d, n)
+    letters = {}
+    for g, m in enumerate(images):
+        letters[g, 1], letters[g, -1] = m, m[..., -np.arange(n) % n].transpose(1, 0, 2)
+    b = specialize(c, r)
+    assert type(r.compiled).__name__ == "_Monomial" and b.conductor == n, (d, n)
+    assert b.denominators == (1,) * len(c.boundaries)
+    for k, boundary in enumerate(c.boundaries):
+        want = np.zeros((boundary.rows * d, boundary.cols * d, n), dtype=object)
+        for (i, j, w), coeff in boundary.items():
+            image = images[4]  # the identity
+            for letter in w:
+                image = ring_matmul_reference(image, letters[letter], n)
+            want[i * d:(i + 1) * d, j * d:(j + 1) * d] += coeff * image
+        got = b.boundaries[k]
+        assert got.dtype == np.int64 and got.shape == want.shape, (d, n, k)
+        assert got.tobytes() == want.astype(np.int64).tobytes(), (d, n, k)
+
+
+def test_monomial_scatter_indices_live_on_the_plan():
+    """Specializations of one complex under monomial reps of one dim read
+    the same scatter index arrays off its plan, whatever their conductor; a
+    new dim builds its own, and the plan keeps both."""
+    t3 = catalog_complex("t3").complex.group
+    fp = presentation_complex(free_product(t3, t3))
+    plan = specialization_plan(fp)
+    specialize(fp, _monomial_power_rep(fp.group, 2, 1)[0])
+    assert list(plan._scatter) == [2]
+    first = plan.scatter(2)
+    specialize(fp, _monomial_power_rep(fp.group, 2, 4)[0])
+    assert plan.scatter(2) is first and list(plan._scatter) == [2]
+    specialize(fp, _monomial_power_rep(fp.group, 3, 3)[0])
+    assert list(plan._scatter) == [2, 3] and plan.scatter(2) is first
+    for old, new in zip(first, plan.scatter(3)):
+        assert old[:2] != new[:2]  # the shapes: rows d, cols d
+        # i d, j d + arange(d) and the exponents 0 are the dim's own arrays
+        assert not any(np.shares_memory(old[k], new[k]) for k in (3, 4, 6))
 
 
 def test_rotated_lens_boundaries_stay_in_lowest_terms():

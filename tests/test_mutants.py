@@ -37,7 +37,7 @@ import test_matrices
 import test_reps
 import test_suites
 import test_torsion_reference
-from twisthom import alexander, groups, homology, matrices, reps
+from twisthom import alexander, complexes, groups, homology, matrices, reps
 
 ASSERTED = (AssertionError, pytest.fail.Exception)
 
@@ -197,14 +197,30 @@ MUTANTS = [
      [_rank_mod_p_matches_reference_seeded]),
     # an unreduced multiple of p is kept as a nonzero lead, and pow refuses to invert it
     ("an out-of-range difference is kept unreduced", matrices._rank_mod_p, "__code__",
-     _edited(matrices._rank_mod_p, "y %= p", "pass"), ValueError,
+     _edited(matrices._rank_mod_p, "y % p", "y"), ValueError,
      [_rank_mod_p_matches_reference_seeded]),
     ("a lead of -1 is stored without negation", matrices._rank_mod_p, "__code__",
      _edited(matrices._rank_mod_p, "{j: -x for", "{j: x for"), ASSERTED,
      [_rank_mod_p_matches_reference_seeded]),
+    ("exactness kept after a non-unit lead", matrices._rank_mod_p, "__code__",
+     _edited(matrices._rank_mod_p, "inv, exact = pow(f, -1, p), False", "inv = pow(f, -1, p)"),
+     ASSERTED, [functools.partial(
+         test_certified_rank.test_exact_route_needs_unit_leads_and_no_reduction,
+         "a non-unit lead")]),
+    ("exactness kept after a reduction mod p", matrices._rank_mod_p, "__code__",
+     _edited(matrices._rank_mod_p, "y, exact = y % p, False", "y = y % p"), ASSERTED,
+     [functools.partial(test_certified_rank.test_exact_route_needs_unit_leads_and_no_reduction,
+                        "a reduction mod p")]),
+    ("exact route taken on a reduced residue matrix", matrices.certified_pivots, "__code__",
+     _edited(matrices.certified_pivots, "if exact and np.may_share_memory(m, red):",
+             "if exact:"), ASSERTED,
+     [functools.partial(test_certified_rank.test_prime_count_is_certified, 1)]),
     ("ring_matmul adds a wrapped power into a slice", matrices.ring_matmul, "__code__",
      _edited(matrices.ring_matmul, "if s + m > n:", "if False:"), ASSERTED,
      [_ring_matmul_matches_reference_seeded]),
+    ("Fox derivative: the inverse letter's prefix one short", complexes.fox_derivative,
+     "__code__", _edited(complexes.fox_derivative, "(w[:i + 1], -1)", "(w[:i], -1)"),
+     ASSERTED, [test_complexes.test_fox_derivative_trefoil]),
     ("split check rank T = dim W dropped", reps.invariant_coinvariant_split, "__code__",
      _edited(reps.invariant_coinvariant_split, "if certified_rank(tall, n) != w:", "if False:"),
      ASSERTED, [functools.partial(test_reps.test_split_refuses_non_unitary_reps,
