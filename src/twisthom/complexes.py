@@ -38,16 +38,28 @@ class Boundary:
     specialization reads: parallel tuples (rows, cols, coeffs, words) with
     one item per term in (row, col, word) order, then the largest sum of
     |coeff| in one entry.  ``b[i, j]`` is entry (i, j) as a GroupRingElt.
+    The builders here, whose words are reduced by construction, use
+    ``_trusted``, which skips the reduction.
     """
 
     __slots__ = ("rows", "cols", "terms")
 
     def __init__(self, rows: int, cols: int, cells=()):
+        self._store(rows, cols, [((i, j, free_reduce(w)), c) for (i, j, w), c in cells])
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, cells) -> "Boundary":
+        """A boundary whose words the caller has freely reduced."""
+        b = object.__new__(cls)
+        b._store(rows, cols, cells)
+        return b
+
+    def _store(self, rows: int, cols: int, cells):
         acc: dict[tuple[int, int, Word], int] = {}
-        for (i, j, w), c in cells:
+        for key, c in cells:
+            i, j, _ = key
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"term at ({i}, {j}) is outside a {rows}x{cols} boundary")
-            key = (i, j, free_reduce(w))
             acc[key] = acc.get(key, 0) + operator.index(c)
         keys = sorted(k for k, c in acc.items() if c)
         bound = max((sum(abs(acc[k]) for k in entry)
@@ -108,7 +120,7 @@ class EquivariantComplex:
         for k, b in enumerate(boundaries):
             if not isinstance(b, Boundary) or (b.rows, b.cols) != (ranks[k], ranks[k + 1]):
                 raise ValueError(f"boundary {k + 1} must be a {ranks[k]}x{ranks[k + 1]} Boundary")
-            if any(g >= group.num_generators for w in set(b.terms[3]) for g, _ in w):
+            if any(g >= group.num_generators for g, _ in set().union(*b.terms[3])):
                 raise ValueError("boundary word uses an unknown generator")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "ranks", ranks)
@@ -234,9 +246,9 @@ def presentation_complex(p: GroupPresentation) -> EquivariantComplex:
     matrices carry their bar-involutes (right-module coordinates).
     """
     g, r = p.num_generators, len(p.relators)
-    d1 = Boundary(1, g, [t for i in range(g) for t in _edge(0, i, i)])
-    d2 = Boundary(g, r, [((i, j, w), c) for i in range(g) for j in range(r)
-                         for w, c in fox_derivative(p.relators[j], i).bar().terms.items()])
+    d1 = Boundary._trusted(1, g, [t for i in range(g) for t in _edge(0, i, i)])
+    d2 = Boundary._trusted(g, r, [((i, j, w), c) for i in range(g) for j in range(r)
+                                  for w, c in fox_derivative(p.relators[j], i).bar().terms.items()])
     if r == 0:
         return EquivariantComplex(p, (1, g), (d1,))
     return EquivariantComplex(p, (1, g, r), (d1, d2))
@@ -278,7 +290,7 @@ def circle_product(c: EquivariantComplex) -> EquivariantComplex:
         if k >= 2:  # d_{k-1}: C_{k-1} -> C_{k-2}
             cells += [((n[k - 1] + i, left + j, w), q)
                       for (i, j, w), q in c.boundaries[k - 2].items()]
-        new_boundaries.append(Boundary(new_ranks[k - 1], new_ranks[k], cells))
+        new_boundaries.append(Boundary._trusted(new_ranks[k - 1], new_ranks[k], cells))
     return EquivariantComplex(new_group, new_ranks, new_boundaries)
 
 
@@ -307,7 +319,7 @@ def cover_complex(c: EquivariantComplex, action: PermAction) -> EquivariantCompl
             for i, (j, h) in enumerate(lifts[w]):
                 key = (f * d + j, e * d + i, h)
                 acc[key] = acc.get(key, 0) + q
-        new_boundaries.append(Boundary(b.rows * d, b.cols * d, acc.items()))
+        new_boundaries.append(Boundary._trusted(b.rows * d, b.cols * d, acc.items()))
     return EquivariantComplex(sub, [r * d for r in c.ranks], new_boundaries)
 
 
@@ -421,10 +433,10 @@ def _circle_complex() -> EquivariantComplex:
 def _lens_complex(p: int, q: int) -> EquivariantComplex:
     qbar = pow(q % p, -1, p) if p > 1 else 0
     group = cyclic_group(p)
-    d1 = Boundary(1, 1, _edge(0, 0, 0))
+    d1 = Boundary._trusted(1, 1, _edge(0, 0, 0))
     # bar(1 + x + ... + x^(p-1)) = sum of x^-i
-    d2 = Boundary(1, 1, [((0, 0, word_power(0, -i)), 1) for i in range(p)])
-    d3 = Boundary(1, 1, [((0, 0, word_power(0, -qbar)), 1), ((0, 0, EMPTY_WORD), -1)])
+    d2 = Boundary._trusted(1, 1, [((0, 0, word_power(0, -i)), 1) for i in range(p)])
+    d3 = Boundary._trusted(1, 1, [((0, 0, word_power(0, -qbar)), 1), ((0, 0, EMPTY_WORD), -1)])
     return EquivariantComplex(group, (1, 1, 1, 1), (d1, d2, d3))
 
 

@@ -63,7 +63,7 @@ def word_exponent_sum(w: Word, gen: int) -> int:
 
 
 def word_power(g: int, k: int) -> Word:
-    return tuple(((g, 1) if k > 0 else (g, -1)) for _ in range(abs(k)))
+    return ((g, 1 if k > 0 else -1),) * abs(k)
 
 
 # ---------------------------------------------------------------------------

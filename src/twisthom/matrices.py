@@ -7,12 +7,14 @@ on integers, with one elimination per ring:
 - ranks and column bases over Q and Q(zeta_n): ``certified_pivots``, and
   ``certified_rank``, their count.  It takes an integer array over
   Z[x]/(x^n - 1) as its caller assembled it, reduces it modulo Phi_n itself,
-  eliminates it over F_p for split primes p = 1 (mod n), and certifies the
-  result with a Hadamard bound on the norms of the minors, each entry
+  evaluates it at zeta_n -> r over F_p for split primes p = 1 (mod n), one
+  integer matmul against the power row of r, eliminates it, and certifies
+  the result with a Hadamard bound on the norms of the minors, each entry
   bounded by the smaller L1 norm of its two representatives.  The
   elimination holds signed residues in (-p, p) and reduces a value mod p
   only when it leaves [-p//2, p//2], so the +-1 of a boundary stays a small
-  Python int.  An exact first elimination needs no bound.  It has no
+  Python int.  A first elimination that reaches full rank, or that is an
+  exact one of the integer matrix itself, needs no bound.  It has no
   fallback: when the interval of split primes cannot supply the certified
   count, it raises ValueError;
 - Smith normal form over Z: ``smith_normal_form_int``, with U and V;
@@ -112,7 +114,12 @@ def int_dtype(bound: int):
 
 
 def max_abs(a: np.ndarray) -> int:
-    return int(np.abs(a).max()) if a.size else 0
+    """max |a|, exact also at -2^63, whose int64 abs wraps to -2^63 and is
+    read back as the uint64 2^63."""
+    if not a.size:
+        return 0
+    top = np.abs(a)
+    return int((top.view(np.uint64) if top.dtype == np.int64 else top).max())
 
 
 def ring_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -226,10 +233,10 @@ def split_primes(n: int, count: int) -> list[tuple[int, int]]:
     """Up to ``count`` pairs (p, r): the largest primes 2^30 < p < 2^31 with
     p = 1 (mod n), descending, and r a primitive n-th root of unity mod p.
 
-    Residues below 2^31 keep every product inside int64 where
-    ``_evaluate_mod_p`` evaluates an array of more than one coefficient; the
-    elimination itself runs on Python ints.  Fewer pairs come back only when
-    the interval runs out of such primes.
+    With p below 2^31, ``_evaluate_mod_p`` sums m coefficients against the
+    powers of r in int64 for every entry below 2^31 / m; the elimination
+    itself runs on Python ints.  Fewer pairs come back only when the
+    interval runs out of such primes.
     """
     got = _SPLIT_PRIMES.setdefault(n, [])
     step = n if n % 2 == 0 else 2 * n
@@ -288,21 +295,30 @@ def _rank_mod_p(m: np.ndarray, p: int) -> tuple[list[int], bool]:
     return sorted(basis), exact
 
 
+@functools.cache
+def _power_row(p: int, r: int, m: int) -> np.ndarray:
+    """(r^0, ..., r^(m-1)) mod p, kept with the prime."""
+    return np.array([pow(r, i, p) for i in range(m)], dtype=np.int64)
+
+
 def _evaluate_mod_p(a: np.ndarray, p: int, r: int) -> np.ndarray:
     """The image of a[R, C, m] under zeta_n -> r in F_p, as an int64 matrix
     of residues in (-p, p) for ``_rank_mod_p``.  A single-coefficient int64
     array whose entries all lie in [-p//2, p//2] is its own image, returned
     as the view a[..., 0] with no copy; any other array is reduced to [0, p).
-    Balancing residues of more than one coefficient would cost more numpy
-    work than their elimination saves."""
-    if a.shape[-1] == 1:
+    More than one coefficient is one integer matmul against the power row
+    of r, then one reduction, in int64 when no sum can reach 2^62.
+    Balancing those residues would cost more numpy work than their
+    elimination saves."""
+    m = a.shape[-1]
+    if m == 1:
         a = a[..., 0]
         if a.dtype == np.int64 and max_abs(a) <= p // 2:
             return a
         return (a % p).astype(np.int64, copy=False)
-    a = (a % p).astype(np.int64)
-    powers = np.array([pow(r, i, p) for i in range(a.shape[-1])], dtype=np.int64)
-    return (a * powers % p).sum(axis=-1) % p
+    dtype = int_dtype(max_abs(a) * m * p)
+    return (a.astype(dtype, copy=False) @ _power_row(p, r, m).astype(dtype, copy=False)
+            % p).astype(np.int64, copy=False)
 
 
 def _l1_norms(a: np.ndarray) -> np.ndarray:
@@ -311,8 +327,8 @@ def _l1_norms(a: np.ndarray) -> np.ndarray:
     if a.dtype == object:
         return np.abs(a).sum(axis=-1)
     if a.shape[-1] == 1:  # the same floats as the sum, without its reduction
-        return np.abs(a[..., 0]).astype(np.float64)
-    return np.abs(a).sum(axis=-1, dtype=np.float64)
+        return np.abs(a[..., 0], dtype=np.float64)
+    return np.abs(a, dtype=np.float64).sum(axis=-1)  # exact abs at -2^63
 
 
 def _entry_bounds(a: np.ndarray, red: np.ndarray) -> np.ndarray:
@@ -357,11 +373,14 @@ def certified_pivots(a: np.ndarray, n: int) -> list[int]:
     prime n, reducing one term zeta_n^(n-1) spreads it over n - 1
     coefficients, while 1 + x + ... + x^(n-1) reduces to 0.
 
-    The first prime runs before H.  If ``_evaluate_mod_p`` passes the
-    reduction through (n <= 2) and ``_rank_mod_p`` is exact, every step was
-    an integer row operation with a unit lead: its pivots are final, with no
-    H (early termination; von zur Gathen & Gerhard, *Modern Computer
-    Algebra*, ch. 5).  Otherwise the loop reuses them.
+    The first prime runs before H, and its pivots are final, with no H and
+    no further ``split_primes`` request (early termination; von zur Gathen
+    & Gerhard, *Modern Computer Algebra*, ch. 5), in two cases.  At full
+    rank min(R, C) no prime can give more, and the pivots are independent
+    over Q(zeta_n) (below).  If ``_evaluate_mod_p`` passes the reduction
+    through (n <= 2) and ``_rank_mod_p`` is exact, every step was an integer
+    row operation with a unit lead, so the rank is that over Q.  Otherwise
+    the loop reuses them.
 
     The pivots come from the first prime that reaches the maximum.  Columns
     independent over F_p have a minor that is nonzero mod p, hence nonzero:
@@ -377,7 +396,8 @@ def certified_pivots(a: np.ndarray, n: int) -> list[int]:
     for p, r in split_primes(n, 1):  # the first prime; none for a huge n
         m = _evaluate_mod_p(red, p, r)
         best, exact = _rank_mod_p(m, p)
-        if exact and np.may_share_memory(m, red):  # a view: red passed through
+        # a full rank, or an exact elimination of a view (red passed through)
+        if len(best) == full or exact and np.may_share_memory(m, red):
             return best
     need = int(euler_phi(n) * _hadamard_bits(_entry_bounds(a, red)) / 30 * (1 + 1e-9)) + 1
     primes = split_primes(n, need)

@@ -70,8 +70,8 @@ class _Monomial:
 
     Exponents are written at n / gcd(n, exponents), the lcm of the orders of
     the roots; the inverse of an image is x^-e at the inverse permutation.
-    Images are kept as four tuples (perms, exps and the inverses' two), and
-    ``images`` builds their dict on access: a permutation rep holds its action's.
+    Images are kept as four tuples (perms, exps and the inverses' two), read
+    by ``image`` with no dict built: a permutation rep holds its action's.
     """
 
     __slots__ = ("n", "dim", "perms", "exps", "inverse_perms", "inverse_exps")
@@ -103,14 +103,11 @@ class _Monomial:
         imgs.exps = imgs.inverse_exps = ((0,) * dim,) * len(perms)
         return imgs
 
-    @property
-    def images(self) -> dict:
-        """{(gen, +-1): (perm, exps)}, made on each access."""
-        out = {}
-        for g, (perm, exps, inv_perm, inv_exps) in enumerate(zip(
-                self.perms, self.exps, self.inverse_perms, self.inverse_exps)):
-            out[g, 1], out[g, -1] = (perm, exps), (inv_perm, inv_exps)
-        return out
+    def image(self, g: int, e: int):
+        """The image (perm, exps) of the letter (g, e), e = +-1."""
+        if e == 1:
+            return self.perms[g], self.exps[g]
+        return self.inverse_perms[g], self.inverse_exps[g]
 
     @property
     def identity(self):
@@ -155,6 +152,10 @@ class _Dense:
 
     def __init__(self, n: int, dim: int, images: dict):
         self.n, self.dim, self.images = n, dim, images
+
+    def image(self, g: int, e: int):
+        """The image of the letter (g, e), e = +-1."""
+        return self.images[g, e]
 
     @property
     def identity(self):
@@ -255,9 +256,9 @@ def _node_images(imgs, parents, letters) -> list:
     """The image of every node of a prefix trie (``complexes.prefix_trie``),
     node 0 the identity: one product per node, its parent's image times the
     image of its letter."""
-    images, gens = [imgs.identity], imgs.images
-    for parent, letter in zip(parents[1:], letters[1:]):
-        images.append(imgs.mul(images[parent], gens[letter]))
+    images, mul, image = [imgs.identity], imgs.mul, imgs.image
+    for parent, (g, e) in zip(parents[1:], letters[1:]):
+        images.append(mul(images[parent], image(g, e)))
     return images
 
 
@@ -313,7 +314,7 @@ class UnitaryRep:
     def generator_images(self) -> tuple[Matrix, ...]:
         """The generator images as Cyclo matrices, derived on every access."""
         imgs = self.compiled
-        return tuple(_as_matrix(*imgs.dense(imgs.images[g, 1]), self.conductor)
+        return tuple(_as_matrix(*imgs.dense(imgs.image(g, 1)), self.conductor)
                      for g in range(self.group.num_generators))
 
     def __repr__(self):
@@ -497,8 +498,8 @@ def _verify_rep_uncached(r: UnitaryRep) -> bool:
     """Each generator image times its inverse, the conjugate transpose, is the
     identity, and so is every relator's word image: one image per matrix, so
     the identity is (I, 1) exactly."""
-    imgs, gens = r.compiled, r.compiled.images
-    if not all(imgs.is_identity(imgs.mul(gens[g, 1], gens[g, -1]))
+    imgs = r.compiled
+    if not all(imgs.is_identity(imgs.mul(imgs.image(g, 1), imgs.image(g, -1)))
                for g in range(r.group.num_generators)):
         return False
     parents, letters, nodes = prefix_trie(r.group.relators)
@@ -537,8 +538,8 @@ def _minus_identity(imgs, img) -> np.ndarray:
 def alpha_minus_one_blocks(r: UnitaryRep) -> tuple[list[np.ndarray], int]:
     """The integer blocks den_g (alpha(g) - I) over Z[x]/(x^n - 1), one per
     generator g (one zero block when there is none), and n."""
-    imgs, images = r.compiled, r.compiled.images
-    gens = [images[g, 1] for g in range(r.group.num_generators)] or [imgs.identity]
+    imgs = r.compiled
+    gens = [imgs.image(g, 1) for g in range(r.group.num_generators)] or [imgs.identity]
     return [_minus_identity(imgs, img) for img in gens], imgs.n
 
 
@@ -585,9 +586,10 @@ def fixed_point_free_check(r: UnitaryRep, element_cap: int = 10000) -> bool:
     """
     if not verify_rep(r):
         raise ValueError("representation fails verification")
-    imgs, n, gens = r.compiled, r.compiled.n, r.compiled.images
-    if any(imgs.is_identity(gens[g, 1]) for g in range(r.group.num_generators)):
+    imgs, n = r.compiled, r.compiled.n
+    if any(imgs.is_identity(imgs.image(g, 1)) for g in range(r.group.num_generators)):
         return False
+    gens = [imgs.image(g, e) for g in range(r.group.num_generators) for e in (1, -1)]
     seen, todo = {}, [imgs.identity]
     while todo:
         img = todo.pop()
@@ -597,6 +599,6 @@ def fixed_point_free_check(r: UnitaryRep, element_cap: int = 10000) -> bool:
             if len(seen) >= element_cap:
                 raise ImageClosureError(f"image closure exceeded {element_cap} elements")
             seen[key] = img
-            todo += [imgs.mul(g, img) for g in gens.values()]
+            todo += [imgs.mul(g, img) for g in gens]
     blocks = [_minus_identity(imgs, img) for img in list(seen.values())[1:]]  # not I
     return all(certified_rank(b, n) == r.dim for b in blocks)

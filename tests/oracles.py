@@ -24,9 +24,13 @@ and Z[pi] and the division of Q[t, t^-1] live here:
 - ``certified_pivots_reference``: the certified pivots by the plain
   multimodular loop, the Hadamard bound first and then every certified
   split prime until the rank is full, eliminated by
-  ``rank_mod_p_reference``: the reference for the exact route of
-  ``matrices.certified_pivots``.  It reads the bound, the primes and the
-  evaluation from ``matrices``;
+  ``rank_mod_p_reference``: the reference for the early returns of
+  ``matrices.certified_pivots``.  It reads the reduction modulo Phi_n, the
+  bound and the primes from ``matrices``, and evaluates at each prime
+  itself;
+- ``evaluate_mod_p_reference``: the residues of an integer array over
+  Z[x]/(x^n - 1) at zeta_n -> r mod p by Horner's rule in Python ints, the
+  reference for ``matrices._evaluate_mod_p``;
 - ``fox_derivative_reference``: the Fox derivative letter by letter, each
   prefix reduced again by ``word_mul``, the reference for
   ``complexes.fox_derivative``;
@@ -276,9 +280,23 @@ def rank_mod_p_reference(m: np.ndarray, p: int) -> list[int]:
     return pivots
 
 
+def evaluate_mod_p_reference(a: np.ndarray, p: int, r: int) -> np.ndarray:
+    """The residues in [0, p) of a[R, C, m] under zeta_n -> r, entry by entry
+    by Horner's rule in Python ints."""
+    rows, cols = a.shape[:2]
+    out = np.zeros((rows, cols), dtype=np.int64)
+    for i in range(rows):
+        for j in range(cols):
+            value = 0
+            for c in reversed(a[i, j].tolist()):
+                value = (value * r + c) % p
+            out[i, j] = value
+    return out
+
+
 def certified_pivots_reference(a: np.ndarray, n: int) -> list[int]:
-    """The pivots of ``matrices.certified_pivots`` by the loop with no exact
-    route: the bound on the norms of the minors first, then one elimination
+    """The pivots of ``matrices.certified_pivots`` by the loop with no early
+    return: the bound on the norms of the minors first, then one elimination
     per certified split prime, in order, until the rank is full; the pivots
     of the first prime that reaches the maximum."""
     rows, cols = a.shape[:2]
@@ -293,7 +311,7 @@ def certified_pivots_reference(a: np.ndarray, n: int) -> list[int]:
     assert len(primes) == need, "too few split primes"
     best = []
     for p, r in primes:
-        pivots = rank_mod_p_reference(matrices._evaluate_mod_p(red, p, r) % p, p)
+        pivots = rank_mod_p_reference(evaluate_mod_p_reference(red, p, r), p)
         if len(pivots) > len(best):
             best = pivots
         if len(best) == min(rows, cols):

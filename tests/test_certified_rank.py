@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import certified_pivots_reference, matrix_rank, rank_mod_p_reference
+from oracles import (certified_pivots_reference, evaluate_mod_p_reference, matrix_rank,
+                     rank_mod_p_reference)
 from twisthom.complexes import Boundary, catalog_complex
 from twisthom.groups import PermAction, reidemeister_schreier
 from twisthom import matrices
@@ -91,6 +92,18 @@ def test_prime_count_is_certified(n):
     assert certified_rank(a, n) == matrix_rank(m) == 2
 
 
+def _recorded_requests(monkeypatch) -> list[int]:
+    """The counts of every ``split_primes`` request from here on."""
+    counts, original = [], split_primes
+
+    def recorded(n, count):
+        counts.append(count)
+        return original(n, count)
+
+    monkeypatch.setattr(matrices, "split_primes", recorded)
+    return counts
+
+
 def test_prime_count_follows_the_smaller_norm(monkeypatch):
     """The certificate bounds each entry by the smaller L1 norm of the array
     as given and of its reduction modulo Phi_n, whichever that is.  At the
@@ -100,14 +113,7 @@ def test_prime_count_follows_the_smaller_norm(monkeypatch):
     primes, where the larger norm would ask for 11 or 12.  The one prime
     asked for first is the elimination that runs before the bound."""
     n = 31
-    counts = []
-    original = split_primes
-
-    def recorded(n, count):
-        counts.append(count)
-        return original(n, count)
-
-    monkeypatch.setattr(matrices, "split_primes", recorded)
+    counts = _recorded_requests(monkeypatch)
     power = np.zeros(n, dtype=np.int64)
     power[n - 1] = 1
     geometric = np.ones(n, dtype=np.int64)
@@ -327,13 +333,33 @@ def test_certified_rank_degenerate_arrays():
 
 def test_too_few_split_primes_raise(monkeypatch):
     """With fewer split primes than the certificate needs there is no
-    fallback: the rank is refused."""
+    fallback: the rank is refused.  The array has rank 1 of 2, so the first
+    prime does not end the certificate."""
     original = split_primes
     monkeypatch.setattr(matrices, "split_primes", lambda n, count: original(n, 1))
     big = Cyclo.from_rational(2 ** 40)  # the certificate needs 11 primes
-    a, _ = lift_cyclo([[Cyclo.root_of_unity(5), big], [big, big]], 5)
+    a, _ = lift_cyclo([[big, big], [big, big]], 5)
     with pytest.raises(ValueError, match="split primes"):
         certified_rank(a, 5)
+
+
+def _cyclo_array(n: int, rows) -> np.ndarray:
+    """The integer array a[R, C, n] of rows of coefficient lists over
+    Z[x]/(x^n - 1), each padded with zeros to n."""
+    return np.array([[c + [0] * (n - len(c)) for c in row] for row in rows], dtype=object)
+
+
+@pytest.mark.parametrize("n", [3, 5, 12])
+def test_full_rank_at_the_first_prime_needs_no_bound(monkeypatch, n):
+    """[[x, 2^40], [1, x^2]] has determinant x^3 - 2^40, nonzero over
+    Q(zeta_n), and its bound would ask for 3 or 6 primes.  It reaches full
+    rank at the first split prime, which no prime can raise: the certificate
+    makes the one request for that prime and no other."""
+    a = _cyclo_array(n, [[[0, 1], [2 ** 40]], [[1], [0, 0, 1]]])
+    counts = _recorded_requests(monkeypatch)
+    pivots = certified_pivots(a, n)
+    assert counts == [1]
+    assert pivots == [0, 1] == certified_pivots_reference(a, n)
 
 
 # Integer matrices of determinant P1 = 2^31 - 1, the first split prime of
@@ -392,10 +418,103 @@ def planted_integer_arrays(draw):
     return a, n
 
 
+def _vanishing_at_the_first_prime(n: int) -> list[int]:
+    """The coefficients of x - r over Z[x]/(x^n - 1), r the root of the first
+    split prime of n: an entry whose image at that prime alone is 0."""
+    return [-split_primes(n, 1)[0][1], 1]
+
+
+@st.composite
+def planted_cyclotomic_arrays(draw):
+    """An integer array a[R, C, m] over Z[x]/(x^n - 1), n in {3, 5, 12} and
+    m <= n, sparse, with entries from +-1 alone or up to 2^40 (evaluated in
+    Python ints), and at random one entry x - r planted alone in its row and
+    column, which vanishes at the first split prime only: that prime then
+    sees a rank one short."""
+    n = draw(st.sampled_from((3, 5, 12)))
+    rows, cols, m = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(2, n))
+    values = st.sampled_from(draw(st.sampled_from(((0, 0, 0, 1, -1), (0, 0, 0, 1, -2, 2 ** 40)))))
+    a = np.array(draw(st.lists(values, min_size=rows * cols * m, max_size=rows * cols * m)),
+                 dtype=object).reshape(rows, cols, m)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        a[i], a[:, j] = 0, 0
+        a[i, j, :2] = _vanishing_at_the_first_prime(n)
+    return a.astype(matrices.int_dtype(max_abs(a))), n
+
+
 @SETTINGS
-@given(planted_integer_arrays())
+@given(st.one_of(planted_integer_arrays(), planted_cyclotomic_arrays()))
 def test_certified_pivots_match_the_all_primes_loop(case):
-    """The exact route changes no pivot: ``certified_pivots`` returns those of
-    the loop that computes the bound first and runs every certified prime."""
+    """Neither early return changes a pivot: ``certified_pivots`` returns
+    those of the loop that computes the bound first, runs every certified
+    prime and evaluates by Horner's rule, at n in {1, 2} (exact route) and
+    n in {3, 5, 12} (full rank at the first prime)."""
     a, n = case
     assert certified_pivots(a, n) == certified_pivots_reference(a, n)
+
+
+@pytest.mark.parametrize("n", [3, 5, 12])
+def test_a_minor_vanishing_at_the_first_prime_takes_more_primes(n):
+    """diag(x - r, 1), r the root of the first split prime: that prime sees
+    rank 1 of 2, one short of full, so the certificate runs on and finds
+    rank 2, as the all-primes loop does."""
+    a = _cyclo_array(n, [[_vanishing_at_the_first_prime(n), [0]], [[0], [1]]])
+    p, r = split_primes(n, 1)[0]
+    assert _rank_mod_p(_evaluate_mod_p(reduce_cyclotomic(a, n), p, r), p)[0] == [1]
+    assert certified_pivots(a, n) == [0, 1] == certified_pivots_reference(a, n)
+
+
+def _assert_evaluation_matches_horner(a: np.ndarray, p: int, r: int):
+    """``_evaluate_mod_p`` gives int64 residues in (-p, p) of a[R, C, m] at
+    zeta_n -> r, those of Horner's rule mod p, and leaves a as it was."""
+    before = a.copy()
+    out = _evaluate_mod_p(a, p, r)
+    assert out.dtype == np.int64 and out.shape == a.shape[:2]
+    assert np.all(np.abs(out) < p)
+    assert np.array_equal(out % p, evaluate_mod_p_reference(a, p, r))
+    assert a.dtype == before.dtype and np.array_equal(a, before)
+
+
+EVALUATION_CONDUCTORS = (3, 4, 5, 12, 23)
+EVALUATION_SIZES = ("one", "int64", "past", "edge")
+
+
+def _entry_range(size: str, m: int, p: int) -> tuple[int, int]:
+    """The entries (lo, hi) of a case: +-1; up to the largest |a| that
+    ``_evaluate_mod_p`` sums in int64 for m coefficients (max |a| m p below
+    2^62, the bound of ``int_dtype``); up to one past it; or all of int64,
+    -2^63 included."""
+    last = (2 ** 62 - 1) // (m * p)
+    return {"one": (-1, 1), "int64": (-last, last), "past": (-last - 1, last + 1),
+            "edge": (-2 ** 63, 2 ** 63 - 1)}[size]
+
+
+@SETTINGS
+@given(st.sampled_from(EVALUATION_CONDUCTORS), st.integers(0, 2), st.integers(0, 3),
+       st.integers(0, 3), st.sampled_from(EVALUATION_SIZES), st.booleans(), st.data())
+def test_evaluate_mod_p_matches_horner(n, prime, rows, cols, size, python_ints, data):
+    """The matmul against the power row is Horner's rule mod p, for m from 1
+    to n coefficients, on int64 arrays up to and past the largest entries it
+    sums in int64 and over all of int64, and on the same arrays of Python
+    ints.  One entry sits at an end of the range."""
+    m = data.draw(st.integers(1, n))
+    p, r = split_primes(n, 3)[prime]
+    lo, hi = _entry_range(size, m, p)
+    a = np.array(data.draw(st.lists(st.integers(lo, hi), min_size=rows * cols * m,
+                                    max_size=rows * cols * m)),
+                 dtype=object).reshape(rows, cols, m)
+    if a.size:
+        a[0, 0, -1] = data.draw(st.sampled_from((lo, hi)))
+    _assert_evaluation_matches_horner(a if python_ints else a.astype(np.int64), p, r)
+
+
+def test_int64_minimum_is_read_exactly():
+    """|-2^63| wraps to -2^63 in int64.  Rows [x1, 1, 1], [x2, 1, 0] and
+    [2 zeta, 0, 1] over Q(zeta_3), x1 = -2^63 + zeta and x2 = -2^63 - zeta,
+    have rank 2 (row 1 = row 2 + row 3).  Summed in int64, x2 would wrap by
+    2^64 at every prime and the rank would read a full 3."""
+    assert max_abs(np.array([-2 ** 63, 1], dtype=np.int64)) == 2 ** 63
+    a = np.array([[[-2 ** 63, 1], [1, 0], [1, 0]], [[-2 ** 63, -1], [1, 0], [0, 0]],
+                  [[0, 2], [0, 0], [1, 0]]], dtype=np.int64)
+    assert certified_pivots(a, 3) == [0, 1] == certified_pivots_reference(a, 3)

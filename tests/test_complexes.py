@@ -304,6 +304,24 @@ def test_catalog_complex_json_is_pinned(spec, digest):
     assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
 
 
+def _trusted_builds():
+    """The catalog complexes above, and every cover of degree 3 of the
+    trefoil exterior and of t3."""
+    out = [catalog_entry_from_string(spec).complex for spec, _ in CATALOG_DIGESTS]
+    for spec in ("trefoil_exterior", "t3"):
+        c = catalog_complex(spec).complex
+        out += [cover_complex(c, action) for action in transitive_actions(c.group, 3)]
+    return out
+
+
+def test_trusted_builders_hand_over_reduced_words():
+    """The builders skip the free reduction of ``Boundary``: each boundary
+    they build is its own rebuild by the public, reducing constructor."""
+    for cx in _trusted_builds():
+        for b in cx.boundaries:
+            assert Boundary(b.rows, b.cols, b.items()) == b
+
+
 def _assert_cover_matches_reference(c, action):
     cover = cover_complex(c, action)
     group, ranks, boundaries = cover_complex_reference(c, action)

@@ -616,7 +616,7 @@ def test_dense_identities_are_the_identity_bitwise():
     for r in dense:
         imgs = r.compiled
         eye, one = imgs.identity
-        products = [imgs.mul(imgs.images[g, 1], imgs.images[g, -1])
+        products = [imgs.mul(imgs.image(g, 1), imgs.image(g, -1))
                     for g in range(r.group.num_generators)]
         parents, letters, nodes = prefix_trie(r.group.relators)
         images = _node_images(imgs, parents, letters)

@@ -103,6 +103,20 @@ def _rank_mod_p_matches_reference_seeded():
             tcr._signed_representatives(rng, m, p) if i % 2 else m, p)
 
 
+def _evaluate_mod_p_matches_horner_seeded():
+    """test_evaluate_mod_p_matches_horner on 40 fixed seeded arrays [3, 2, m],
+    every conductor, prime and entry size, every other one of Python ints."""
+    tcr = test_certified_rank
+    rng = np.random.default_rng(0)
+    for i in range(40):
+        n = tcr.EVALUATION_CONDUCTORS[i % 5]
+        p, r = matrices.split_primes(n, 3)[i % 3]
+        m = int(rng.integers(1, n + 1))
+        lo, hi = tcr._entry_range(tcr.EVALUATION_SIZES[i // 5 % 4], m, p)
+        a = rng.integers(lo, hi, (3, 2, m), endpoint=True)
+        tcr._assert_evaluation_matches_horner(a.astype(object) if i % 2 else a, p, r)
+
+
 def _ring_matmul_matches_reference_seeded():
     """test_ring_matmul_matches_cyclic_convolution on 48 fixed seeded cases,
     every conductor under every batching, without shrinking."""
@@ -187,7 +201,7 @@ MUTANTS = [
      ASSERTED, [functools.partial(test_homology.test_subspace_dims_match_summands, "lens:3,1")]),
     ("fixed-point check ranks only the generators' images", reps.fixed_point_free_check,
      "__code__", _edited(reps.fixed_point_free_check, "list(seen.values())[1:]",
-                         "[imgs.images[g, 1] for g in range(r.group.num_generators)]"),
+                         "[imgs.image(g, 1) for g in range(r.group.num_generators)]"),
      ASSERTED, [_fixed_point_free_matches_reference_capped]),
     ("echelon basis rows not scaled to lead 1", matrices._rank_mod_p, "__code__",
      _edited(matrices._rank_mod_p, "x * inv % p", "x"), ASSERTED,
@@ -212,9 +226,19 @@ MUTANTS = [
      [functools.partial(test_certified_rank.test_exact_route_needs_unit_leads_and_no_reduction,
                         "a reduction mod p")]),
     ("exact route taken on a reduced residue matrix", matrices.certified_pivots, "__code__",
-     _edited(matrices.certified_pivots, "if exact and np.may_share_memory(m, red):",
-             "if exact:"), ASSERTED,
-     [functools.partial(test_certified_rank.test_prime_count_is_certified, 1)]),
+     _edited(matrices.certified_pivots, "exact and np.may_share_memory(m, red)", "exact"),
+     ASSERTED, [functools.partial(test_certified_rank.test_prime_count_is_certified, 1)]),
+    ("full rank taken one short", matrices.certified_pivots, "__code__",
+     _edited(matrices.certified_pivots, "len(best) == full or", "len(best) + 1 >= full or"),
+     ASSERTED, [functools.partial(
+         test_certified_rank.test_a_minor_vanishing_at_the_first_prime_takes_more_primes, n)
+         for n in (3, 5, 12)]),
+    ("max_abs wraps at -2^63", matrices.max_abs, "__code__",
+     _edited(matrices.max_abs, "top.view(np.uint64) if top.dtype == np.int64 else top", "top"),
+     ASSERTED, [test_certified_rank.test_int64_minimum_is_read_exactly]),
+    ("power row of the wrong root", matrices._evaluate_mod_p, "__code__",
+     _edited(matrices._evaluate_mod_p, "_power_row(p, r, m)", "_power_row(p, p - r, m)"),
+     ASSERTED, [_evaluate_mod_p_matches_horner_seeded]),
     ("ring_matmul adds a wrapped power into a slice", matrices.ring_matmul, "__code__",
      _edited(matrices.ring_matmul, "if s + m > n:", "if False:"), ASSERTED,
      [_ring_matmul_matches_reference_seeded]),

@@ -101,16 +101,16 @@ def test_permutation_rep_examples():
 def test_permutation_reps_hold_only_their_actions_tuples():
     """A permutation rep keeps no image dict or pairs of its own (a battery
     holds thousands of reps): its images are its action's permutations and
-    inverses, with one tuple of zeros, and ``images`` builds the dict of
-    (perm, exps) pairs from them on each access."""
+    inverses, with one tuple of zeros, and ``image`` reads the (perm, exps)
+    pair of a letter from them."""
     t3 = catalog_complex("t3").complex.group
     action = PermAction(t3, [(1, 2, 0), (2, 0, 1), (0, 1, 2)])
     imgs = permutation_rep(t3, action).compiled
     assert imgs.perms is action.generator_images and imgs.inverse_perms is action._inverses
     assert len({id(exps) for exps in imgs.exps + imgs.inverse_exps}) == 1
     assert not hasattr(imgs, "__dict__")
-    assert imgs.images == {(g, e): ((action.generator_images if e == 1 else action._inverses)[g],
-                                    (0, 0, 0)) for g in range(3) for e in (1, -1)}
+    assert all(imgs.image(g, e) == ((action.generator_images if e == 1 else action._inverses)[g],
+                                    (0, 0, 0)) for g in range(3) for e in (1, -1))
 
 
 def test_induce_rep_examples():

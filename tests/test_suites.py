@@ -1,5 +1,8 @@
 """Shape and determinism of the seeded verification suites."""
 
+import hashlib
+import json
+
 import pytest
 
 from twisthom.suites import SUITES, run_suites, seeded_induced_reps
@@ -11,6 +14,14 @@ from twisthom.reps import verify_rep, _verify_rep_uncached
 def test_suite_names():
     assert set(SUITES) == {"euler", "trivialrep", "h0", "shapiro", "les",
                            "handlebody", "freeproduct"}
+
+
+def test_verify_seed_0_output_is_pinned(suite_results):
+    """The JSON that ``twisthom verify --seed 0`` prints (``cli._emit``) is
+    pinned byte for byte by its md5: every pass count, dimension and
+    certificate of the seven suites."""
+    text = json.dumps(suite_results, sort_keys=True, indent=2) + "\n"
+    assert hashlib.md5(text.encode()).hexdigest() == "dd7bedb5eef5c031a39aee795748fca8"
 
 
 def test_run_suites_filters(suite_results):
