@@ -166,7 +166,7 @@ def cmd_search(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite is not None and args.suite not in SUITES:
         return _fail(f"unknown suite {args.suite!r}; know {sorted(SUITES)}")
-    result = run_suites(args.seed, only=args.suite, corrupt=args.corrupt_fixture)
+    result = run_suites(args.seed, only=args.suite)
     _emit(result, args.out)
     return EXIT_OK if result["ok"] else EXIT_ERROR
 
@@ -223,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--suite", help="run only this suite")
     p_verify.add_argument("--out", help="write JSON output to a file")
-    p_verify.add_argument("--corrupt-fixture", action="store_true",
-                          help=argparse.SUPPRESS)  # test-only negative control
     p_verify.set_defaults(fn=cmd_verify)
 
     p_cat = sub.add_parser("catalog", help="list catalog entries or dump one")

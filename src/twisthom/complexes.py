@@ -26,7 +26,7 @@ import numpy as np
 
 from .groups import (EMPTY_WORD, GroupPresentation, GroupRingElt, PermAction,
                      Word, abelianization, free_reduce, reidemeister_schreier,
-                     word_power)
+                     word_inverse, word_power)
 from .matrices import int_dtype
 
 
@@ -228,27 +228,30 @@ def specialization_plan(c: EquivariantComplex) -> SpecializationPlan:
 # Fox calculus
 # ---------------------------------------------------------------------------
 
-def fox_derivative(w: Word, gen: int) -> GroupRingElt:
-    """Free Fox derivative d(w)/d(gen) in classical left coordinates.
+def _fox_terms(w: Word) -> list[tuple[int, int, int]]:
+    """(gen, k, sign) per letter of a reduced w: d(w)/d(gen) sums sign * w[:k],
+    +w[:i] for gen at i and -w[:i+1] for gen^-1 at i, reduced as they stand."""
+    return [(g, i, 1) if e == 1 else (g, i + 1, -1) for i, (g, e) in enumerate(w)]
 
-    w is reduced once; then each letter gen at i contributes +w[:i] and each
-    gen^-1 at i contributes -w[:i+1], prefixes of a reduced word that are
-    reduced as they stand, so no product is reduced again."""
+
+def fox_derivative(w: Word, gen: int) -> GroupRingElt:
+    """Free Fox derivative d(w)/d(gen) in classical left coordinates."""
     w = free_reduce(w)
-    return GroupRingElt([(w[:i], 1) if e == 1 else (w[:i + 1], -1)
-                         for i, (g, e) in enumerate(w) if g == gen])
+    return GroupRingElt([(w[:k], sign) for g, k, sign in _fox_terms(w) if g == gen])
 
 
 def presentation_complex(p: GroupPresentation) -> EquivariantComplex:
     """Three-term complex of the presentation 2-complex, Fox-calculus boundaries.
 
     Classical coordinates are d1 = (x - 1) and d2[x, r] = dr/dx; the stored
-    matrices carry their bar-involutes (right-module coordinates).
+    matrices carry their bar-involutes (right-module coordinates): the inverse
+    of a Fox term w[:k] is the last k letters of the inverse of w.
     """
     g, r = p.num_generators, len(p.relators)
     d1 = Boundary._trusted(1, g, [t for i in range(g) for t in _edge(0, i, i)])
-    d2 = Boundary._trusted(g, r, [((i, j, w), c) for i in range(g) for j in range(r)
-                                  for w, c in fox_derivative(p.relators[j], i).bar().terms.items()])
+    inverses = [word_inverse(w) for w in p.relators]
+    d2 = Boundary._trusted(g, r, [((i, j, inverses[j][len(w) - k:]), sign)
+                                  for j, w in enumerate(p.relators) for i, k, sign in _fox_terms(w)])
     if r == 0:
         return EquivariantComplex(p, (1, g), (d1,))
     return EquivariantComplex(p, (1, g, r), (d1, d2))
@@ -359,31 +362,6 @@ def quaternion_presentation() -> GroupPresentation:
     r1 = free_reduce([(0, 1), (0, 1), (1, -1), (1, -1)])
     r2 = free_reduce([(0, 1), (1, 1), (0, 1), (1, -1)])
     return GroupPresentation(2, [r1, r2])
-
-
-def quaternion_elements() -> list[tuple[int, int]]:
-    """The eight elements of Q8 encoded as (a, b) with value x^a y^b."""
-    return [(a, b) for b in range(2) for a in range(4)]
-
-
-def quaternion_mul(e1: tuple[int, int], e2: tuple[int, int]) -> tuple[int, int]:
-    # y x^a = x^-a y and y^2 = x^2
-    a1, b1 = e1
-    a2, b2 = e2
-    a = a1 + (a2 if b1 == 0 else -a2)
-    b = b1 + b2
-    if b == 2:
-        a += 2
-        b = 0
-    return (a % 4, b % 2)
-
-
-def quaternion_regular_action() -> PermAction:
-    """Left-regular action of Q8 on its eight elements (degree-8 cover by S^3)."""
-    elems = quaternion_elements()
-    idx = {e: i for i, e in enumerate(elems)}
-    perms = [tuple(idx[quaternion_mul(g, h)] for h in elems) for g in [(1, 0), (0, 1)]]
-    return PermAction(quaternion_presentation(), perms)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,8 @@ class GroupPresentation:
     __slots__ = ("num_generators", "relators")
 
     def __init__(self, num_generators: int, relators=()):
+        if num_generators < 0:
+            raise ValueError(f"generator count must be >= 0, got {num_generators}")
         relators = tuple(free_reduce(r) for r in relators)
         for r in relators:
             if not r:
@@ -235,9 +237,10 @@ class PermAction:
     """Transitive action of a presented group on {0..degree-1}, basepoint 0.
 
     Encodes the finite-index subgroup Stab(0); the degree is the index.
+    ``_schreier`` keeps the result of its first ``reidemeister_schreier``.
     """
 
-    __slots__ = ("presentation", "degree", "generator_images", "_inverses")
+    __slots__ = ("presentation", "degree", "generator_images", "_inverses", "_schreier")
 
     def __init__(self, presentation: GroupPresentation, generator_images):
         images = tuple(tuple(int(x) for x in perm) for perm in generator_images)
@@ -253,6 +256,7 @@ class PermAction:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generator_images", images)
         object.__setattr__(self, "_inverses", tuple(perm_inverse(x) for x in images))
+        object.__setattr__(self, "_schreier", None)
         for r in presentation.relators:
             if self.word_perm(r) != tuple(range(degree)):
                 raise ValueError(f"relator {word_to_ints(r)} does not act trivially")
@@ -267,6 +271,7 @@ class PermAction:
         object.__setattr__(action, "degree", degree)
         object.__setattr__(action, "generator_images", images)
         object.__setattr__(action, "_inverses", inverses)
+        object.__setattr__(action, "_schreier", None)
         return action
 
     def __setattr__(self, *a):
@@ -297,10 +302,6 @@ class PermAction:
         return f"PermAction(degree={self.degree}, images={self.generator_images})"
 
 
-def trivial_action(p: GroupPresentation) -> PermAction:
-    return PermAction(p, [tuple([0]) for _ in range(p.num_generators)])
-
-
 # ---------------------------------------------------------------------------
 # Reidemeister-Schreier
 # ---------------------------------------------------------------------------
@@ -311,13 +312,14 @@ class SchreierData:
     ``transversal[i]`` is the left coset representative carrying the basepoint
     to coset i (BFS over generators in index order, inverses after positives).
     ``pair_index[(coset, gen)]`` is the Schreier generator index, or None for
-    spanning-tree edges.
+    spanning-tree edges.  It keeps the action's permutations, not the action.
     """
 
-    __slots__ = ("action", "transversal", "pair_index", "pairs")
+    __slots__ = ("generator_images", "_inverses", "transversal", "pair_index", "pairs")
 
     def __init__(self, action: PermAction, transversal, pair_index, pairs):
-        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "generator_images", action.generator_images)
+        object.__setattr__(self, "_inverses", action._inverses)
         object.__setattr__(self, "transversal", transversal)
         object.__setattr__(self, "pair_index", pair_index)
         object.__setattr__(self, "pairs", pairs)
@@ -331,7 +333,7 @@ class SchreierData:
     def schreier_generator_word(self, idx: int) -> Word:
         """The Schreier generator as a word in the ambient group."""
         coset, gen = self.pairs[idx]
-        target = self.action.apply_letter(coset, gen, 1)
+        target = self.generator_images[gen][coset]
         return word_mul(word_inverse(self.transversal[target]),
                         ((gen, 1),), self.transversal[coset])
 
@@ -340,15 +342,15 @@ class SchreierData:
         right to left, ends at coset ``end`` = w(start), and h is the reduced
         word of its Schreier generators.  As transversal paths run on the
         spanning tree, h = rewrite(T[end]^-1 w T[start])."""
-        action, pair_index = self.action, self.pair_index
+        images, inverses, pair_index = self.generator_images, self._inverses, self.pair_index
         out_reversed = []
         c = start
         for g, e in reversed(w):
             if e == 1:
                 idx = pair_index[(c, g)]
-                c = action.apply_letter(c, g, 1)
+                c = images[g][c]
             else:
-                c = action.apply_letter(c, g, -1)
+                c = inverses[g][c]
                 idx = pair_index[(c, g)]
             if idx is not None:
                 out_reversed.append((idx, e))
@@ -366,11 +368,13 @@ def reidemeister_schreier(p: GroupPresentation, action: PermAction) -> tuple[Gro
     """Presentation of the basepoint stabilizer plus its rewriting data.
 
     Schreier generators: one per (coset, generator) pair off the BFS spanning
-    tree.  Relators: rewrites of T[i]^-1 r T[i] over all cosets i and base
-    relators r, with freely trivial ones dropped.
+    tree.  Relators: rewrites of T[i]^-1 r T[i], the walk of each base relator
+    r from each coset i, with freely trivial ones dropped.  Kept on the action.
     """
     if action.presentation != p:
         raise ValueError("action does not belong to this presentation")
+    if action._schreier is not None:
+        return action._schreier
     d = action.degree
     transversal: list[Word | None] = [None] * d
     transversal[0] = EMPTY_WORD
@@ -383,7 +387,8 @@ def reidemeister_schreier(p: GroupPresentation, action: PermAction) -> tuple[Gro
         for g, e in steps:
             j = action.apply_letter(i, g, e)
             if transversal[j] is None:
-                transversal[j] = word_mul(((g, e),), transversal[i])
+                # reduced: undoing T[i]'s first letter leads to a coset already reached
+                transversal[j] = ((g, e),) + transversal[i]
                 tree.add((i, g) if e == 1 else (j, g))
                 queue.append(j)
     assert all(t is not None for t in transversal)
@@ -399,15 +404,9 @@ def reidemeister_schreier(p: GroupPresentation, action: PermAction) -> tuple[Gro
                 pairs.append((i, g))
 
     data = SchreierData(action, tuple(transversal), pair_index, tuple(pairs))
-    relators = []
-    for i in range(d):
-        for r in p.relators:
-            conj = word_mul(word_inverse(transversal[i]), r, transversal[i])
-            rewritten = data.rewrite(conj)
-            if rewritten:
-                relators.append(rewritten)
-    sub = GroupPresentation(len(pairs), relators)
-    return sub, data
+    relators = [h for i in range(d) for r in p.relators if (h := data.walk(r, i)[1])]
+    object.__setattr__(action, "_schreier", (GroupPresentation(len(pairs), relators), data))
+    return action._schreier
 
 
 # ---------------------------------------------------------------------------

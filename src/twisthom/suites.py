@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import random
 
-from .complexes import (Boundary, CatalogEntry, EquivariantComplex, catalog_complex,
+from .complexes import (CatalogEntry, EquivariantComplex, catalog_complex,
                         presentation_complex, trefoil_group)
 from .groups import (GroupPresentation, PermAction, free_product, free_reduce,
                      reidemeister_schreier, transitive_actions_up_to)
@@ -161,17 +161,13 @@ def small_rep_battery(p: GroupPresentation, rng: random.Random) -> list[UnitaryR
 # lemma suites
 # ---------------------------------------------------------------------------
 
-def euler_suite(seed: int, corrupt: bool = False) -> SuiteReport:
+def euler_suite(seed: int) -> SuiteReport:
     """Twisted Euler characteristic = dim V * chi(X); chi = 0 for closed
     entries, whose dims also obey Poincare duality dims[i] = dims[3 - i]
     (the entries are orientable and the reps unitary)."""
     rep_rng = random.Random(seed)
     report = SuiteReport("euler")
-    entries = list(standard_entries())
-    if corrupt:
-        report.run(lambda: entries.__setitem__(0, _corrupted_entry(entries[0])),
-                   "corrupted fixture")
-    for entry in entries:
+    for entry in standard_entries():
         chi = entry.complex.euler_characteristic()
         if entry.closed:
             report.check(chi == 0, f"{entry.spec_string()}: closed but chi={chi}")
@@ -182,15 +178,6 @@ def euler_suite(seed: int, corrupt: bool = False) -> SuiteReport:
                          f"{entry.spec_string()} dim={rep.dim}: dims {h.dims}, "
                          f"euler {h.euler} (want {rep.dim * chi})")
     return report
-
-
-def _corrupted_entry(entry: CatalogEntry) -> CatalogEntry:
-    """Append a phantom degree to the ranks: breaks the closed-chi invariant."""
-    c = entry.complex
-    extra = Boundary(c.ranks[-1], 1)
-    bad = EquivariantComplex(c.group, c.ranks + (1,), c.boundaries + (extra,))
-    return CatalogEntry(entry.name + "~corrupt", entry.parameters, bad,
-                        entry.expected_trivial_dims, entry.notes, entry.closed)
 
 
 def trivialrep_suite(seed: int) -> SuiteReport:
@@ -375,15 +362,8 @@ SUITES = {
 }
 
 
-def run_suites(seed: int, only: str | None = None, corrupt: bool = False) -> dict:
-    reports = []
-    for name, fn in SUITES.items():
-        if only is not None and name != only:
-            continue
-        if name == "euler":
-            reports.append(euler_suite(seed, corrupt=corrupt))
-        else:
-            reports.append(fn(seed))
+def run_suites(seed: int, only: str | None = None) -> dict:
+    reports = [fn(seed) for name, fn in SUITES.items() if only is None or name == only]
     if only is not None and not reports:
         raise ValueError(f"unknown suite {only!r} (know {sorted(SUITES)})")
     return {

@@ -10,6 +10,23 @@ def suite_results():
     return run_suites(seed=0)
 
 
+@pytest.fixture
+def corrupt_euler_fixture(monkeypatch):
+    """``suites.standard_entries`` with its first entry, lens:2,1, corrupted:
+    d3 dropped to zero keeps chi = 0 but breaks Poincare duality under the
+    order-2 character, which the euler suite checks."""
+    from twisthom import suites
+    from twisthom.complexes import Boundary, CatalogEntry, EquivariantComplex
+
+    entries = suites.standard_entries()
+    lens = entries[0]
+    c = lens.complex
+    bad = EquivariantComplex(c.group, c.ranks, c.boundaries[:2] + (Boundary(1, 1),))
+    corrupt = CatalogEntry(lens.name + "~corrupt", lens.parameters, bad,
+                           lens.expected_trivial_dims, lens.notes, lens.closed)
+    monkeypatch.setattr(suites, "standard_entries", lambda: (corrupt,) + entries[1:])
+
+
 def _reference_word_image(r, w):
     """alpha(w) from ``r.generator_images`` alone: ``Matrix`` products, with
     each inverse letter taken as the entrywise conjugate transpose.  Shares no
@@ -50,7 +67,8 @@ def _rotated_copy(p, mats):
 def fixed_point_battery():
     """(label, rep, element_cap, expected) for the fixed-point-free test;
     expected is True, False or ImageClosureError."""
-    from twisthom.complexes import quaternion_presentation, quaternion_regular_action
+    from oracles import quaternion_regular_action
+    from twisthom.complexes import quaternion_presentation
     from twisthom.groups import GroupPresentation, word_from_ints, word_power
     from twisthom.matrices import Matrix
     from twisthom.numbers import Cyclo

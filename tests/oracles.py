@@ -3,18 +3,26 @@
 The library has one elimination per ring: the split-prime ``certified_rank``
 over Q and Q(zeta_n), ``smith_normal_form_int`` over Z and the diagonal-only
 ``_snf_poly`` over Q[t, t^-1].  The routines here reach the same answers by
-other eliminations and, but for ``certified_pivots_reference``, use only
-``Matrix``, ``TorsionData`` and the scalar types ``Cyclo`` and ``Laurent``
-of the library.  ``Laurent`` and
+other eliminations and, but for ``certified_pivots_reference`` and the group
+references (which build the library's value types: ``SchreierData``,
+``Boundary``, ``EquivariantComplex``), use only ``Matrix``, ``TorsionData``
+and the scalar types ``Cyclo`` and ``Laurent`` of the library.  ``Laurent`` and
 ``GroupRingElt`` have no arithmetic, so the ring operations of Q[t, t^-1]
 and Z[pi] and the division of Q[t, t^-1] live here:
 
 - ``Poly``: a ``Laurent`` with +, - and *; ``poly_divmod`` and ``divides``
   by long division over Fraction;
 - ``Ring``: a ``GroupRingElt`` with +, -, *, ``bar`` and ``augmentation``;
+- ``reidemeister_schreier_reference``: the stabilizer presentation and
+  its ``SchreierData`` with every relator conjugated by ``word_mul`` and
+  rewritten from the basepoint, the reference for the relator walks of
+  ``groups.reidemeister_schreier``;
 - ``cover_complex_reference``: the boundaries of a finite cover, cell by
   cell over ``GroupRingElt`` matrices, one rewrite of T[j]^-1 w T[i] per
-  term and coset;
+  term and coset, over ``reidemeister_schreier_reference``;
+- ``presentation_complex_reference``: the presentation complex with one
+  ``fox_derivative_reference`` per (generator, relator) pair, the
+  reference for the single Fox pass of ``complexes.presentation_complex``;
 - ``matrix_rank``: fraction-free (Bareiss) elimination over Fraction/int,
   Cyclo or Laurent entries, with the exact division ``cyclo_div`` over
   Q(zeta_n);
@@ -54,17 +62,23 @@ and Z[pi] and the division of Q[t, t^-1] live here:
   ``torsion_invariants`` and ``_snf_poly``;
 - ``torsion_data``: a hand-built ``TorsionData`` from monic ``Laurent``
   torsion polynomials, each stored as its ``encode_laurent`` coefficients.
+
+Two actions that only tests use live here too: ``trivial_action`` (degree 1)
+and ``quaternion_regular_action`` (Q8 on itself, from its multiplication
+table).
 """
 
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
 
 from twisthom import matrices
 from twisthom.alexander import TorsionData
-from twisthom.groups import (EMPTY_WORD, GroupRingElt, reidemeister_schreier,
-                             word_inverse, word_mul)
+from twisthom.complexes import Boundary, EquivariantComplex, quaternion_presentation
+from twisthom.groups import (EMPTY_WORD, GroupPresentation, GroupRingElt, PermAction,
+                             SchreierData, word_inverse, word_mul)
 from twisthom.matrices import Matrix
 from twisthom.numbers import Cyclo, Laurent, euler_phi
 from twisthom.reps import ImageClosureError
@@ -143,12 +157,86 @@ class Ring(GroupRingElt):
         return sum(self.terms.values())
 
 
+def reidemeister_schreier_reference(p, action):
+    """(sub, data) as ``groups.reidemeister_schreier`` gives them, by the
+    conjugate-and-rewrite route: the transversal grows by ``word_mul`` of a
+    letter and its parent's representative, and each relator r at coset i
+    is rewritten from the basepoint as the word T[i]^-1 r T[i]."""
+    if action.presentation != p:
+        raise ValueError("action does not belong to this presentation")
+    d = action.degree
+    transversal = [None] * d
+    transversal[0] = EMPTY_WORD
+    tree, queue = set(), deque([0])
+    steps = [(g, 1) for g in range(p.num_generators)] + \
+            [(g, -1) for g in range(p.num_generators)]
+    while queue:
+        i = queue.popleft()
+        for g, e in steps:
+            j = action.apply_letter(i, g, e)
+            if transversal[j] is None:
+                transversal[j] = word_mul(((g, e),), transversal[i])
+                tree.add((i, g) if e == 1 else (j, g))
+                queue.append(j)
+    pair_index, pairs = {}, []
+    for i in range(d):
+        for g in range(p.num_generators):
+            if (i, g) in tree:
+                pair_index[(i, g)] = None
+            else:
+                pair_index[(i, g)] = len(pairs)
+                pairs.append((i, g))
+    data = SchreierData(action, tuple(transversal), pair_index, tuple(pairs))
+    relators = []
+    for i in range(d):
+        for r in p.relators:
+            conj = word_mul(word_inverse(transversal[i]), r, transversal[i])
+            rewritten = data.rewrite(conj)
+            if rewritten:
+                relators.append(rewritten)
+    return GroupPresentation(len(pairs), relators), data
+
+
+def presentation_complex_reference(p):
+    """The presentation complex pair by pair: d2[x, r] is the bar of
+    ``fox_derivative_reference``(r, x), one ``GroupRingElt`` per entry, put
+    through the reducing ``Boundary`` constructor."""
+    g, r = p.num_generators, len(p.relators)
+    d1 = Boundary(1, g, [((0, i, ((i, -1),)), 1) for i in range(g)]
+                  + [((0, i, EMPTY_WORD), -1) for i in range(g)])
+    d2 = Boundary(g, r, [((i, j, w), c) for i in range(g) for j, rel in enumerate(p.relators)
+                         for w, c in fox_derivative_reference(rel, i).bar().terms.items()])
+    if r == 0:
+        return EquivariantComplex(p, (1, g), (d1,))
+    return EquivariantComplex(p, (1, g, r), (d1, d2))
+
+
+def trivial_action(p):
+    """The action of degree 1: the subgroup is the whole group."""
+    return PermAction(p, [(0,)] * p.num_generators)
+
+
+def quaternion_regular_action():
+    """The left-regular action of Q8 = <x, y | x^2 y^-2, x y x y^-1> on its
+    eight elements x^a y^b, encoded (a, b), from its multiplication table:
+    y x^a = x^-a y and y^2 = x^2 (the degree-8 cover by S^3)."""
+    def mul(e1, e2):
+        (a1, b1), (a2, b2) = e1, e2
+        a, b = a1 + (a2 if b1 == 0 else -a2), b1 + b2
+        return ((a + 2) % 4, 0) if b == 2 else (a % 4, b)
+
+    elems = [(a, b) for b in range(2) for a in range(4)]
+    idx = {e: i for i, e in enumerate(elems)}
+    perms = [tuple(idx[mul(g, h)] for h in elems) for g in [(1, 0), (0, 1)]]
+    return PermAction(quaternion_presentation(), perms)
+
+
 def cover_complex_reference(c, action):
     """(group, ranks, boundaries) of the cover of c under a transitive
     action, each boundary a list of rows of ``GroupRingElt``: every term q w
     of stored entry (f, e) adds q rewrite(T[j]^-1 w T[i]) to entry
     (f d + j, e d + i), where j = w(i) and d is the degree."""
-    sub, data = reidemeister_schreier(c.group, action)
+    sub, data = reidemeister_schreier_reference(c.group, action)
     d = action.degree
     out = []
     for b in c.boundaries:

@@ -139,9 +139,8 @@ def test_verify_unknown_suite(tmp_path):
     assert code == 1
 
 
-def test_verify_corrupt_fixture_fails_euler(tmp_path):
-    code, data = run_cli(tmp_path, "verify", "--suite", "euler",
-                         "--corrupt-fixture")
+def test_verify_corrupt_fixture_fails_euler(tmp_path, corrupt_euler_fixture):
+    code, data = run_cli(tmp_path, "verify", "--suite", "euler")
     assert code == 1
     assert data["ok"] is False
     euler = [s for s in data["suites"] if s["suite"] == "euler"][0]
@@ -421,6 +420,19 @@ def test_complex_json_must_hold_integers(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("error: ")
     path.write_text(json.dumps(_lens3_json()))
     assert run_cli(tmp_path, "homology", "--complex", str(path), "--character", "3:1")[0] == 0
+
+
+@pytest.mark.parametrize("argv", [("homology", "--trivial", "1"), ("search",),
+                                  ("acyclify", "--phi", "1")])
+def test_negative_generator_count_is_refused(tmp_path, capsys, argv):
+    """It used to be read: homology answered dims [1], search died in a
+    traceback and acyclify asked for -1 integers."""
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps({"group": {"num_generators": -1, "relators": []},
+                                "ranks": [1], "boundaries": []}))
+    code, data = run_cli(tmp_path, argv[0], "--complex", str(path), *argv[1:])
+    assert code == 1 and data is None
+    assert capsys.readouterr().err.startswith("error: bad group presentation: ")
 
 
 def _lens3_character_json():

@@ -12,19 +12,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import Ring, cover_complex_reference, fox_derivative_reference
+from oracles import (Ring, cover_complex_reference, fox_derivative_reference,
+                     presentation_complex_reference, quaternion_regular_action,
+                     trivial_action)
 from twisthom.complexes import (Boundary, catalog_complex, catalog_entry_from_string,
                                 circle_product, cover_complex, fox_derivative,
                                 presentation_complex, quaternion_presentation,
-                                quaternion_regular_action, trefoil_group)
+                                surface_group, trefoil_group)
 from twisthom.groups import (EMPTY_WORD, GroupPresentation, GroupRingElt,
                              PermAction, abelianization, free_reduce,
                              transitive_actions, transitive_actions_up_to,
                              word_from_ints, word_power)
-from twisthom.homology import twisted_homology, validate_complex
+from twisthom.homology import shapiro_compare, twisted_homology, validate_complex
 from twisthom.jsonio import complex_to_json
 from twisthom.matrices import Matrix, int_diagonal, smith_normal_form_int
-from twisthom.reps import (permutation_rep, torsion_characters, trivial_rep,
+from twisthom.numbers import Cyclo
+from twisthom.reps import (induce_rep, permutation_rep, torsion_characters, trivial_rep,
                            quaternion_left_rep)
 
 
@@ -81,6 +84,13 @@ def test_presentation_complex_shapes():
         [(word_power(0, -i), 1) for i in range(5)])
     free = presentation_complex(GroupPresentation(2))
     assert free.ranks == (1, 2)
+
+
+def test_presentation_complex_matches_reference_on_catalog_groups():
+    for p in (trefoil_group(), quaternion_presentation(), surface_group(2),
+              catalog_complex("t3").complex.group):
+        c, ref = presentation_complex(p), presentation_complex_reference(p)
+        assert (c.group, c.ranks, c.boundaries) == (ref.group, ref.ranks, ref.boundaries)
 
 
 def test_presentation_complex_boundary_vanishes():
@@ -227,7 +237,6 @@ def test_cover_complex_lens41_is_lens21():
 
 def test_cover_complex_degree1():
     lens = catalog_complex("lens", [3, 1]).complex
-    from twisthom.groups import trivial_action
     cover = cover_complex(lens, trivial_action(lens.group))
     assert cover.ranks == lens.ranks
     for ch in torsion_characters(cover.group):
@@ -353,11 +362,16 @@ def test_cover_complex_matches_cell_walking_reference():
 
 
 @st.composite
-def _presentation_and_action(draw):
+def _presentation(draw):
     gens = draw(st.integers(1, 3))
     letters = st.tuples(st.integers(0, gens - 1), st.sampled_from((1, -1)))
     words = st.lists(letters, min_size=1, max_size=6).map(free_reduce).filter(bool)
-    p = GroupPresentation(gens, draw(st.lists(words, max_size=3)))
+    return GroupPresentation(gens, draw(st.lists(words, max_size=3)))
+
+
+@st.composite
+def _presentation_and_action(draw):
+    p = draw(_presentation())
     actions = transitive_actions(p, draw(st.integers(1, 3)))
     if not actions:
         actions = transitive_actions(p, 1)
@@ -369,3 +383,54 @@ def _presentation_and_action(draw):
 def test_cover_complex_matches_reference_on_random_presentations(case):
     p, action = case
     _assert_cover_matches_reference(presentation_complex(p), action)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_presentation())
+def test_presentation_complex_matches_pairwise_fox_reference(p):
+    """The one Fox pass per relator gives the complex of one reference Fox
+    derivative per (generator, relator) pair."""
+    c, ref = presentation_complex(p), presentation_complex_reference(p)
+    assert (c.group, c.ranks, c.boundaries) == (ref.group, ref.ranks, ref.boundaries)
+
+
+def test_presentation_complex_reduces_no_prefix(monkeypatch):
+    """A genus-64 surface relator of 256 letters: the relator is reduced when
+    the presentation is built, and no Fox term is reduced again (642
+    reductions when each term went through a GroupRingElt)."""
+    from twisthom import complexes, groups
+    original, calls = groups.free_reduce, []
+
+    def counted(letters):
+        calls.append(None)
+        return original(letters)
+
+    for module in (groups, complexes):
+        monkeypatch.setattr(module, "free_reduce", counted)
+    presentation_complex(surface_group(64))
+    assert len(calls) <= 4
+
+
+def test_cover_complex_reuses_its_callers_schreier_data(monkeypatch):
+    """Once the caller has the Reidemeister-Schreier data of an action,
+    cover_complex, induce_rep and shapiro_compare build none of their own."""
+    from twisthom import groups
+    built = []
+
+    class Counted(groups.SchreierData):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(None)
+            super().__init__(*args)
+
+    monkeypatch.setattr(groups, "SchreierData", Counted)
+    tre = presentation_complex(trefoil_group())
+    action = PermAction(tre.group, [(1, 0, 2), (0, 2, 1)])
+    sub, _ = groups.reidemeister_schreier(tre.group, action)
+    assert len(built) == 1
+    ident = [Matrix.identity(1, Cyclo.one(), Cyclo.zero())] * sub.num_generators
+    cover_complex(tre, action)
+    induce_rep(tre.group, action, ident, 1)
+    shapiro_compare(tre, action, ident, 1)
+    assert len(built) == 1

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import Ring
+from oracles import Ring, reidemeister_schreier_reference, trivial_action
 from twisthom.complexes import catalog_complex
 from twisthom.groups import (GroupPresentation, GroupRingElt, PermAction,
                              abelianization, free_product, free_reduce,
                              reidemeister_schreier, transitive_actions,
-                             transitive_actions_up_to, trivial_action,
+                             transitive_actions_up_to,
                              verify_grading, word_from_ints, word_inverse,
                              word_mul, word_power, word_to_ints)
 from twisthom.matrices import Matrix, int_diagonal, smith_normal_form_int
@@ -318,3 +318,71 @@ def test_enumerated_actions_pass_the_public_constructor():
             checked = PermAction(p, a.generator_images)
             assert checked == a and checked.degree == a.degree
             assert checked._inverses == a._inverses
+
+
+def _assert_schreier_matches_reference(p, action):
+    sub, data = reidemeister_schreier(p, action)
+    ref_sub, ref = reidemeister_schreier_reference(p, action)
+    assert sub == ref_sub
+    for field in ("generator_images", "_inverses", "transversal", "pair_index", "pairs"):
+        assert getattr(data, field) == getattr(ref, field), field
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(presentations())
+def test_reidemeister_schreier_matches_reference_random(p):
+    """Every transitive action of degree <= 3: the relators walked from each
+    coset are the conjugates rewritten from the basepoint, and the
+    transversal grown by prefixing is the reduced product."""
+    for action in transitive_actions_up_to(p, 3):
+        _assert_schreier_matches_reference(p, action)
+
+
+def test_reidemeister_schreier_matches_reference_on_catalog_actions():
+    """The trefoil up to degree 4 and t3 up to 3, on actions built here, so
+    no result kept on an action from an earlier call answers for them."""
+    for spec, max_degree in (("trefoil_exterior", 4), ("t3", 3)):
+        p = catalog_complex(spec).complex.group
+        for action in transitive_actions_up_to(p, max_degree):
+            _assert_schreier_matches_reference(p, action)
+
+
+def test_reidemeister_schreier_is_kept_on_the_action():
+    tre = catalog_complex("trefoil_exterior").complex.group
+    action = transitive_actions(tre, 3)[0]
+    first = reidemeister_schreier(tre, action)
+    assert reidemeister_schreier(tre, action) is first
+    # an equal action built apart derives its own, equal, data
+    again = reidemeister_schreier(tre, PermAction(tre, action.generator_images))
+    assert again is not first and again[0] == first[0]
+
+
+def test_kept_schreier_data_leaves_no_reference_cycle():
+    """The data keeps the action's permutations, not the action, so an
+    action and what it keeps are freed without a cyclic collection."""
+    tre = catalog_complex("trefoil_exterior").complex.group
+    action = transitive_actions(tre, 3)[0]
+    _, data = reidemeister_schreier(tre, action)
+    assert not any(x is action for x in gc.get_referents(data))
+    gc.collect()
+    gc.disable()
+    try:
+        del action, data
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_reidemeister_schreier_refuses_another_presentation():
+    z, z4 = GroupPresentation(1), GroupPresentation(1, [word_power(0, 4)])
+    action = PermAction(z4, [(1, 0)])
+    for _ in range(2):  # before and after the action keeps its data
+        with pytest.raises(ValueError):
+            reidemeister_schreier(z, action)
+        reidemeister_schreier(z4, action)
+
+
+def test_negative_generator_count_is_refused():
+    with pytest.raises(ValueError):
+        GroupPresentation(-1)
+    assert GroupPresentation(0).num_generators == 0

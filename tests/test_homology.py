@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import decode_basis, matrix_rank, ring_matmul_reference
+from oracles import (decode_basis, matrix_rank, quaternion_regular_action,
+                     ring_matmul_reference, trivial_action)
 from twisthom.cli import main
 from twisthom.complexes import (Boundary, EquivariantComplex, SpecializationPlan,
                                 catalog_complex, catalog_entry_from_string,
@@ -19,7 +20,7 @@ from twisthom.complexes import (Boundary, EquivariantComplex, SpecializationPlan
                                 specialization_plan, trefoil_group)
 from twisthom.groups import (GroupPresentation, PermAction,
                              free_product, reidemeister_schreier,
-                             transitive_actions, trivial_action, word_power)
+                             transitive_actions, word_power)
 from twisthom.homology import (BlockComplex, BoundaryError, GroupMismatchError,
                                HomologyReport, _subspace_ranks, coinvariants_h0,
                                connected_sum_dims, homology_dims,
@@ -150,7 +151,6 @@ def test_shapiro_examples():
 
 def test_shapiro_quaternion_regular():
     """Degree-8 cover of S^3/Q8 by S^3, both routes."""
-    from twisthom.complexes import quaternion_regular_action
     cx = catalog_complex("quaternion_q8").complex
     action = quaternion_regular_action()
     sub, _ = __import__("twisthom.groups", fromlist=["reidemeister_schreier"]) \

@@ -175,6 +175,15 @@ MUTANTS = [
      _edited(groups.transitive_actions, "key = (stab.tobytes(), ok.tobytes())",
              "key = ok.tobytes()"), ASSERTED,
      [test_groups.test_transitive_actions_match_brute_force]),
+    # the checks of a row that changes what reidemeister_schreier computes
+    # build their own actions: an action keeps the data of its first call
+    ("relator walked from coset 0", groups.reidemeister_schreier, "__code__",
+     _edited(groups.reidemeister_schreier, "data.walk(r, i)", "data.walk(r, 0)"), ASSERTED,
+     [test_groups.test_reidemeister_schreier_matches_reference_on_catalog_actions]),
+    ("transversal letter appended instead of prepended", groups.reidemeister_schreier,
+     "__code__", _edited(groups.reidemeister_schreier, "((g, e),) + transversal[i]",
+                         "transversal[i] + ((g, e),)"), ASSERTED,
+     [test_groups.test_reidemeister_schreier_matches_reference_on_catalog_actions]),
     ("cover term walk starts every word at the basepoint", groups.SchreierData, "walk",
      lambda self, w, start: _WALK(self, w, 0), ASSERTED,
      [test_complexes.test_cover_complex_matches_cell_walking_reference]),
@@ -242,9 +251,10 @@ MUTANTS = [
     ("ring_matmul adds a wrapped power into a slice", matrices.ring_matmul, "__code__",
      _edited(matrices.ring_matmul, "if s + m > n:", "if False:"), ASSERTED,
      [_ring_matmul_matches_reference_seeded]),
-    ("Fox derivative: the inverse letter's prefix one short", complexes.fox_derivative,
-     "__code__", _edited(complexes.fox_derivative, "(w[:i + 1], -1)", "(w[:i], -1)"),
-     ASSERTED, [test_complexes.test_fox_derivative_trefoil]),
+    ("Fox derivative: the inverse letter's prefix one short", complexes._fox_terms,
+     "__code__", _edited(complexes._fox_terms, "(g, i + 1, -1)", "(g, i, -1)"),
+     ASSERTED, [test_complexes.test_fox_derivative_trefoil,
+                test_complexes.test_presentation_complex_matches_reference_on_catalog_groups]),
     ("split check rank T = dim W dropped", reps.invariant_coinvariant_split, "__code__",
      _edited(reps.invariant_coinvariant_split, "if certified_rank(tall, n) != w:", "if False:"),
      ASSERTED, [functools.partial(test_reps.test_split_refuses_non_unitary_reps,

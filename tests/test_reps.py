@@ -5,12 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import decode_basis, fixed_point_free_reference, matrix_rank
-from twisthom.complexes import (catalog_complex, quaternion_presentation,
-                                quaternion_regular_action, trefoil_group)
+from oracles import (decode_basis, fixed_point_free_reference, matrix_rank,
+                     quaternion_regular_action, trivial_action)
+from twisthom.complexes import catalog_complex, quaternion_presentation, trefoil_group
 from twisthom.groups import (GroupPresentation, PermAction, free_reduce,
-                             reidemeister_schreier, transitive_actions,
-                             trivial_action, word_power)
+                             reidemeister_schreier, transitive_actions, word_power)
 from twisthom.matrices import Matrix
 from twisthom.numbers import Cyclo
 from twisthom.reps import (ImageClosureError, UnitaryRep, _verify_rep_uncached,

@@ -40,8 +40,8 @@ def test_seeded_suites_are_deterministic():
     assert c["ok"]  # different seed still passes
 
 
-def test_corrupt_fixture_negative_control():
-    result = run_suites(seed=0, only="euler", corrupt=True)
+def test_corrupt_fixture_negative_control(corrupt_euler_fixture):
+    result = run_suites(seed=0, only="euler")
     assert not result["ok"]
     assert result["suites"][0]["fail"] > 0
 
