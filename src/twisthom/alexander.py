@@ -227,16 +227,17 @@ def alexander_data(c: EquivariantComplex, phi) -> TorsionData:
 
 
 def select_root_of_unity(td: TorsionData) -> tuple[int, int]:
-    """Smallest n >= 2 with Phi_n dividing no torsion polynomial in degrees >= 1.
+    """Smallest n >= 2 with Phi_n dividing no torsion polynomial.
 
-    Degree-0 torsion is the (1 - t) coset pattern, killed by any z != 1, so it
-    is excluded from the divisibility test.  Positive free rank anywhere is a
-    hard obstruction (the complex is not of the fibered shape).
+    Degree-0 torsion of a presentation complex is 1 - t, which no such Phi_n
+    divides; a complex read from a file may have other torsion there, so it
+    is tested too.  Positive free rank anywhere is a hard obstruction (the
+    complex is not of the fibered shape).
     """
     for degree, fr in enumerate(td.free_ranks):
         if fr:
             raise FreeRankObstruction(degree, fr)
-    polys = [p for ps in td.torsion[1:] for p in ps]
+    polys = [p for ps in td.torsion for p in ps]
     max_deg = max((len(a) - 1 for a in polys), default=0)
     n = 2
     while euler_phi(n) <= max_deg and any(_divides(cyclotomic_coeffs(n), a) for a in polys):

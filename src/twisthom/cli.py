@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .alexander import FreeRankObstruction, GradingError, make_acyclic_fibered
+from .alexander import FreeRankObstruction, make_acyclic_fibered
 from .complexes import CATALOG_NAMES, catalog_entry_from_string
 from .groups import GroupPresentation
 from .homology import (BoundaryError, GroupMismatchError, twisted_homology)
@@ -38,19 +38,11 @@ def _emit(payload: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _fail(message: str) -> int:
-    sys.stderr.write(f"error: {message}\n")
-    return EXIT_ERROR
-
-
 def _load_complex(args):
     if args.catalog and args.complex:
         raise InputError("give either --catalog or --complex, not both")
     if args.catalog:
-        try:
-            return catalog_entry_from_string(args.catalog).complex
-        except ValueError as e:
-            raise InputError(str(e)) from None
+        return catalog_entry_from_string(args.catalog).complex
     if args.complex:
         try:
             with open(args.complex, encoding="utf-8") as fh:
@@ -106,50 +98,29 @@ def _parse_phi(spec: str, group: GroupPresentation) -> list[int]:
 
 
 def cmd_homology(args) -> int:
-    try:
-        cx = _load_complex(args)
-        rep = _load_rep(args, cx.group)
-    except InputError as e:
-        return _fail(str(e))
-    try:
-        report = twisted_homology(cx, rep)
-    except GroupMismatchError as e:
-        return _fail(f"group mismatch: {e}")
-    except BoundaryError as e:
-        return _fail(f"broken chain complex: {e}")
-    except ValueError as e:
-        return _fail(str(e))
+    cx = _load_complex(args)
+    report = twisted_homology(cx, _load_rep(args, cx.group))
     _emit(report_to_json(report), args.out)
     return EXIT_OK
 
 
 def cmd_acyclify(args) -> int:
-    try:
-        cx = _load_complex(args)
-        if args.phi is None:
-            raise InputError("--phi a,b,... is required")
-        phi = _parse_phi(args.phi, cx.group)
-    except InputError as e:
-        return _fail(str(e))
+    cx = _load_complex(args)
+    if args.phi is None:
+        raise InputError("--phi a,b,... is required")
+    phi = _parse_phi(args.phi, cx.group)
     try:
         cert = make_acyclic_fibered(cx, phi)
-    except GradingError as e:
-        return _fail(str(e))
     except FreeRankObstruction as e:
         _emit({"obstruction": {"degree": e.degree, "free_rank": e.free_rank},
                "reason": str(e), "verified": False}, args.out)
         return EXIT_NEGATIVE
-    except ValueError as e:
-        return _fail(str(e))
     _emit(certificate_to_json(cert), args.out)
     return EXIT_OK
 
 
 def cmd_search(args) -> int:
-    try:
-        cx = _load_complex(args)
-    except InputError as e:
-        return _fail(str(e))
+    cx = _load_complex(args)
     chars = torsion_characters(cx.group)
     found = []
     for idx, ch in enumerate(chars):
@@ -165,7 +136,7 @@ def cmd_search(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.suite is not None and args.suite not in SUITES:
-        return _fail(f"unknown suite {args.suite!r}; know {sorted(SUITES)}")
+        raise InputError(f"unknown suite {args.suite!r}; know {sorted(SUITES)}")
     result = run_suites(args.seed, only=args.suite)
     _emit(result, args.out)
     return EXIT_OK if result["ok"] else EXIT_ERROR
@@ -173,10 +144,7 @@ def cmd_verify(args) -> int:
 
 def cmd_catalog(args) -> int:
     if args.catalog:
-        try:
-            entry = catalog_entry_from_string(args.catalog)
-        except ValueError as e:
-            return _fail(str(e))
+        entry = catalog_entry_from_string(args.catalog)
         _emit({"name": entry.name,
                "parameters": list(entry.parameters),
                "expected_trivial_dims": list(entry.expected_trivial_dims),
@@ -233,11 +201,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Every refusal the library signals, a ValueError
+    or an OSError from writing --out, ends here as one ``error:`` line on
+    stderr and exit 1."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except BrokenPipeError:
         return EXIT_ERROR
+    except GroupMismatchError as e:
+        message = f"group mismatch: {e}"
+    except BoundaryError as e:
+        message = f"broken chain complex: {e}"
+    except (ValueError, OSError) as e:
+        message = str(e)
+    sys.stderr.write(f"error: {message}\n")
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

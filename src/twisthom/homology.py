@@ -15,13 +15,13 @@ boundary words with the nodes that end a word, and per boundary the int
 arrays (word, row, col, coeff) of its terms.  A specialization takes one
 product per trie node (``reps._node_images``) and accumulates each boundary
 from the images of the word-end nodes alone as an integer array [R, C, n],
-its numerator over Z[x]/(x^n - 1),
-kept in that assembled form.  Their reductions modulo Phi_n must multiply
-to exactly zero in Z[zeta_n], and a failure is a hard BoundaryError.  Ranks
-come from the certified split-prime routine ``matrices.certified_rank``,
-which takes the assembled arrays and does its own reduction.  Arrays hold
-Python ints wherever a magnitude bound would leave int64, so no value
-wraps.
+its numerator over Z[x]/(x^n - 1), kept in that assembled form.  Their
+reductions modulo Phi_n must multiply to exactly zero in Z[zeta_n];
+``BlockComplex`` checks this on construction, and a failure is a hard
+BoundaryError.  Ranks come from the certified split-prime routine
+``matrices.certified_rank``, which takes the assembled arrays and does its
+own reduction.  Arrays hold Python ints wherever a magnitude bound would
+leave int64, so no value wraps.
 """
 
 from __future__ import annotations
@@ -90,7 +90,10 @@ class BlockComplex:
     numerator, an integer array [rows, cols, n] over Z[x]/(x^n - 1) with n
     the ``conductor`` (x -> zeta_n), not reduced modulo Phi_n; the boundary
     is that array over ``denominators[k]``.  ``dims`` are read through
-    ``operator.index`` (TypeError for a float or a string).
+    ``operator.index`` (TypeError for a float or a string).  Consecutive
+    boundaries, reduced modulo Phi_n, must multiply to exactly zero in
+    Z[zeta_n]; otherwise the constructor raises BoundaryError, so every
+    BlockComplex is a complex.
     """
 
     __slots__ = ("dims", "boundaries", "conductor", "denominators")
@@ -100,6 +103,11 @@ class BlockComplex:
         object.__setattr__(self, "boundaries", tuple(boundaries))
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "denominators", tuple(denominators))
+        reduced = [reduce_cyclotomic(a, conductor) for a in self.boundaries]
+        for t in range(len(reduced) - 1):
+            if reduce_cyclotomic(ring_matmul(reduced[t], reduced[t + 1], conductor),
+                                 conductor).any():
+                raise BoundaryError(f"d{t + 1}.d{t + 2} != 0 under this representation")
 
     def __setattr__(self, *a):
         raise AttributeError("BlockComplex is immutable")
@@ -109,23 +117,18 @@ def specialize(c: EquivariantComplex, r: UnitaryRep) -> BlockComplex:
     """Tensor the complex with the representation: entries sum n_w alpha(w).
 
     Boundary entries are stored in right-module coordinates, so substitution
-    is direct.  Consecutive products are checked to be exactly zero; failure
-    raises BoundaryError.
+    is direct.  The BlockComplex checks that consecutive products are exactly
+    zero; failure raises BoundaryError.
     """
     if r.group != c.group:
         raise GroupMismatchError("representation group differs from complex group")
     if not verify_rep(r):
         raise ValueError("representation fails verification")
     imgs, plan = r.compiled, specialization_plan(c)
-    n = imgs.n
     nodes = _node_images(imgs, plan.parents, plan.letters)
     assembled = imgs.assemble(plan, [nodes[k] for k in plan.ends])
-    reduced = [reduce_cyclotomic(a, n) for a, _ in assembled]
-    for t in range(len(reduced) - 1):
-        if reduce_cyclotomic(ring_matmul(reduced[t], reduced[t + 1], n), n).any():
-            raise BoundaryError(f"d{t + 1}.d{t + 2} != 0 under this representation")
-    return BlockComplex([rank * imgs.dim for rank in c.ranks], [a for a, _ in assembled], n,
-                        [den for _, den in assembled])
+    return BlockComplex([rank * imgs.dim for rank in c.ranks], [a for a, _ in assembled],
+                        imgs.n, [den for _, den in assembled])
 
 
 def homology_dims(b: BlockComplex) -> HomologyReport:

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from .alexander import AcyclicityCertificate, TorsionData
-from .complexes import Boundary, EquivariantComplex
+from .complexes import MAX_FREE_PRODUCT_GENERATORS, Boundary, EquivariantComplex
 from .groups import GroupPresentation, Word, word_from_ints, word_to_ints
 from .homology import HomologyReport
 from .matrices import Matrix
@@ -104,8 +104,13 @@ def presentation_to_json(p: GroupPresentation) -> dict:
 
 def presentation_from_json(obj) -> GroupPresentation:
     try:
-        return GroupPresentation(_json_int(obj["num_generators"], "num_generators"),
-                                 [_word_from_json(r) for r in obj["relators"]])
+        gens = _json_int(obj["num_generators"], "num_generators")
+        # as many as s1x_sigma:MAX_GENUS, the largest catalog group and the cap
+        # of free_product_of; 10 000 generators made `search` run for 18 s
+        if gens > MAX_FREE_PRODUCT_GENERATORS:
+            raise InputError(f"{gens} generators; at most {MAX_FREE_PRODUCT_GENERATORS} "
+                             "are admitted")
+        return GroupPresentation(gens, [_word_from_json(r) for r in obj["relators"]])
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad group presentation: {e}") from None
 

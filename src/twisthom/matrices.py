@@ -131,16 +131,17 @@ def ring_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     to x^s .. x^(s+m'-1) as one contiguous slice, and those past x^(n-1)
     wrap round to x^0 as a second slice.  A first product at x^0 with m' = n
     is the output itself, so a single-coefficient a over n = 1 is one matmul.
-    An all-zero a multiplies nothing: a boundary that specializes to 0 (d1
-    of t3 under a trivial rep of dim 1024) would otherwise cost a full
-    [1024, 3072] @ [3072, 3072] integer product."""
+    An all-zero a or b multiplies nothing: a boundary that specializes to 0
+    (d1 of t3 under a trivial rep of dim 1024) would otherwise cost a full
+    [1024, 3072] @ [3072, 3072] integer product, and a zero b would give the
+    bound 0 and cast an a of Python ints to int64."""
     (k, j), m = b.shape[-3:-1], b.shape[-1]
     sizes = np.abs(a.reshape(-1, a.shape[-1])).max(axis=0, initial=0).tolist()
     powers = [s for s, x in enumerate(sizes) if x]
-    if not powers:
+    if not powers or not (top := max_abs(b)):
         return np.zeros(np.broadcast_shapes(a.shape[:-3], b.shape[:-3]) + (a.shape[-3], j, n),
                         np.int64)
-    dtype = int_dtype(max(sizes) * max_abs(b) * k * n)
+    dtype = int_dtype(max(sizes) * top * k * n)
     a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
     flat = b.reshape(b.shape[:-2] + (j * m,))
     out = None

@@ -380,9 +380,6 @@ def torsion_characters(p: GroupPresentation) -> list[UnitaryRep]:
     u, diag = abelianization_change_of_basis(p)
     idxs = [i for i, d in enumerate(diag) if d > 1]
     ds = [diag[i] for i in idxs]
-    if not ds:
-        gens = [((0,), (0,))] * p.num_generators
-        return [UnitaryRep(p, 1, 1, "character", _Monomial(1, 1, gens), verified=True)]
     lcm = math.lcm(*ds)
     out = []
     for a in itertools.product(*[range(d) for d in ds]):

@@ -128,6 +128,9 @@ def test_select_examples():
     assert select_root_of_unity(td) == (3, 1)
     td = torsion_data([0, 0, 0, 0], [[T - 1], [], [T - 1], []])
     assert select_root_of_unity(td) == (2, 1)
+    # degree 0 counts too: a complex from a file may have H_0 torsion 1 + t
+    td = torsion_data([0, 0, 0, 0], [[T + 1], [], [T - 1], []])
+    assert select_root_of_unity(td) == (3, 1)
 
 
 def test_select_obstruction():

@@ -1,10 +1,17 @@
 """CLI commands, exit codes, JSON schemas and byte-determinism."""
 
+import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import twisthom
 from twisthom import matrices
 from twisthom.alexander import MAX_LAURENT_SPAN, laurent_specialize
 from twisthom.cli import main
@@ -497,3 +504,208 @@ def test_overlong_words_are_refused(tmp_path, capsys, where, length):
     assert code == 1 and data is None
     assert f"a word has {length} letters; at most {MAX_WORD_LENGTH}" in capsys.readouterr().err
     assert time.perf_counter() - start < 5
+
+
+def _edited_catalog_json(spec, path, value):
+    """The complex file of a catalog entry with the leaf at ``path`` set to
+    ``value``."""
+    blob = complex_to_json(catalog_entry_from_string(spec).complex)
+    _set(path, value)(blob)
+    return blob
+
+
+def _write(tmp_path, name, blob):
+    path = tmp_path / name
+    path.write_text(json.dumps(blob))
+    return str(path)
+
+
+def _one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_largest_catalog_group_loads_from_a_file():
+    """The generator cap admits s1x_sigma:MAX_GENUS, 129 generators, and so
+    every free product the catalog builds."""
+    cx = catalog_entry_from_string(f"s1x_sigma:{MAX_GENUS}").complex
+    assert cx.group.num_generators == MAX_FREE_PRODUCT_GENERATORS
+    again = complex_from_json(json.loads(json.dumps(complex_to_json(cx))))
+    assert again.group == cx.group and again.ranks == cx.ranks
+    assert all(again.boundaries[k] == cx.boundaries[k] for k in range(len(cx.boundaries)))
+
+
+@pytest.mark.parametrize("argv", [("homology", "--trivial", "1"), ("search",)])
+@pytest.mark.parametrize("count", [MAX_FREE_PRODUCT_GENERATORS + 1, 10_000, 2 ** 63],
+                         ids=["130", "10000", "2^63"])
+def test_oversized_generator_count_is_refused(tmp_path, capsys, argv, count):
+    """2^63 generators used to overflow in trivial_rep, and 10 000 made
+    search run for 18 s."""
+    path = _write(tmp_path, "cx.json", _edited_catalog_json(
+        "lens:5,2", ["group", "num_generators"], count))
+    start = time.perf_counter()
+    code, data = run_cli(tmp_path, argv[0], "--complex", path, *argv[1:])
+    assert code == 1 and data is None
+    assert capsys.readouterr().err == (f"error: bad group presentation: {count} generators; "
+                                       f"at most {MAX_FREE_PRODUCT_GENERATORS} are admitted\n")
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("spec, path, dims", [
+    ("lens:5,2", ["boundaries", 1, 0, 0, 0, 0], [1, 0, 0, 1]),
+    ("torus2d", ["boundaries", 0, 0, 0, 0, 0], [0, 1, 1])], ids=["lens:5,2 d2", "torus2d d1"])
+@pytest.mark.parametrize("top", [2 ** 63, -2 ** 63], ids=["2^63", "-2^63"])
+def test_int64_overflowing_coefficient_before_a_zero_boundary(tmp_path, spec, path, dims, top):
+    """The next boundary vanishes under the trivial rep, and the d.d = 0
+    product by it used to cast this boundary's Python ints to int64."""
+    cx = _write(tmp_path, "cx.json", _edited_catalog_json(spec, path, top))
+    code, data = run_cli(tmp_path, "homology", "--complex", cx, "--trivial", "1")
+    assert code == 0 and data["dims"] == dims
+
+
+@pytest.mark.parametrize("top", [2 ** 63, 2], ids=["2^63", "2"])
+def test_search_on_a_broken_complex_is_refused(tmp_path, capsys, top):
+    """d1.d2 != 0 under the nontrivial characters of lens:5,2: search used to
+    die in a traceback there (and at 2^63 already under the trivial one)."""
+    cx = _write(tmp_path, "cx.json", _edited_catalog_json(
+        "lens:5,2", ["boundaries", 1, 0, 0, 0, 0], top))
+    code, data = run_cli(tmp_path, "search", "--complex", cx)
+    assert code == 1 and data is None
+    assert capsys.readouterr().err == \
+        "error: broken chain complex: d1.d2 != 0 under this representation\n"
+
+
+@pytest.mark.parametrize("argv", [("homology", "--catalog", "t3", "--trivial", "1"),
+                                  ("search", "--catalog", "lens:5,1"),
+                                  ("acyclify", "--catalog", "t3", "--phi", "1,0,0"),
+                                  ("catalog",)])
+def test_unwritable_out_is_refused(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out.json"
+    assert main(list(argv) + ["--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and str(out) in err
+
+
+def test_acyclify_avoids_roots_of_degree_zero_torsion(tmp_path):
+    """d1 of s1xs2 edited to -1 - x^-1 gives H_0 the torsion 1 + t, which
+    z = -1 kills; the root choice used to skip degree 0, pick z = -1 and die
+    in its own cross-check."""
+    cx = _write(tmp_path, "cx.json", _edited_catalog_json(
+        "s1xs2", ["boundaries", 0, 0, 0, 1, 0], -1))
+    code, data = run_cli(tmp_path, "acyclify", "--complex", cx, "--phi", "1")
+    assert code == 0 and data["z_order"] == 3 and data["dims"] == [0, 0, 0, 0]
+
+
+FUZZ_BASES = ["trefoil_exterior", "t3", "lens:5,2", "s1x_sigma:2", "handlebody:2", "torus2d",
+              "quaternion_q8", "s1xs2"]
+FUZZ_VALUES = [-1, 0, 2, 3, 2 ** 63, -2 ** 63, 10 ** 6, 1.5, "1", None, [], True]
+
+
+def _leaves(obj, path=()):
+    """The paths of the scalars in a JSON document, in a fixed order."""
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _leaves(obj[key], path + (key,))
+    elif isinstance(obj, list):
+        for i, x in enumerate(obj):
+            yield from _leaves(x, path + (i,))
+    else:
+        yield path
+
+
+def test_cli_fuzz_one_leaf(tmp_path, capsys):
+    """Seeded: 300 runs, each with one leaf of a catalog complex file or of a
+    character's rep file set to an edge value.  homology, search and
+    acyclify must answer 0 or 2, or refuse with exit 1 and one error: line;
+    none may raise or take a second."""
+    rng = random.Random(0)
+    complexes = {spec: complex_to_json(catalog_entry_from_string(spec).complex)
+                 for spec in FUZZ_BASES}
+    reps = {spec: rep_to_json(torsion_characters(
+        catalog_entry_from_string(spec).complex.group)[-1])
+        for spec in ("lens:5,2", "quaternion_q8")}
+    cx, rep = str(tmp_path / "cx.json"), str(tmp_path / "rep.json")
+    codes = []
+    for _ in range(300):
+        value = rng.choice(FUZZ_VALUES)
+        if rng.random() < 0.25:
+            spec = rng.choice(sorted(reps))
+            blob = json.loads(json.dumps(reps[spec]))
+            path = rng.choice(list(_leaves(blob)))
+            _set(path, value)(blob)
+            _write(tmp_path, "cx.json", complexes[spec])
+            _write(tmp_path, "rep.json", blob)
+            runs = [["homology", "--complex", cx, "--rep", rep]]
+        else:
+            spec = rng.choice(FUZZ_BASES)
+            blob = json.loads(json.dumps(complexes[spec]))
+            path = rng.choice(list(_leaves(blob)))
+            _set(path, value)(blob)
+            _write(tmp_path, "cx.json", blob)
+            phi = ",".join(["1"] + ["0"] * (complexes[spec]["group"]["num_generators"] - 1))
+            runs = [["homology", "--complex", cx, "--trivial", "1"],
+                    ["homology", "--complex", cx, "--character", "3:1"],
+                    ["search", "--complex", cx],
+                    ["acyclify", "--complex", cx, "--phi", phi]]
+        for argv in runs:
+            start = time.perf_counter()
+            code = main(argv)
+            seconds = time.perf_counter() - start
+            err = capsys.readouterr().err
+            case = (spec, path, value, argv[0], code, err)
+            assert code in (0, 2) or (code == 1 and _one_error_line(err)), case
+            assert seconds < 1, case
+            codes.append(code)
+    assert {0, 1, 2} <= set(codes)
+
+
+# sha256 of the stdout of each command at the commit that introduced the pin;
+# refactors of the CLI and of the rank must leave them byte-identical.
+STDOUT_SHA256 = {
+    ("homology", "--catalog", "t3", "--character", "1009:1"):
+        "2916cf69866b1c6deca3cb243c9c3209ea82f735219e13d7ae67d0c87ddd2a1f",
+    ("search", "--catalog", "lens:512,1"):
+        "789022bf7955a879563fa1982a8fcedf46e95bf9875428d511df222295465618",
+    ("search", "--catalog", "lens:12,5"):
+        "a0dc6ea601a8db8538fe9feb35009a9ae779459c7edc532b4020c16b7a902d72",
+    ("acyclify", "--catalog", "t3", "--phi", "1,0,0"):
+        "a38a59579b0db924a6a580266f1849f716d7914d174fe0b4eaec18b35009890d",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT_SHA256), ids=" ".join)
+def test_stdout_is_pinned(capsys, argv):
+    assert main(list(argv)) in (0, 2)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
+
+
+def test_refusals_as_a_process_end_in_one_error_line(tmp_path):
+    """The five inputs that used to end in a traceback or a hang, run as
+    ``python -m twisthom.cli``: each exits 1 with one error: line on stderr,
+    where an in-process test cannot see what happens at interpreter exit.
+    The edited lens file itself is answered under the trivial rep."""
+    top = _write(tmp_path, "top.json", _edited_catalog_json(
+        "lens:5,2", ["boundaries", 1, 0, 0, 0, 0], 2 ** 63))
+    broken = _write(tmp_path, "broken.json", _edited_catalog_json(
+        "lens:5,2", ["boundaries", 1, 0, 0, 0, 0], 2))
+    gens = [_write(tmp_path, f"gens{count}.json", _edited_catalog_json(
+        "lens:5,2", ["group", "num_generators"], count)) for count in (2 ** 63, 10_000)]
+    env = dict(os.environ, PYTHONPATH=str(Path(twisthom.__file__).resolve().parents[1]))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "twisthom.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    accepted = cli("homology", "--complex", top, "--trivial", "1")
+    assert accepted.returncode == 0 and accepted.stderr == ""
+    assert json.loads(accepted.stdout)["dims"] == [1, 0, 0, 1]
+    for argv in (["search", "--complex", top],
+                 ["search", "--complex", broken],
+                 ["homology", "--complex", gens[0], "--trivial", "1"],
+                 ["search", "--complex", gens[1]],
+                 ["search", "--catalog", "t3", "--out", str(tmp_path / "missing" / "x.json")]):
+        done = cli(*argv)
+        assert done.returncode == 1 and done.stdout == "", argv
+        assert _one_error_line(done.stderr) and "Traceback" not in done.stderr, \
+            (argv, done.stderr)

@@ -81,6 +81,17 @@ def test_specialize_dd_hard_error():
         specialize(corrupt, torsion_characters(cx.group)[1])
 
 
+def test_block_complex_checks_dd_zero():
+    """A hand-built BlockComplex is checked like a specialized one: it used
+    to be ranked, here into dims (0, -1, 0) of a complex that is none.  The
+    product is taken in Z[zeta_n]: 1 + x + x^2 is zero there at n = 3."""
+    one = np.ones((1, 1, 1), np.int64)
+    with pytest.raises(BoundaryError, match=r"d1\.d2 != 0"):
+        BlockComplex([1, 1, 1], [one, one], 1, [1, 1])
+    norm = np.ones((1, 1, 3), np.int64)
+    assert homology_dims(BlockComplex([1, 1, 1], [norm, one], 3, [1, 1])).dims == (1, 0, 0)
+
+
 def test_homology_examples():
     lens = catalog_complex("lens", [5, 1]).complex
     chars = torsion_characters(lens.group)

@@ -80,6 +80,16 @@ def test_ring_matmul_matches_cyclic_convolution(n, batch, zero_a, big, seed, dat
     _assert_ring_matmul_matches_reference(a, b, n)
 
 
+@pytest.mark.parametrize("top", [2 ** 63, -2 ** 63 - 1])
+def test_ring_matmul_by_zero_keeps_python_ints(top):
+    """An all-zero b gives zeros, as an all-zero a does.  Its bound used to
+    read 0 and cast an a of Python ints past int64 to int64 (OverflowError)."""
+    a = np.array([[[top, 1]], [[0, 3]]], dtype=object)
+    b = np.zeros((1, 2, 3), np.int64)
+    assert not matrices.ring_matmul(a, b, 3).any()
+    _assert_ring_matmul_matches_reference(a, b, 3)
+
+
 def test_rank_degenerate():
     assert matrix_rank(Matrix(0, 0, [])) == 0
     assert matrix_rank(Matrix(0, 3, [])) == 0

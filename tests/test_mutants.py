@@ -146,6 +146,9 @@ MUTANTS = [
      ASSERTED, [test_alexander.test_torsion_invariants_rejects_non_complex]),
     ("Phi_n never divides in the root choice", alexander, "_divides",
      lambda b, a: False, ASSERTED, [test_alexander.test_select_examples]),
+    ("root choice skips the degree-0 torsion", alexander.select_root_of_unity, "__code__",
+     _edited(alexander.select_root_of_unity, "for ps in td.torsion for",
+             "for ps in td.torsion[1:] for"), ASSERTED, [test_alexander.test_select_examples]),
     ("grading weight off by one on nonempty words", alexander, "grading_weight",
      lambda phi, w: groups.grading_weight(phi, w) + bool(w), ASSERTED,
      [test_alexander.test_laurent_specialize_circle,
@@ -167,7 +170,8 @@ MUTANTS = [
      homology, "ring_matmul",
      lambda a, b, n: 0 * matrices.ring_matmul(a, b, n), ASSERTED,
      [test_homology.test_specialize_dd_hard_error,
-      test_complexes.test_validate_complex_negative_control]),
+      test_complexes.test_validate_complex_negative_control,
+      test_homology.test_block_complex_checks_dd_zero]),
     ("relator mask memoized by the relator alone", groups.transitive_actions, "__code__",
      _edited(groups.transitive_actions, "key = (r, tuple([images[g] for g in others]))",
              "key = (r,)"), ASSERTED, [test_groups.test_transitive_actions_match_brute_force]),
@@ -251,6 +255,11 @@ MUTANTS = [
     ("ring_matmul adds a wrapped power into a slice", matrices.ring_matmul, "__code__",
      _edited(matrices.ring_matmul, "if s + m > n:", "if False:"), ASSERTED,
      [_ring_matmul_matches_reference_seeded]),
+    ("ring_matmul takes its dtype bound from an all-zero b", matrices.ring_matmul,
+     "__code__", _edited(matrices.ring_matmul, "if not powers or not (top := max_abs(b)):",
+                         "if not powers or not (top := max_abs(b)) and False:"),
+     OverflowError, [functools.partial(test_matrices.test_ring_matmul_by_zero_keeps_python_ints,
+                                       2 ** 63)]),
     ("Fox derivative: the inverse letter's prefix one short", complexes._fox_terms,
      "__code__", _edited(complexes._fox_terms, "(g, i + 1, -1)", "(g, i, -1)"),
      ASSERTED, [test_complexes.test_fox_derivative_trefoil,

@@ -13,8 +13,8 @@ from twisthom.groups import (GroupPresentation, PermAction, free_reduce,
 from twisthom.matrices import Matrix
 from twisthom.numbers import Cyclo
 from twisthom.reps import (ImageClosureError, UnitaryRep, _verify_rep_uncached,
-                           character_from_grading, evaluate_word, explicit_rep,
-                           fixed_point_free_check, induce_rep,
+                           character_exponents, character_from_grading, evaluate_word,
+                           explicit_rep, fixed_point_free_check, induce_rep,
                            invariant_coinvariant_split, permutation_rep,
                            quaternion_left_rep, torsion_characters,
                            trivial_rep, verify_rep)
@@ -50,7 +50,10 @@ def test_torsion_characters_counts_and_validity():
     assert len(chars) == 5
     values = [evaluate_word(c, ((0, 1),))[0, 0] for c in chars]
     assert values == [Cyclo.root_of_unity(5, a) for a in range(5)]
-    assert len(torsion_characters(GroupPresentation(2))) == 1
+    for free in (GroupPresentation(2), GroupPresentation(0)):
+        [ch] = torsion_characters(free)
+        assert (ch.dim, ch.conductor, ch.compiled.n) == (1, 1, 1)
+        assert character_exponents(ch) == [0] * free.num_generators
     z2z2 = GroupPresentation(2, [word_power(0, 2), word_power(1, 2),
                                  free_reduce([(0, 1), (1, 1), (0, -1), (1, -1)])])
     chars = torsion_characters(z2z2)
