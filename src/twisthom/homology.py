@@ -17,11 +17,21 @@ product per trie node (``reps._node_images``) and accumulates each boundary
 from the images of the word-end nodes alone as an integer array [R, C, n],
 its numerator over Z[x]/(x^n - 1), kept in that assembled form.  Their
 reductions modulo Phi_n must multiply to exactly zero in Z[zeta_n];
-``BlockComplex`` checks this on construction, and a failure is a hard
-BoundaryError.  Ranks come from the certified split-prime routine
-``matrices.certified_rank``, which takes the assembled arrays and does its
-own reduction.  Arrays hold Python ints wherever a magnitude bound would
-leave int64, so no value wraps.
+``BlockComplex`` checks this on construction, keeps the reductions, and a
+failure is a hard BoundaryError.  Ranks come from the certified split-prime
+routine ``matrices.certified_rank``, which takes each assembled array with
+its kept reduction, so no boundary is reduced twice.
+
+The ranks of a complex are taken from left to right, each under a cap from
+rank-nullity (Dumas, Heckenbach, Saunders and Welker, *Computing simplicial
+homology based on efficient Smith normal form algorithms*, 2003): d_k d_{k+1}
+= 0 holds exactly, so im d_{k+1} lies in ker d_k and rank d_{k+1} <= dim C_k
+- rank d_k.  The rank over F_p of the first split prime is a lower bound on
+the true rank, so a boundary whose first-prime rank meets its cap is exact,
+with no Hadamard bound and no more primes; an acyclic complex, the subject of
+the paper, has every boundary at its cap.  A first-prime rank above the cap
+contradicts the check and raises BoundaryError.  Arrays hold Python ints
+wherever a magnitude bound would leave int64, so no value wraps.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ import numpy as np
 from .complexes import (CatalogEntry, EquivariantComplex, presentation_complex,
                         specialization_plan)
 from .groups import GroupPresentation, PermAction, free_product
-from .matrices import certified_rank, reduce_cyclotomic, ring_matmul
+from .matrices import BoundaryError, certified_rank, reduce_cyclotomic, ring_matmul
 from .reps import (SplitData, UnitaryRep, _node_images,
                    alpha_minus_one_blocks, explicit_rep, extend_by_identity,
                    induce_rep, trivial_rep, verify_rep)
@@ -41,10 +51,6 @@ from .reps import (SplitData, UnitaryRep, _node_images,
 
 class GroupMismatchError(ValueError):
     """Representation and complex are defined over different presentations."""
-
-
-class BoundaryError(ValueError):
-    """Consecutive boundaries do not multiply to zero under a specialization."""
 
 
 class CrossCheckError(AssertionError):
@@ -93,10 +99,11 @@ class BlockComplex:
     ``operator.index`` (TypeError for a float or a string).  Consecutive
     boundaries, reduced modulo Phi_n, must multiply to exactly zero in
     Z[zeta_n]; otherwise the constructor raises BoundaryError, so every
-    BlockComplex is a complex.
+    BlockComplex is a complex.  The reductions of that check are kept for
+    the ranks.
     """
 
-    __slots__ = ("dims", "boundaries", "conductor", "denominators")
+    __slots__ = ("dims", "boundaries", "conductor", "denominators", "_reduced")
 
     def __init__(self, dims, boundaries, conductor: int, denominators):
         object.__setattr__(self, "dims", tuple(operator.index(d) for d in dims))
@@ -104,6 +111,7 @@ class BlockComplex:
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "denominators", tuple(denominators))
         reduced = [reduce_cyclotomic(a, conductor) for a in self.boundaries]
+        object.__setattr__(self, "_reduced", reduced)
         for t in range(len(reduced) - 1):
             if reduce_cyclotomic(ring_matmul(reduced[t], reduced[t + 1], conductor),
                                  conductor).any():
@@ -131,11 +139,29 @@ def specialize(c: EquivariantComplex, r: UnitaryRep) -> BlockComplex:
                         imgs.n, [den for _, den in assembled])
 
 
+def _capped_ranks(n: int, arrays, reduced, spaces, bounds) -> list[int]:
+    """Exact ranks of ``arrays`` over Z[x]/(x^n - 1), given with their
+    reductions modulo Phi_n or None, from left to right: array k under the
+    cap min(spaces[k] - rank of array k - 1, bounds[k])."""
+    ranks, prev = [], 0
+    for a, red, space, bound in zip(arrays, reduced, spaces, bounds):
+        prev = certified_rank(a, n, min(space - prev, bound), red)
+        ranks.append(prev)
+    return ranks
+
+
+def _report(dims, ranks: list[int]) -> HomologyReport:
+    """dims[i] - rank d_i - rank d_{i+1} for chain dims and boundary ranks."""
+    ranks = [0, *ranks, 0]
+    return HomologyReport([dims[i] - ranks[i] - ranks[i + 1] for i in range(len(dims))])
+
+
 def homology_dims(b: BlockComplex) -> HomologyReport:
-    """dims[i] = dim C_i - rank d_i - rank d_{i+1} (field coefficients)."""
-    ranks = [0] + [certified_rank(a, b.conductor) for a in b.boundaries] + [0]
-    return HomologyReport([b.dims[i] - ranks[i] - ranks[i + 1]
-                           for i in range(len(b.dims))])
+    """dims[i] = dim C_i - rank d_i - rank d_{i+1} (field coefficients), d_{i+1}
+    ranked under the cap min(dim C_i - rank d_i, dim C_{i+1}) (module
+    docstring)."""
+    return _report(b.dims, _capped_ranks(b.conductor, b.boundaries, b._reduced,
+                                         b.dims, b.dims[1:]))
 
 
 def twisted_homology(c: EquivariantComplex, r: UnitaryRep) -> HomologyReport:
@@ -191,20 +217,34 @@ def shapiro_compare(c: EquivariantComplex, action: PermAction, sub_matrices,
 # subquotient dimensions along the invariant/coinvariant split
 # ---------------------------------------------------------------------------
 
-def _subspace_ranks(b: BlockComplex, basis: np.ndarray) -> list[int]:
+def _times_basis(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """d (I tensor B) for a boundary d = a: B multiplies each cell's column
+    block."""
+    dim, w, n = basis.shape
+    rows, cells = a.shape[0], a.shape[1] // dim
+    per_cell = a.reshape(rows, cells, dim, n).swapaxes(0, 1)
+    return ring_matmul(per_cell, basis, n).swapaxes(0, 1).reshape(rows, cells * w, n)
+
+
+def _subspace_ranks(b: BlockComplex, basis: np.ndarray, ranks_v: list[int]) -> list[int]:
     """rank of d_k (I tensor B) for every boundary d_k of ``b`` = C tensor V,
     where B = ``basis`` is an integer array [dim V, w, n] over
-    Z[x]/(x^n - 1), n the conductor of ``b``: B multiplies each cell's
-    column block of the boundaries."""
-    dim, w, n = basis.shape
-    ranks = []
-    for a in b.boundaries:
-        rows, cols = a.shape[:2]
-        cells = cols // dim
-        per_cell = a.reshape(rows, cells, dim, n).swapaxes(0, 1)
-        prod = ring_matmul(per_cell, basis, n).swapaxes(0, 1).reshape(rows, cells * w, n)
-        ranks.append(certified_rank(prod, n))
-    return ranks
+    Z[x]/(x^n - 1), n the conductor of ``b``, and ``ranks_v`` the ranks of
+    the d_k.
+
+    They are taken from left to right like ``homology_dims``, d_{k+1}
+    (I tensor B) under the cap min(c_k w - rank d_k (I tensor B), rank
+    d_{k+1}), c_k the cells of degree k.  The cap is sound when W = span B
+    is invariant and B has full column rank w, which ``subquotient_dims``
+    checks before it ranks.  Then iota = I tensor B is an injective chain map
+    C tensor W -> C tensor V, so rank d_k (I tensor B) = rank d_{W,k}, and
+    d_W d_W = 0 follows from d_V d_V = 0: rank-nullity in C tensor W gives
+    the first term.  The columns of d_{k+1} (I tensor B) lie in the column
+    span of d_{k+1}, which gives the second."""
+    dim, w = basis.shape[:2]
+    return _capped_ranks(basis.shape[2], (_times_basis(a, basis) for a in b.boundaries),
+                         [None] * len(b.boundaries),
+                         [a.shape[0] // dim * w for a in b.boundaries], ranks_v)
 
 
 def subquotient_dims(c: EquivariantComplex, r: UnitaryRep, s: SplitData) \
@@ -234,9 +274,10 @@ def subquotient_dims(c: EquivariantComplex, r: UnitaryRep, s: SplitData) \
 
     b = specialize(c, r)
     dims_v = homology_dims(b)
-    ranks = [0] + _subspace_ranks(b, basis) + [0]
-    dims_w = HomologyReport([cells * w - ranks[i] - ranks[i + 1]
-                             for i, cells in enumerate(c.ranks)])
+    ranks_v = [0]  # rank d_{k+1} = dim C_k - dim H_k - rank d_k, read back
+    for cells, h in zip(b.dims, dims_v.dims):
+        ranks_v.append(cells - h - ranks_v[-1])
+    dims_w = _report([cells * w for cells in c.ranks], _subspace_ranks(b, basis, ranks_v[1:-1]))
     dims_q = twisted_homology(c, trivial_rep(c.group, r.dim - w)) \
         if w < r.dim else HomologyReport([0] * len(c.ranks))
 

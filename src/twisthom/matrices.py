@@ -13,10 +13,11 @@ on integers, with one elimination per ring:
   bounded by the smaller L1 norm of its two representatives.  The
   elimination holds signed residues in (-p, p) and reduces a value mod p
   only when it leaves [-p//2, p//2], so the +-1 of a boundary stays a small
-  Python int.  A first elimination that reaches full rank, or that is an
-  exact one of the integer matrix itself, needs no bound.  It has no
-  fallback: when the interval of split primes cannot supply the certified
-  count, it raises ValueError;
+  Python int.  A first elimination that meets the rank's cap, min(R, C) or
+  the less a caller proved, or that is an exact one of the integer matrix
+  itself, needs no bound; one above the cap raises BoundaryError.  It has
+  no fallback: when the interval of split primes cannot supply the
+  certified count, it raises ValueError;
 - Smith normal form over Z: ``smith_normal_form_int``, with U and V;
 - Smith normal form over Q[t, t^-1]: ``_snf_poly``, the diagonal alone, on
   integer Laurent polynomials (below), in Python ints with exact integer
@@ -36,6 +37,12 @@ import math
 import numpy as np
 
 from .numbers import Cyclo, as_fraction, cyclotomic_reduction_rows, euler_phi
+
+
+class BoundaryError(ValueError):
+    """Consecutive boundaries do not multiply to zero under a specialization,
+    or a rank exceeds the cap that their product proved."""
+
 
 class Matrix:
     """Immutable dense matrix over a single exact scalar domain."""
@@ -353,11 +360,13 @@ def _hadamard_bits(l1: np.ndarray) -> float:
     return float(0.5 * np.log2(np.maximum(np.einsum("ij,ij->i", l1, l1), 1)).sum())
 
 
-def certified_pivots(a: np.ndarray, n: int) -> list[int]:
+def certified_pivots(a: np.ndarray, n: int, cap: int | None = None,
+                     red: np.ndarray | None = None) -> list[int]:
     """Columns of the integer array a[R, C, m] over Z[x]/(x^n - 1) (m <= n) that
     form a basis of its column span over Q(zeta_n), where entry (i, j) is
     sum_k a[i, j, k] zeta_n^k.  Their count is the exact rank.  Callers pass
-    the array as they assembled it; the reduction modulo Phi_n happens here.
+    the array as they assembled it, and ``red``, its reduction modulo Phi_n,
+    when they hold it already; otherwise the reduction happens here.
 
     Each split prime p = 1 (mod n) maps Z[zeta_n] onto F_p by zeta_n -> r, so
     the rank over F_p never exceeds the true rank.  A nonzero minor M keeps
@@ -365,23 +374,28 @@ def certified_pivots(a: np.ndarray, n: int) -> list[int]:
     a nonzero integer with |N(M)| <= H^phi(n).  The primes exceed 2^30, so at
     most floor(phi(n) log2(H) / 30) of them can divide it: the maximum rank
     over one more prime than that is exact.  The loop stops early once the
-    rank is full.  For n = 1 this is the classical multimodular integer rank.
-    Raises ValueError when 2^30 < p < 2^31 holds fewer than the certified
-    count of split primes (about 4 * 10^4 exist for every n <= 1024).
+    rank meets its cap.  For n = 1 this is the classical multimodular
+    integer rank.  Raises ValueError when 2^30 < p < 2^31 holds fewer than
+    the certified count of split primes (about 4 * 10^4 exist for every
+    n <= 1024).
 
     H bounds each entry by the smaller L1 norm of its two representatives,
     as given and reduced modulo Phi_n.  Either side can be the smaller: for
     prime n, reducing one term zeta_n^(n-1) spreads it over n - 1
     coefficients, while 1 + x + ... + x^(n-1) reduces to 0.
 
-    The first prime runs before H, and its pivots are final, with no H and
-    no further ``split_primes`` request (early termination; von zur Gathen
-    & Gerhard, *Modern Computer Algebra*, ch. 5), in two cases.  At full
-    rank min(R, C) no prime can give more, and the pivots are independent
-    over Q(zeta_n) (below).  If ``_evaluate_mod_p`` passes the reduction
-    through (n <= 2) and ``_rank_mod_p`` is exact, every step was an integer
-    row operation with a unit lead, so the rank is that over Q.  Otherwise
-    the loop reuses them.
+    The cap is an upper bound on the rank: min(R, C), or less when the
+    caller has proved less (``homology_dims`` has rank-nullity from the
+    exact d.d = 0 check), and never above min(R, C).  The first prime runs
+    before H, and its pivots are final, with no H and no further
+    ``split_primes`` request (early termination; von zur Gathen & Gerhard,
+    *Modern Computer Algebra*, ch. 5), in two cases.  At the cap no prime can
+    give more, since its rank is a lower bound on the true rank, and the
+    pivots are independent over Q(zeta_n) (below).  If ``_evaluate_mod_p``
+    passes the reduction through (n <= 2) and ``_rank_mod_p`` is exact, every
+    step was an integer row operation with a unit lead, so the rank is that
+    over Q.  Otherwise the loop reuses them.  A rank over F_p above the cap
+    refutes the caller's proof: BoundaryError.
 
     The pivots come from the first prime that reaches the maximum.  Columns
     independent over F_p have a minor that is nonzero mod p, hence nonzero:
@@ -390,34 +404,38 @@ def certified_pivots(a: np.ndarray, n: int) -> list[int]:
     rows, cols = a.shape[:2]
     if rows == 0 or cols == 0:
         return []
-    red = reduce_cyclotomic(a, n)
+    red = reduce_cyclotomic(a, n) if red is None else red
     if not red.any():
         return []
-    best, full = [], min(rows, cols)
+    best, done = [], False
+    cap = min(rows, cols) if cap is None else min(rows, cols, cap)
     for p, r in split_primes(n, 1):  # the first prime; none for a huge n
         m = _evaluate_mod_p(red, p, r)
         best, exact = _rank_mod_p(m, p)
-        # a full rank, or an exact elimination of a view (red passed through)
-        if len(best) == full or exact and np.may_share_memory(m, red):
-            return best
-    need = int(euler_phi(n) * _hadamard_bits(_entry_bounds(a, red)) / 30 * (1 + 1e-9)) + 1
-    primes = split_primes(n, need)
-    if len(primes) < need:
-        raise ValueError(f"the rank certificate needs {need} split primes for "
-                         f"conductor {n}; only {len(primes)} exist below 2^31")
-    for p, r in primes[1:]:
-        if len(best) == full:
-            break
-        pivots, _ = _rank_mod_p(_evaluate_mod_p(red, p, r), p)
-        if len(pivots) > len(best):
-            best = pivots
+        # the cap met, or an exact elimination of a view (red passed through)
+        done = len(best) >= cap or exact and np.may_share_memory(m, red)
+    if not done:
+        need = int(euler_phi(n) * _hadamard_bits(_entry_bounds(a, red)) / 30 * (1 + 1e-9)) + 1
+        primes = split_primes(n, need)
+        if len(primes) < need:
+            raise ValueError(f"the rank certificate needs {need} split primes for "
+                             f"conductor {n}; only {len(primes)} exist below 2^31")
+        for p, r in primes[1:]:
+            if len(best) >= cap:
+                break
+            pivots, _ = _rank_mod_p(_evaluate_mod_p(red, p, r), p)
+            if len(pivots) > len(best):
+                best = pivots
+    if len(best) > cap:
+        raise BoundaryError(f"a rank over F_p of {len(best)} exceeds its proven cap {cap}")
     return best
 
 
-def certified_rank(a: np.ndarray, n: int) -> int:
+def certified_rank(a: np.ndarray, n: int, cap: int | None = None,
+                   red: np.ndarray | None = None) -> int:
     """Exact rank over Q(zeta_n) of the integer array a[R, C, m] over
     Z[x]/(x^n - 1): the count of ``certified_pivots``."""
-    return len(certified_pivots(a, n))
+    return len(certified_pivots(a, n, cap, red))
 
 
 def fast_rank(m: Matrix) -> int:

@@ -13,8 +13,8 @@ import random
 
 from .complexes import (CatalogEntry, EquivariantComplex, catalog_complex,
                         presentation_complex, trefoil_group)
-from .groups import (GroupPresentation, PermAction, free_product, free_reduce,
-                     reidemeister_schreier, transitive_actions_up_to)
+from .groups import (GroupPresentation, PermAction, abelianization, free_product,
+                     free_reduce, reidemeister_schreier, transitive_actions_up_to)
 from .homology import (coinvariants_h0, shapiro_compare, subquotient_dims,
                        twisted_homology)
 from .matrices import Matrix, integer_kernel_basis
@@ -27,6 +27,7 @@ MAX_FAILURE_DETAILS = 8
 H0_PAIRS = 200  # random presentations in the h0 suite
 LES_SPLITS = 100  # seeded splits in the les suite
 FREEPRODUCT_INDUCED = 50  # seeded induced reps in the freeproduct suite
+FREEPRODUCT_SHAPIRO = 100  # seeded permutation reps checked against their cover
 
 
 class SuiteReport:
@@ -321,27 +322,38 @@ def _free_product_t3_t3() -> EquivariantComplex:
 
 
 def freeproduct_suite(seed: int) -> SuiteReport:
-    """(dims[0], dims[1]) never (0, 0) for the double 3-torus free product.
+    """(dims[0], dims[1]) never (0, 0) for the double 3-torus free product,
+    and euler = dim V * chi.
 
     Battery: all torsion characters (the trivial one only, since H1 is free),
     permutation reps of every transitive action of degree <= 4 up to
-    conjugacy, plus seeded induced reps of dimension <= 6.
+    conjugacy, plus seeded induced reps of dimension <= 6.  A transitive rep
+    (the trivial character and every permutation rep) has one orbit, so
+    dims[0] == 1 exactly, which a d1 one short breaks.  On a seeded subset
+    of FREEPRODUCT_SHAPIRO actions, dims[1] must also equal the free rank of
+    H1 of the cover's group, by Shapiro's lemma (Brown, *Cohomology of
+    Groups*, III.6), which a d2 one short breaks.
     """
     rng = random.Random(seed)
     report = SuiteReport("freeproduct")
     cx = _free_product_t3_t3()
     p = cx.group
     chi = cx.euler_characteristic()
+    actions = _cached_actions(p, 4)
+    shapiro = set(random.Random(seed).sample(range(len(actions)),
+                                             min(FREEPRODUCT_SHAPIRO, len(actions))))
 
-    def run_rep(rep: UnitaryRep, label: str):
+    def run_rep(rep: UnitaryRep, label: str, transitive: bool = False, b1: int | None = None):
         h = twisted_homology(cx, rep)
-        ok = (h.dims[0], h.dims[1]) != (0, 0) and h.euler == rep.dim * chi
+        ok = (h.dims[0], h.dims[1]) != (0, 0) and h.euler == rep.dim * chi \
+            and (not transitive or h.dims[0] == 1) and (b1 is None or h.dims[1] == b1)
         report.check(ok, f"{label}: dims {h.dims[:2]} euler {h.euler}")
 
     for i, ch in enumerate(torsion_characters(p)):
-        run_rep(ch, f"character{i}")
-    for i, action in enumerate(_cached_actions(p, 4)):
-        run_rep(permutation_rep(p, action), f"perm{i}-deg{action.degree}")
+        run_rep(ch, f"character{i}", ch.conductor == 1)  # the trivial one
+    for i, action in enumerate(actions):
+        b1 = abelianization(reidemeister_schreier(p, action)[0])[0] if i in shapiro else None
+        run_rep(permutation_rep(p, action), f"perm{i}-deg{action.degree}", True, b1)
     for i, rep in enumerate(seeded_induced_reps(p, rng, FREEPRODUCT_INDUCED)):
         run_rep(rep, f"induced{i}-dim{rep.dim}")
     return report

@@ -1,5 +1,6 @@
 """The split-prime certified rank against Bareiss, and its prime count."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,16 +10,18 @@ from hypothesis import strategies as st
 
 from oracles import (certified_pivots_reference, evaluate_mod_p_reference, matrix_rank,
                      rank_mod_p_reference)
-from twisthom.complexes import Boundary, catalog_complex
+from twisthom.complexes import Boundary, catalog_complex, catalog_entry_from_string
 from twisthom.groups import PermAction, reidemeister_schreier
-from twisthom import matrices
-from twisthom.homology import BoundaryError, homology_dims, specialize, subquotient_dims
+from twisthom import homology, matrices
+from twisthom.homology import (BlockComplex, BoundaryError, homology_dims, specialize,
+                               subquotient_dims, twisted_homology)
 from twisthom.matrices import (Matrix, _evaluate_mod_p, _rank_mod_p, certified_pivots,
                                certified_rank, fast_rank, lift_cyclo, max_abs,
                                reduce_cyclotomic, split_primes)
 from twisthom.numbers import Cyclo, euler_phi
-from twisthom.reps import (explicit_rep, induce_rep, invariant_coinvariant_split,
-                           permutation_rep, torsion_characters)
+from twisthom.reps import (character_from_grading, explicit_rep, induce_rep,
+                           invariant_coinvariant_split, permutation_rep, torsion_characters)
+from twisthom.suites import _seeded_diag_rep, seeded_character, seeded_induced_reps
 
 CONDUCTORS = (1, 3, 4, 5, 8, 12, 23)
 SETTINGS = settings(max_examples=60, deadline=None,
@@ -518,3 +521,112 @@ def test_int64_minimum_is_read_exactly():
     a = np.array([[[-2 ** 63, 1], [1, 0], [1, 0]], [[-2 ** 63, -1], [1, 0], [0, 0]],
                   [[0, 2], [0, 0], [1, 0]]], dtype=np.int64)
     assert certified_pivots(a, 3) == [0, 1] == certified_pivots_reference(a, 3)
+
+
+# ---------------------------------------------------------------------------
+# rank-nullity caps across a complex
+# ---------------------------------------------------------------------------
+
+CAP_ENTRIES = ("lens:5,2", "lens:7,3", "t3", "s1x_sigma:2", "trefoil_exterior", "torus2d",
+               "quaternion_q8", "handlebody:2", "s1xs2")
+CAP_REPS = ("character", "diagonal", "induced")
+
+
+def _cap_case(spec: str, kind: str, seed: int):
+    """A catalog complex and a seeded rep of its group: a random character,
+    a diagonal sum of 2 or 3 of them (some trivial), or a monomial rep
+    induced from a cover of degree 2 or 3 (a character where there is
+    none)."""
+    cx = catalog_entry_from_string(spec).complex
+    rng = random.Random(seed)
+    if kind == "diagonal":
+        return cx, _seeded_diag_rep(cx.group, rng, rng.randint(2, 3))
+    induced = seeded_induced_reps(cx.group, rng, 1, max_degree=3, max_dim=4) \
+        if kind == "induced" else []
+    return cx, induced[0] if induced else seeded_character(cx.group, rng)
+
+
+def _assert_capped_ranks_match_reference(cx, rep):
+    """``homology_dims`` and ``_subspace_ranks``, which rank under caps,
+    against the uncapped all-primes loop: the dims of C tensor V, and the
+    ranks of d (I tensor B) for the basis B of W of the split of V."""
+    b = specialize(cx, rep)
+    n = b.conductor
+    ranks = [len(certified_pivots_reference(a, n)) for a in b.boundaries]
+    padded = [0] + ranks + [0]
+    want = tuple(d - padded[i] - padded[i + 1] for i, d in enumerate(b.dims))
+    assert homology_dims(b).dims == want, (cx.ranks, rep)
+    basis = invariant_coinvariant_split(rep).w_basis
+    products = [homology._times_basis(a, basis) for a in b.boundaries]
+    assert homology._subspace_ranks(b, basis, ranks) == \
+        [len(certified_pivots_reference(a, n)) for a in products], (cx.ranks, rep)
+
+
+@SETTINGS
+@given(st.sampled_from(CAP_ENTRIES), st.sampled_from(CAP_REPS), st.integers(0, 2 ** 16))
+def test_capped_ranks_match_the_uncapped_reference(spec, kind, seed):
+    """Ranks capped by rank-nullity are those of the uncapped reference, on
+    catalog complexes under random characters and monomial reps."""
+    _assert_capped_ranks_match_reference(*_cap_case(spec, kind, seed))
+
+
+def test_capped_ranks_match_the_reference_on_acyclic_complexes():
+    """Every character and a diagonal sum of characters of lens:5,2 and
+    lens:7,3, whose nontrivial parts are acyclic: each boundary of C tensor
+    V or of C tensor W that the first prime ranks at its cap ends there."""
+    for spec in ("lens:5,2", "lens:7,3"):
+        cx = catalog_entry_from_string(spec).complex
+        for rep in torsion_characters(cx.group) + [_seeded_diag_rep(cx.group, random.Random(s), 3)
+                                                   for s in range(2)]:
+            _assert_capped_ranks_match_reference(cx, rep)
+
+
+def test_caps_end_most_certificates_at_the_first_prime(monkeypatch):
+    """The torsion characters of lens spaces of conductor 17, 19 and 23 and
+    seeded induced reps of t3 and s1x_sigma:2: their acyclic complexes have
+    every boundary at its cap, so the first prime certifies them with no
+    bound.  Ranked one boundary at a time, 17 requests asked for more than
+    one prime (34 primes in all); capped, 4 do (8 primes)."""
+    counts = _recorded_requests(monkeypatch)
+    cases = [(cx, ch) for spec in ("lens:17,3", "lens:19,7", "lens:23,5")
+             for cx in [catalog_entry_from_string(spec).complex]
+             for ch in torsion_characters(cx.group)]
+    rng = random.Random(0)
+    for spec in ("t3", "s1x_sigma:2"):
+        cx = catalog_entry_from_string(spec).complex
+        cases += [(cx, rep) for rep in seeded_induced_reps(cx.group, rng, 20, max_dim=6)]
+    for cx, rep in cases:
+        twisted_homology(cx, rep)
+    more = [c for c in counts if c > 1]
+    assert len(more) <= 4 and sum(more) <= 8, more
+
+
+def test_large_prime_conductor_bound_follows_the_unreduced_lift(monkeypatch):
+    """Uncapped, d2 of t3 under zeta_1009 has rank 2 of 3 at the first prime,
+    so the bound runs.  Its reduced coefficients would need 1 057 primes;
+    the unreduced ones need at most 152, so the bound must be read off the
+    unreduced lift.  (``homology_dims`` caps d2 at 2 and needs one prime.)"""
+    t3 = catalog_complex("t3").complex
+    b = specialize(t3, character_from_grading(t3.group, [1, 1, 1], 1009, 1))
+    counts = _recorded_requests(monkeypatch)
+    assert certified_rank(b.boundaries[1], 1009) == 2
+    assert 0 < max(counts) <= 152
+
+
+def test_a_rank_above_its_cap_is_refused(monkeypatch):
+    """The caps hold because ``BlockComplex`` proves d.d = 0.  Built past
+    that check (its ring_matmul patched to give 0), the complex d1 = d2 = 1
+    ranks d1 to 1 and then d2 to 1 at the first prime, above the cap
+    1 - 1 = 0: ``homology_dims`` refuses it.  So does ``certified_pivots``
+    given a cap below the rank, on the exact route and on the others."""
+    one = np.ones((1, 1, 1), np.int64)
+    monkeypatch.setattr(homology, "ring_matmul", lambda a, b, n: np.zeros((1, 1, n), np.int64))
+    b = BlockComplex([1, 1, 1], [one, one], 1, [1, 1])
+    monkeypatch.undo()
+    with pytest.raises(BoundaryError, match="exceeds its proven cap 0"):
+        homology_dims(b)
+    for n in (1, 5):
+        eye = np.eye(2, dtype=np.int64)[..., None]
+        assert certified_pivots(eye, n, cap=2) == certified_pivots(eye, n, cap=9) == [0, 1]
+        with pytest.raises(BoundaryError, match="cap 1"):
+            certified_pivots(eye, n, cap=1)

@@ -298,9 +298,10 @@ def test_largest_conductor_is_admitted(tmp_path):
 
 
 def test_large_prime_conductor_uses_split_primes(tmp_path, monkeypatch):
-    """Under zeta_1009 the reduced coefficients of t3's boundaries would need
-    1 057 primes; the unreduced ones need at most 152, so the rank
-    certificate must be read off the unreduced lift."""
+    """Under zeta_1009 the complex of t3 is acyclic, so every boundary meets
+    its rank-nullity cap at the first split prime: no request asks for more
+    than one prime.  (Uncapped, d2 would need up to 152 primes:
+    ``test_certified_rank.test_large_prime_conductor_bound_follows_the_unreduced_lift``.)"""
     counts = []
     original = matrices.split_primes
 
@@ -312,7 +313,7 @@ def test_large_prime_conductor_uses_split_primes(tmp_path, monkeypatch):
     start = time.perf_counter()
     code, data = run_cli(tmp_path, "homology", "--catalog", "t3", "--character", "1009:1")
     assert code == 0 and data["dims"] == [0, 0, 0, 0]
-    assert 0 < max(counts) <= 152
+    assert max(counts) == 1
     assert time.perf_counter() - start < 20
 
 

@@ -29,7 +29,6 @@ import pytest
 
 import test_alexander
 import test_certified_rank
-import test_cli
 import test_complexes
 import test_groups
 import test_homology
@@ -37,7 +36,7 @@ import test_matrices
 import test_reps
 import test_suites
 import test_torsion_reference
-from twisthom import alexander, complexes, groups, homology, matrices, reps
+from twisthom import alexander, complexes, groups, homology, matrices, reps, suites
 
 ASSERTED = (AssertionError, pytest.fail.Exception)
 
@@ -56,11 +55,28 @@ def _edited(func, old, new):
     return namespace[func.__name__].__code__
 _SUBSPACE_RANKS = homology._subspace_ranks
 _WALK = groups.SchreierData.walk
+_CERTIFIED_RANK = homology.certified_rank
+_ACTIONS = suites._cached_actions
 
 
-def _one_short(b, basis):
+def _one_short(b, basis, ranks_v):
     """Every rank of d_V (I tensor B) one short, as far as it goes."""
-    return [max(r - 1, 0) for r in _SUBSPACE_RANKS(b, basis)]
+    return [max(r - 1, 0) for r in _SUBSPACE_RANKS(b, basis, ranks_v)]
+
+
+def _rank_one_short(*args):
+    """Every certified rank of ``homology`` one short, as far as it goes."""
+    return max(_CERTIFIED_RANK(*args) - 1, 0)
+
+
+def _freeproduct_on_a_sample(monkeypatch):
+    """The freeproduct suite on the first 60 of its actions (the trivial one
+    and 59 of degree 2, each also checked against its cover) and 2 induced
+    reps: all 63 checks pass, where the whole suite would take seconds."""
+    monkeypatch.setattr(suites, "_cached_actions", lambda p, d: _ACTIONS(p, d)[:60])
+    monkeypatch.setattr(suites, "FREEPRODUCT_INDUCED", 2)
+    report = suites.freeproduct_suite(0)
+    assert (report.passed, report.failed) == (63, 0), report.failures
 
 
 def _fixed_point_free_matches_reference_capped(fixed_point_battery):
@@ -155,7 +171,7 @@ MUTANTS = [
       test_alexander.test_torsion_invariants_trefoil]),
     ("rank norm bound from the reduced array only", matrices, "_entry_bounds",
      lambda a, red: matrices._l1_norms(red), ASSERTED,
-     [test_cli.test_large_prime_conductor_uses_split_primes,
+     [test_certified_rank.test_large_prime_conductor_bound_follows_the_unreduced_lift,
       test_certified_rank.test_prime_count_follows_the_smaller_norm]),
     ("rank norm bound from the assembled array only", matrices, "_entry_bounds",
      lambda a, red: matrices._l1_norms(a), ASSERTED,
@@ -166,6 +182,19 @@ MUTANTS = [
       for n in (1, 5, 12)]),
     ("_subspace_ranks one short", homology, "_subspace_ranks", _one_short, ASSERTED,
      [test_suites.test_les_suite_sees_every_subspace_rank_off_by_one]),
+    # a cap below a rank the first prime reaches is refused, not taken
+    ("cap one too low", homology.homology_dims, "__code__",
+     _edited(homology.homology_dims, "b.dims, b.dims[1:]",
+             "[d - 1 for d in b.dims], b.dims[1:]"),
+     homology.BoundaryError,
+     [test_certified_rank.test_capped_ranks_match_the_reference_on_acyclic_complexes]),
+    ("subspace cap one too low", homology._subspace_ranks, "__code__",
+     _edited(homology._subspace_ranks, "a.shape[0] // dim * w for",
+             "a.shape[0] // dim * w - 1 for"),
+     homology.BoundaryError,
+     [test_certified_rank.test_capped_ranks_match_the_reference_on_acyclic_complexes]),
+    ("every rank one short", homology, "certified_rank", _rank_one_short, ASSERTED,
+     [_freeproduct_on_a_sample]),
     ("d.d = 0 check in specialize always passes: homology's ring_matmul gives 0",
      homology, "ring_matmul",
      lambda a, b, n: 0 * matrices.ring_matmul(a, b, n), ASSERTED,
@@ -194,7 +223,7 @@ MUTANTS = [
     ("torsion polynomial not made primitive", alexander, "_primitive_part", lambda c: c,
      ValueError, [test_alexander.test_torsion_invariants_s1xs2]),
     ("ranks of d_V in place of d_V (I tensor B)", homology, "_subspace_ranks",
-     lambda b, basis: [matrices.certified_rank(a, basis.shape[-1]) for a in b.boundaries],
+     lambda b, basis, ranks_v: list(ranks_v),
      ASSERTED, [functools.partial(test_homology.test_subspace_dims_match_summands, base)
                 for base in ("lens:3,1", "trefoil_exterior")]),
     ("dense lowest terms without the gcd divided out", reps._lowest, "__code__",
@@ -210,7 +239,7 @@ MUTANTS = [
      _edited(reps._node_images, "images[parent]", "images[0]"), homology.BoundaryError,
      [test_homology.test_boundaries_match_independent_assembly]),
     ("block width dim for w in subquotient_dims", homology.subquotient_dims, "__code__",
-     _edited(homology.subquotient_dims, "cells * w - ranks[i]", "cells * r.dim - ranks[i]"),
+     _edited(homology.subquotient_dims, "cells * w for", "cells * r.dim for"),
      ASSERTED, [functools.partial(test_homology.test_subspace_dims_match_summands, "lens:3,1")]),
     ("fixed-point check ranks only the generators' images", reps.fixed_point_free_check,
      "__code__", _edited(reps.fixed_point_free_check, "list(seen.values())[1:]",
@@ -242,7 +271,7 @@ MUTANTS = [
      _edited(matrices.certified_pivots, "exact and np.may_share_memory(m, red)", "exact"),
      ASSERTED, [functools.partial(test_certified_rank.test_prime_count_is_certified, 1)]),
     ("full rank taken one short", matrices.certified_pivots, "__code__",
-     _edited(matrices.certified_pivots, "len(best) == full or", "len(best) + 1 >= full or"),
+     _edited(matrices.certified_pivots, "len(best) >= cap or", "len(best) + 1 >= cap or"),
      ASSERTED, [functools.partial(
          test_certified_rank.test_a_minor_vanishing_at_the_first_prime_takes_more_primes, n)
          for n in (3, 5, 12)]),

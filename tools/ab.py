@@ -6,13 +6,16 @@ The base revision is exported with ``git archive`` into a temporary directory,
 so no git worktree metadata is written.  ``src/twisthom/__pycache__`` is
 cleared on both sides first.  Each pair runs ``bench/run.py`` once per side,
 the first side alternating from pair to pair, so that the machine's drift
-falls on both sides alike.  Every run is printed as it ends; a run that exits
-non-zero, or reports ``correct: false``, is listed with its last stderr line
-(``process exited with -14`` is the known SIGALRM race of
-``bench/calibrate.py``: rerun it) and left out of the statistics.  For each
-end-to-end metric of ``BENCHMARK.json`` the summary gives both medians, the
-base's interquartile range (IQR) and the pairs the change wins, ties counting
-for neither side.  Standard library only.
+falls on both sides alike.  Every run is printed as it ends.  A run whose
+last stderr line ends in ``process exited with -14`` hit the known SIGALRM
+race of ``bench/calibrate.py`` (a set-up child killed by its own timer): it is
+rerun once on the same side, and the rerun is printed and counted in the
+summary.  Any other run that exits non-zero or reports ``correct: false``,
+and a rerun that fails again, is listed with its last stderr line, left out
+of the statistics, and makes the script exit 1.  For each end-to-end metric
+of ``BENCHMARK.json`` the summary gives both medians, the base's
+interquartile range (IQR) and the pairs the change wins, ties counting for
+neither side.  Standard library only.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+RACE = "process exited with -14"  # the set-up SIGALRM race of bench/calibrate.py
 
 
 def export(revision: str, dest: Path):
@@ -76,13 +80,17 @@ def main(argv=None) -> int:
         for path in sides.values():
             shutil.rmtree(path / "src" / "twisthom" / "__pycache__", ignore_errors=True)
         runs = {"base": [], "change": []}
-        failures = []
+        failures, reruns = [], []
         print(f"{args.workload} seed={args.seed} seconds={args.seconds} "
               f"base={args.base} change={ROOT}")
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for name in order:
                 values, why = run_once(sides[name], args)
+                if values is None and why.endswith(RACE):
+                    reruns.append(f"pair {i} {name}: {why}")
+                    print(f"pair {i} {name:<6} RERUN {why}", flush=True)
+                    values, why = run_once(sides[name], args)
                 runs[name].append(values)
                 if values is None:
                     failures.append(f"pair {i} {name}: {why}")
@@ -108,6 +116,9 @@ def main(argv=None) -> int:
         change = 100 * (mc - mb) / mb if mb else float("nan")
         print(f"{name:<16} {mb:>12.6g} {q3 - q1:>10.3g} {mc:>14.6g} {change:>+8.1f}% "
               f"{wins:>2}/{len(pairs)}")
+    print(f"reruns after the set-up race: {len(reruns)}")
+    for line in reruns:
+        print("rerun: " + line)
     for line in failures:
         print("failed run: " + line)
     return 1 if failures else 0
